@@ -4,7 +4,7 @@ SHA := $(shell git rev-parse --short HEAD)
 # Benchmarks archived per commit and gated on allocs/op by benchjson.
 GATED_BENCHES := BenchmarkSimEventLoop|BenchmarkSegEncodeDecode|BenchmarkSingleDownload4MB|BenchmarkTCPSingle4MB
 
-.PHONY: all build test race vet bench bench-diff fuzz-smoke cover loadsmoke chaos-smoke sched-smoke serve-smoke
+.PHONY: all build test race vet bench bench-diff ledger fuzz-smoke cover loadsmoke chaos-smoke sched-smoke serve-smoke
 
 all: vet build test
 
@@ -35,6 +35,14 @@ BENCH_BASELINE ?= BENCH_baseline.json
 bench-diff:
 	$(GO) test -run '^$$' -bench '$(GATED_BENCHES)' -benchmem . \
 		| $(GO) run ./cmd/benchjson -baseline $(BENCH_BASELINE) -o BENCH_$(SHA).json
+
+# ledger runs the performance ledger (bench/, declared by
+# BENCHMARK.json): four end-to-end workloads, each printing the
+# export_sha256 and sim.events that show two commits simulated the same
+# thing. `go run ./bench -trace 1` adds the per-layer ladder; see
+# bench/README.md.
+ledger:
+	$(GO) run ./bench
 
 # fuzz-smoke gives each native fuzz target a short budget beyond its
 # checked-in corpus, then sweeps the adversarial scenario fuzzer over

@@ -27,6 +27,7 @@ import (
 	"mptcplab/internal/stats"
 	"mptcplab/internal/units"
 	"mptcplab/internal/web"
+	"mptcplab/internal/world"
 )
 
 const benchReps = 3
@@ -317,14 +318,12 @@ func BenchmarkTable7VideoStreaming(b *testing.B) {
 				}
 				return int(p.block)
 			}}
-			srv := mptcp.NewServer(tb.Server, tb.Net, experiment.ServerPort, cfg, tb.RNG.Child("srv"))
-			srv.OnConn = func(c *mptcp.Conn) { fs.ServeStream(web.MPTCPStream{Conn: c}) }
-			conn := mptcp.Dial(tb.Net, tb.Client, mptcp.DialOpts{
+			tb.Serve(cfg, tb.RNG.Child("srv"), func(world.Peer) *web.FileServer { return fs })
+			client := tb.Dial(tb.Clients[0], world.MPTCP, mptcp.DialOpts{
 				LocalAddrs: []seg.Addr{tb.WiFiAddr, tb.CellAddr},
-				ServerAddr: tb.SrvAddr,
 				Config:     cfg,
 			}, tb.RNG.Child("cli"))
-			g := web.NewGetter(web.MPTCPStream{Conn: conn})
+			g := web.NewGetter(client.Stream())
 
 			blockTimes := stats.New()
 			var prefetchSec float64

@@ -59,7 +59,6 @@ func openDurable(dir string, cfg serverConfig) (serverConfig, error) {
 		return cfg, err
 	}
 	cfg.store = st
-	cfg.diskStore = st
 	cfg.journal = j
 	cfg.resume = incomplete
 	cfg.startID = maxID
@@ -90,7 +89,7 @@ func main() {
 		var err error
 		cfg, err = openDurable(*storeDir, cfg)
 		exitOn(err)
-		h := cfg.diskStore.Health()
+		h := cfg.store.Health()
 		fmt.Fprintf(os.Stderr, "mptcpd: store %s: %d entries from %d segments (%d corrupt records skipped)\n",
 			h.Dir, h.Entries, h.Segments, h.CorruptRecords)
 		if n := len(cfg.resume); n > 0 {

@@ -275,7 +275,7 @@ func TestServeStoreCorruptionRecovery(t *testing.T) {
 		t.Fatalf("cold campaign ended %q", fin.State)
 	}
 	wantCSV := getBytes(t, ts, "/v1/campaigns/"+st.ID+"/export.csv")
-	cfg.diskStore.Close()
+	cfg.store.Close()
 
 	// Truncate the tail of the last segment: one row lost mid-record.
 	segs, err := filepath.Glob(filepath.Join(dir, "results", "seg-*.log"))
@@ -296,7 +296,7 @@ func TestServeStoreCorruptionRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("corrupted store failed to open: %v", err)
 	}
-	if h := cfg2.diskStore.Health(); h.CorruptRecords != 1 || h.LoadedRecords != crashSpecRun-1 {
+	if h := cfg2.store.Health(); h.CorruptRecords != 1 || h.LoadedRecords != crashSpecRun-1 {
 		t.Fatalf("after truncation Health = %+v, want exactly 1 corrupt / %d loaded", h, crashSpecRun-1)
 	}
 	ts2 := newTestServer(t, cfg2)
@@ -358,6 +358,9 @@ func TestServeJournalGarbageTolerated(t *testing.T) {
 	if n, _ := campaignID(st.ID); n <= 7 {
 		t.Fatalf("fresh submission reused journaled id space: %q", st.ID)
 	}
+	// Let it finish: its terminal journal mark must not race TempDir's
+	// cleanup of the journal directory.
+	waitTerminal(t, ts, st.ID)
 	var health struct {
 		Journal journalHealth `json:"journal"`
 	}
@@ -389,7 +392,7 @@ func TestServeStoreDegradedMode(t *testing.T) {
 	}
 	defer st.Close()
 	failing.Store(true)
-	ts := newTestServer(t, serverConfig{store: st, diskStore: st})
+	ts := newTestServer(t, serverConfig{store: st})
 
 	c := submit(t, ts, `{"experiment":"fig8","reps":1,"seed":42,"workers":2}`)
 	fin := waitTerminal(t, ts, c.ID)

@@ -13,17 +13,12 @@ import (
 	"syscall"
 	"time"
 
-	"mptcplab/internal/chaos"
 	"mptcplab/internal/experiment"
 	"mptcplab/internal/load"
 	"mptcplab/internal/mptcp"
 	"mptcplab/internal/sweep"
+	"mptcplab/internal/world"
 )
-
-// loadSalt is load.RunSweep's historical shuffle salt; the daemon
-// uses the same one so a campaign walks its job list in exactly the
-// order the CLI runner would.
-const loadSalt = 0x10ad
 
 const (
 	kindExperiment = "experiment"
@@ -196,11 +191,9 @@ func (c *campaignState) status() statusView {
 // submissions are journaled for crash recovery, and the HTTP-edge
 // limits. The zero value is the historical in-memory daemon.
 type serverConfig struct {
-	// store is the result backend (nil = fresh in-memory sweep.Cache).
-	store sweep.ResultStore
-	// diskStore, when the backend is disk-backed, exposes its
-	// durability health on /healthz.
-	diskStore *sweep.Store
+	// store is the result store (nil = fresh memory-only); a
+	// disk-backed one exposes its durability health on /healthz.
+	store *sweep.Store
 	// journal, when non-nil, records submissions before acceptance
 	// and terminal states after; resume holds the incomplete entries
 	// it recovered, re-enqueued at construction in submission order.
@@ -225,7 +218,6 @@ type serverConfig struct {
 
 type server struct {
 	ctx     context.Context
-	cache   sweep.ResultStore
 	cfg     serverConfig
 	journal *journal
 	queue   chan *campaignState
@@ -258,7 +250,6 @@ func newServer(ctx context.Context, cfg serverConfig) *server {
 	}
 	s := &server{
 		ctx:       ctx,
-		cache:     cfg.store,
 		cfg:       cfg,
 		journal:   cfg.journal,
 		queue:     make(chan *campaignState, depth),
@@ -351,7 +342,7 @@ func (s *server) runCampaign(c *campaignState) {
 	}
 	c.setState(stateRunning)
 	var err error
-	contained := chaos.Contain(func() {
+	contained := sweep.Contain(func() {
 		if c.spec.Kind == kindLoad {
 			err = s.runLoad(c)
 		} else {
@@ -392,7 +383,7 @@ func (s *server) experimentIntercept(c *campaignState) func(experiment.CampaignJ
 	return func(job experiment.CampaignJob, run func() experiment.RunResult) experiment.RunResult {
 		key, kerr := experimentKey(job)
 		if kerr == nil {
-			if b, ok := s.cache.GetRef(key); ok {
+			if b, ok := s.cfg.store.GetRef(key); ok {
 				var res experiment.RunResult
 				if err := json.Unmarshal(b, &res); err == nil {
 					c.note(true)
@@ -405,7 +396,7 @@ func (s *server) experimentIntercept(c *campaignState) func(experiment.CampaignJ
 		c.note(false)
 		if kerr == nil && res.FailReason == "" && res.Resilience == nil {
 			if b, err := json.Marshal(res); err == nil {
-				s.cache.Put(key, b)
+				s.cfg.store.Put(key, b)
 			}
 		}
 		c.appendRow(newExperimentRow(job, res, false))
@@ -511,15 +502,15 @@ func (s *server) runLoad(c *campaignState) error {
 
 	rows := make([]*loadRow, len(jobs))
 	sweep.Run(sweep.Opts{
-		Seed: so.Seed, Salt: loadSalt, Workers: c.spec.Workers,
+		Seed: so.Seed, Salt: load.SweepSalt, Workers: c.spec.Workers,
 		Context: c.ctx, Progress: c.progress,
 	}, len(jobs),
-		func(ws **load.Arena, k int) *loadRow {
+		func(ws **world.World, k int) *loadRow {
 			j := jobs[k]
 			cfg := cfgFor(k)
 			key, kerr := loadKey(cfg)
 			if kerr == nil {
-				if b, ok := s.cache.GetRef(key); ok {
+				if b, ok := s.cfg.store.GetRef(key); ok {
 					var row loadRow
 					if json.Unmarshal(b, &row) == nil {
 						// The rep label is positional, not part of the
@@ -537,14 +528,14 @@ func (s *server) runLoad(c *campaignState) error {
 				}
 			}
 			if *ws == nil {
-				*ws = load.NewArena()
+				*ws = world.New()
 			}
 			res := load.RunIn(*ws, cfg)
 			c.note(false)
 			row := newLoadRow(base, points[j.point], j.rep, res)
 			if kerr == nil && !res.Failed {
 				if b, err := json.Marshal(row); err == nil {
-					s.cache.Put(key, b)
+					s.cfg.store.Put(key, b)
 				}
 			}
 			c.appendRow(row)
@@ -695,7 +686,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // means the daemon still serves but something durable is running
 // memory-only.
 func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	entries, hits, misses := s.cache.Stats()
+	entries, hits, misses := s.cfg.store.Stats()
 	view := struct {
 		Status       string             `json:"status"`
 		QueueLen     int                `json:"queue_len"`
@@ -713,8 +704,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	view.Campaigns = len(s.campaigns)
 	s.mu.Unlock()
-	if s.cfg.diskStore != nil {
-		h := s.cfg.diskStore.Health()
+	if h := s.cfg.store.Health(); h.Dir != "" {
 		view.Store = &h
 		if h.Degraded {
 			view.Status = "degraded"
@@ -752,7 +742,7 @@ func (s *server) handleList(w http.ResponseWriter, _ *http.Request) {
 		views = append(views, s.campaigns[id].status())
 	}
 	s.mu.Unlock()
-	entries, hits, misses := s.cache.Stats()
+	entries, hits, misses := s.cfg.store.Stats()
 	writeJSON(w, struct {
 		Campaigns    []statusView `json:"campaigns"`
 		CacheEntries int          `json:"cache_entries"`
@@ -877,7 +867,7 @@ func (s *server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	}
 	key, kerr := loadKey(cfg)
 	if kerr == nil {
-		if b, ok := s.cache.GetRef(key); ok {
+		if b, ok := s.cfg.store.GetRef(key); ok {
 			var row loadRow
 			if json.Unmarshal(b, &row) == nil {
 				writeJSON(w, replayView{Cached: true, Run: row.Run, Resilience: row.Resilience})
@@ -886,11 +876,11 @@ func (s *server) handleReplay(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	p := load.SweepPoint{Rate: cfg.Rate, Clients: cfg.Clients, Sched: cfg.Scheduler}
-	res := load.RunIn(load.NewArena(), cfg)
+	res := load.Run(cfg)
 	row := newLoadRow(cfg, p, 0, res)
 	if kerr == nil && !res.Failed {
 		if b, err := json.Marshal(row); err == nil {
-			s.cache.Put(key, b)
+			s.cfg.store.Put(key, b)
 		}
 	}
 	writeJSON(w, replayView{Run: row.Run, Resilience: row.Resilience})

@@ -19,6 +19,7 @@ import (
 	"mptcplab/internal/sim"
 	"mptcplab/internal/units"
 	"mptcplab/internal/web"
+	"mptcplab/internal/world"
 )
 
 const (
@@ -57,31 +58,22 @@ func run(mode string, backup []bool) {
 
 	fs := &web.FileServer{SizeFor: func(int) int { return downloadSize }}
 	var serverConn *mptcp.Conn
-	srv := mptcp.NewServer(tb.Server, tb.Net, experiment.ServerPort, cfg, tb.RNG.Child("srv"))
-	srv.OnConn = func(c *mptcp.Conn) {
-		serverConn = c
-		fs.ServeStream(web.MPTCPStream{Conn: c})
-	}
-	conn := mptcp.Dial(tb.Net, tb.Client, mptcp.DialOpts{
+	tb.Serve(cfg, tb.RNG.Child("srv"), func(p world.Peer) *web.FileServer {
+		serverConn = p.Conn
+		return fs
+	})
+	client := tb.Dial(tb.Clients[0], world.MPTCP, mptcp.DialOpts{
 		LocalAddrs: locals,
-		Labels:     []string{"wifi", "cell"}[:len(locals)],
-		ServerAddr: tb.SrvAddr,
 		Backup:     backup,
 		Config:     cfg,
 	}, tb.RNG.Child("cli"))
-	g := web.NewGetter(web.MPTCPStream{Conn: conn})
+	g := web.NewGetter(client.Stream())
 
 	var done sim.Time = -1
 	g.Get(downloadSize, func() { done = tb.Sim.Now() })
 
-	tb.Sim.At(outageStart, "wifi-down", func() {
-		tb.WiFiUp.SetDown(true)
-		tb.WiFiDown.SetDown(true)
-	})
-	tb.Sim.At(outageEnd, "wifi-up", func() {
-		tb.WiFiUp.SetDown(false)
-		tb.WiFiDown.SetDown(false)
-	})
+	tb.Sim.At(outageStart, "wifi-down", func() { tb.SetWiFiDown(true) })
+	tb.Sim.At(outageEnd, "wifi-up", func() { tb.SetWiFiDown(false) })
 
 	tb.Sim.RunUntil(outageStart + 5*sim.Second)
 	during := g.BytesReceived

@@ -15,9 +15,9 @@ import (
 	"mptcplab/internal/seg"
 	"mptcplab/internal/sim"
 	"mptcplab/internal/stats"
-	"mptcplab/internal/tcp"
 	"mptcplab/internal/units"
 	"mptcplab/internal/web"
+	"mptcplab/internal/world"
 )
 
 // deviceProfile mirrors Table 7's measured streaming workloads.
@@ -64,28 +64,15 @@ func stream(p deviceProfile, mode string) {
 		return int(p.Block)
 	}}
 
-	var st web.Stream
-	switch mode {
-	case "SP-WiFi":
-		tcpCfg := cfg.TCP
-		lis := tcp.Listen(tb.Server, tb.Net, experiment.ServerPort, tcpCfg, tb.RNG.Child("srv"))
-		lis.OnAccept = func(ep *tcp.Endpoint, syn *seg.Segment) bool {
-			fs.ServeStream(web.TCPStream{EP: ep})
-			return true
-		}
-		ep := tcp.NewEndpoint(tb.Client, tb.Net, tb.WiFiAddr, tb.SrvAddr, tcpCfg, tb.RNG.Child("cli"))
-		st = web.TCPStream{EP: ep}
-	default:
-		srv := mptcp.NewServer(tb.Server, tb.Net, experiment.ServerPort, cfg, tb.RNG.Child("srv"))
-		srv.OnConn = func(c *mptcp.Conn) { fs.ServeStream(web.MPTCPStream{Conn: c}) }
-		conn := mptcp.Dial(tb.Net, tb.Client, mptcp.DialOpts{
-			LocalAddrs: []seg.Addr{tb.WiFiAddr, tb.CellAddr},
-			Labels:     []string{"wifi", "cell"},
-			ServerAddr: tb.SrvAddr,
-			Config:     cfg,
-		}, tb.RNG.Child("cli"))
-		st = web.MPTCPStream{Conn: conn}
+	stack := world.MPTCP
+	if mode == "SP-WiFi" {
+		stack = world.TCPWiFi
 	}
+	tb.Serve(cfg, tb.RNG.Child("srv"), func(world.Peer) *web.FileServer { return fs })
+	st := tb.Dial(tb.Clients[0], stack, mptcp.DialOpts{
+		LocalAddrs: []seg.Addr{tb.WiFiAddr, tb.CellAddr},
+		Config:     cfg,
+	}, tb.RNG.Child("cli")).Stream()
 
 	getter := web.NewGetter(st)
 	blockTimes := stats.New()
@@ -115,9 +102,6 @@ func stream(p deviceProfile, mode string) {
 		fetchBlock(0)
 	})
 
-	if tcpStream, ok := st.(web.TCPStream); ok {
-		tcpStream.EP.Connect()
-	}
 	tb.Sim.RunUntil(60 * sim.Minute)
 
 	if blockTimes.N() == 0 {

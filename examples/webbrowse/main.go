@@ -13,9 +13,9 @@ import (
 	"mptcplab/internal/pathmodel"
 	"mptcplab/internal/seg"
 	"mptcplab/internal/sim"
-	"mptcplab/internal/tcp"
 	"mptcplab/internal/units"
 	"mptcplab/internal/web"
+	"mptcplab/internal/world"
 )
 
 // A typical page: one HTML document, a few stylesheets/scripts, images.
@@ -64,27 +64,15 @@ func loadPage(mode string, seed int64) sim.Time {
 		return -1
 	}}
 
-	var st web.Stream
+	stack := world.MPTCP
 	if mode == "SP-WiFi" {
-		lis := tcp.Listen(tb.Server, tb.Net, experiment.ServerPort, cfg.TCP, tb.RNG.Child("srv"))
-		lis.OnAccept = func(ep *tcp.Endpoint, syn *seg.Segment) bool {
-			fs.ServeStream(web.TCPStream{EP: ep})
-			return true
-		}
-		ep := tcp.NewEndpoint(tb.Client, tb.Net, tb.WiFiAddr, tb.SrvAddr, cfg.TCP, tb.RNG.Child("cli"))
-		st = web.TCPStream{EP: ep}
-		ep.Connect()
-	} else {
-		srv := mptcp.NewServer(tb.Server, tb.Net, experiment.ServerPort, cfg, tb.RNG.Child("srv"))
-		srv.OnConn = func(c *mptcp.Conn) { fs.ServeStream(web.MPTCPStream{Conn: c}) }
-		conn := mptcp.Dial(tb.Net, tb.Client, mptcp.DialOpts{
-			LocalAddrs: []seg.Addr{tb.WiFiAddr, tb.CellAddr},
-			Labels:     []string{"wifi", "cell"},
-			ServerAddr: tb.SrvAddr,
-			Config:     cfg,
-		}, tb.RNG.Child("cli"))
-		st = web.MPTCPStream{Conn: conn}
+		stack = world.TCPWiFi
 	}
+	tb.Serve(cfg, tb.RNG.Child("srv"), func(world.Peer) *web.FileServer { return fs })
+	st := tb.Dial(tb.Clients[0], stack, mptcp.DialOpts{
+		LocalAddrs: []seg.Addr{tb.WiFiAddr, tb.CellAddr},
+		Config:     cfg,
+	}, tb.RNG.Child("cli")).Stream()
 
 	g := web.NewGetter(st)
 	start := tb.Sim.Now()

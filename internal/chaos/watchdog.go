@@ -3,7 +3,6 @@ package chaos
 import (
 	"errors"
 	"fmt"
-	"runtime/debug"
 	"time"
 
 	"mptcplab/internal/sim"
@@ -50,18 +49,4 @@ func ArmWatchdog(s *sim.Simulator, wall time.Duration) {
 		}
 		return nil
 	})
-}
-
-// Contain runs fn, converting a panic into an error carrying the
-// panic value and a trimmed stack — the sweep workers' containment
-// boundary: one exploding run becomes one failed-run row instead of
-// tearing the whole harness down.
-func Contain(fn func()) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("chaos: run panicked: %v\n%s", r, debug.Stack())
-		}
-	}()
-	fn()
-	return nil
 }

@@ -21,6 +21,8 @@ import (
 	"mptcplab/internal/seg"
 	"mptcplab/internal/sim"
 	"mptcplab/internal/tcp"
+	"mptcplab/internal/trace"
+	"mptcplab/internal/world"
 )
 
 // Violation is one detected invariant breach.
@@ -104,12 +106,37 @@ func New(s *sim.Simulator) *Checker {
 	return &Checker{MaxViolations: 64, sim: s, flows: make(map[flowKey]*flowState)}
 }
 
+// Arm returns a checker armed on a whole world: every host observed,
+// every link's pool-ownership panic converted to a violation, and the
+// registered stacks probed every interval of simulated time.
+func Arm(w *world.World, every sim.Time) *Checker {
+	c := New(w.Sim)
+	trace.AttachObserver(w.Server, c)
+	for _, cl := range w.Clients {
+		trace.AttachObserver(cl.Host, c)
+	}
+	for _, l := range w.Links() {
+		c.ArmLink(l)
+	}
+	c.ArmProbes(every)
+	return c
+}
+
 // Violations returns the retained violations (oldest first).
 func (c *Checker) Violations() []Violation { return c.violations }
 
 // Count reports the total number of violations, including any dropped
 // past MaxViolations.
 func (c *Checker) Count() int { return c.count }
+
+// Summary is what run results carry: the violation count and the
+// earliest violation rendered ("" when clean).
+func (c *Checker) Summary() (count int, first string) {
+	if len(c.violations) > 0 {
+		first = c.violations[0].String()
+	}
+	return c.count, first
+}
 
 // Ok reports whether no invariant has been violated.
 func (c *Checker) Ok() bool { return c.count == 0 }
@@ -372,6 +399,15 @@ func (c *Checker) WatchEndpoint(name string, ep *tcp.Endpoint) {
 		probe:  ep.CheckInvariants,
 		active: func() bool { return ep.State() != tcp.StateClosed },
 	})
+}
+
+// Watch registers either kind of world peer.
+func (c *Checker) Watch(name string, p world.Peer) {
+	if p.Conn != nil {
+		c.WatchConn(name, p.Conn)
+	} else {
+		c.WatchEndpoint(name, p.EP)
+	}
 }
 
 // WatchConn registers an MPTCP connection: each probe verifies the

@@ -141,7 +141,7 @@ func RunConformance(sched string, cs ConformanceScenario) ConformanceResult {
 	}
 	if h.ServerConn != nil {
 		for _, sf := range h.ServerConn.Subflows() {
-			if sf.EP.Remote.IP == h.CellAddr.IP {
+			if h.IsCell(sf.EP.Remote) {
 				res.CellTxBytes += sf.EP.Stats.BytesSent
 			} else {
 				res.WiFiTxBytes += sf.EP.Stats.BytesSent

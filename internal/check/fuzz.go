@@ -10,9 +10,10 @@ import (
 	"mptcplab/internal/pathmodel"
 	"mptcplab/internal/seg"
 	"mptcplab/internal/sim"
-	"mptcplab/internal/trace"
+	"mptcplab/internal/tcp"
 	"mptcplab/internal/units"
 	"mptcplab/internal/web"
+	"mptcplab/internal/world"
 )
 
 // FaultKind enumerates the adversarial events the fuzzer composes.
@@ -201,23 +202,14 @@ func ParseReplay(tok string) (Scenario, error) {
 	return sc, nil
 }
 
-// Harness is one materialized fuzz topology: the Figure-1 shape
-// (client with WiFi + cellular interfaces, dual-homed server) built
-// directly on netem/mptcp primitives with the checker armed on every
-// host and link. Bug-injection hooks (tests only) receive it before
-// the simulation runs.
+// Harness is one materialized fuzz topology: a one-client, dual-homed
+// world.World (whose simulator, hosts and access links it promotes)
+// with the checker armed on every host and link. Bug-injection hooks
+// (tests only) receive it before the simulation runs.
 type Harness struct {
-	Sim            *sim.Simulator
-	Net            *netem.Network
-	Client, Server *netem.Host
-
-	WiFiUp, WiFiDown *netem.Link
-	CellUp, CellDown *netem.Link
-
+	*world.World
 	WiFiAddr, CellAddr seg.Addr
-	SrvAddr, SrvAddr2  seg.Addr
 
-	Checker    *Checker
 	ClientConn *mptcp.Conn
 	ServerConn *mptcp.Conn
 }
@@ -245,20 +237,9 @@ const scenarioDeadline = 120 * sim.Second
 // before the simulation starts — the test hook used to prove the
 // checker catches deliberately injected corruption.
 func RunScenario(sc Scenario, bug func(*Harness)) Report {
-	s := sim.New()
+	w := world.New()
+	s := w.Sim
 	rng := sim.NewRNG(sc.Seed)
-	n := netem.NewNetwork(s)
-
-	h := &Harness{
-		Sim: s, Net: n,
-		Client:   n.NewHost("client"),
-		Server:   n.NewHost("server"),
-		WiFiAddr: seg.MakeAddr("10.0.0.2", 40000),
-		CellAddr: seg.MakeAddr("172.16.0.2", 40001),
-		SrvAddr:  seg.MakeAddr("192.168.1.1", 8080),
-		SrvAddr2: seg.MakeAddr("192.168.2.1", 8080),
-		Checker:  New(s),
-	}
 
 	access := func(name string, p PathParams) *netem.Link {
 		l := netem.NewLink(s, rng, name)
@@ -270,62 +251,35 @@ func RunScenario(sc Scenario, bug func(*Harness)) Report {
 		}
 		return l
 	}
-	lan := func(name string) *netem.Link {
-		l := netem.NewLink(s, rng, name)
-		l.Rate = 1 * units.Gbps
-		l.PropDelay = 500 * sim.Microsecond
-		l.QueueLimit = 16 * units.MB
-		return l
-	}
-	h.WiFiUp, h.WiFiDown = access("wifi-up", sc.WiFi), access("wifi-down", sc.WiFi)
-	h.CellUp, h.CellDown = access("cell-up", sc.Cell), access("cell-down", sc.Cell)
-	srv1In, srv1Out := lan("srv1-in"), lan("srv1-out")
+	var a world.Access
+	a.WiFiUp, a.WiFiDown = access("wifi-up", sc.WiFi), access("wifi-down", sc.WiFi)
+	a.CellUp, a.CellDown = access("cell-up", sc.Cell), access("cell-down", sc.Cell)
+	w.Build(rng, a, 1, world.Paper(sc.FourPaths))
 
-	addPath := func(cli, srv seg.Addr, up, down, lin, lout *netem.Link) {
-		n.AddDuplexRoute(cli.IP, srv.IP, h.Client, h.Server,
-			[]*netem.Link{up, lin}, []*netem.Link{lout, down})
-	}
-	addPath(h.WiFiAddr, h.SrvAddr, h.WiFiUp, h.WiFiDown, srv1In, srv1Out)
-	addPath(h.CellAddr, h.SrvAddr, h.CellUp, h.CellDown, srv1In, srv1Out)
-	if sc.FourPaths {
-		srv2In, srv2Out := lan("srv2-in"), lan("srv2-out")
-		addPath(h.WiFiAddr, h.SrvAddr2, h.WiFiUp, h.WiFiDown, srv2In, srv2Out)
-		addPath(h.CellAddr, h.SrvAddr2, h.CellUp, h.CellDown, srv2In, srv2Out)
-	}
+	ck := Arm(w, 25*sim.Millisecond)
+	h := &Harness{World: w}
+	h.WiFiAddr, h.CellAddr = w.Clients[0].Addrs()
 
-	ck := h.Checker
-	trace.AttachObserver(h.Client, ck)
-	trace.AttachObserver(h.Server, ck)
-	for _, l := range []*netem.Link{h.WiFiUp, h.WiFiDown, h.CellUp, h.CellDown, srv1In, srv1Out} {
-		ck.ArmLink(l)
-	}
-
-	cfg := mptcp.DefaultConfig()
+	t := tcp.DefaultConfig()
+	t.RcvBuf = sc.RcvBuf
+	cfg := mptcp.ConfigOver(t)
 	cfg.SimultaneousSYN = sc.Simultaneous
-	cfg.TCP.RcvBuf = sc.RcvBuf
-	cfg.RcvBuf = sc.RcvBuf
 	if sc.Scheduler != "" {
 		cfg.Scheduler = sc.Scheduler
 	}
 
 	fs := &web.FileServer{SizeFor: func(int) int { return sc.Size }}
-	srv := mptcp.NewServer(h.Server, n, 8080, cfg, rng.Child("srv"))
-	if sc.FourPaths {
-		srv.AdvertiseAddrs = []seg.Addr{h.SrvAddr2}
-	}
-	srv.OnConn = func(c *mptcp.Conn) {
-		h.ServerConn = c
-		fs.ServeStream(web.MPTCPStream{Conn: c})
-		ck.WatchConn("server", c)
-	}
+	w.Serve(cfg, rng.Child("srv"), func(p world.Peer) *web.FileServer {
+		h.ServerConn = p.Conn
+		ck.Watch("server", p)
+		return fs
+	})
 
-	conn := mptcp.Dial(n, h.Client, mptcp.DialOpts{
+	conn := w.Dial(w.Clients[0], world.MPTCP, mptcp.DialOpts{
 		LocalAddrs:     []seg.Addr{h.WiFiAddr, h.CellAddr},
-		Labels:         []string{"wifi", "cell"},
-		ServerAddr:     h.SrvAddr,
 		JoinAdvertised: sc.FourPaths,
 		Config:         cfg,
-	}, rng.Child("cli"))
+	}, rng.Child("cli")).Conn
 	h.ClientConn = conn
 	ck.WatchConn("client", conn)
 
@@ -339,7 +293,6 @@ func RunScenario(sc Scenario, bug func(*Harness)) Report {
 	})
 
 	h.scheduleFaults(sc)
-	ck.ArmProbes(25 * sim.Millisecond)
 	if bug != nil {
 		bug(h)
 	}
@@ -363,23 +316,15 @@ func RunScenario(sc Scenario, bug func(*Harness)) Report {
 
 // scheduleFaults turns the active fault script into simulator events.
 func (h *Harness) scheduleFaults(sc Scenario) {
-	setWiFi := func(down bool) {
-		h.WiFiUp.SetDown(down)
-		h.WiFiDown.SetDown(down)
-	}
-	setCell := func(down bool) {
-		h.CellUp.SetDown(down)
-		h.CellDown.SetDown(down)
-	}
 	for _, f := range sc.ActiveFaults() {
 		f := f
 		switch f.Kind {
 		case FaultWiFiOutage:
-			h.Sim.At(f.At, "fault.wifi-outage", func() { setWiFi(true) })
-			h.Sim.At(f.At+f.Dur, "fault.wifi-restore", func() { setWiFi(false) })
+			h.Sim.At(f.At, "fault.wifi-outage", func() { h.SetWiFiDown(true) })
+			h.Sim.At(f.At+f.Dur, "fault.wifi-restore", func() { h.SetWiFiDown(false) })
 		case FaultCellOutage:
-			h.Sim.At(f.At, "fault.cell-outage", func() { setCell(true) })
-			h.Sim.At(f.At+f.Dur, "fault.cell-restore", func() { setCell(false) })
+			h.Sim.At(f.At, "fault.cell-outage", func() { h.SetCellDown(true) })
+			h.Sim.At(f.At+f.Dur, "fault.cell-restore", func() { h.SetCellDown(false) })
 		case FaultBurstLoss:
 			h.Sim.At(f.At, "fault.burst-loss", func() {
 				h.WiFiUp.Loss = netem.BernoulliLoss{P: f.Par}
@@ -416,10 +361,10 @@ func (h *Harness) scheduleFaults(sc Scenario) {
 			}
 			for i := 0; i < toggles; i++ {
 				down := i%2 == 0
-				h.Sim.At(f.At+sim.Time(i)*100*sim.Millisecond, "fault.handover", func() { setWiFi(down) })
+				h.Sim.At(f.At+sim.Time(i)*100*sim.Millisecond, "fault.handover", func() { h.SetWiFiDown(down) })
 			}
 			// Always come back up after the storm.
-			h.Sim.At(f.At+sim.Time(toggles)*100*sim.Millisecond, "fault.handover-end", func() { setWiFi(false) })
+			h.Sim.At(f.At+sim.Time(toggles)*100*sim.Millisecond, "fault.handover-end", func() { h.SetWiFiDown(false) })
 		case FaultWiFiFade:
 			// Sweep the raised-cosine fade in fixed steps. The link never
 			// goes down — rate bottoms out at (1-Par) of nominal with a

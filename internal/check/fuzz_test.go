@@ -138,3 +138,58 @@ func hasRule(rep Report, rule string) bool {
 	}
 	return false
 }
+
+// TestFuzzHarnessIdentity pins what RunScenario simulates, not just
+// that it finds no violations: completion, virtual completion time,
+// delivered bytes and the simulator's event count for eight seeds
+// (2-path and 4-path, every fault kind) under three schedulers,
+// recorded before the harness moved onto internal/world. A harness
+// refactor that shifts an RNG draw or an event fails here.
+func TestFuzzHarnessIdentity(t *testing.T) {
+	for _, want := range []struct {
+		seed        int64
+		sched       string
+		completed   bool
+		completedAt sim.Time
+		delivered   int64
+		count       int
+		events      uint64
+	}{
+		{1, "minrtt", true, 481950760, 60384, 0, 5186},
+		{1, "redundant", true, 420196260, 60384, 0, 568},
+		{1, "blest", true, 481950760, 60384, 0, 5186},
+		{4, "minrtt", true, 1685161288, 189490, 0, 1289},
+		{4, "redundant", true, 1646701645, 189490, 0, 2682},
+		{4, "blest", true, 1685161288, 189490, 0, 1289},
+		{7, "minrtt", true, 304247187, 70222, 0, 414},
+		{7, "redundant", true, 267044069, 70222, 0, 518},
+		{7, "blest", true, 304247187, 70222, 0, 414},
+		{17, "minrtt", true, 308467586, 68763, 0, 510},
+		{17, "redundant", true, 268991456, 68763, 0, 620},
+		{17, "blest", true, 308467586, 68763, 0, 510},
+		{19, "minrtt", false, 0, 0, 0, 5710},
+		{19, "redundant", false, 0, 0, 0, 5710},
+		{19, "blest", false, 0, 0, 0, 5710},
+		{25, "minrtt", true, 1249682626, 80453, 0, 1250},
+		{25, "redundant", true, 1200978823, 80453, 0, 1416},
+		{25, "blest", true, 1232926549, 80453, 0, 1235},
+		{28, "minrtt", true, 398575982, 124904, 0, 651},
+		{28, "redundant", true, 412500192, 124904, 0, 899},
+		{28, "blest", true, 398575982, 124904, 0, 651},
+		{38, "minrtt", true, 518763446, 208875, 0, 1246},
+		{38, "redundant", true, 569423888, 208875, 0, 3684},
+		{38, "blest", true, 518763446, 208875, 0, 1246},
+	} {
+		sc := GenScenario(want.seed)
+		sc.Scheduler = want.sched
+		var h *Harness
+		rep := RunScenario(sc, func(hh *Harness) { h = hh })
+		if rep.Completed != want.completed || rep.CompletedAt != want.completedAt ||
+			rep.Delivered != want.delivered || rep.Count != want.count ||
+			h.Sim.Processed() != want.events {
+			t.Errorf("seed %d %s: completed=%v at=%d delivered=%d violations=%d events=%d, recorded %+v",
+				want.seed, want.sched, rep.Completed, int64(rep.CompletedAt), rep.Delivered,
+				rep.Count, h.Sim.Processed(), want)
+		}
+	}
+}

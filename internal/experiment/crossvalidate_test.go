@@ -7,6 +7,7 @@ import (
 	"mptcplab/internal/stats"
 	"mptcplab/internal/trace"
 	"mptcplab/internal/units"
+	"mptcplab/internal/world"
 )
 
 // TestTraceCrossValidatesStackMetrics runs one MPTCP download while
@@ -36,7 +37,7 @@ func TestTraceCrossValidatesStackMetrics(t *testing.T) {
 	var traceWiFiData, traceWiFiRetrans, traceCellData, traceCellRetrans uint64
 	var traceWiFiRTT, traceCellRTT []float64
 	for _, fs := range sa.Flows() {
-		if fs.Flow.Src.Port != ServerPort {
+		if fs.Flow.Src.Port != world.ServerAddr.Port {
 			continue // client->server direction
 		}
 		if fs.Flow.Dst.IP == tb.CellAddr.IP {

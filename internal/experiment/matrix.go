@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"context"
-	"runtime"
 	"strings"
 	"time"
 
@@ -214,22 +213,11 @@ type CampaignJob struct {
 	Seed      int64 `json:"seed"`
 }
 
-func (o CampaignOpts) cancelled() bool {
-	return o.Context != nil && o.Context.Err() != nil
-}
-
 func (o CampaignOpts) reps() int {
 	if o.Reps <= 0 {
 		return 5
 	}
 	return o.Reps
-}
-
-func (o CampaignOpts) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // matrixSalt is the historical shuffle salt of the campaign runner;

@@ -3,12 +3,13 @@ package experiment
 import (
 	"testing"
 
+	"mptcplab/internal/mptcp"
 	"mptcplab/internal/pathmodel"
 	"mptcplab/internal/seg"
 	"mptcplab/internal/sim"
-	"mptcplab/internal/tcp"
 	"mptcplab/internal/units"
 	"mptcplab/internal/web"
+	"mptcplab/internal/world"
 )
 
 // TestPersistentConnectionManyGets regression-tests the video-stream
@@ -20,7 +21,7 @@ func TestPersistentConnectionManyGets(t *testing.T) {
 		WiFi: pathmodel.ComcastHome(), Cell: pathmodel.ATT(),
 		SampleProfiles: true, WarmRadio: true, Seed: 7,
 	})
-	cfg := tcp.DefaultConfig()
+	cfg := mptcp.DefaultConfig()
 	prefetch := 40 * units.MB
 	block := 5 * units.MB
 	const blocks = 6
@@ -30,12 +31,11 @@ func TestPersistentConnectionManyGets(t *testing.T) {
 		}
 		return block
 	}}
-	lis := tcp.Listen(tb.Server, tb.Net, ServerPort, cfg, tb.RNG.Child("srv"))
-	lis.OnAccept = func(ep *tcp.Endpoint, syn *seg.Segment) bool {
-		fs.ServeStream(web.TCPStream{EP: ep})
-		return true
-	}
-	ep := tcp.NewEndpoint(tb.Client, tb.Net, tb.WiFiAddr, tb.SrvAddr, cfg, tb.RNG.Child("cli"))
+	tb.Serve(cfg, tb.RNG.Child("srv"), func(world.Peer) *web.FileServer { return fs })
+	ep := tb.Dial(tb.Clients[0], world.TCPWiFi, mptcp.DialOpts{
+		LocalAddrs: []seg.Addr{tb.WiFiAddr, tb.CellAddr},
+		Config:     cfg,
+	}, tb.RNG.Child("cli")).EP
 	g := web.NewGetter(web.TCPStream{EP: ep})
 
 	done := false
@@ -56,7 +56,6 @@ func TestPersistentConnectionManyGets(t *testing.T) {
 		})
 	}
 	g.Get(prefetch, func() { fetchBlock(0) })
-	ep.Connect()
 	tb.Sim.RunUntil(30 * sim.Minute)
 
 	if !done {

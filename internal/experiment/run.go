@@ -2,20 +2,18 @@ package experiment
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"mptcplab/internal/cc"
 	"mptcplab/internal/chaos"
 	"mptcplab/internal/check"
 	"mptcplab/internal/mptcp"
-	"mptcplab/internal/netem"
 	"mptcplab/internal/seg"
 	"mptcplab/internal/sim"
 	"mptcplab/internal/tcp"
-	"mptcplab/internal/trace"
 	"mptcplab/internal/units"
 	"mptcplab/internal/web"
+	"mptcplab/internal/world"
 )
 
 // Transport selects the paper's connection configurations (§3.2).
@@ -175,32 +173,26 @@ func (r *RunResult) CellLossRate() float64 {
 	return float64(r.CellRetransPkts) / float64(r.CellDataPkts)
 }
 
-func (rc RunConfig) tcpConfig() tcp.Config {
-	cfg := tcp.DefaultConfig()
+func (rc RunConfig) stackConfig() mptcp.Config {
 	ctrl, err := cc.New(defaultStr(rc.Controller, "coupled"))
 	if err != nil {
 		panic(err)
 	}
-	cfg.Controller = ctrl
+	t := tcp.DefaultConfig()
+	t.Controller = ctrl
 	if rc.InfiniteSSThresh {
-		cfg.SSThresh = 0
+		t.SSThresh = 0
 	} else if rc.SSThresh > 0 {
-		cfg.SSThresh = rc.SSThresh
+		t.SSThresh = rc.SSThresh
 	}
 	if rc.RcvBuf > 0 {
-		cfg.RcvBuf = rc.RcvBuf
+		t.RcvBuf = rc.RcvBuf
 	}
-	return cfg
-}
-
-func (rc RunConfig) mptcpConfig() mptcp.Config {
-	cfg := mptcp.DefaultConfig()
-	cfg.TCP = rc.tcpConfig()
-	cfg.Controller = cfg.TCP.Controller
+	cfg := mptcp.ConfigOver(t)
+	cfg.Controller = ctrl
 	cfg.Scheduler = defaultStr(rc.Scheduler, "minrtt")
 	cfg.SimultaneousSYN = rc.SimultaneousSYN
 	cfg.Penalize = rc.Penalize
-	cfg.RcvBuf = cfg.TCP.RcvBuf
 	return cfg
 }
 
@@ -226,85 +218,74 @@ func (tb *Testbed) Run(rc RunConfig) RunResult {
 		timeout = 30 * sim.Minute
 	}
 	if rc.WiFiOutageEnd > rc.WiFiOutageStart {
-		tb.Sim.At(rc.WiFiOutageStart, "wifi-outage-start", func() {
-			tb.WiFiUp.SetDown(true)
-			tb.WiFiDown.SetDown(true)
-		})
-		tb.Sim.At(rc.WiFiOutageEnd, "wifi-outage-end", func() {
-			tb.WiFiUp.SetDown(false)
-			tb.WiFiDown.SetDown(false)
-		})
+		tb.Sim.At(rc.WiFiOutageStart, "wifi-outage-start", func() { tb.SetWiFiDown(true) })
+		tb.Sim.At(rc.WiFiOutageEnd, "wifi-outage-end", func() { tb.SetWiFiDown(false) })
 	}
-	if !rc.Chaos.Empty() {
-		tb.mon = chaos.NewMonitor(tb.Sim, rc.Chaos)
-		rc.Chaos.Apply(tb.Sim, chaos.Target{
-			WiFi:     []*netem.Link{tb.WiFiUp, tb.WiFiDown},
-			Cell:     []*netem.Link{tb.CellUp, tb.CellDown},
-			Withdraw: tb.withdrawPath,
-			Restore:  tb.restorePath,
-			OnFault:  tb.mon.OnFault,
-		})
+	cfg := rc.stackConfig()
+	stack := world.MPTCP
+	var res RunResult
+	switch rc.Transport {
+	case SPWiFi:
+		stack, res.Subflows = world.TCPWiFi, 1
+	case SPCell:
+		stack, res.Subflows = world.TCPCell, 1
 	}
-	chaos.ArmWatchdog(tb.Sim, rc.Deadline)
+
+	var (
+		client     world.Peer
+		serverConn *mptcp.Conn     // the accepted MPTCP connection (the last, if re-accepted)
+		serverEPs  []*tcp.Endpoint // accepted single-path endpoints
+		live       world.Live
+	)
+	if stack == world.MPTCP {
+		live = func(yield func(cl *world.Client, client, server *mptcp.Conn)) {
+			yield(tb.Clients[0], client.Conn, serverConn)
+		}
+	}
+	mon := tb.ArmChaos(rc.Chaos, rc.Deadline, live)
 	var ck *check.Checker
 	if rc.SelfCheck {
-		ck = check.New(tb.Sim)
-		trace.AttachObserver(tb.Client, ck)
-		trace.AttachObserver(tb.Server, ck)
-		for _, l := range []*netem.Link{tb.WiFiUp, tb.WiFiDown, tb.CellUp, tb.CellDown} {
-			ck.ArmLink(l)
-		}
-		ck.ArmProbes(50 * sim.Millisecond)
+		ck = check.Arm(tb.World, 50*sim.Millisecond)
 	}
-	switch rc.Transport {
-	case SPWiFi, SPCell:
-		return tb.runSP(rc, timeout, ck)
-	default:
-		return tb.runMP(rc, timeout, ck)
-	}
-}
 
-// finishCheck folds the checker's findings into the result after a run.
-func finishCheck(ck *check.Checker, res *RunResult) {
-	if ck == nil {
-		return
-	}
-	ck.RunProbes()
-	res.Violations = ck.Count()
-	if vs := ck.Violations(); len(vs) > 0 {
-		res.FirstViolation = vs[0].String()
-	}
-}
-
-// runSP performs a single-path TCP download.
-func (tb *Testbed) runSP(rc RunConfig, timeout sim.Time, ck *check.Checker) RunResult {
-	cfg := rc.tcpConfig()
-	res := RunResult{Subflows: 1}
-
-	var serverEPs []*tcp.Endpoint
 	fs := &web.FileServer{SizeFor: func(int) int { return int(rc.Size) }}
-	lis := tcp.Listen(tb.Server, tb.Net, ServerPort, cfg, tb.RNG.Child("srv"))
-	lis.OnAccept = func(ep *tcp.Endpoint, syn *seg.Segment) bool {
-		serverEPs = append(serverEPs, ep)
-		tb.attachRTTCollector(ep, &res)
-		if ck != nil {
-			ck.WatchEndpoint("server", ep)
+	tb.Serve(cfg, tb.RNG.Child("srv"), func(p world.Peer) *web.FileServer {
+		if p.Conn != nil {
+			serverConn = p.Conn
+			p.Conn.OnSubflowUp = func(sf *mptcp.Subflow) { tb.attachRTTCollector(sf.EP, &res) }
+		} else {
+			serverEPs = append(serverEPs, p.EP)
+			tb.attachRTTCollector(p.EP, &res)
 		}
-		fs.ServeStream(web.TCPStream{EP: ep})
-		return true
-	}
+		if ck != nil {
+			ck.Watch("server", p)
+		}
+		return fs
+	})
 
-	local := tb.WiFiAddr
-	if rc.Transport == SPCell {
-		local = tb.CellAddr
+	opts := mptcp.DialOpts{
+		LocalAddrs:     []seg.Addr{tb.WiFiAddr, tb.CellAddr},
+		JoinAdvertised: rc.Transport == MP4,
+		Config:         cfg,
 	}
-	clientEP := tcp.NewEndpoint(tb.Client, tb.Net, local, tb.SrvAddr, cfg, tb.RNG.Child("cli"))
+	if rc.BackupCell {
+		opts.Backup = []bool{false, true}
+	}
+	start := tb.Sim.Now()
+	client = tb.Dial(tb.Clients[0], stack, opts, tb.RNG.Child("cli"))
 	if ck != nil {
-		ck.WatchEndpoint("client", clientEP)
+		ck.Watch("client", client)
 	}
-	getter := web.NewGetter(web.TCPStream{EP: clientEP})
-	tracked := tb.track(func() int64 { return getter.BytesReceived })
-
+	getter := web.NewGetter(client.Stream())
+	var tracked *chaos.Tracked
+	if mon != nil {
+		tracked = mon.Track("download", func() int64 { return getter.BytesReceived })
+	}
+	if client.Conn != nil {
+		client.Conn.OnOFOSample = func(d sim.Time, subflowID int) {
+			res.OFOms = append(res.OFOms, d.Milliseconds())
+		}
+	}
 	var done sim.Time = -1
 	getter.Get(int(rc.Size), func() {
 		done = tb.Sim.Now()
@@ -314,13 +295,24 @@ func (tb *Testbed) runSP(rc RunConfig, timeout sim.Time, ck *check.Checker) RunR
 		getter.Close()
 		tb.Sim.Stop()
 	})
-	start := tb.Sim.Now()
-	clientEP.Connect()
 
 	tb.Sim.RunUntil(start + timeout)
 	res.Events = tb.Sim.Processed()
-	tb.finishChaos(&res, tracked)
-	finishCheck(ck, &res)
+	// Only the abort error's first line is kept: failure reasons appear
+	// in deterministic artifacts.
+	if res.FailReason = tb.FailReason(); res.FailReason != "" && tracked != nil {
+		tracked.Abort()
+	}
+	if mon != nil {
+		res.Resilience = mon.Finish()
+	}
+	if ck != nil {
+		if serverConn != nil {
+			ck.CheckTransfer("download", serverConn, client.Conn, done >= 0)
+		}
+		ck.RunProbes()
+		res.Violations, res.FirstViolation = ck.Summary()
+	}
 	if done < 0 {
 		return res
 	}
@@ -329,96 +321,12 @@ func (tb *Testbed) runSP(rc RunConfig, timeout sim.Time, ck *check.Checker) RunR
 	for _, ep := range serverEPs {
 		tb.accountSender(ep, &res)
 	}
-	return res
-}
-
-// runMP performs a 2- or 4-path MPTCP download.
-func (tb *Testbed) runMP(rc RunConfig, timeout sim.Time, ck *check.Checker) RunResult {
-	cfg := rc.mptcpConfig()
-	res := RunResult{}
-
-	var serverConn *mptcp.Conn
-	fs := &web.FileServer{SizeFor: func(int) int { return int(rc.Size) }}
-	srv := mptcp.NewServer(tb.Server, tb.Net, ServerPort, cfg, tb.RNG.Child("srv"))
-	if rc.Transport == MP4 {
-		srv.AdvertiseAddrs = []seg.Addr{tb.SrvAddr2}
-	}
-	srv.OnConn = func(c *mptcp.Conn) {
-		serverConn = c
-		c.OnSubflowUp = func(sf *mptcp.Subflow) { tb.attachRTTCollector(sf.EP, &res) }
-		if ck != nil {
-			ck.WatchConn("server", c)
-		}
-		fs.ServeStream(web.MPTCPStream{Conn: c})
-	}
-
-	opts := mptcp.DialOpts{
-		LocalAddrs:     []seg.Addr{tb.WiFiAddr, tb.CellAddr},
-		Labels:         []string{"wifi", "cell"},
-		ServerAddr:     tb.SrvAddr,
-		JoinAdvertised: rc.Transport == MP4,
-		Config:         cfg,
-	}
-	if rc.BackupCell {
-		opts.Backup = []bool{false, true}
-	}
-	start := tb.Sim.Now()
-	conn := mptcp.Dial(tb.Net, tb.Client, opts, tb.RNG.Child("cli"))
-	tb.clientConn = conn
-	if ck != nil {
-		ck.WatchConn("client", conn)
-	}
-	conn.OnOFOSample = func(d sim.Time, subflowID int) {
-		res.OFOms = append(res.OFOms, d.Milliseconds())
-	}
-	getter := web.NewGetter(web.MPTCPStream{Conn: conn})
-	tracked := tb.track(func() int64 { return getter.BytesReceived })
-	if tb.mon != nil {
-		// Per-path delivery-rate telemetry for the resilience report:
-		// sample the sender-side subflow RateEstimators (zero until
-		// the server accepts).
-		tb.mon.PathRates = func() (wifi, cell float64) {
-			if serverConn == nil {
-				return 0, 0
-			}
-			for _, sf := range serverConn.Subflows() {
-				if tb.IsCellIP(sf.EP.Remote) {
-					cell += sf.DeliveryRate()
-				} else {
-					wifi += sf.DeliveryRate()
-				}
-			}
-			return wifi, cell
-		}
-	}
-	var done sim.Time = -1
-	getter.Get(int(rc.Size), func() {
-		done = tb.Sim.Now()
-		if tracked != nil {
-			tracked.Done(true)
-		}
-		getter.Close()
-		tb.Sim.Stop()
-	})
-
-	tb.Sim.RunUntil(start + timeout)
-	res.Events = tb.Sim.Processed()
-	tb.finishChaos(&res, tracked)
-	if ck != nil && serverConn != nil {
-		ck.CheckTransfer("download", serverConn, conn, done >= 0)
-	}
-	finishCheck(ck, &res)
-	if done < 0 {
-		return res
-	}
-	res.Completed = true
-	res.DownloadTime = done - start
 	if serverConn != nil {
 		res.Subflows = len(serverConn.Subflows())
 		res.Penalties = serverConn.Penalties
 		for _, sf := range serverConn.Subflows() {
 			tb.accountSender(sf.EP, &res)
-			if tb.IsCellIP(sf.EP.Remote) {
+			if tb.IsCell(sf.EP.Remote) {
 				res.CellBytesAcked += sf.AckedBytes()
 			} else {
 				res.WiFiBytesAcked += sf.AckedBytes()
@@ -431,7 +339,7 @@ func (tb *Testbed) runMP(rc RunConfig, timeout sim.Time, ck *check.Checker) RunR
 // attachRTTCollector records the server's per-packet RTT samples,
 // classified by the client interface they travel to.
 func (tb *Testbed) attachRTTCollector(ep *tcp.Endpoint, res *RunResult) {
-	cell := tb.IsCellIP(ep.Remote)
+	cell := tb.IsCell(ep.Remote)
 	ep.OnRTTSample = func(rtt sim.Time) {
 		ms := rtt.Milliseconds()
 		if cell {
@@ -446,7 +354,7 @@ func (tb *Testbed) attachRTTCollector(ep *tcp.Endpoint, res *RunResult) {
 // result.
 func (tb *Testbed) accountSender(ep *tcp.Endpoint, res *RunResult) {
 	st := &ep.Stats
-	if tb.IsCellIP(ep.Remote) {
+	if tb.IsCell(ep.Remote) {
 		res.CellBytesSent += st.BytesSent - st.BytesRetrans
 		res.CellDataPkts += st.DataPktsSent
 		res.CellRetransPkts += st.DataPktsRetrans
@@ -465,90 +373,4 @@ func (rc RunConfig) Describe() string {
 		name = fmt.Sprintf("%s (%s)", name, ctrl)
 	}
 	return fmt.Sprintf("%s %v", name, rc.Size)
-}
-
-// track registers the download with the chaos monitor, when one is
-// armed; returns nil otherwise.
-func (tb *Testbed) track(progress func() int64) *chaos.Tracked {
-	if tb.mon == nil {
-		return nil
-	}
-	return tb.mon.Track("download", progress)
-}
-
-// finishChaos folds watchdog aborts and the resilience report into the
-// result after the simulation loop returns. Only the error's first
-// line is kept: failure reasons appear in deterministic artifacts.
-func (tb *Testbed) finishChaos(res *RunResult, tracked *chaos.Tracked) {
-	if err := tb.Sim.AbortErr(); err != nil {
-		res.FailReason, _, _ = strings.Cut(err.Error(), "\n")
-		if tracked != nil {
-			tracked.Abort()
-		}
-	}
-	if tb.mon != nil {
-		res.Resilience = tb.mon.Finish()
-	}
-}
-
-// onPath reports whether a client address rides the given chaos path.
-func (tb *Testbed) onPath(a seg.Addr, p chaos.Path) bool {
-	return p == chaos.Both || tb.IsCellIP(a) == (p == chaos.Cell)
-}
-
-// withdrawPath implements chaos.Target.Withdraw for handover storms:
-// every live client address on the path is withdrawn from the MPTCP
-// connection (REMOVE_ADDR + subflow teardown + reinjection). A no-op
-// for single-path runs, which have no address agility to disrupt.
-func (tb *Testbed) withdrawPath(p chaos.Path) {
-	c := tb.clientConn
-	if c == nil {
-		return
-	}
-	seen := map[seg.Addr]bool{}
-	for _, sf := range c.Subflows() {
-		local := sf.EP.Local
-		if seen[local] || !tb.onPath(local, p) || sf.EP.State() == tcp.StateClosed {
-			continue
-		}
-		seen[local] = true
-		c.RemoveLocalAddr(local)
-	}
-}
-
-// restorePath implements chaos.Target.Restore: if the connection has
-// no live subflow on the path, rejoin through it on a fresh port
-// (reusing the withdrawn 4-tuple would race a stale server endpoint
-// whose teardown RST was lost during the disruption).
-func (tb *Testbed) restorePath(p chaos.Path) {
-	c := tb.clientConn
-	if c == nil || !c.Established() {
-		return
-	}
-	if (p == chaos.WiFi || p == chaos.Both) && !tb.hasLive(c, false) {
-		c.RejoinLocalAddr(tb.freshAddr(ClientWiFiIP))
-	}
-	if (p == chaos.Cell || p == chaos.Both) && !tb.hasLive(c, true) {
-		c.RejoinLocalAddr(tb.freshAddr(ClientCellIP))
-	}
-}
-
-// hasLive reports whether the connection still has a non-closed
-// subflow on the given path.
-func (tb *Testbed) hasLive(c *mptcp.Conn, cell bool) bool {
-	for _, sf := range c.Subflows() {
-		if tb.IsCellIP(sf.EP.Local) == cell && sf.EP.State() != tcp.StateClosed {
-			return true
-		}
-	}
-	return false
-}
-
-// freshAddr allocates a never-used client port on the interface.
-func (tb *Testbed) freshAddr(ip string) seg.Addr {
-	if tb.nextPort == 0 {
-		tb.nextPort = 41000
-	}
-	tb.nextPort++
-	return seg.MakeAddr(ip, tb.nextPort)
 }

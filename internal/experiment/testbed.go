@@ -6,22 +6,11 @@
 package experiment
 
 import (
-	"mptcplab/internal/chaos"
-	"mptcplab/internal/mptcp"
 	"mptcplab/internal/netem"
 	"mptcplab/internal/pathmodel"
 	"mptcplab/internal/seg"
 	"mptcplab/internal/sim"
-	"mptcplab/internal/units"
-)
-
-// Well-known testbed addresses (Figure 1).
-var (
-	ClientWiFiIP = "10.0.0.2"
-	ClientCellIP = "172.16.0.2"
-	ServerIP1    = "192.168.1.1"
-	ServerIP2    = "192.168.2.1"
-	ServerPort   = uint16(8080) // Apache on 8080: AT&T proxies port 80
+	"mptcplab/internal/world"
 )
 
 // TestbedConfig selects the networks for one measurement run.
@@ -45,77 +34,47 @@ type TestbedConfig struct {
 	Seed      int64
 }
 
-// Testbed is one materialized client/server/network instance. Each
-// measurement run gets a fresh testbed (fresh simulator, fresh
-// endpoints) or a Reset one — same simulator and warm pools, rebuilt
-// topology and endpoints, observationally identical: the paper's
-// server also disables metric caching between connections (§3.1).
+// Testbed is the paper's testbed: a one-client world.World (whose
+// simulator, network, server host and access links it promotes) plus
+// the run's root RNG and the client's primary addresses. Each
+// measurement run gets a fresh testbed or a Reset one — same simulator
+// and warm pools, rebuilt topology and endpoints, observationally
+// identical: the paper's server also disables metric caching between
+// connections (§3.1).
 type Testbed struct {
-	Sim    *sim.Simulator
-	Net    *netem.Network
+	*world.World
 	Client *netem.Host
-	Server *netem.Host
 	RNG    *sim.RNG
 
 	WiFiAddr, CellAddr seg.Addr
-	SrvAddr, SrvAddr2  seg.Addr
-
-	WiFiUp, WiFiDown *netem.Link
-	CellUp, CellDown *netem.Link
-	CellRadio        *netem.Radio
 
 	cfg TestbedConfig
-
-	// Chaos wiring, populated by Run when the config has a schedule:
-	// the monitor scores resilience, clientConn is the live MPTCP
-	// connection handover storms act on, nextPort allocates the fresh
-	// client ports rejoins require.
-	mon        *chaos.Monitor
-	clientConn *mptcp.Conn
-	nextPort   uint16
 }
 
-// NewTestbed builds the Figure 1 topology: the client's WiFi and
-// cellular interfaces each reach the server's interface(s) through
-// their own access network; the access links are shared bottlenecks
-// across subflows (which is why 4-path MPTCP gains little at 512 MB,
-// Figure 11).
+// NewTestbed builds the Figure 1 topology on a fresh world.
 func NewTestbed(cfg TestbedConfig) *Testbed {
-	s := sim.New()
-	tb := &Testbed{Sim: s, Net: netem.NewNetwork(s)}
+	tb := &Testbed{World: world.New()}
 	tb.build(cfg)
 	return tb
 }
 
-// Reset re-materializes the testbed for a new measurement run while
-// reusing the simulator, the network, and their warm pools (event
-// records, timer records, segments). The simulator's clock and
-// tie-break counter restart from zero and every host, link, and route
-// is rebuilt from the config, so a run on a reused testbed is
+// Reset re-materializes the testbed for a new measurement run on the
+// same world (see world.World.Reset): a run on a reused testbed is
 // byte-identical to the same run on a fresh one — the arena-reuse path
 // sweep workers use to stop rebuilding the world once per job.
 func (tb *Testbed) Reset(cfg TestbedConfig) {
-	tb.Sim.Reset()
-	tb.Net.Reset()
-	tb.mon = nil
-	tb.clientConn = nil
-	tb.nextPort = 0
+	tb.World.Reset()
 	tb.build(cfg)
 }
 
-// build materializes the topology onto the testbed's simulator and
-// network, which must be fresh or freshly Reset.
+// build materializes the topology onto the testbed's world, which must
+// be fresh or freshly Reset. The root RNG's draw order — [wifi-sample,
+// cell-sample,] wifi, cell, then Build's LAN links — is pinned by the
+// golden fixtures.
 func (tb *Testbed) build(cfg TestbedConfig) {
-	s := tb.Sim
 	rng := sim.NewRNG(cfg.Seed)
 	tb.RNG = rng
 	tb.cfg = cfg
-	tb.Client = tb.Net.NewHost("client")
-	tb.Server = tb.Net.NewHost("umass-server")
-	tb.WiFiAddr = seg.MakeAddr(ClientWiFiIP, 40000)
-	tb.CellAddr = seg.MakeAddr(ClientCellIP, 40001)
-	tb.SrvAddr = seg.MakeAddr(ServerIP1, ServerPort)
-	tb.SrvAddr2 = seg.MakeAddr(ServerIP2, ServerPort)
 
 	wifi, cell := cfg.WiFi, cfg.Cell
 	if cfg.UsePeriod {
@@ -126,37 +85,15 @@ func (tb *Testbed) build(cfg TestbedConfig) {
 		wifi = wifi.Sample(rng.Child("wifi-sample"))
 		cell = cell.Sample(rng.Child("cell-sample"))
 	}
-	tb.WiFiUp, tb.WiFiDown, _ = wifi.Links(s, rng.Child("wifi"))
-	tb.CellUp, tb.CellDown, tb.CellRadio = cell.Links(s, rng.Child("cell"))
+	var a world.Access
+	a.WiFiUp, a.WiFiDown, _ = wifi.Links(tb.Sim, rng.Child("wifi"))
+	a.CellUp, a.CellDown, a.CellRadio = cell.Links(tb.Sim, rng.Child("cell"))
+	tb.Build(rng, a, 1, world.Paper(cfg.ServerSecondIface))
 
-	// Server LAN interfaces: gigabit, sub-millisecond, never the
-	// bottleneck.
-	lan := func(name string) *netem.Link {
-		l := netem.NewLink(s, rng, name)
-		l.Rate = 1 * units.Gbps
-		l.PropDelay = 500 * sim.Microsecond
-		l.QueueLimit = 16 * units.MB
-		return l
-	}
-	srv1In, srv1Out := lan("srv-eth0-in"), lan("srv-eth0-out")
-
-	addPath := func(cli seg.Addr, srv seg.Addr, up, down, lin, lout *netem.Link) {
-		tb.Net.AddDuplexRoute(cli.IP, srv.IP, tb.Client, tb.Server,
-			[]*netem.Link{up, lin}, []*netem.Link{lout, down})
-	}
-	addPath(tb.WiFiAddr, tb.SrvAddr, tb.WiFiUp, tb.WiFiDown, srv1In, srv1Out)
-	addPath(tb.CellAddr, tb.SrvAddr, tb.CellUp, tb.CellDown, srv1In, srv1Out)
-	if cfg.ServerSecondIface {
-		srv2In, srv2Out := lan("srv-eth1-in"), lan("srv-eth1-out")
-		addPath(tb.WiFiAddr, tb.SrvAddr2, tb.WiFiUp, tb.WiFiDown, srv2In, srv2Out)
-		addPath(tb.CellAddr, tb.SrvAddr2, tb.CellUp, tb.CellDown, srv2In, srv2Out)
-	}
+	tb.Client = tb.Clients[0].Host
+	tb.WiFiAddr, tb.CellAddr = tb.Clients[0].Addrs()
 
 	if cfg.WarmRadio && tb.CellRadio != nil {
 		tb.CellRadio.Warm()
 	}
 }
-
-// IsCellIP reports whether an address belongs to the client's cellular
-// interface — how run results attribute subflows to paths.
-func (tb *Testbed) IsCellIP(a seg.Addr) bool { return a.IP == tb.CellAddr.IP }

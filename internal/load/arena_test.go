@@ -6,6 +6,7 @@ import (
 
 	"mptcplab/internal/sim"
 	"mptcplab/internal/units"
+	"mptcplab/internal/world"
 )
 
 // TestArenaReuseDeterminism is the fleet half of the arena-reuse
@@ -25,7 +26,7 @@ func TestArenaReuseDeterminism(t *testing.T) {
 
 	fresh := Run(cfg)
 
-	a := NewArena()
+	a := world.New()
 	RunIn(a, other) // dirty the arena with an unrelated workload
 	reused := RunIn(a, cfg)
 	if !reflect.DeepEqual(fresh, reused) {
@@ -62,7 +63,7 @@ func BenchmarkFleetRunFresh(b *testing.B) {
 
 func BenchmarkFleetRunReused(b *testing.B) {
 	b.ReportAllocs()
-	a := NewArena()
+	a := world.New()
 	for i := 0; i < b.N; i++ {
 		RunIn(a, arenaBenchCfg(i))
 	}

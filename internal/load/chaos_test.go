@@ -8,6 +8,7 @@ import (
 
 	"mptcplab/internal/chaos"
 	"mptcplab/internal/sim"
+	"mptcplab/internal/units"
 )
 
 // chaosConfig is smokeConfig plus a named flap schedule: five WiFi
@@ -236,8 +237,8 @@ func TestSweepContainsLivelockedRun(t *testing.T) {
 	target := opts.RunSeed(0, 2)
 	sabotage(t, target, func(f *fleet) {
 		var spin func()
-		spin = func() { f.s.At(f.s.Now(), "spin", spin) }
-		f.s.At(5*sim.Second, "spin", spin)
+		spin = func() { f.topo.Sim.At(f.topo.Sim.Now(), "spin", spin) }
+		f.topo.Sim.At(5*sim.Second, "spin", spin)
 	})
 
 	sw := RunSweep(opts)
@@ -307,6 +308,85 @@ func TestSweepCancelBeforeStart(t *testing.T) {
 		}
 		if n := len(sw.Export(smokeConfig())); n != 0 {
 			t.Fatalf("workers=%d: pre-cancelled sweep exported %d rows", workers, n)
+		}
+	}
+}
+
+// TestDoubleRestoreJoinsOnce pins the world's "live" predicate at fleet
+// scale: a join still handshaking counts as live, so two Restores 10 ms
+// apart — shorter than a WiFi join handshake — rejoin every flow that
+// lost its WiFi subflow exactly once. (An "established" predicate
+// stacks a duplicate join behind the pending one.)
+func TestDoubleRestoreJoinsOnce(t *testing.T) {
+	cfg := Config{
+		Clients: 10, Flows: 12, Duration: sim.Second, Drain: 30 * sim.Second,
+		Sizes: FixedSize(4 * units.MB), Transports: TransportMix{MPTCP: 1},
+		Seed: 5, SelfCheck: true,
+	}
+	subflows := func(f *fleet) map[int]int {
+		n := map[int]int{}
+		for _, fl := range f.sortedActive() {
+			n[fl.id] = len(fl.cli.Conn.Subflows())
+		}
+		return n
+	}
+	var before, after map[int]int
+	sabotage(t, cfg.Seed, func(f *fleet) {
+		withdraw, restore := f.topo.Handover(f.live)
+		s := f.topo.Sim
+		s.At(2*sim.Second, "test.withdraw", func() { withdraw(chaos.WiFi) })
+		s.At(3*sim.Second, "test.restore", func() { before = subflows(f); restore(chaos.WiFi) })
+		s.At(3*sim.Second+10*sim.Millisecond, "test.restore-again", func() { restore(chaos.WiFi) })
+		s.At(4*sim.Second, "test.count", func() { after = subflows(f) })
+	})
+	res := Run(cfg)
+	if res.Violations != 0 || res.Failed {
+		t.Fatalf("violations %d (first: %s), failed %v", res.Violations, res.FirstViolation, res.Failed)
+	}
+	if len(before) != cfg.Flows {
+		t.Fatalf("%d of %d flows were live at the restore", len(before), cfg.Flows)
+	}
+	for id, n := range before {
+		if got, still := after[id]; still && got != n+1 {
+			t.Errorf("flow %d: %d subflows after two restores, want %d (one rejoin)", id, got, n+1)
+		}
+	}
+	if len(after) == 0 {
+		t.Fatal("no flow survived to be counted")
+	}
+}
+
+// TestStormRunsClean runs the fleet under handover storms with the
+// checker armed — a regular WiFi storm, and the overlapping tight pair
+// whose cycles are shorter than a join handshake — and requires zero
+// violations. The second case's counts are what the one "live"
+// predicate yields (43 completions and 68,620 duplicate bytes with the
+// fleet's former "established" one).
+func TestStormRunsClean(t *testing.T) {
+	for _, tc := range []struct {
+		spec             string
+		mix              TransportMix
+		completed, dupRx int64
+	}{
+		{"storm:path=wifi;at=1s;dur=6s;every=500ms", TransportMix{WiFi: 0.3, Cell: 0.2, MPTCP: 0.5}, -1, -1},
+		{"storm:path=cell;at=1s;dur=6s;every=100ms+storm:path=both;at=1s;dur=6s;every=130ms", TransportMix{MPTCP: 1}, 45, 11680},
+	} {
+		sched, err := chaos.Parse(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sw := RunSweep(SweepOpts{Base: Config{
+			Clients: 40, Duration: 10 * sim.Second, Drain: 20 * sim.Second,
+			Transports: tc.mix, Chaos: sched, SelfCheck: true,
+		}, Rates: []float64{8}, Seed: 42, Workers: 1})
+		res := sw.Points[0].Runs[0]
+		if res.Violations != 0 || res.Failed || res.Resilience == nil || res.Completed == 0 {
+			t.Fatalf("%s: violations %d (first: %s), failed %v, completed %d",
+				tc.spec, res.Violations, res.FirstViolation, res.Failed, res.Completed)
+		}
+		if tc.completed >= 0 && (int64(res.Completed) != tc.completed || res.DupRxBytes != tc.dupRx) {
+			t.Errorf("%s: %d completions, %d duplicate bytes received; want %d, %d",
+				tc.spec, res.Completed, res.DupRxBytes, tc.completed, tc.dupRx)
 		}
 	}
 }

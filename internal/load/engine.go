@@ -9,14 +9,12 @@ import (
 	"mptcplab/internal/chaos"
 	"mptcplab/internal/check"
 	"mptcplab/internal/mptcp"
-	"mptcplab/internal/netem"
 	"mptcplab/internal/pathmodel"
 	"mptcplab/internal/seg"
 	"mptcplab/internal/sim"
-	"mptcplab/internal/tcp"
-	"mptcplab/internal/trace"
 	"mptcplab/internal/units"
 	"mptcplab/internal/web"
+	"mptcplab/internal/world"
 )
 
 // Config describes one fleet run. Equal configs (including Seed)
@@ -81,8 +79,6 @@ type Config struct {
 	// unchanged (the checker draws no randomness); violations land in
 	// Result.Violations.
 	SelfCheck bool
-	// ProbeEvery overrides the SelfCheck probe period (default 250 ms).
-	ProbeEvery sim.Time
 }
 
 func (c Config) withDefaults() Config {
@@ -113,9 +109,6 @@ func (c Config) withDefaults() Config {
 	if c.ThinkMean == 0 {
 		c.ThinkMean = 2 * sim.Second
 	}
-	if c.ProbeEvery == 0 {
-		c.ProbeEvery = 250 * sim.Millisecond
-	}
 	return c
 }
 
@@ -125,32 +118,28 @@ func (c Config) withDefaults() Config {
 // O(total flows).
 type flow struct {
 	id        int
-	transport FlowTransport
+	transport world.Transport
 	size      units.ByteCount
 	start     sim.Time
 	session   int // closed-loop session index, -1 for open-loop
 
-	client  *Client
+	client  *world.Client
+	local   seg.Addr // first-subflow local address: the accept routing key
 	getter  *web.Getter
 	tracked *chaos.Tracked
 
 	// Client- and server-side stack handles for accounting/teardown.
-	clientEP   *tcp.Endpoint
-	clientConn *mptcp.Conn
-	serverEP   *tcp.Endpoint
-	serverConn *mptcp.Conn
+	cli, srv world.Peer
 }
 
 // fleet is the per-run engine state.
 type fleet struct {
 	cfg  Config
-	topo *Topology
-	s    *sim.Simulator
+	topo *world.World
 	ck   *check.Checker
 	res  *Result
 	mon  *chaos.Monitor
 
-	tcpCfg   tcp.Config
 	mpCfg    mptcp.Config
 	arrivals *sim.RNG // transport/size/client draws
 	flowRNG  *sim.RNG // per-flow stack randomness parent
@@ -162,25 +151,34 @@ type fleet struct {
 	active       map[int]*flow
 }
 
-// Run executes one fleet workload and returns its streaming-stats
-// result. The run is confined to the calling goroutine; distinct runs
-// share no state and may proceed in parallel (the sweep builds on
-// this, exactly like the campaign runner).
-func Run(cfg Config) *Result {
-	res, _ := runFleet(cfg)
+// selfCheckEvery is the SelfCheck probe period.
+const selfCheckEvery = 250 * sim.Millisecond
+
+// Run executes one fleet workload on a fresh world and returns its
+// streaming-stats result. The run is confined to the calling
+// goroutine; distinct runs share no state and may proceed in parallel
+// (the sweep builds on this, exactly like the campaign runner).
+func Run(cfg Config) *Result { return RunIn(world.New(), cfg) }
+
+// RunIn executes one fleet workload on a reused world — a sweep worker
+// drives its whole job stream through one, keeping the pools warm — and
+// returns exactly what Run does on a fresh one. The world must not be
+// shared between goroutines.
+func RunIn(a *world.World, cfg Config) *Result {
+	res, _ := runFleetIn(a, cfg)
 	return res
 }
 
-// runFleet is Run plus the engine handle, for tests that assert on
-// internal state (live-flow maps drained, bounded stats).
-func runFleet(cfg Config) (*Result, *fleet) {
-	return runFleetIn(NewArena(), cfg)
-}
+// NewArena forwards to world.New for bench/, which is frozen; the next
+// benchmark PR switches its probe to world.New and deletes this.
+func NewArena() *world.World { return world.New() }
 
-// runFleetIn executes one run on a prepared (fresh or reset) arena.
-func runFleetIn(a *Arena, cfg Config) (*Result, *fleet) {
+// runFleetIn resets the arena and executes one run on it, returning the
+// engine handle too for tests that assert on internal state.
+func runFleetIn(a *world.World, cfg Config) (*Result, *fleet) {
 	cfg = cfg.withDefaults()
-	s := a.sim
+	a.Reset()
+	s := a.Sim
 	rng := sim.NewRNG(cfg.Seed)
 
 	wifi, cell := cfg.WiFi, cfg.Cell
@@ -188,47 +186,26 @@ func runFleetIn(a *Arena, cfg Config) (*Result, *fleet) {
 		wifi = wifi.Sample(rng.Child("wifi-sample"))
 		cell = cell.Sample(rng.Child("cell-sample"))
 	}
-	topo := NewTopology(a.net, rng.Child("topo"), wifi, cell, cfg.Clients)
+	topo := NewTopology(a.Net, rng.Child("topo"), wifi, cell, cfg.Clients)
 
 	f := &fleet{
 		cfg:          cfg,
 		topo:         topo,
-		s:            s,
 		res:          newResult(cfg),
 		arrivals:     rng.Child("arrivals"),
 		flowRNG:      rng.Child("flows"),
 		byClientAddr: make(map[seg.Addr]*flow),
 		active:       make(map[int]*flow),
 	}
-	f.buildStackConfigs()
+	f.buildStackConfig()
 
 	if cfg.SelfCheck {
-		f.ck = check.New(s)
-		trace.AttachObserver(topo.Server, f.ck)
-		for _, c := range topo.Clients {
-			trace.AttachObserver(c.Host, f.ck)
-		}
-		for _, l := range topo.AllLinks() {
-			f.ck.ArmLink(l)
-		}
-		f.ck.ArmProbes(cfg.ProbeEvery)
+		f.ck = check.Arm(topo, selfCheckEvery)
 	}
+	f.mon = topo.ArmChaos(cfg.Chaos, cfg.Deadline, f.live)
 
-	if !cfg.Chaos.Empty() {
-		f.mon = chaos.NewMonitor(s, cfg.Chaos)
-		f.mon.PathRates = f.pathRates
-		cfg.Chaos.Apply(s, chaos.Target{
-			WiFi:     []*netem.Link{topo.APUp, topo.APDown},
-			Cell:     []*netem.Link{topo.CellUp, topo.CellDown},
-			Withdraw: f.withdraw,
-			Restore:  f.restore,
-			OnFault:  f.mon.OnFault,
-		})
-	}
-	chaos.ArmWatchdog(s, cfg.Deadline)
-
-	f.startServer()
-	topo.StartBackground(cfg.Background, rng.Child("background"), cfg.Duration)
+	topo.Serve(f.mpCfg, f.flowRNG.Child("server"), f.accept)
+	startBackground(topo, cfg.Background, rng.Child("background"), cfg.Duration)
 
 	if cfg.Sessions > 0 {
 		f.startSessions()
@@ -244,10 +221,8 @@ func runFleetIn(a *Arena, cfg Config) (*Result, *fleet) {
 	}
 
 	s.RunUntil(cfg.Duration + cfg.Drain)
-	if err := s.AbortErr(); err != nil {
-		f.res.Failed = true
-		f.res.FailReason = err.Error()
-	}
+	f.res.FailReason = topo.FailReason()
+	f.res.Failed = f.res.FailReason != ""
 	f.finish()
 	if f.mon != nil {
 		f.res.ChaosSpec = cfg.Chaos.Spec()
@@ -262,11 +237,11 @@ func runFleetIn(a *Arena, cfg Config) (*Result, *fleet) {
 // written only before RunSweep starts its workers.
 var testRunHook func(*fleet)
 
-// buildStackConfigs materializes the TCP and MPTCP configs once; the
-// controllers are stateless values shared safely by every flow. The
-// Controller knob steers MPTCP coupling only — single-path TCP flows
-// always run New Reno, like the background wgets in the paper.
-func (f *fleet) buildStackConfigs() {
+// buildStackConfig materializes the stack config once; the controllers
+// are stateless values shared safely by every flow. The Controller knob
+// steers MPTCP coupling only — single-path TCP flows run the config's
+// TCP half, always New Reno, like the background wgets in the paper.
+func (f *fleet) buildStackConfig() {
 	name := f.cfg.Controller
 	if name == "" {
 		name = "coupled"
@@ -275,48 +250,29 @@ func (f *fleet) buildStackConfigs() {
 	if err != nil {
 		panic(err)
 	}
-	f.tcpCfg = tcp.DefaultConfig()
-
-	mc := mptcp.DefaultConfig()
-	mc.TCP = f.tcpCfg
-	mc.Controller = ctrl
+	f.mpCfg = mptcp.DefaultConfig()
+	f.mpCfg.Controller = ctrl
 	if f.cfg.Scheduler != "" {
-		mc.Scheduler = f.cfg.Scheduler
+		f.mpCfg.Scheduler = f.cfg.Scheduler
 	}
-	mc.RcvBuf = f.tcpCfg.RcvBuf
-	f.mpCfg = mc
 }
 
-// startServer wires the one server socket every flow lands on: MPTCP
-// connections via MP_CAPABLE, plain-TCP fallback for single-path
-// flows — as the paper's Apache serves both client kinds on one port.
-func (f *fleet) startServer() {
-	srv := mptcp.NewServer(f.topo.Server, f.topo.Net, FleetServerPort, f.mpCfg, f.flowRNG.Child("server"))
-	srv.OnConn = func(c *mptcp.Conn) {
-		fl := f.byClientAddr[c.Subflows()[0].EP.Remote]
-		if fl == nil {
-			return // background/unknown; nothing to serve
-		}
-		fl.serverConn = c
-		if f.ck != nil {
-			f.ck.WatchConn(fmt.Sprintf("srv-flow-%d", fl.id), c)
-		}
-		fs := &web.FileServer{SizeFor: func(int) int { return int(fl.size) }}
-		fs.ServeStream(web.MPTCPStream{Conn: c})
+// accept routes a server-side accept back to the flow that dialed it
+// and serves that flow's object; unknown clients are refused.
+func (f *fleet) accept(p world.Peer) *web.FileServer {
+	remote := p.EP
+	if p.Conn != nil {
+		remote = p.Conn.Subflows()[0].EP
 	}
-	srv.OnPlainConn = func(ep *tcp.Endpoint) bool {
-		fl := f.byClientAddr[ep.Remote]
-		if fl == nil {
-			return false
-		}
-		fl.serverEP = ep
-		if f.ck != nil {
-			f.ck.WatchEndpoint(fmt.Sprintf("srv-flow-%d", fl.id), ep)
-		}
-		fs := &web.FileServer{SizeFor: func(int) int { return int(fl.size) }}
-		fs.ServeStream(web.TCPStream{EP: ep})
-		return true
+	fl := f.byClientAddr[remote.Remote]
+	if fl == nil {
+		return nil
 	}
+	fl.srv = p
+	if f.ck != nil {
+		f.ck.Watch(fmt.Sprintf("srv-flow-%d", fl.id), p)
+	}
+	return &web.FileServer{SizeFor: func(int) int { return int(fl.size) }}
 }
 
 // startSessions launches the closed-loop sessions, staggered uniformly
@@ -325,14 +281,14 @@ func (f *fleet) startSessions() {
 	for i := 0; i < f.cfg.Sessions; i++ {
 		i := i
 		at := sim.Time(f.arrivals.Float64() * float64(f.cfg.ThinkMean))
-		f.s.At(at, "fleet.session", func() { f.sessionNext(i) })
+		f.topo.Sim.At(at, "fleet.session", func() { f.sessionNext(i) })
 	}
 }
 
 // sessionNext issues session i's next request, if the arrival window
 // is still open.
 func (f *fleet) sessionNext(i int) {
-	if f.s.Now() >= f.cfg.Duration {
+	if f.topo.Sim.Now() >= f.cfg.Duration {
 		return
 	}
 	f.res.Offered++
@@ -349,46 +305,28 @@ func (f *fleet) startFlow(session int) {
 		id:        id,
 		transport: f.cfg.Transports.pick(f.arrivals),
 		size:      f.cfg.Sizes.Sample(f.arrivals),
-		start:     f.s.Now(),
+		start:     f.topo.Sim.Now(),
 		session:   session,
 		client:    client,
 	}
 	f.active[id] = fl
 	f.res.Started++
 
-	wifiAddr, cellAddr := client.addrs()
-	rng := f.flowRNG.Child(fmt.Sprintf("flow/%d", id))
-
-	switch fl.transport {
-	case FlowTCPWiFi, FlowTCPCell:
-		local := wifiAddr
-		if fl.transport == FlowTCPCell {
-			local = cellAddr
-		}
-		f.byClientAddr[local] = fl
-		ep := tcp.NewEndpoint(client.Host, f.topo.Net, local, f.topo.SrvAddr, f.tcpCfg, rng)
-		fl.clientEP = ep
-		if f.ck != nil {
-			f.ck.WatchEndpoint(fmt.Sprintf("cli-flow-%d", id), ep)
-		}
-		fl.getter = web.NewGetter(web.TCPStream{EP: ep})
-		fl.getter.Get(int(fl.size), func() { f.complete(fl) })
-		ep.Connect()
-	default:
-		f.byClientAddr[wifiAddr] = fl
-		conn := mptcp.Dial(f.topo.Net, client.Host, mptcp.DialOpts{
-			LocalAddrs: []seg.Addr{wifiAddr, cellAddr},
-			Labels:     []string{"wifi", "cell"},
-			ServerAddr: f.topo.SrvAddr,
-			Config:     f.mpCfg,
-		}, rng)
-		fl.clientConn = conn
-		if f.ck != nil {
-			f.ck.WatchConn(fmt.Sprintf("cli-flow-%d", id), conn)
-		}
-		fl.getter = web.NewGetter(web.MPTCPStream{Conn: conn})
-		fl.getter.Get(int(fl.size), func() { f.complete(fl) })
+	wifiAddr, cellAddr := client.Addrs()
+	fl.local = wifiAddr
+	if fl.transport == world.TCPCell {
+		fl.local = cellAddr
 	}
+	f.byClientAddr[fl.local] = fl
+	fl.cli = f.topo.Dial(client, fl.transport, mptcp.DialOpts{
+		LocalAddrs: []seg.Addr{wifiAddr, cellAddr},
+		Config:     f.mpCfg,
+	}, f.flowRNG.Child(fmt.Sprintf("flow/%d", id)))
+	if f.ck != nil {
+		f.ck.Watch(fmt.Sprintf("cli-flow-%d", id), fl.cli)
+	}
+	fl.getter = web.NewGetter(fl.cli.Stream())
+	fl.getter.Get(int(fl.size), func() { f.complete(fl) })
 	if f.mon != nil {
 		fl.tracked = f.mon.Track(fmt.Sprintf("flow-%d", id),
 			func() int64 { return fl.getter.BytesReceived })
@@ -399,38 +337,34 @@ func (f *fleet) startFlow(session int) {
 // the streaming result, close the transfer, release the record, and —
 // for closed-loop sessions — schedule the next think/request cycle.
 func (f *fleet) complete(fl *flow) {
-	fct := f.s.Now() - fl.start
+	fct := f.topo.Sim.Now() - fl.start
 	f.res.absorbFlow(f.topo, fl, fct)
-	if f.ck != nil && fl.serverConn != nil && fl.clientConn != nil {
-		f.ck.CheckTransfer(fmt.Sprintf("flow-%d", fl.id), fl.serverConn, fl.clientConn, true)
-	}
+	f.checkTransfer(fl, true)
 	if fl.tracked != nil {
 		fl.tracked.Done(true)
 	}
 	fl.getter.Close()
-	f.release(fl)
+	delete(f.active, fl.id)
+	delete(f.byClientAddr, fl.local)
 
 	if fl.session >= 0 {
 		think := sim.Time(f.arrivals.Exponential(float64(f.cfg.ThinkMean)))
 		sess := fl.session
-		f.s.At(f.s.Now()+think, "fleet.think", func() { f.sessionNext(sess) })
+		f.topo.Sim.At(f.topo.Sim.Now()+think, "fleet.think", func() { f.sessionNext(sess) })
 	}
 }
 
-// release forgets a flow's routing and lifecycle entries.
-func (f *fleet) release(fl *flow) {
-	delete(f.active, fl.id)
-	if fl.clientEP != nil {
-		delete(f.byClientAddr, fl.clientEP.Local)
-	}
-	if fl.clientConn != nil && len(fl.clientConn.Subflows()) > 0 {
-		delete(f.byClientAddr, fl.clientConn.Subflows()[0].EP.Local)
+// checkTransfer runs the byte-stream oracle over an MPTCP flow the
+// server accepted.
+func (f *fleet) checkTransfer(fl *flow, complete bool) {
+	if f.ck != nil && fl.srv.Conn != nil && fl.cli.Conn != nil {
+		f.ck.CheckTransfer(fmt.Sprintf("flow-%d", fl.id), fl.srv.Conn, fl.cli.Conn, complete)
 	}
 }
 
-// sortedActive lists the live flows in id order — storm hooks iterate
-// it instead of the active map so address withdrawal order (and hence
-// the whole run) is deterministic.
+// sortedActive lists the live flows in id order — chaos hooks iterate
+// it instead of the active map so address withdrawal order and rate
+// sums (and hence the whole run) are deterministic.
 func (f *fleet) sortedActive() []*flow {
 	ids := make([]int, 0, len(f.active))
 	for id := range f.active {
@@ -444,90 +378,13 @@ func (f *fleet) sortedActive() []*flow {
 	return out
 }
 
-// pathRates sums the live fleet's instantaneous per-subflow delivery
-// rates on each access path, from the server-side (sender)
-// connections' RateEstimators — the telemetry the chaos monitor
-// samples per tick. Flows are walked in id order: floating-point
-// addition is order-sensitive, and the report must stay a pure
-// function of the seed.
-func (f *fleet) pathRates() (wifi, cell float64) {
+// live feeds the world's chaos hooks the active MPTCP flows.
+func (f *fleet) live(yield func(cl *world.Client, client, server *mptcp.Conn)) {
 	for _, fl := range f.sortedActive() {
-		c := fl.serverConn
-		if c == nil {
-			continue
-		}
-		for _, sf := range c.Subflows() {
-			if f.topo.IsCellIP(sf.EP.Remote) {
-				cell += sf.DeliveryRate()
-			} else {
-				wifi += sf.DeliveryRate()
-			}
+		if fl.cli.Conn != nil {
+			yield(fl.client, fl.cli.Conn, fl.srv.Conn)
 		}
 	}
-	return wifi, cell
-}
-
-// onPath reports whether an address belongs to the chaos path.
-func (f *fleet) onPath(a seg.Addr, p chaos.Path) bool {
-	if p == chaos.Both {
-		return true
-	}
-	return f.topo.IsCellIP(a) == (p == chaos.Cell)
-}
-
-// withdraw implements chaos.Target.Withdraw: every active MPTCP flow
-// drops its subflows on the path's interface, REMOVE_ADDR-ing the peer
-// and reinjecting stranded data on survivors — the "walked away from
-// the AP" half of a handover. Single-path TCP flows have no address
-// machinery; storms only shake them via whatever the links do.
-func (f *fleet) withdraw(p chaos.Path) {
-	for _, fl := range f.sortedActive() {
-		c := fl.clientConn
-		if c == nil {
-			continue
-		}
-		seen := map[seg.Addr]bool{}
-		for _, sf := range c.Subflows() {
-			local := sf.EP.Local
-			if seen[local] || !f.onPath(local, p) || sf.EP.State() == tcp.StateClosed {
-				continue
-			}
-			seen[local] = true
-			c.RemoveLocalAddr(local)
-		}
-	}
-}
-
-// restore implements chaos.Target.Restore: flows missing a live
-// subflow on the path rejoin through it on a fresh port (reusing the
-// withdrawn 4-tuple would race a stale server endpoint whose teardown
-// RST was lost).
-func (f *fleet) restore(p chaos.Path) {
-	for _, fl := range f.sortedActive() {
-		c := fl.clientConn
-		if c == nil || !c.Established() {
-			continue
-		}
-		if (p == chaos.WiFi || p == chaos.Both) && !f.hasLive(c, false) {
-			wifiAddr, _ := fl.client.addrs()
-			c.RejoinLocalAddr(wifiAddr)
-		}
-		if (p == chaos.Cell || p == chaos.Both) && !f.hasLive(c, true) {
-			_, cellAddr := fl.client.addrs()
-			c.RejoinLocalAddr(cellAddr)
-		}
-	}
-}
-
-// hasLive reports whether the connection has an established subflow on
-// the given access network.
-func (f *fleet) hasLive(c *mptcp.Conn, cell bool) bool {
-	for _, sf := range c.Subflows() {
-		if sf.EP.Established() && f.topo.IsCellIP(sf.EP.Local) == cell {
-			return true
-		}
-	}
-	return false
 }
 
 // finish closes out the run: account still-active flows as
@@ -535,9 +392,7 @@ func (f *fleet) hasLive(c *mptcp.Conn, cell bool) bool {
 func (f *fleet) finish() {
 	for _, fl := range f.active {
 		f.res.absorbIncomplete(f.topo, fl)
-		if f.ck != nil && fl.serverConn != nil && fl.clientConn != nil {
-			f.ck.CheckTransfer(fmt.Sprintf("flow-%d", fl.id), fl.serverConn, fl.clientConn, false)
-		}
+		f.checkTransfer(fl, false)
 	}
-	f.res.finish(f.topo, f.s, f.ck)
+	f.res.finish(f.topo, f.ck)
 }

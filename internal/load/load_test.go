@@ -7,6 +7,7 @@ import (
 
 	"mptcplab/internal/sim"
 	"mptcplab/internal/units"
+	"mptcplab/internal/world"
 )
 
 // smokeConfig is a small fleet that still exercises every moving part:
@@ -25,7 +26,7 @@ func smokeConfig() Config {
 }
 
 func TestFleetSmokeCompletes(t *testing.T) {
-	res, f := runFleet(smokeConfig())
+	res, f := runFleetIn(world.New(), smokeConfig())
 	if res.Offered != 60 || res.Started != 60 {
 		t.Fatalf("offered %d started %d, want 60/60", res.Offered, res.Started)
 	}
@@ -148,8 +149,8 @@ func TestFleetStatsMemoryBounded(t *testing.T) {
 	big.Flows = 200
 	big.Duration = 20 * sim.Second
 
-	rs, fs := runFleet(small)
-	rb, fb := runFleet(big)
+	rs, fs := runFleetIn(world.New(), small)
+	rb, fb := runFleetIn(world.New(), big)
 	if rb.Completed <= rs.Completed {
 		t.Fatalf("big run completed %d <= small run %d", rb.Completed, rs.Completed)
 	}

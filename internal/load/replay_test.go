@@ -159,13 +159,6 @@ func TestParseTransportMix(t *testing.T) {
 	if s := (TransportMix{MPTCP: 1}).String(); s != "mptcp" {
 		t.Errorf("all-MPTCP String() = %q", s)
 	}
-	for tr, want := range map[FlowTransport]string{
-		FlowTCPWiFi: "tcp-wifi", FlowTCPCell: "tcp-cell", FlowMPTCP: "mptcp",
-	} {
-		if tr.String() != want {
-			t.Errorf("FlowTransport(%d).String() = %q, want %q", tr, tr.String(), want)
-		}
-	}
 }
 
 // TestSweepDescribe pins the one-line shape summary.

@@ -7,6 +7,7 @@ import (
 	"mptcplab/internal/sim"
 	"mptcplab/internal/stats"
 	"mptcplab/internal/units"
+	"mptcplab/internal/world"
 )
 
 // Flow-size class boundaries for FCT breakdown: the paper's small-flow
@@ -83,7 +84,7 @@ type Result struct {
 	DupRxBytes int64
 
 	// Sender-side per-path accounting (server endpoints, classified by
-	// client address: CGNAT 100.64/10 = cellular).
+	// the client interface they serve).
 	WiFiBytes       int64
 	CellBytes       int64
 	WiFiRetrans     int64
@@ -140,7 +141,7 @@ func newResult(cfg Config) *Result {
 }
 
 // absorbFlow folds one completed flow into the streaming estimators.
-func (r *Result) absorbFlow(t *Topology, fl *flow, fct sim.Time) {
+func (r *Result) absorbFlow(t *world.World, fl *flow, fct sim.Time) {
 	r.Completed++
 	secs := fct.Seconds()
 	r.FCT.Add(secs)
@@ -165,7 +166,7 @@ func (r *Result) absorbFlow(t *Topology, fl *flow, fct sim.Time) {
 // absorbIncomplete accounts a flow still in flight at run end; its
 // sender-side byte counters are folded in so path totals reconcile
 // with link counters.
-func (r *Result) absorbIncomplete(t *Topology, fl *flow) {
+func (r *Result) absorbIncomplete(t *world.World, fl *flow) {
 	r.Incomplete++
 	r.absorbTx(t, fl)
 }
@@ -173,7 +174,7 @@ func (r *Result) absorbIncomplete(t *Topology, fl *flow) {
 // absorbTx folds the flow's server-side (sender) endpoint stats into
 // the per-path counters. Subflows are classified by the client address
 // they serve.
-func (r *Result) absorbTx(t *Topology, fl *flow) {
+func (r *Result) absorbTx(t *world.World, fl *flow) {
 	add := func(remote bool, bytesSent, bytesRetrans int64, pkts, retransPkts uint64) {
 		if remote {
 			r.CellBytes += bytesSent
@@ -187,15 +188,15 @@ func (r *Result) absorbTx(t *Topology, fl *flow) {
 			r.WiFiRetransPkts += retransPkts
 		}
 	}
-	if ep := fl.serverEP; ep != nil {
-		add(t.IsCellIP(ep.Remote), ep.Stats.BytesSent, ep.Stats.BytesRetrans,
+	if ep := fl.srv.EP; ep != nil {
+		add(t.IsCell(ep.Remote), ep.Stats.BytesSent, ep.Stats.BytesRetrans,
 			ep.Stats.DataPktsSent, ep.Stats.DataPktsRetrans)
 	}
-	if c := fl.serverConn; c != nil {
+	if c := fl.srv.Conn; c != nil {
 		for _, sf := range c.Subflows() {
-			add(t.IsCellIP(sf.EP.Remote), sf.EP.Stats.BytesSent, sf.EP.Stats.BytesRetrans,
+			add(t.IsCell(sf.EP.Remote), sf.EP.Stats.BytesSent, sf.EP.Stats.BytesRetrans,
 				sf.EP.Stats.DataPktsSent, sf.EP.Stats.DataPktsRetrans)
-			if t.IsCellIP(sf.EP.Remote) {
+			if t.IsCell(sf.EP.Remote) {
 				r.CellAckedBytes += sf.AckedBytes()
 			} else {
 				r.WiFiAckedBytes += sf.AckedBytes()
@@ -203,7 +204,7 @@ func (r *Result) absorbTx(t *Topology, fl *flow) {
 		}
 		r.DupTxBytes += c.DupTxBytes
 	}
-	if c := fl.clientConn; c != nil {
+	if c := fl.cli.Conn; c != nil {
 		r.DupRxBytes += c.Reorder().DupBytes
 	}
 }
@@ -219,18 +220,15 @@ func (r *Result) CellShare() float64 {
 }
 
 // finish snapshots link counters and checker findings.
-func (r *Result) finish(t *Topology, s *sim.Simulator, ck *check.Checker) {
-	r.Events = s.Processed()
-	r.SimEnd = s.Now()
-	secs := s.Now().Seconds()
-	for _, l := range t.AllLinks() {
+func (r *Result) finish(t *world.World, ck *check.Checker) {
+	r.Events = t.Sim.Processed()
+	r.SimEnd = t.Sim.Now()
+	secs := r.SimEnd.Seconds()
+	for _, l := range t.Links() {
 		r.Links = append(r.Links, linkUtil(l, secs))
 	}
 	if ck != nil {
-		r.Violations = ck.Count()
-		if vs := ck.Violations(); len(vs) > 0 {
-			r.FirstViolation = vs[0].String()
-		}
+		r.Violations, r.FirstViolation = ck.Summary()
 	}
 }
 

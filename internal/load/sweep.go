@@ -3,7 +3,6 @@ package load
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -13,6 +12,7 @@ import (
 	"mptcplab/internal/sim"
 	"mptcplab/internal/sweep"
 	"mptcplab/internal/units"
+	"mptcplab/internal/world"
 )
 
 // SweepOpts describes a load-vs-FCT campaign: a grid of (arrival rate
@@ -50,22 +50,11 @@ type SweepOpts struct {
 	Context context.Context
 }
 
-func (o SweepOpts) cancelled() bool {
-	return o.Context != nil && o.Context.Err() != nil
-}
-
 func (o SweepOpts) reps() int {
 	if o.Reps <= 0 {
 		return 1
 	}
 	return o.Reps
-}
-
-func (o SweepOpts) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // SweepPoint is one (rate, clients, scheduler) grid point's
@@ -103,10 +92,12 @@ type sweepJob struct {
 	point, rep int
 }
 
-// sweepSalt is the load sweep's historical shuffle salt; like the
+// SweepSalt is the load sweep's historical shuffle salt; like the
 // experiment runner's it must never change, since it determines the
-// execution order equal seeds replay.
-const sweepSalt = 0x10ad
+// execution order equal seeds replay. Exported for harnesses that drive
+// grid points on the sweep engine themselves (the mptcpd service layer)
+// and must claim jobs in RunSweep's order.
+const SweepSalt = 0x10ad
 
 // Grid materializes the sweep's grid points in canonical order —
 // rates outermost, then fleet sizes, then schedulers, exactly the
@@ -180,24 +171,23 @@ func RunSweep(opts SweepOpts) *Sweep {
 		}
 	}
 
-	// runJob executes one run on the worker's arena. Each worker
-	// reuses one arena across its job stream (warm pools,
-	// byte-identical results); after a contained panic the engine
-	// discards the arena — it was left mid-run — and the next job
-	// builds a fresh one.
-	runJob := func(worker **Arena, k int) *Result {
+	// runJob executes one run on the worker's world, reused across its
+	// job stream (warm pools, byte-identical results); after a
+	// contained panic the engine discards the world — it was left
+	// mid-run — and the next job builds a fresh one.
+	runJob := func(worker **world.World, k int) *Result {
 		j := jobs[k]
 		cfg := PointConfig(opts.Base, sw.Points[j.point])
 		cfg.Seed = opts.RunSeed(j.point, j.rep)
 		if *worker == nil {
-			*worker = NewArena()
+			*worker = world.New()
 		}
 		return RunIn(*worker, cfg)
 	}
 
 	st := sweep.Run(sweep.Opts{
 		Seed:     opts.Seed,
-		Salt:     sweepSalt,
+		Salt:     SweepSalt,
 		Workers:  opts.Workers,
 		Progress: opts.Progress,
 		Context:  opts.Context,
@@ -206,7 +196,7 @@ func RunSweep(opts SweepOpts) *Sweep {
 			j := jobs[k]
 			cfg := PointConfig(opts.Base, sw.Points[j.point])
 			cfg.Seed = opts.RunSeed(j.point, j.rep)
-			return failedResult(cfg, err)
+			return FailedRun(cfg, err)
 		},
 		func(k int, res *Result) {
 			j := jobs[k]
@@ -231,14 +221,10 @@ func RunSweep(opts SweepOpts) *Sweep {
 // FailedRun builds the structured Result row for a contained run
 // failure — exported for harnesses that drive grid points on the
 // sweep engine themselves (the mptcpd service layer) and need
-// failures shaped exactly as RunSweep shapes them.
-func FailedRun(cfg Config, err error) *Result { return failedResult(cfg, err) }
-
-// failedResult builds the structured row for a contained run failure.
-// Only the first line of the error is kept: panic stacks carry
-// goroutine ids that vary with worker scheduling, and exports must be
-// a pure function of the seed.
-func failedResult(cfg Config, err error) *Result {
+// failures shaped exactly as RunSweep shapes them. Only the first line
+// of the error is kept: panic stacks carry goroutine ids that vary with
+// worker scheduling, and exports must be a pure function of the seed.
+func FailedRun(cfg Config, err error) *Result {
 	res := newResult(cfg.withDefaults())
 	res.Failed = true
 	res.FailReason, _, _ = strings.Cut(err.Error(), "\n")
@@ -359,8 +345,8 @@ func ParseReplay(tok string) (Config, error) {
 // with a one-line error instead of a stack trace.
 func (c Config) Validate() error {
 	d := c.withDefaults()
-	if d.Clients < 1 || d.Clients > MaxClients {
-		return fmt.Errorf("load: clients=%d outside [1,%d]", d.Clients, MaxClients)
+	if d.Clients < 1 || d.Clients > world.MaxClients {
+		return fmt.Errorf("load: clients=%d outside [1,%d]", d.Clients, world.MaxClients)
 	}
 	if c.Flows < 0 {
 		return fmt.Errorf("load: flows=%d is negative", c.Flows)

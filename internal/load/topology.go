@@ -14,136 +14,46 @@
 package load
 
 import (
-	"fmt"
-
 	"mptcplab/internal/netem"
 	"mptcplab/internal/pathmodel"
 	"mptcplab/internal/seg"
 	"mptcplab/internal/sim"
 	"mptcplab/internal/units"
+	"mptcplab/internal/world"
 )
 
-// Well-known fleet addresses. Clients get 10.x.y.2 WiFi and 100.x.y.2
-// (CGNAT range) cellular addresses derived from their index.
-var (
-	FleetServerIP   = "192.168.1.1"
-	FleetServerPort = uint16(8080)
-)
-
-// MaxClients bounds the fleet size the address scheme supports.
-const MaxClients = 16384
-
-// Client is one fleet member: a host with a WiFi and a cellular
-// interface, both behind the shared access bottlenecks.
-type Client struct {
-	Host     *netem.Host
-	WiFiIP   [4]byte
-	CellIP   [4]byte
-	nextPort uint16
-}
-
-// addrs allocates a fresh (WiFi, cellular) local address pair for one
-// flow. Ports start at 40000 and advance by two per flow; a client
-// would need ~12k flows in one run to wrap into TIME_WAIT reuse.
-func (c *Client) addrs() (wifi, cell seg.Addr) {
-	p := c.nextPort
-	c.nextPort += 2
-	if c.nextPort < 40000 {
-		c.nextPort = 40000
-	}
-	return seg.Addr{IP: c.WiFiIP, Port: p}, seg.Addr{IP: c.CellIP, Port: p + 1}
-}
-
-// Topology is the materialized fleet network: N clients, one server,
-// shared WiFi and cellular access bottlenecks, and optional background
-// cross-traffic hosts.
-type Topology struct {
-	Sim     *sim.Simulator
-	Net     *netem.Network
-	Server  *netem.Host
-	Clients []*Client
-	SrvAddr seg.Addr
-
-	// The shared access bottlenecks every client competes for.
-	APUp, APDown     *netem.Link
-	CellUp, CellDown *netem.Link
-	CellRadio        *netem.Radio
-
-	// Server LAN links (gigabit, never the bottleneck).
-	SrvIn, SrvOut *netem.Link
-
-	// Background cross-traffic endpoints (nil hosts when disabled).
-	bgClient, bgSink *netem.Host
-}
-
-// clientIPs derives the two interface addresses of client i.
-func clientIPs(i int) (wifi, cell [4]byte) {
-	return [4]byte{10, byte(i >> 8), byte(i), 2},
-		[4]byte{100, byte(64 + i>>8), byte(i), 2}
+// fleetPlan is the fleet's address plan: client i gets 10.x.y.2 on WiFi
+// and 100.(64+x).y.2 (CGNAT range) on cellular; a client's k-th flow
+// binds ports 40000+2k and 40001+2k, so it would need ~12k flows in one
+// run to wrap into TIME_WAIT reuse.
+var fleetPlan = world.Plan{
+	ClientIPs: func(i int) (wifi, cell [4]byte) {
+		return [4]byte{10, byte(i >> 8), byte(i), 2},
+			[4]byte{100, byte(64 + i>>8), byte(i), 2}
+	},
+	Ports: func(k int) (wifi, cell uint16) {
+		p := uint16(40000 + 2*(k%((1<<16-40000)/2)))
+		return p, p + 1
+	},
+	LANQueue: 64 * units.MB,
 }
 
 // NewTopology builds the fleet network onto an empty (fresh or freshly
 // Reset) network: the WiFi profile becomes the shared AP, the cellular
-// profile the shared sector, and every client's two paths to the server
-// run through them. Sharing is the point — netem links serialize all
-// routes that traverse them, so client contention emerges from the same
-// queueing mechanics as the single-client testbed's self-congestion.
-func NewTopology(n *netem.Network, rng *sim.RNG, wifi, cell pathmodel.Profile, clients int) *Topology {
-	if clients < 1 || clients > MaxClients {
-		panic(fmt.Sprintf("load: %d clients outside [1,%d]", clients, MaxClients))
-	}
-	s := n.Sim()
-	t := &Topology{
-		Sim: s, Net: n,
-		Server:  n.NewHost("fleet-server"),
-		SrvAddr: seg.MakeAddr(FleetServerIP, FleetServerPort),
-	}
-	t.APUp, t.APDown, _ = wifi.Links(s, rng.Child("ap"))
-	t.CellUp, t.CellDown, t.CellRadio = cell.Links(s, rng.Child("cell"))
+// profile the shared sector, and world.Build runs every client's two
+// paths to the server through them. It takes the network rather than a
+// world because bench/, which is frozen, calls it that way.
+func NewTopology(n *netem.Network, rng *sim.RNG, wifi, cell pathmodel.Profile, clients int) *world.World {
+	w := &world.World{Sim: n.Sim(), Net: n}
+	var a world.Access
+	a.WiFiUp, a.WiFiDown, _ = wifi.Links(w.Sim, rng.Child("ap"))
+	a.CellUp, a.CellDown, a.CellRadio = cell.Links(w.Sim, rng.Child("cell"))
 	// Stable names regardless of profile, so exports and reports can
 	// address the bottlenecks uniformly.
-	t.APUp.Name, t.APDown.Name = "ap-up", "ap-down"
-	t.CellUp.Name, t.CellDown.Name = "cell-up", "cell-down"
-
-	lan := func(name string) *netem.Link {
-		l := netem.NewLink(s, rng, name)
-		l.Rate = 1 * units.Gbps
-		l.PropDelay = 500 * sim.Microsecond
-		l.QueueLimit = 64 * units.MB
-		return l
-	}
-	t.SrvIn, t.SrvOut = lan("srv-in"), lan("srv-out")
-
-	t.Clients = make([]*Client, clients)
-	for i := range t.Clients {
-		wifiIP, cellIP := clientIPs(i)
-		c := &Client{
-			Host:     n.NewHost(fmt.Sprintf("client-%d", i)),
-			WiFiIP:   wifiIP,
-			CellIP:   cellIP,
-			nextPort: 40000,
-		}
-		t.Clients[i] = c
-		n.AddDuplexRoute(wifiIP, t.SrvAddr.IP, c.Host, t.Server,
-			[]*netem.Link{t.APUp, t.SrvIn}, []*netem.Link{t.SrvOut, t.APDown})
-		n.AddDuplexRoute(cellIP, t.SrvAddr.IP, c.Host, t.Server,
-			[]*netem.Link{t.CellUp, t.SrvIn}, []*netem.Link{t.SrvOut, t.CellDown})
-	}
-	return t
-}
-
-// IsCellIP classifies an address by access network: cellular client
-// interfaces live in the CGNAT 100.64/10 block.
-func (t *Topology) IsCellIP(a seg.Addr) bool { return a.IP[0] == 100 }
-
-// AccessLinks lists the four shared bottleneck links.
-func (t *Topology) AccessLinks() []*netem.Link {
-	return []*netem.Link{t.APUp, t.APDown, t.CellUp, t.CellDown}
-}
-
-// AllLinks lists every link in the topology, access plus LAN.
-func (t *Topology) AllLinks() []*netem.Link {
-	return append(t.AccessLinks(), t.SrvIn, t.SrvOut)
+	a.WiFiUp.Name, a.WiFiDown.Name = "ap-up", "ap-down"
+	a.CellUp.Name, a.CellDown.Name = "cell-up", "cell-down"
+	w.Build(rng, a, clients, fleetPlan)
+	return w
 }
 
 // Background configures constant-average-rate cross-traffic injected
@@ -173,54 +83,50 @@ const (
 	bgPacketBytes  = bgPayloadBytes + 40
 )
 
-// StartBackground arms the configured cross-traffic streams until
+// startBackground arms the configured cross-traffic streams until
 // stop. Each stream is a Poisson packet process with mean rate equal
 // to the configured bit rate, drawn from its own RNG child so enabling
 // one stream never perturbs another (or the flows).
-func (t *Topology) StartBackground(bg Background, rng *sim.RNG, stop sim.Time) {
+func startBackground(w *world.World, bg Background, rng *sim.RNG, stop sim.Time) {
 	if !bg.Enabled() {
 		return
 	}
 	// Downstream sources sit behind the server LAN; upstream sources
 	// behind the clients. One source/sink host pair serves all four
 	// streams with distinct addresses per direction.
-	t.bgClient = t.Net.NewHost("bg-client")
-	t.bgSink = t.Net.NewHost("bg-sink")
+	srcHost := w.Net.NewHost("bg-client")
+	dstHost := w.Net.NewHost("bg-sink")
 
-	arm := func(name string, rate units.BitRate, src, dst seg.Addr, srcHost, dstHost *netem.Host, hops []*netem.Link) {
+	arm := func(name string, rate units.BitRate, src, dst seg.Addr, hop *netem.Link) {
 		if rate <= 0 {
 			return
 		}
-		t.Net.AddRoute(src.IP, dst.IP, dstHost, hops...)
+		w.Net.AddRoute(src.IP, dst.IP, dstHost, hop)
 		dstHost.Bind(dst, src, sink{})
 		r := rng.Child("bg/" + name)
 		// Mean inter-packet gap for the target average rate.
 		mean := float64(rate.TransmitTime(bgPacketBytes))
 		var tick func()
 		tick = func() {
-			if t.Sim.Now() >= stop {
+			if w.Sim.Now() >= stop {
 				return
 			}
-			s := t.Net.NewSegment()
+			s := w.Net.NewSegment()
 			s.Src, s.Dst = src, dst
 			s.Flags = seg.ACK
 			s.PayloadLen = bgPayloadBytes
 			srcHost.Send(s)
-			t.Sim.At(t.Sim.Now()+sim.Time(r.Exponential(mean)), "bg:"+name, tick)
+			w.Sim.At(w.Sim.Now()+sim.Time(r.Exponential(mean)), "bg:"+name, tick)
 		}
-		t.Sim.At(sim.Time(r.Exponential(mean)), "bg:"+name, tick)
+		w.Sim.At(sim.Time(r.Exponential(mean)), "bg:"+name, tick)
 	}
 
 	arm("wifi-down", bg.WiFiDown,
-		seg.MakeAddr("192.168.1.200", 9), seg.MakeAddr("10.255.255.1", 9),
-		t.bgClient, t.bgSink, []*netem.Link{t.APDown})
+		seg.MakeAddr("192.168.1.200", 9), seg.MakeAddr("10.255.255.1", 9), w.WiFiDown)
 	arm("wifi-up", bg.WiFiUp,
-		seg.MakeAddr("10.255.255.2", 9), seg.MakeAddr("192.168.1.201", 9),
-		t.bgClient, t.bgSink, []*netem.Link{t.APUp})
+		seg.MakeAddr("10.255.255.2", 9), seg.MakeAddr("192.168.1.201", 9), w.WiFiUp)
 	arm("cell-down", bg.CellDown,
-		seg.MakeAddr("192.168.1.202", 9), seg.MakeAddr("100.127.255.1", 9),
-		t.bgClient, t.bgSink, []*netem.Link{t.CellDown})
+		seg.MakeAddr("192.168.1.202", 9), seg.MakeAddr("100.127.255.1", 9), w.CellDown)
 	arm("cell-up", bg.CellUp,
-		seg.MakeAddr("100.127.255.2", 9), seg.MakeAddr("192.168.1.203", 9),
-		t.bgClient, t.bgSink, []*netem.Link{t.CellUp})
+		seg.MakeAddr("100.127.255.2", 9), seg.MakeAddr("192.168.1.203", 9), w.CellUp)
 }

@@ -8,6 +8,7 @@ import (
 
 	"mptcplab/internal/sim"
 	"mptcplab/internal/units"
+	"mptcplab/internal/world"
 )
 
 // SizeDist draws per-flow transfer sizes.
@@ -125,30 +126,6 @@ func ParseSizeDist(s string) (SizeDist, error) {
 	return nil, fmt.Errorf("load: unknown size distribution %q (want small|web|heavy|<size>)", s)
 }
 
-// FlowTransport selects one flow's stack.
-type FlowTransport int
-
-// Flow transports.
-const (
-	FlowTCPWiFi FlowTransport = iota // single-path TCP over the shared AP
-	FlowTCPCell                      // single-path TCP over the shared sector
-	FlowMPTCP                        // 2-path MPTCP (WiFi default + cellular)
-)
-
-// String names the transport.
-func (t FlowTransport) String() string {
-	switch t {
-	case FlowTCPWiFi:
-		return "tcp-wifi"
-	case FlowTCPCell:
-		return "tcp-cell"
-	case FlowMPTCP:
-		return "mptcp"
-	default:
-		return "?"
-	}
-}
-
 // TransportMix gives the per-flow transport probabilities. Zero value
 // means all-MPTCP.
 type TransportMix struct {
@@ -156,19 +133,19 @@ type TransportMix struct {
 }
 
 // pick draws a transport.
-func (m TransportMix) pick(rng *sim.RNG) FlowTransport {
+func (m TransportMix) pick(rng *sim.RNG) world.Transport {
 	total := m.WiFi + m.Cell + m.MPTCP
 	if total <= 0 {
-		return FlowMPTCP
+		return world.MPTCP
 	}
 	x := rng.Float64() * total
 	if x < m.WiFi {
-		return FlowTCPWiFi
+		return world.TCPWiFi
 	}
 	if x < m.WiFi+m.Cell {
-		return FlowTCPCell
+		return world.TCPCell
 	}
-	return FlowMPTCP
+	return world.MPTCP
 }
 
 // String renders the mix as a spec ParseTransportMix inverts. Weighted

@@ -50,8 +50,11 @@ type Config struct {
 // DefaultConfig mirrors the paper's measurement configuration:
 // coupled congestion control, lowest-RTT scheduler, delayed second
 // SYN, no penalization, 8 MB shared receive buffer.
-func DefaultConfig() Config {
-	t := tcp.DefaultConfig()
+func DefaultConfig() Config { return ConfigOver(tcp.DefaultConfig()) }
+
+// ConfigOver is DefaultConfig with the subflows running a caller-tuned
+// TCP config, whose receive buffer also sizes the shared one.
+func ConfigOver(t tcp.Config) Config {
 	return Config{
 		TCP:        t,
 		Controller: cc.Coupled{},

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
-	"sync"
 )
 
 // Key builds the content address for one run: the SHA-256 of the
@@ -46,81 +45,4 @@ func Key(desc any, seed int64) (string, error) {
 		return "", fmt.Errorf("sweep: cache key: %w", err)
 	}
 	return fmt.Sprintf("%x:%d", sha256.Sum256(canon), seed), nil
-}
-
-// ResultStore is the content-addressed result contract the daemon
-// programs against: Cache (memory-only) and Store (disk-backed,
-// store.go) both satisfy it, so the service layer is backend-blind.
-type ResultStore interface {
-	// Get returns a copy of the row stored under key, counting a hit
-	// or a miss. The caller owns the returned slice.
-	Get(key string) ([]byte, bool)
-	// GetRef is Get without the defensive copy: the returned bytes
-	// alias the store and must not be mutated or retained past
-	// immediate decoding.
-	GetRef(key string) ([]byte, bool)
-	// Put stores a row under key.
-	Put(key string, val []byte)
-	// Stats reports the entry count and the hit/miss counters.
-	Stats() (entries int, hits, misses int64)
-}
-
-// Cache is a thread-safe content-addressed result store: serialized
-// rows keyed by Key(desc, seed). It never evicts — campaign rows are
-// small and bounded by the grids a daemon actually serves — and it
-// counts hits and misses so a service can prove a repeat submission
-// was answered entirely from cache.
-type Cache struct {
-	mu      sync.Mutex
-	entries map[string][]byte
-	hits    int64
-	misses  int64
-}
-
-// NewCache builds an empty cache.
-func NewCache() *Cache {
-	return &Cache{entries: make(map[string][]byte)}
-}
-
-// Get returns a copy of the row stored under key, counting a hit or a
-// miss. The copy means a caller scribbling on the result cannot
-// poison every future hit for that key.
-func (c *Cache) Get(key string) ([]byte, bool) {
-	b, ok := c.GetRef(key)
-	if !ok {
-		return nil, false
-	}
-	return append([]byte(nil), b...), true
-}
-
-// GetRef is Get without the defensive copy: the returned bytes alias
-// the cache and MUST NOT be mutated or retained past immediate
-// decoding. For the daemon's unmarshal-and-drop hot path.
-func (c *Cache) GetRef(key string) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v, ok := c.entries[key]
-	if ok {
-		c.hits++
-	} else {
-		c.misses++
-	}
-	return v, ok
-}
-
-// Put stores a row under key (last writer wins; by construction every
-// writer for a key computed the same bytes).
-func (c *Cache) Put(key string, val []byte) {
-	cp := make([]byte, len(val))
-	copy(cp, val)
-	c.mu.Lock()
-	c.entries[key] = cp
-	c.mu.Unlock()
-}
-
-// Stats reports the entry count and the hit/miss counters.
-func (c *Cache) Stats() (entries int, hits, misses int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries), c.hits, c.misses
 }

@@ -1,11 +1,9 @@
 package sweep
 
-import "mptcplab/internal/sim"
-
 // Seed derives one job's seed from the campaign seed and the job's
 // grid indices. The indices are packed into disjoint 21-bit fields
 // (most-significant first) and the packed word is passed through the
-// sim.Splitmix64 bijection, so every job of every grid up to 2^21 per
+// Splitmix64 bijection, so every job of every grid up to 2^21 per
 // axis gets a distinct seed, and distinct campaign seeds never share
 // a job seed with each other's grids.
 //
@@ -18,5 +16,15 @@ func Seed(campaign int64, idx ...int) int64 {
 	for _, i := range idx {
 		packed = packed<<21 | uint64(i)
 	}
-	return int64(sim.Splitmix64(sim.Splitmix64(uint64(campaign)) ^ packed))
+	return int64(splitmix64(splitmix64(uint64(campaign)) ^ packed))
+}
+
+// splitmix64 restates sim.Splitmix64 (the SplitMix finalizer, a
+// bijection on uint64) so the engine imports nothing of the domain;
+// TestSeedMatchesLegacyPackings pins Seed to sim's copy bit for bit.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
 }

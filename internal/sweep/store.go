@@ -11,9 +11,15 @@ import (
 	"sync"
 )
 
-// Store is the disk-backed ResultStore: the same content-addressed
-// contract as Cache (Get/GetRef/Put/Stats), persisted as a segmented,
-// checksummed append-only log so results survive a process kill.
+// Store is the thread-safe content-addressed result store: serialized
+// rows keyed by Key(desc, seed). It never evicts — campaign rows are
+// small and bounded by the grids a daemon actually serves — and it
+// counts hits and misses so a service can prove a repeat submission
+// was answered entirely from the store. Opened over a directory
+// (OpenStore) it persists every row as a segmented, checksummed
+// append-only log so results survive a process kill; with no directory
+// (NewCache) it is the same map in memory only: no files, never
+// degraded, Health().Dir == "".
 //
 // Durability model. Every Put appends one framed record to the active
 // segment with an unbuffered os.File write — the bytes reach the
@@ -64,12 +70,6 @@ type Store struct {
 	degradedReason string
 }
 
-// Both backends satisfy the daemon-facing contract.
-var (
-	_ ResultStore = (*Cache)(nil)
-	_ ResultStore = (*Store)(nil)
-)
-
 // StoreOpts tunes OpenStore. The zero value is the production config.
 type StoreOpts struct {
 	// MaxSegmentBytes rotates the active segment once it exceeds this
@@ -87,6 +87,9 @@ const (
 	storeMaxValLen  = 1 << 30
 	defaultSegBytes = 4 << 20
 )
+
+// NewCache returns an empty memory-only store.
+func NewCache() *Store { return &Store{entries: make(map[string][]byte)} }
 
 // OpenStore opens (creating if needed) the store rooted at dir,
 // loading every decodable record from every segment. Corrupt or
@@ -183,7 +186,8 @@ func encodeRecord(key string, val []byte) []byte {
 }
 
 // Get returns a copy of the row stored under key, counting a hit or a
-// miss. The caller owns the returned slice.
+// miss. The caller owns the returned slice: scribbling on it cannot
+// poison later hits for that key.
 func (s *Store) Get(key string) ([]byte, bool) {
 	b, ok := s.GetRef(key)
 	if !ok {
@@ -207,10 +211,12 @@ func (s *Store) GetRef(key string) ([]byte, bool) {
 	return v, ok
 }
 
-// Put stores a row under key and appends it to the log. A disk error
-// degrades the store to memory-only (see Store); it never propagates
-// to the caller, because the in-memory copy is already authoritative
-// for this process's lifetime.
+// Put stores a row under key (last writer wins; by construction every
+// writer for a key computed the same bytes) and, on a disk-backed
+// store, appends it to the log. A disk error degrades the store to
+// memory-only (see Store); it never propagates to the caller, because
+// the in-memory copy is already authoritative for this process's
+// lifetime.
 func (s *Store) Put(key string, val []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -218,7 +224,7 @@ func (s *Store) Put(key string, val []byte) {
 		return // same content-addressed bytes; no point re-logging
 	}
 	s.entries[key] = append([]byte(nil), val...)
-	if s.degraded {
+	if s.dir == "" || s.degraded {
 		return
 	}
 	if err := s.append(encodeRecord(key, val)); err != nil {
@@ -263,8 +269,7 @@ func (s *Store) segPath(idx int) string {
 	return filepath.Join(s.dir, fmt.Sprintf("seg-%06d.log", idx))
 }
 
-// Stats reports the entry count and the hit/miss counters — the same
-// shape as Cache.Stats, so the daemon's accounting is backend-blind.
+// Stats reports the entry count and the hit/miss counters.
 func (s *Store) Stats() (entries int, hits, misses int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

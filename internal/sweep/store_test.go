@@ -53,12 +53,12 @@ func TestStoreRoundTrip(t *testing.T) {
 }
 
 // TestStoreGetReturnsCopy pins the satellite contract for both
-// backends: mutating the slice Get returns must not poison later hits,
+// modes: mutating the slice Get returns must not poison later hits,
 // while GetRef is the documented aliasing fast path.
 func TestStoreGetReturnsCopy(t *testing.T) {
-	backends := map[string]ResultStore{
-		"cache": NewCache(),
-		"store": openTestStore(t, t.TempDir(), StoreOpts{}),
+	backends := map[string]*Store{
+		"memory": NewCache(),
+		"disk":   openTestStore(t, t.TempDir(), StoreOpts{}),
 	}
 	for name, b := range backends {
 		b.Put("k", []byte("pristine"))
@@ -73,6 +73,23 @@ func TestStoreGetReturnsCopy(t *testing.T) {
 		if &ref[0] != &later[0] {
 			t.Fatalf("%s: GetRef copied; it is documented zero-copy", name)
 		}
+	}
+}
+
+// TestStoreMemoryMode pins what a Store without a directory is: the
+// memory cache — nothing on disk, and no operation degrades it.
+func TestStoreMemoryMode(t *testing.T) {
+	s := NewCache()
+	s.Put("k", []byte("row"))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s.Put("k2", []byte("row2"))
+	if h := s.Health(); h.Dir != "" || h.Entries != 2 || h.Segments != 0 || h.Degraded {
+		t.Fatalf("memory-mode Health = %+v", h)
+	}
+	if got, ok := s.Get("k2"); !ok || string(got) != "row2" {
+		t.Fatalf("Get after Close = %q, %v", got, ok)
 	}
 }
 

@@ -20,18 +20,18 @@
 //
 // Runs are pure functions of their seed; everything wall-clock lands
 // in Stats, never in results. That purity is also what makes the
-// content-addressed result cache (Cache, Key) sound: see cache.go.
+// content-addressed result store (Store, Key) sound: see cache.go.
 package sweep
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"mptcplab/internal/chaos"
-	"mptcplab/internal/sim"
 )
 
 // Opts configures one engine execution. The zero value runs every job
@@ -42,9 +42,9 @@ type Opts struct {
 	// from it too, so equal seeds replay the same order.
 	Seed int64
 	// Salt, when non-zero, shuffles the job execution order with
-	// sim.NewRNG(Seed ^ Salt) — each runner keeps its historical salt
-	// so refactoring onto the engine changed no byte of any export.
-	// Zero leaves jobs in natural order.
+	// rand.NewSource(Seed ^ Salt) — each runner keeps its historical
+	// salt so refactoring onto the engine changed no byte of any
+	// export. Zero leaves jobs in natural order.
 	Salt int64
 	// Workers sizes the pool: 0 = runtime.GOMAXPROCS(0), 1 = serial.
 	// Results are byte-identical for every worker count.
@@ -83,6 +83,21 @@ type Stats struct {
 	Cancelled bool
 }
 
+// Contain runs fn, converting a panic into an error carrying the
+// panic value and a trimmed stack — the sweep workers' containment
+// boundary: one exploding run becomes one failed-run row instead of
+// tearing the whole harness down. The text keeps its historical
+// "chaos:" prefix: its first line lands in exported fail_reasons.
+func Contain(fn func()) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("chaos: run panicked: %v\n%s", r, debug.Stack())
+		}
+	}()
+	fn()
+	return nil
+}
+
 // Run executes n jobs and folds their results in deterministic order.
 //
 // W is the worker-local state a runner reuses across its job stream
@@ -111,7 +126,7 @@ func Run[W, R any](opts Opts, n int, run func(ws *W, job int) R, failed func(job
 		perm[i] = i
 	}
 	if opts.Salt != 0 {
-		order := sim.NewRNG(opts.Seed ^ opts.Salt)
+		order := rand.New(rand.NewSource(opts.Seed ^ opts.Salt))
 		order.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 	}
 
@@ -123,7 +138,7 @@ func Run[W, R any](opts Opts, n int, run func(ws *W, job int) R, failed func(job
 	exec := func(ws *W, job int) R {
 		t0 := time.Now()
 		var res R
-		if err := chaos.Contain(func() { res = run(ws, job) }); err != nil {
+		if err := Contain(func() { res = run(ws, job) }); err != nil {
 			var zero W
 			*ws = zero
 			res = failed(job, err)

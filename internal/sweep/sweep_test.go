@@ -112,6 +112,16 @@ func TestRunWorkerInvariance(t *testing.T) {
 	}
 }
 
+// The zero value resolves to all CPUs; explicit counts are honored.
+func TestOptsWorkersDefault(t *testing.T) {
+	if w := (Opts{}).workers(); w < 1 {
+		t.Errorf("default workers = %d, want >= 1", w)
+	}
+	if w := (Opts{Workers: 3}).workers(); w != 3 {
+		t.Errorf("explicit workers = %d, want 3", w)
+	}
+}
+
 // Salt zero must leave jobs in natural order — the fuzz sweep's
 // contract (scenario i is always seed+i, printed in order).
 func TestRunNaturalOrderWithoutSalt(t *testing.T) {
@@ -235,5 +245,15 @@ func TestRunProgressMonotone(t *testing.T) {
 				t.Fatalf("workers=%d: progress %v not 1..20", workers, seen)
 			}
 		}
+	}
+}
+
+func TestContainConvertsPanic(t *testing.T) {
+	err := Contain(func() { panic("kaboom") })
+	if err == nil || !strings.HasPrefix(err.Error(), "chaos: run panicked: kaboom\n") {
+		t.Fatalf("Contain = %v, want the historical first line", err)
+	}
+	if err := Contain(func() {}); err != nil {
+		t.Fatalf("Contain of clean fn = %v", err)
 	}
 }
