@@ -2,9 +2,9 @@ GO ?= go
 SHA := $(shell git rev-parse --short HEAD)
 
 # Benchmarks archived per commit and gated on allocs/op by benchjson.
-GATED_BENCHES := BenchmarkSimEventLoop|BenchmarkSegEncodeDecode|BenchmarkSingleDownload4MB|BenchmarkTCPSingle4MB
+GATED_BENCHES := BenchmarkSimEventLoop|BenchmarkSegEncodeDecode|BenchmarkSingleDownload4MB|BenchmarkTCPSingle4MB|BenchmarkTCPBloat8MB
 
-.PHONY: all build test race vet bench bench-diff ledger fuzz-smoke cover loadsmoke chaos-smoke sched-smoke serve-smoke
+.PHONY: all build test race vet bench bench-diff ledger ledger-identity fuzz-smoke cover loadsmoke chaos-smoke sched-smoke serve-smoke
 
 all: vet build test
 
@@ -44,6 +44,21 @@ bench-diff:
 ledger:
 	$(GO) run ./bench
 
+# ledger-identity is the byte-identity gate for performance work: it
+# runs the ledger at the default seed (shortest timed passes — the
+# pairs do not depend on how long it measures) and fails unless every
+# workload's export_sha256 / sim.events pair equals the committed
+# LEDGER_IDENTITY. A change that is meant to simulate something else
+# edits the file in the same commit (the diff below prints the new
+# lines) and says why.
+LEDGER_PAIRS = awk '/^== / { for (i = 2; i <= NF; i++) if ($$i ~ /^(export_sha256|sim\.events)=/) $$2 = $$2 " " $$i; print $$2 }'
+ledger-identity:
+	$(GO) run ./bench -seconds 1 | tee /dev/stderr | $(LEDGER_PAIRS) > ledger_identity.out
+	@diff -u LEDGER_IDENTITY ledger_identity.out \
+		|| { echo "ledger-identity: this commit simulates something else than LEDGER_IDENTITY records"; rm -f ledger_identity.out; exit 1; }
+	@rm -f ledger_identity.out
+	@echo "ledger-identity: all export_sha256 / sim.events pairs match LEDGER_IDENTITY"
+
 # fuzz-smoke gives each native fuzz target a short budget beyond its
 # checked-in corpus, then sweeps the adversarial scenario fuzzer over
 # 200 seeded scenarios under each registered packet scheduler with the
@@ -56,6 +71,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReorderInsert$$' -fuzztime $(FUZZTIME) ./internal/mptcp/
 	$(GO) test -run '^$$' -fuzz '^FuzzTimerWheel$$' -fuzztime $(FUZZTIME) ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreOpen$$' -fuzztime $(FUZZTIME) ./internal/sweep/
+	$(GO) test -run '^$$' -fuzz '^FuzzSenderBookkeeping$$' -fuzztime $(FUZZTIME) ./internal/tcp/
 	for s in $(FUZZ_SCHEDS); do \
 		$(GO) run ./cmd/mptcpfuzz -n 200 -seed 1 -sched $$s || exit 1; \
 	done

@@ -20,11 +20,13 @@ import (
 
 	"mptcplab/internal/experiment"
 	"mptcplab/internal/mptcp"
+	"mptcplab/internal/netem"
 	"mptcplab/internal/pathmodel"
 	"mptcplab/internal/pcap"
 	"mptcplab/internal/seg"
 	"mptcplab/internal/sim"
 	"mptcplab/internal/stats"
+	"mptcplab/internal/tcp"
 	"mptcplab/internal/units"
 	"mptcplab/internal/web"
 	"mptcplab/internal/world"
@@ -602,6 +604,53 @@ func BenchmarkTCPSingle4MB(b *testing.B) {
 		res := tb.Run(experiment.RunConfig{Transport: experiment.SPWiFi, Size: 4 * units.MB})
 		if !res.Completed {
 			b.Fatal("download failed")
+		}
+	}
+}
+
+// BenchmarkTCPBloat8MB is the regime of Fig 11-13 on one plain TCP
+// connection: 8 MB through a 9 Mb/s, 20 ms link with a 768 KB drop-tail
+// queue and the initial ssthresh lifted, so slow start fills the queue
+// and the sender works with hundreds of segments in flight and a SACK
+// scoreboard to match. It is the bench ledger's tcp.bloat rung as a Go
+// benchmark: per-ACK work that grows with the flight shows up here
+// long before it shows in the 4 MB downloads.
+func BenchmarkTCPBloat8MB(b *testing.B) {
+	const size = 8 * units.MB
+	cfg := tcp.DefaultConfig()
+	cfg.SSThresh = 0
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := sim.New()
+		network := netem.NewNetwork(s)
+		rng := sim.NewRNG(42)
+		client, server := network.NewHost("client"), network.NewHost("server")
+		link := func(name string) []*netem.Link {
+			l := netem.NewLink(s, rng, name)
+			l.Rate, l.PropDelay, l.QueueLimit = 9*units.Mbps, 20*sim.Millisecond, 768*units.KB
+			return []*netem.Link{l}
+		}
+		cliAddr, srvAddr := seg.MakeAddr("10.0.0.2", 40000), seg.MakeAddr("192.168.1.1", 8080)
+		network.AddDuplexRoute(cliAddr.IP, srvAddr.IP, client, server, link("up"), link("down"))
+		lis := tcp.Listen(server, network, srvAddr.Port, cfg, rng.Child("srv"))
+		lis.OnAccept = func(ep *tcp.Endpoint, _ *seg.Segment) bool {
+			ep.OnEstablished = func() {
+				ep.Write(size)
+				ep.Close()
+			}
+			return true
+		}
+		ep := tcp.NewEndpoint(client, network, cliAddr, srvAddr, cfg, rng.Child("cli"))
+		rcvd := 0
+		ep.OnDeliver = func(n int) {
+			if rcvd += n; rcvd >= size {
+				ep.Close()
+			}
+		}
+		ep.Connect()
+		s.RunUntil(30 * sim.Minute)
+		if rcvd != size {
+			b.Fatalf("received %d of %d bytes", rcvd, size)
 		}
 	}
 }

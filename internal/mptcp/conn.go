@@ -2,8 +2,10 @@ package mptcp
 
 import (
 	"fmt"
+	"sort"
 
 	"mptcplab/internal/cc"
+	"mptcplab/internal/fifo"
 	"mptcplab/internal/netem"
 	"mptcplab/internal/seg"
 	"mptcplab/internal/sim"
@@ -72,6 +74,9 @@ type mapping struct {
 	reinjected bool // already copied to another subflow
 }
 
+// dataEnd is the data sequence just past the mapping.
+func (m *mapping) dataEnd() uint64 { return m.dataSeq + uint64(m.length) }
+
 // Subflow is one TCP path of an MPTCP connection.
 type Subflow struct {
 	ID     int
@@ -82,11 +87,15 @@ type Subflow struct {
 	Backup bool
 	EP     *tcp.Endpoint
 
-	conn        *Conn
-	mappings    []mapping
-	pendingOpts []seg.Option
-	lastPenalty sim.Time
-	joinNonce   uint32
+	conn     *Conn
+	mappings fifo.Queue[mapping] // sorted by off, disjoint
+	// dataUnordered is set while some mapping's data range ends below
+	// its predecessor's, so the mappings a data ACK covers need not be
+	// a prefix of the queue.
+	dataUnordered bool
+	pendingOpts   []seg.Option
+	lastPenalty   sim.Time
+	joinNonce     uint32
 	// alignHold marks a subflow whose free space stops short of the
 	// next MSS boundary; pump sets it to steer the scheduler toward
 	// other subflows for the rest of the current pass.
@@ -120,26 +129,60 @@ func (sf *Subflow) usable() bool {
 	return !sf.alignHold && sf.EP.Established() && sf.EP.SendSpace() > 0
 }
 
+// addMapping appends a mapping at the subflow's current write offset.
+func (sf *Subflow) addMapping(m mapping) {
+	// pruneMappings pops from the front as long as the mappings' data
+	// ends only rise along the queue; a reinjected or duplicate copy of
+	// older data breaks that until it has been pruned.
+	if ms := sf.mappings.Items(); len(ms) > 0 && m.dataEnd() < ms[len(ms)-1].dataEnd() {
+		sf.dataUnordered = true
+	}
+	sf.mappings.Push(m)
+}
+
+// searchMappings returns the index of the first mapping ending above
+// stream offset off: the one covering off if any does, else the next
+// one after it. Mappings are sorted by offset and disjoint.
+func (sf *Subflow) searchMappings(off int64) int {
+	ms := sf.mappings.Items()
+	return sort.Search(len(ms), func(i int) bool { return ms[i].off+ms[i].length > off })
+}
+
 // mappingFor finds the mapping covering stream offset off, or nil.
 func (sf *Subflow) mappingFor(off int64) *mapping {
-	for i := range sf.mappings {
-		m := &sf.mappings[i]
-		if off >= m.off && off < m.off+m.length {
-			return m
-		}
+	ms := sf.mappings.Items()
+	if i := sf.searchMappings(off); i < len(ms) && ms[i].off <= off {
+		return &ms[i]
 	}
 	return nil
 }
 
 // pruneMappings discards mappings fully below the data-level ACK.
+// Which ACK removes a mapping is observable — a later retransmission
+// of its bytes goes out mapless — so the out-of-order case filters the
+// whole queue rather than wait for the front to clear.
 func (sf *Subflow) pruneMappings(dataAck uint64) {
-	keep := sf.mappings[:0]
-	for _, m := range sf.mappings {
-		if m.dataSeq+uint64(m.length) > dataAck {
-			keep = append(keep, m)
+	ms := sf.mappings.Items()
+	if !sf.dataUnordered {
+		k := 0
+		for k < len(ms) && ms[k].dataEnd() <= dataAck {
+			k++
 		}
+		sf.mappings.Drop(k)
+		return
 	}
-	sf.mappings = keep
+	keep := ms[:0]
+	sf.dataUnordered = false
+	for _, m := range ms {
+		if m.dataEnd() <= dataAck {
+			continue
+		}
+		if len(keep) > 0 && m.dataEnd() < keep[len(keep)-1].dataEnd() {
+			sf.dataUnordered = true
+		}
+		keep = append(keep, m)
+	}
+	sf.mappings.Truncate(len(keep))
 }
 
 // Conn is one MPTCP connection (either side).
@@ -533,7 +576,7 @@ func (c *Conn) pump() {
 		// Record the mapping before Write: Write transmits segments
 		// synchronously and buildOptions must already see it.
 		start := c.sndNxtData
-		sf.mappings = append(sf.mappings, mapping{dataSeq: start, off: off, length: chunk})
+		sf.addMapping(mapping{dataSeq: start, off: off, length: chunk})
 		c.sndNxtData += uint64(chunk)
 		c.notePlacement(i, chunk)
 		sf.EP.Write(int(chunk))
@@ -546,7 +589,7 @@ func (c *Conn) pump() {
 			if d == sf || !d.EP.Established() {
 				continue
 			}
-			d.mappings = append(d.mappings, mapping{dataSeq: start, off: d.EP.WriteOffset(), length: chunk, reinjected: true})
+			d.addMapping(mapping{dataSeq: start, off: d.EP.WriteOffset(), length: chunk, reinjected: true})
 			d.EP.Write(int(chunk))
 			c.DupTxBytes += chunk
 		}
@@ -628,7 +671,7 @@ func (c *Conn) maybePenalize() {
 	var victim *Subflow
 	oldest := uint64(1<<63 - 1)
 	for _, sf := range c.subflows {
-		for _, m := range sf.mappings {
+		for _, m := range sf.mappings.Items() {
 			if m.dataSeq >= c.dataAck && m.dataSeq < oldest {
 				oldest = m.dataSeq
 				victim = sf
@@ -654,20 +697,18 @@ func (c *Conn) maybePenalize() {
 // mapless segment the receiver cannot place, stranding a permanent
 // hole in the data stream.
 func (c *Conn) segmentLimit(sf *Subflow, off int64, n int) int {
-	if m := sf.mappingFor(off); m != nil {
-		if lim := m.off + m.length - off; int64(n) > lim {
-			return int(lim)
-		}
+	ms, i := sf.mappings.Items(), sf.searchMappings(off)
+	if i == len(ms) {
 		return n
 	}
-	next := int64(-1)
-	for i := range sf.mappings {
-		if mo := sf.mappings[i].off; mo > off && (next < 0 || mo < next) {
-			next = mo
-		}
+	// ms[i] holds off, or else is the next live mapping after it: the
+	// segment stops at the end of the one or the start of the other.
+	edge := ms[i].off
+	if edge <= off {
+		edge += ms[i].length
 	}
-	if next >= 0 && int64(n) > next-off {
-		return int(next - off)
+	if int64(n) > edge-off {
+		return int(edge - off)
 	}
 	return n
 }
@@ -999,14 +1040,15 @@ func (c *Conn) fireClosed() {
 
 // reinjectVia copies every un-data-acked mapping of src onto dst.
 func (c *Conn) reinjectVia(src, dst *Subflow) {
-	for i := range src.mappings {
-		m := &src.mappings[i]
-		if m.reinjected || m.dataSeq+uint64(m.length) <= c.dataAck {
+	ms := src.mappings.Items()
+	for i := range ms {
+		m := &ms[i]
+		if m.reinjected || m.dataEnd() <= c.dataAck {
 			continue
 		}
 		m.reinjected = true
 		off := dst.EP.WriteOffset()
-		dst.mappings = append(dst.mappings, mapping{dataSeq: m.dataSeq, off: off, length: m.length})
+		dst.addMapping(mapping{dataSeq: m.dataSeq, off: off, length: m.length})
 		dst.EP.Write(int(m.length))
 		c.Reinjections++
 	}

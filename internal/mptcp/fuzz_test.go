@@ -13,7 +13,9 @@ import (
 // delivery point never moves backwards, and delivery callbacks only
 // report positive byte counts. The byte widths keep ranges close
 // enough together that overlap, duplication, and gap-fill paths all
-// get exercised.
+// get exercised. Every insertion also goes to a second buffer through
+// the linear scans the binary searches replaced (oracle_test.go), and
+// the two must agree block for block and counter for counter.
 func FuzzReorderInsert(f *testing.F) {
 	f.Add([]byte{0, 4, 0, 4, 4, 0, 8, 4, 1})        // in-order run across subflows
 	f.Add([]byte{8, 4, 0, 4, 4, 1, 0, 4, 0})        // reversed arrival
@@ -23,7 +25,8 @@ func FuzzReorderInsert(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		const initial = 1
-		b := NewReorderBuffer(initial)
+		pair := newReorderPair(initial)
+		b := pair.got
 		lastDelivered := int64(0)
 		b.OnDeliver = func(n int64) {
 			if n <= 0 {
@@ -37,7 +40,7 @@ func FuzzReorderInsert(f *testing.F) {
 			length := uint64(in[i+1]) % 64 // 0..63, zero included to hit the guard
 			subflow := int(in[i+2]) % 4
 			now += sim.Millisecond
-			b.Insert(now, start, start+length, subflow)
+			pair.insert(t, now, start, start+length, subflow)
 
 			if nxt := b.RcvNxt(); nxt < prevNxt {
 				t.Fatalf("rcvNxt went backwards: %d -> %d", prevNxt, nxt)
@@ -54,7 +57,7 @@ func FuzzReorderInsert(f *testing.F) {
 		}
 		// Flush: insert the full covered range in order; everything
 		// buffered must drain and the buffer must end empty.
-		b.Insert(now+sim.Millisecond, initial, initial+256*4+64, 0)
+		pair.insert(t, now+sim.Millisecond, initial, initial+256*4+64, 0)
 		if err := b.CheckInvariants(); err != nil {
 			t.Fatalf("after flush: %v", err)
 		}

@@ -19,7 +19,8 @@ func (c *Conn) CheckInvariants() error {
 
 	for _, sf := range c.subflows {
 		var prevEnd int64
-		for i, m := range sf.mappings {
+		var prevDataEnd uint64
+		for i, m := range sf.mappings.Items() {
 			if m.length <= 0 {
 				return fmt.Errorf("mptcp %s sf%d: mapping %d empty (len %d)", c.Name, sf.ID, i, m.length)
 			}
@@ -34,6 +35,12 @@ func (c *Conn) CheckInvariants() error {
 					c.Name, sf.ID, i, m.off, prevEnd)
 			}
 			prevEnd = m.off + m.length
+			if !sf.dataUnordered && m.dataEnd() < prevDataEnd {
+				// pruneMappings would pop a prefix and miss this one.
+				return fmt.Errorf("mptcp %s sf%d: mapping %d data end %d below previous %d with the queue marked ordered",
+					c.Name, sf.ID, i, m.dataEnd(), prevDataEnd)
+			}
+			prevDataEnd = m.dataEnd()
 			if m.dataSeq < initialDataSeq {
 				return fmt.Errorf("mptcp %s sf%d: mapping %d dataSeq %d below initial", c.Name, sf.ID, i, m.dataSeq)
 			}

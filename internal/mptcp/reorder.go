@@ -11,6 +11,7 @@ package mptcp
 
 import (
 	"fmt"
+	"sort"
 
 	"mptcplab/internal/sim"
 )
@@ -96,12 +97,11 @@ func (b *ReorderBuffer) Insert(now sim.Time, start, end uint64, subflow int) {
 		return
 	}
 	// Trim against already-buffered ranges so accounting stays exact.
-	for _, blk := range b.blocks {
-		if blk.start <= start && end <= blk.end {
-			b.DupBytes += int64(end - start)
-			b.DupPackets++
-			return // fully duplicate
-		}
+	// Only the block holding start can cover it: the first ending above.
+	if i := b.searchBlocks(start); i < len(b.blocks) && b.blocks[i].start <= start && end <= b.blocks[i].end {
+		b.DupBytes += int64(end - start)
+		b.DupPackets++
+		return // fully duplicate
 	}
 
 	if start == b.rcvNxt {
@@ -128,18 +128,25 @@ func (b *ReorderBuffer) Insert(now sim.Time, start, end uint64, subflow int) {
 	b.insertBlock(ofoBlock{start: start, end: end, arrivedAt: now, subflow: subflow})
 }
 
+// searchBlocks returns the index of the first stored block ending
+// above seq. Blocks are sorted and disjoint, so every block before it
+// lies wholly at or below seq and it is also the first block that can
+// start at or above seq.
+func (b *ReorderBuffer) searchBlocks(seq uint64) int {
+	return sort.Search(len(b.blocks), func(i int) bool { return b.blocks[i].end > seq })
+}
+
 // insertBlock adds a range, discarding overlap with stored blocks.
 func (b *ReorderBuffer) insertBlock(nb ofoBlock) {
-	// blocks is sorted and non-overlapping, so one pass over it carves
-	// nb into the uncovered gaps. The pieces land in a reusable scratch
-	// slice, so the per-packet OOO path allocates nothing once the two
-	// slices have grown to the connection's working size.
+	// blocks is sorted and non-overlapping, so one pass from the first
+	// block reaching past nb.start carves nb into the uncovered gaps.
+	// The pieces land in a reusable scratch slice, so the per-packet
+	// OOO path allocates nothing once the two slices have grown to the
+	// connection's working size.
 	pieces := b.scratch[:0]
 	cur := nb.start
-	for _, ex := range b.blocks {
-		if ex.end <= cur {
-			continue
-		}
+	at := b.searchBlocks(nb.start)
+	for _, ex := range b.blocks[at:] {
 		if ex.start >= nb.end {
 			break
 		}
@@ -162,15 +169,9 @@ func (b *ReorderBuffer) insertBlock(nb ofoBlock) {
 		return
 	}
 	for _, p := range pieces {
-		// Splice into sorted position (pieces are themselves ascending,
-		// so each lands at or after the previous one).
-		i := len(b.blocks)
-		for j := range b.blocks {
-			if b.blocks[j].start > p.start {
-				i = j
-				break
-			}
-		}
+		// Splice into sorted position: a piece fills a gap, so it goes
+		// right before the first block ending above it.
+		i := b.searchBlocks(p.start)
 		b.blocks = append(b.blocks, ofoBlock{})
 		copy(b.blocks[i+1:], b.blocks[i:])
 		b.blocks[i] = p

@@ -388,6 +388,9 @@ func decodeMPTCP(b []byte) (Option, error) {
 			Nonce:  binary.BigEndian.Uint32(b[8:]),
 		}, nil
 	case SubDSS:
+		if len(b) < 4 {
+			return nil, fmt.Errorf("seg: truncated DSS option")
+		}
 		flags := b[3]
 		o := DSSOption{
 			HasAck:  flags&0x03 != 0,

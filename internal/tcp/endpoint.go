@@ -21,6 +21,7 @@ import (
 	"fmt"
 
 	"mptcplab/internal/cc"
+	"mptcplab/internal/fifo"
 	"mptcplab/internal/netem"
 	"mptcplab/internal/seg"
 	"mptcplab/internal/sim"
@@ -188,7 +189,16 @@ type Endpoint struct {
 	dupAcks       int
 	ltmBonus      int64 // RFC 3042 limited-transmit allowance, bytes
 	board         sackScoreboard
-	inflight      []txRec
+	inflight      fifo.Queue[txRec] // sorted by seq, disjoint, within [sndUna, sndNxt]
+	// Running totals over the in-flight records marked lost, so pipe
+	// and retransmitLost cost the same at any flight size. setLost and
+	// the cumulative-ACK prune are the only writers.
+	lostBytes int64
+	lostCount int
+	lostHint  int // no record at an index below this is marked lost
+	// sackScanned counts the leading records markSackHolesLost has
+	// dealt with: each is marked lost, retransmitted or SACKed.
+	sackScanned int
 
 	est      *rttEstimator
 	rtxTimer *sim.Timer
@@ -434,16 +444,7 @@ func (e *Endpoint) cwndBytes() int64 {
 // pipe estimates bytes currently in the network per RFC 6675: in
 // flight, minus SACKed, minus marked-lost-not-yet-retransmitted.
 func (e *Endpoint) pipe() int64 {
-	p := int64(e.sndNxt-e.sndUna) - e.board.TotalSacked()
-	for _, r := range e.inflight {
-		if r.lost {
-			p -= int64(r.end - r.seq)
-		}
-	}
-	if p < 0 {
-		p = 0
-	}
-	return p
+	return max(int64(e.sndNxt-e.sndUna)-e.board.TotalSacked()-e.lostBytes, 0)
 }
 
 // SendSpace reports how many new bytes the scheduler could hand this

@@ -43,9 +43,12 @@ func (e *Endpoint) CheckInvariants() error {
 		return fmt.Errorf("tcp %v: sndNxt %d beyond send buffer end %d", e.Local, e.sndNxt, limit)
 	}
 
-	// In-flight ranges: sorted, disjoint, within (una, nxt].
+	// In-flight ranges: sorted, disjoint, within (una, nxt]; the running
+	// lost totals equal what the marks add up to.
 	prev := e.sndUna
-	for i, r := range e.inflight {
+	var lostBytes int64
+	lostCount := 0
+	for i, r := range e.inflight.Items() {
 		if !seg.SeqLT(r.seq, r.end) {
 			return fmt.Errorf("tcp %v: inflight[%d] empty [%d,%d)", e.Local, i, r.seq, r.end)
 		}
@@ -56,10 +59,25 @@ func (e *Endpoint) CheckInvariants() error {
 			return fmt.Errorf("tcp %v: inflight[%d] end %d beyond sndNxt %d", e.Local, i, r.end, e.sndNxt)
 		}
 		prev = r.end
+		if i < e.sackScanned && !r.lost && r.rtx == 0 && !e.board.IsSacked(r.seq, r.end) {
+			return fmt.Errorf("tcp %v: inflight[%d] below sackScanned %d is neither lost, retransmitted nor SACKed", e.Local, i, e.sackScanned)
+		}
+		if r.lost {
+			if i < e.lostHint {
+				return fmt.Errorf("tcp %v: inflight[%d] is lost below lostHint %d", e.Local, i, e.lostHint)
+			}
+			lostBytes += int64(r.end - r.seq)
+			lostCount++
+		}
+	}
+	if lostBytes != e.lostBytes || lostCount != e.lostCount {
+		return fmt.Errorf("tcp %v: lost totals %d bytes / %d records, marks add up to %d / %d",
+			e.Local, e.lostBytes, e.lostCount, lostBytes, lostCount)
 	}
 
 	// SACK scoreboard: sorted, disjoint, above una, at or below nxt.
 	prev = e.sndUna
+	var sacked int64
 	for i, r := range e.board.ranges {
 		if !seg.SeqLT(r.Start, r.End) {
 			return fmt.Errorf("tcp %v: sack range %d empty [%d,%d)", e.Local, i, r.Start, r.End)
@@ -71,11 +89,16 @@ func (e *Endpoint) CheckInvariants() error {
 			return fmt.Errorf("tcp %v: sack range %d end %d beyond sndNxt %d", e.Local, i, r.End, e.sndNxt)
 		}
 		prev = r.End
+		sacked += int64(r.End - r.Start)
+	}
+	if sacked != e.board.sacked {
+		return fmt.Errorf("tcp %v: scoreboard counts %d sacked bytes, ranges hold %d", e.Local, e.board.sacked, sacked)
 	}
 
 	// Receive side: out-of-order spans strictly above rcvNxt, sorted,
 	// disjoint.
 	prev = e.rcvNxt
+	var buffered int64
 	for i, r := range e.ooo.ranges {
 		if !seg.SeqLT(r.Start, r.End) {
 			return fmt.Errorf("tcp %v: ooo range %d empty [%d,%d)", e.Local, i, r.Start, r.End)
@@ -87,6 +110,10 @@ func (e *Endpoint) CheckInvariants() error {
 			return fmt.Errorf("tcp %v: ooo range %d start %d overlaps %d", e.Local, i, r.Start, prev)
 		}
 		prev = r.End
+		buffered += int64(r.End - r.Start)
+	}
+	if buffered != e.ooo.buffered {
+		return fmt.Errorf("tcp %v: receiver counts %d out-of-order bytes, ranges hold %d", e.Local, e.ooo.buffered, buffered)
 	}
 	return nil
 }

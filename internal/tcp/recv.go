@@ -72,28 +72,19 @@ func (e *Endpoint) receiveSynSent(s *seg.Segment) {
 
 // completeHandshake transitions into ESTABLISHED from either side.
 func (e *Endpoint) completeHandshake(s *seg.Segment) {
-	if len(e.inflight) > 0 && e.inflight[0].seq == e.iss {
-		if e.inflight[0].rtx == 0 {
-			rtt := e.sim.Now() - e.inflight[0].sentAt
-			e.est.Sample(rtt)
-			e.Stats.RTTSamples++
-			if e.OnRTTSample != nil {
-				e.OnRTTSample(rtt)
-			}
-		}
-		e.inflight = e.inflight[1:]
+	if recs := e.inflight.Items(); len(recs) > 0 && recs[0].seq == e.iss {
+		e.sampleRTT(&recs[0])
+		e.dropInflight(1)
 	}
 	e.sndUna = e.iss + 1
 	e.updatePeerWindow(s)
 	e.rtxTimer.Stop()
-	wasSynSent := e.state == StateSynSent
 	e.state = StateEstablished
 	e.HandshakeDone = e.sim.Now()
 	// If Close raced the handshake, continue teardown.
 	if e.finQueued {
 		e.state = StateFinWait1
 	}
-	_ = wasSynSent
 	if e.OnEstablished != nil {
 		e.OnEstablished()
 	}
@@ -193,27 +184,23 @@ func (e *Endpoint) handleNewAck(ack uint32) {
 	e.consecRTO = 0
 	e.ackedSinceLoss += acked
 
-	// Prune transmission records; take Karn-valid RTT samples.
-	keep := e.inflight[:0]
-	for i := range e.inflight {
-		r := e.inflight[i]
-		if seg.SeqLEQ(r.end, ack) {
-			if r.rtx == 0 {
-				rtt := e.sim.Now() - r.sentAt
-				e.est.Sample(rtt)
-				e.Stats.RTTSamples++
-				if e.OnRTTSample != nil {
-					e.OnRTTSample(rtt)
-				}
-			}
-			continue
-		}
-		if seg.SeqLT(r.seq, ack) {
-			r.seq = ack // partially acked range
-		}
-		keep = append(keep, r)
+	// Prune transmission records; take Karn-valid RTT samples. Records
+	// are sorted and disjoint, so the acked ones are a prefix and at
+	// most the one after it is partially acked.
+	recs := e.inflight.Items()
+	k := 0
+	for k < len(recs) && seg.SeqLEQ(recs[k].end, ack) {
+		e.sampleRTT(&recs[k])
+		e.setLost(k, false)
+		k++
 	}
-	e.inflight = keep
+	if k < len(recs) && seg.SeqLT(recs[k].seq, ack) {
+		if recs[k].lost {
+			e.lostBytes -= int64(ack - recs[k].seq)
+		}
+		recs[k].seq = ack
+	}
+	e.dropInflight(k)
 
 	if e.inRecovery {
 		if seg.SeqGEQ(ack, e.recoveryPoint) {
@@ -293,35 +280,100 @@ func (e *Endpoint) enterRecovery() {
 	e.trySend()
 }
 
+// sampleRTT feeds the estimator from an acknowledged record, unless it
+// was retransmitted (Karn's rule).
+func (e *Endpoint) sampleRTT(r *txRec) {
+	if r.rtx != 0 {
+		return
+	}
+	rtt := e.sim.Now() - r.sentAt
+	e.est.Sample(rtt)
+	e.Stats.RTTSamples++
+	if e.OnRTTSample != nil {
+		e.OnRTTSample(rtt)
+	}
+}
+
+// setLost flips the lost mark of the i-th in-flight record. Every
+// change of a mark goes through here, so lostBytes and lostCount equal
+// what a scan of the records would add up and lostHint never sits above
+// a lost record.
+func (e *Endpoint) setLost(i int, lost bool) {
+	r := &e.inflight.Items()[i]
+	if r.lost == lost {
+		return
+	}
+	r.lost = lost
+	if n := int64(r.end - r.seq); lost {
+		e.lostBytes += n
+		e.lostCount++
+		e.lostHint = min(e.lostHint, i)
+	} else {
+		e.lostBytes -= n
+		e.lostCount--
+	}
+}
+
+// dropInflight removes the k oldest in-flight records, which must not
+// be marked lost.
+func (e *Endpoint) dropInflight(k int) {
+	e.inflight.Drop(k)
+	e.lostHint = max(e.lostHint-k, 0)
+	e.sackScanned = max(e.sackScanned-k, 0)
+}
+
 // markFirstHoleLost marks the range at sndUna for retransmission.
 func (e *Endpoint) markFirstHoleLost() {
-	for i := range e.inflight {
-		r := &e.inflight[i]
-		if r.seq == e.sndUna && !e.board.IsSacked(r.seq, r.end) {
-			if r.rtx == 0 || !e.inRecovery {
-				r.lost = true
-			}
-			return
-		}
+	// In-flight records start at or above sndUna, so only the oldest
+	// can begin there.
+	recs := e.inflight.Items()
+	if len(recs) == 0 || recs[0].seq != e.sndUna || e.board.IsSacked(recs[0].seq, recs[0].end) {
+		return
+	}
+	if recs[0].rtx == 0 || !e.inRecovery {
+		e.setLost(0, true)
 	}
 }
 
 // markSackHolesLost applies the RFC 6675 loss heuristic: a hole with
 // at least 3*MSS SACKed above it is lost.
 func (e *Endpoint) markSackHolesLost() {
-	thresh := 3 * int64(e.cfg.MSS)
-	for i := range e.inflight {
-		r := &e.inflight[i]
-		if r.lost || r.rtx > 0 {
-			continue
-		}
-		if e.board.IsSacked(r.seq, r.end) {
-			continue
-		}
-		if e.board.SackedAbove(r.end) >= thresh {
-			r.lost = true
-		}
+	if bound, ok := e.board.lossBound(3 * int64(e.cfg.MSS)); ok {
+		// A record this pass has seen is marked, retransmitted or
+		// SACKed, and stays one of the three until it is acknowledged:
+		// the next pass starts where this one stops.
+		e.sackScanned = e.markHolesLost(e.sackScanned, bound, true)
 	}
+}
+
+// markHolesLost marks lost every in-flight record from index from on
+// that ends at or below bound and that no SACK range covers; with
+// freshOnly, records already marked or already retransmitted are left
+// alone. It returns the index of the first record past bound. Records
+// and ranges are both sorted and disjoint, so one cursor over each
+// replaces a scoreboard search per record.
+func (e *Endpoint) markHolesLost(from int, bound uint32, freshOnly bool) int {
+	recs, ranges := e.inflight.Items(), e.board.ranges
+	i, j := from, 0
+	if i < len(recs) {
+		j = max(searchRanges(ranges, recs[i].seq)-1, 0)
+	}
+	for ; i < len(recs) && seg.SeqLEQ(recs[i].end, bound); i++ {
+		r := &recs[i]
+		// Only the range holding r.seq can cover r: the first one
+		// ending above it.
+		for j < len(ranges) && seg.SeqLEQ(ranges[j].End, r.seq) {
+			j++
+		}
+		if j < len(ranges) && seg.SeqLEQ(ranges[j].Start, r.seq) && seg.SeqGEQ(ranges[j].End, r.end) {
+			continue
+		}
+		if freshOnly && (r.lost || r.rtx > 0) {
+			continue
+		}
+		e.setLost(i, true)
+	}
+	return i
 }
 
 // processPayload handles in-order delivery, reordering, duplicates,

@@ -1,56 +1,63 @@
 package tcp
 
 import (
+	"sort"
+
 	"mptcplab/internal/seg"
 )
 
 // insertRange merges the half-open block blk into the sorted, disjoint
-// range set rs in place and returns the updated slice. Adjacent ranges
-// (r.Start == last.End) coalesce, matching the classic sort-then-merge
-// formulation, but without sort.Slice: the per-ACK hot path calls this
-// for every SACK block and sort.Slice allocates a closure plus a
-// reflect-based swapper on every call, which dominated the allocation
-// profile of both download benchmarks.
-func insertRange(rs []seg.SACKBlock, blk seg.SACKBlock) []seg.SACKBlock {
+// range set rs in place and returns the updated slice together with the
+// number of bytes blk newly covered. Adjacent ranges (r.Start ==
+// last.End) coalesce, matching the classic sort-then-merge formulation,
+// but without sort.Slice: the per-ACK hot path calls this for every
+// SACK block and sort.Slice allocates a closure plus a reflect-based
+// swapper on every call, which dominated the allocation profile of both
+// download benchmarks.
+func insertRange(rs []seg.SACKBlock, blk seg.SACKBlock) ([]seg.SACKBlock, int64) {
 	// Find the first range whose Start is strictly above blk.Start.
-	i := 0
-	for i < len(rs) && seg.SeqLEQ(rs[i].Start, blk.Start) {
-		i++
-	}
-	// If blk touches its predecessor, extend that range instead of
-	// inserting, then absorb any successors the extension now covers.
+	i := searchRanges(rs, blk.Start)
+	// blk grows into [lo, hi): its predecessor when they touch, and
+	// every successor the growing range reaches.
+	lo, merged := i, blk
 	if i > 0 && seg.SeqLEQ(blk.Start, rs[i-1].End) {
-		if seg.SeqGT(blk.End, rs[i-1].End) {
-			rs[i-1].End = blk.End
-			j := i
-			for j < len(rs) && seg.SeqLEQ(rs[j].Start, rs[i-1].End) {
-				if seg.SeqGT(rs[j].End, rs[i-1].End) {
-					rs[i-1].End = rs[j].End
-				}
-				j++
-			}
-			if j > i {
-				rs = append(rs[:i], rs[j:]...)
-			}
+		if seg.SeqLEQ(blk.End, rs[i-1].End) {
+			return rs, 0
 		}
-		return rs
+		lo, merged.Start = i-1, rs[i-1].Start
 	}
-	// blk opens a new range at position i; swallow successors it covers.
-	j := i
-	for j < len(rs) && seg.SeqLEQ(rs[j].Start, blk.End) {
-		if seg.SeqGT(rs[j].End, blk.End) {
-			blk.End = rs[j].End
+	var absorbed int64
+	hi := lo
+	for hi < len(rs) && seg.SeqLEQ(rs[hi].Start, merged.End) {
+		if seg.SeqGT(rs[hi].End, merged.End) {
+			merged.End = rs[hi].End
 		}
-		j++
+		absorbed += int64(rs[hi].End - rs[hi].Start)
+		hi++
 	}
-	if j > i {
-		rs[i] = blk
-		return append(rs[:i+1], rs[j:]...)
+	added := int64(merged.End-merged.Start) - absorbed
+	if hi > lo {
+		rs[lo] = merged
+		return append(rs[:lo+1], rs[hi:]...), added
 	}
 	rs = append(rs, seg.SACKBlock{})
-	copy(rs[i+1:], rs[i:])
-	rs[i] = blk
-	return rs
+	copy(rs[lo+1:], rs[lo:])
+	rs[lo] = merged
+	return rs, added
+}
+
+// searchRanges returns the index of the first range in the sorted,
+// disjoint set rs whose Start is strictly above seqn; the range that
+// could contain seqn, if any, is the one before it.
+func searchRanges(rs []seg.SACKBlock, seqn uint32) int {
+	return sort.Search(len(rs), func(i int) bool { return seg.SeqGT(rs[i].Start, seqn) })
+}
+
+// rangesCover reports whether one range of the sorted, disjoint set rs
+// covers all of [start,end).
+func rangesCover(rs []seg.SACKBlock, start, end uint32) bool {
+	i := searchRanges(rs, start)
+	return i > 0 && seg.SeqGEQ(rs[i-1].End, end)
 }
 
 // sackScoreboard tracks which parts of the unacknowledged send space
@@ -59,6 +66,7 @@ func insertRange(rs []seg.SACKBlock, blk seg.SACKBlock) []seg.SACKBlock {
 // disjoint.
 type sackScoreboard struct {
 	ranges []seg.SACKBlock
+	sacked int64 // bytes the ranges cover, kept in step by every mutation
 }
 
 // Add merges a SACK block into the scoreboard.
@@ -66,32 +74,32 @@ func (b *sackScoreboard) Add(blk seg.SACKBlock) {
 	if !seg.SeqLT(blk.Start, blk.End) {
 		return
 	}
-	b.ranges = insertRange(b.ranges, blk)
+	var added int64
+	b.ranges, added = insertRange(b.ranges, blk)
+	b.sacked += added
 }
 
 // AdvanceUna drops ranges at or below the new cumulative ACK point.
 func (b *sackScoreboard) AdvanceUna(una uint32) {
-	out := b.ranges[:0]
-	for _, r := range b.ranges {
-		if seg.SeqLEQ(r.End, una) {
-			continue
-		}
-		if seg.SeqLT(r.Start, una) {
-			r.Start = una
-		}
-		out = append(out, r)
+	// Sorted and disjoint: the ranges una passed are a prefix, and at
+	// most the one after it straddles una.
+	k := 0
+	for k < len(b.ranges) && seg.SeqLEQ(b.ranges[k].End, una) {
+		b.sacked -= int64(b.ranges[k].End - b.ranges[k].Start)
+		k++
 	}
-	b.ranges = out
+	if k < len(b.ranges) && seg.SeqLT(b.ranges[k].Start, una) {
+		b.sacked -= int64(una - b.ranges[k].Start)
+		b.ranges[k].Start = una
+	}
+	if k > 0 {
+		b.ranges = b.ranges[:copy(b.ranges, b.ranges[k:])]
+	}
 }
 
 // IsSacked reports whether the whole range [start,end) is covered.
 func (b *sackScoreboard) IsSacked(start, end uint32) bool {
-	for _, r := range b.ranges {
-		if seg.SeqLEQ(r.Start, start) && seg.SeqGEQ(r.End, end) {
-			return true
-		}
-	}
-	return false
+	return rangesCover(b.ranges, start, end)
 }
 
 // SackedAbove reports the number of SACKed bytes at or above seqn.
@@ -109,14 +117,25 @@ func (b *sackScoreboard) SackedAbove(seqn uint32) int64 {
 	return n
 }
 
-// TotalSacked reports the number of bytes currently SACKed.
-func (b *sackScoreboard) TotalSacked() int64 {
-	var n int64
-	for _, r := range b.ranges {
-		n += int64(r.End - r.Start)
+// lossBound returns the highest sequence with at least thresh SACKed
+// bytes at or above it, and whether the scoreboard holds that many at
+// all. SackedAbove only falls as its argument rises, so
+// SackedAbove(x) >= thresh exactly for x at or below the bound: the
+// RFC 6675 loss test for a whole flight is one comparison per record.
+func (b *sackScoreboard) lossBound(thresh int64) (uint32, bool) {
+	for i := len(b.ranges) - 1; i >= 0; i-- {
+		r := b.ranges[i]
+		if n := int64(r.End - r.Start); n < thresh {
+			thresh -= n
+			continue
+		}
+		return r.End - uint32(thresh), true
 	}
-	return n
+	return 0, false
 }
+
+// TotalSacked reports the number of bytes currently SACKed.
+func (b *sackScoreboard) TotalSacked() int64 { return b.sacked }
 
 // HighestSacked returns the top SACKed sequence, or una if none.
 func (b *sackScoreboard) HighestSacked(una uint32) uint32 {
@@ -127,14 +146,15 @@ func (b *sackScoreboard) HighestSacked(una uint32) uint32 {
 }
 
 // Reset clears the scoreboard.
-func (b *sackScoreboard) Reset() { b.ranges = b.ranges[:0] }
+func (b *sackScoreboard) Reset() { b.ranges, b.sacked = b.ranges[:0], 0 }
 
 // rcvRanges tracks out-of-order received spans on the receive side,
 // both to generate SACK blocks and to know when arriving data is
 // duplicate. Ranges are sorted, disjoint, all above rcvNxt.
 type rcvRanges struct {
-	ranges []seg.SACKBlock
-	recent seg.SACKBlock // most recently changed block, reported first
+	ranges   []seg.SACKBlock
+	recent   seg.SACKBlock // most recently changed block, reported first
+	buffered int64         // bytes the ranges hold, kept in step by Add and NextContiguous
 }
 
 // Add records an arrived span.
@@ -143,23 +163,28 @@ func (r *rcvRanges) Add(start, end uint32) {
 		return
 	}
 	r.recent = seg.SACKBlock{Start: start, End: end}
-	r.ranges = insertRange(r.ranges, r.recent)
+	var added int64
+	r.ranges, added = insertRange(r.ranges, r.recent)
+	r.buffered += added
 }
 
 // NextContiguous reports how far rcvNxt can advance given the stored
 // ranges, consuming any range that begins at or below rcvNxt.
 func (r *rcvRanges) NextContiguous(rcvNxt uint32) uint32 {
-	out := r.ranges[:0]
-	for _, x := range r.ranges {
-		if seg.SeqLEQ(x.Start, rcvNxt) {
-			if seg.SeqGT(x.End, rcvNxt) {
-				rcvNxt = x.End
-			}
-			continue
+	// Sorted and disjoint: once one range starts above rcvNxt, so do
+	// all that follow, so the consumed ranges are a prefix.
+	k := 0
+	for k < len(r.ranges) && seg.SeqLEQ(r.ranges[k].Start, rcvNxt) {
+		x := r.ranges[k]
+		if seg.SeqGT(x.End, rcvNxt) {
+			rcvNxt = x.End
 		}
-		out = append(out, x)
+		r.buffered -= int64(x.End - x.Start)
+		k++
 	}
-	r.ranges = out
+	if k > 0 {
+		r.ranges = r.ranges[:copy(r.ranges, r.ranges[k:])]
+	}
 	return rcvNxt
 }
 
@@ -179,11 +204,8 @@ func (r *rcvRanges) AppendBlocks(blocks []seg.SACKBlock, max int) []seg.SACKBloc
 		return blocks
 	}
 	// Most recent first.
-	for _, x := range r.ranges {
-		if seg.SeqLEQ(x.Start, r.recent.Start) && seg.SeqGEQ(x.End, r.recent.End) {
-			blocks = append(blocks, x)
-			break
-		}
+	if i := searchRanges(r.ranges, r.recent.Start); i > 0 && seg.SeqGEQ(r.ranges[i-1].End, r.recent.End) {
+		blocks = append(blocks, r.ranges[i-1])
 	}
 	for i := len(r.ranges) - 1; i >= 0 && len(blocks) < max; i-- {
 		x := r.ranges[i]
@@ -204,19 +226,8 @@ func (r *rcvRanges) AppendBlocks(blocks []seg.SACKBlock, max int) []seg.SACKBloc
 // Contains reports whether [start,end) has already been received
 // out-of-order.
 func (r *rcvRanges) Contains(start, end uint32) bool {
-	for _, x := range r.ranges {
-		if seg.SeqLEQ(x.Start, start) && seg.SeqGEQ(x.End, end) {
-			return true
-		}
-	}
-	return false
+	return rangesCover(r.ranges, start, end)
 }
 
 // BufferedBytes reports the total bytes held out-of-order.
-func (r *rcvRanges) BufferedBytes() int64 {
-	var n int64
-	for _, x := range r.ranges {
-		n += int64(x.End - x.Start)
-	}
-	return n
-}
+func (r *rcvRanges) BufferedBytes() int64 { return r.buffered }

@@ -75,7 +75,7 @@ func (e *Endpoint) sendSYN(isAck bool) {
 // track records a transmission range for RTT sampling, loss marking,
 // and retransmission.
 func (e *Endpoint) track(seqn, end uint32) {
-	e.inflight = append(e.inflight, txRec{seq: seqn, end: end, sentAt: e.sim.Now()})
+	e.inflight.Push(txRec{seq: seqn, end: end, sentAt: e.sim.Now()})
 }
 
 // trySend pushes as much data as the windows allow, plus the FIN when
@@ -101,12 +101,16 @@ func (e *Endpoint) trySend() {
 	// pipe() discounts SACKed data, so under heavy SACK it would let
 	// fresh data slip beyond what the peer offered.
 	seqSpace := e.rwnd - int64(e.sndNxt-e.sndUna)
-	for seg.SeqLT(e.sndNxt, dataEnd) && e.pipe() < wnd && seqSpace > 0 {
+	for seg.SeqLT(e.sndNxt, dataEnd) && seqSpace > 0 {
+		avail := wnd - e.pipe()
+		if avail <= 0 {
+			break
+		}
 		n := int64(dataEnd - e.sndNxt)
 		if n > int64(e.cfg.MSS) {
 			n = int64(e.cfg.MSS)
 		}
-		if avail := wnd - e.pipe(); n > avail {
+		if n > avail {
 			// Don't send runt segments when nearly window-limited,
 			// except to finish the stream.
 			if avail < n && seg.SeqLT(e.sndNxt+uint32(avail), dataEnd) && avail < int64(e.cfg.MSS) {
@@ -180,19 +184,23 @@ func (e *Endpoint) emitData(seqn uint32, n int, isRtx bool) {
 // rest of the window, and gating the head on it would deadlock.
 func (e *Endpoint) retransmitLost() {
 	wnd := e.cwndBytes()
-	for i := range e.inflight {
-		r := &e.inflight[i]
+	recs := e.inflight.Items()
+	// No record below lostHint is lost, and lostCount says when the
+	// last one has been handled: the walk touches only the stretch of
+	// the flight that holds marks, and nothing when there are none.
+	i := e.lostHint
+	for ; e.lostCount > 0 && i < len(recs); i++ {
+		r := &recs[i]
 		if !r.lost {
 			continue
 		}
 		if r.seq != e.sndUna && e.pipe() >= wnd {
-			return
+			break
 		}
+		e.setLost(i, false)
 		if e.board.IsSacked(r.seq, r.end) {
-			r.lost = false
 			continue
 		}
-		r.lost = false
 		r.rtx++
 		r.sentAt = e.sim.Now()
 		if r.end == r.seq+1 && (r.seq == e.finSeq) {
@@ -217,6 +225,7 @@ func (e *Endpoint) retransmitLost() {
 			start += uint32(n)
 		}
 	}
+	e.lostHint = i
 }
 
 // armRTX (re)starts the retransmission timer if anything is in flight.
@@ -251,9 +260,9 @@ func (e *Endpoint) onRTO() {
 	switch e.state {
 	case StateSynSent, StateSynRcvd:
 		// Retransmit the handshake SYN.
-		if len(e.inflight) > 0 {
-			e.inflight[0].rtx++
-			e.inflight[0].sentAt = e.sim.Now()
+		if recs := e.inflight.Items(); len(recs) > 0 {
+			recs[0].rtx++
+			recs[0].sentAt = e.sim.Now()
 		}
 		flags := seg.SYN
 		kind := KindSYN
@@ -295,12 +304,7 @@ func (e *Endpoint) onRTO() {
 	// per (Karn-backed-off) timeout. If the timeout was spurious (a
 	// delay spike, common on 3G paths), the late ACK covers the whole
 	// flight, prunes these records, and nothing is resent.
-	for i := range e.inflight {
-		r := &e.inflight[i]
-		if !e.board.IsSacked(r.seq, r.end) {
-			r.lost = true
-		}
-	}
+	e.markHolesLost(0, e.sndNxt, false)
 	e.rtxTimer.Reset(e.est.RTO())
 	e.trySend()
 	if e.OnTimeout != nil {
