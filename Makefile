@@ -16,6 +16,7 @@ test:
 
 vet:
 	$(GO) vet ./...
+	@test -z "$$(gofmt -l .)" || { echo "gofmt -l lists:"; gofmt -l .; exit 1; }
 
 race:
 	$(GO) test -race -shuffle=on -timeout 20m ./...
@@ -145,10 +146,12 @@ serve-smoke:
 	@echo "serve-smoke: daemon artifacts byte-identical to direct runners; repeat submissions 100% cache hits; kill/restart resumes byte-identically"
 
 # cover enforces the statement-coverage floor (baseline 72.7% when the
-# gate landed; the floor leaves a little slack for counter drift).
+# gate landed; the floor leaves a little slack for counter drift) over
+# everything but bench/, the benchmark harness: its statements run
+# under `make ledger`, not under `go test`.
 COVER_FLOOR ?= 72.0
 cover:
-	$(GO) test -count=1 -coverprofile=cover.out ./...
+	$(GO) test -count=1 -coverprofile=cover.out $$($(GO) list ./... | grep -v '/bench$$')
 	@total=$$($(GO) tool cover -func=cover.out | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
 	echo "total coverage: $$total% (floor $(COVER_FLOOR)%)"; \
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t+0 >= f+0) ? 0 : 1 }' \

@@ -18,6 +18,7 @@ import (
 	"mptcplab/internal/experiment"
 	"mptcplab/internal/load"
 	"mptcplab/internal/sweep/client"
+	"mptcplab/internal/units"
 )
 
 // newTestServer boots the daemon on a random port (httptest) with a
@@ -380,24 +381,110 @@ func TestRejectsBadQueueDepth(t *testing.T) {
 	}
 }
 
-// TestServeRejectsBadSpecs pins the submit-time validation surface.
+// TestServeRejectsBadSpecs pins the submit-time validation surface:
+// every bad spec is refused with a one-line JSON error before anything
+// is queued. The swept-axis cases used to be accepted — an oversized
+// fleet finished "done" with a row whose fail_reason was a panic, and
+// non-positive axes exported rows labelled with values that never ran.
 func TestServeRejectsBadSpecs(t *testing.T) {
 	ts := newTestServer(t)
-	for _, spec := range []string{
-		`{"experiment":"fig99"}`,
-		`{"kind":"load","base":"clients=banana"}`,
-		`{"kind":"load","scheds":["warp-drive"]}`,
-		`{"kind":"quantum"}`,
-		`{"experiment":"fig8","reps":-1}`,
+	for spec, code := range map[string]int{
+		`{"experiment":"fig99"}`:                                     http.StatusBadRequest,
+		`{"kind":"load","base":"clients=banana"}`:                    http.StatusBadRequest,
+		`{"kind":"load","scheds":["warp-drive"]}`:                    http.StatusBadRequest,
+		`{"kind":"quantum"}`:                                         http.StatusBadRequest,
+		`{"experiment":"fig8","reps":-1}`:                            http.StatusBadRequest,
+		`{"kind":"load","clients":[999999]}`:                         http.StatusBadRequest,
+		`{"kind":"load","rates":[-3]}`:                               http.StatusBadRequest,
+		`{"kind":"load","clients":[20,-5]}`:                          http.StatusBadRequest,
+		`{"kind":"load","rates":[0]}`:                                http.StatusBadRequest,
+		`{"experiment":"` + strings.Repeat("x", maxSpecBytes) + `"}`: http.StatusRequestEntityTooLarge,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(spec))
 		if err != nil {
 			t.Fatal(err)
 		}
-		io.Copy(io.Discard, resp.Body)
+		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("spec %s accepted with status %d", spec, resp.StatusCode)
+		if len(spec) > 80 {
+			spec = spec[:80] + "..."
 		}
+		if resp.StatusCode != code {
+			t.Fatalf("spec %s answered %d, want %d", spec, resp.StatusCode, code)
+		}
+		var e struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" || strings.Contains(e.Error, "\n") {
+			t.Fatalf("spec %s: want a one-line JSON error, got %q (%v)", spec, body, err)
+		}
+	}
+	if st := getStatus(t, ts, "c1"); st.ID != "" {
+		t.Fatalf("a rejected spec left campaign state %+v", st)
+	}
+}
+
+// TestServeKeysPinned pins the two content addresses to literals
+// computed at the commit before the cache protocol moved into
+// sweep.Memo: a store written by any earlier daemon keeps answering.
+func TestServeKeysPinned(t *testing.T) {
+	got := experimentKey(experiment.CampaignJob{
+		Experiment: "fig8", Row: "MP-2 (delayed SYN)", Size: 512 * units.KB, Rep: 1,
+		Sample: true, Seed: -1234567890123,
+	})
+	if want := "3391691b6f4fd38d51ad5017f75efce7e0366a8e9445d3328a58f73d0157f07f:-1234567890123"; got != want {
+		t.Errorf("experimentKey = %s, want %s", got, want)
+	}
+	cfg, err := load.ParseReplay("clients=8,flows=12,dur=5s,seed=77,sched=redundant")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := loadKey(cfg), "21a0830369f3d0fcf874481de426cf4f4ad5e55455ac3af3897793bc107b3495:77"; got != want {
+		t.Errorf("loadKey = %s, want %s", got, want)
+	}
+}
+
+// TestServeReplayThenSweepRestampsRep: the rep label is positional,
+// not part of the content address. Replaying a sweep's rep-1 token
+// first stores that row under rep 0; the sweep submitted afterwards is
+// answered from it and must still export rep=1 — byte-identically to
+// the direct runner.
+func TestServeReplayThenSweepRestampsRep(t *testing.T) {
+	ts := newTestServer(t)
+	const base = "clients=8,flows=12,dur=5s"
+	baseCfg, err := load.ParseReplay(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := load.RunSweep(load.SweepOpts{Base: baseCfg, Reps: 2, Seed: 11})
+	var wantCSV bytes.Buffer
+	if err := sw.WriteCSV(&wantCSV, baseCfg); err != nil {
+		t.Fatal(err)
+	}
+	rep1 := sw.Export()[1]
+	if rep1.Rep != 1 {
+		t.Fatalf("second exported row has rep %d, want 1", rep1.Rep)
+	}
+
+	var view struct {
+		Cached bool           `json:"cached"`
+		Run    load.RunExport `json:"run"`
+	}
+	body := getBytes(t, ts, "/v1/replay?token="+url.QueryEscape(rep1.Replay))
+	if err := json.Unmarshal(body, &view); err != nil {
+		t.Fatal(err)
+	}
+	if view.Cached || view.Run.Rep != 0 {
+		t.Fatalf("cold standalone replay: cached=%v rep=%d, want a computed rep-0 row", view.Cached, view.Run.Rep)
+	}
+
+	c := submit(t, ts, fmt.Sprintf(`{"kind":"load","base":"%s","reps":2,"seed":11}`, base))
+	st := waitTerminal(t, ts, c.ID)
+	if st.State != stateDone || st.CacheHits != 1 || st.CacheMisses != 1 {
+		t.Fatalf("sweep after replay: state=%q hits=%d misses=%d, want done with the replayed row a hit",
+			st.State, st.CacheHits, st.CacheMisses)
+	}
+	if got := getBytes(t, ts, "/v1/campaigns/"+c.ID+"/export.csv"); !bytes.Equal(got, wantCSV.Bytes()) {
+		t.Fatalf("export.csv after a replay-seeded hit differs from RunSweep's:\n%s\nwant:\n%s", got, wantCSV.Bytes())
 	}
 }

@@ -331,7 +331,7 @@ func TestServeJournalGarbageTolerated(t *testing.T) {
 	// And the garbage.
 	writeJournalFile(t, jdir, "c3.campaign.json", `{"id":"c3","spec":{truncated-by-a-cra`)
 	writeJournalFile(t, jdir, "c4.campaign.json", `{"id":"c999","spec":{}}`) // id ≠ filename
-	writeJournalFile(t, jdir, "cX.done", "")                                // unparseable id
+	writeJournalFile(t, jdir, "cX.done", "")                                 // unparseable id
 	writeJournalFile(t, jdir, "README.txt", "not yours")
 	writeJournalFile(t, jdir, "c5.campaign.json.tmp", "crash mid-record()")
 	if err := os.WriteFile(filepath.Join(jdir, "junk.bin"), []byte{0xde, 0xad, 0xbe, 0xef}, 0o644); err != nil {

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"strings"
@@ -15,9 +17,7 @@ import (
 
 	"mptcplab/internal/experiment"
 	"mptcplab/internal/load"
-	"mptcplab/internal/mptcp"
 	"mptcplab/internal/sweep"
-	"mptcplab/internal/world"
 )
 
 const (
@@ -56,14 +56,6 @@ type campaignSpec struct {
 	Scheds  []string  `json:"scheds,omitempty"`
 }
 
-// loadRow is the cached/streamed unit of a load campaign: one run's
-// export row(s). It round-trips through JSON exactly, so a cache hit
-// reproduces the cold run's export bytes.
-type loadRow struct {
-	Run        load.RunExport         `json:"run"`
-	Resilience *load.ResilienceExport `json:"resilience,omitempty"`
-}
-
 // experimentRow is the NDJSON progress record for one campaign run.
 type experimentRow struct {
 	experiment.CampaignJob
@@ -79,7 +71,8 @@ type campaignState struct {
 	id      string
 	spec    campaignSpec
 	name    string // canonical experiment name ("" for load campaigns)
-	resumed bool   // recovered from the journal after a restart
+	run     func(*campaignState) error
+	resumed bool // recovered from the journal after a restart
 
 	ctx      context.Context
 	cancel   context.CancelFunc
@@ -123,34 +116,48 @@ func (c *campaignState) progress(done, total int) {
 	c.mu.Unlock()
 }
 
-// note counts one run against the campaign's cache accounting.
-func (c *campaignState) note(hit bool) {
+// record counts one run against the campaign's cache accounting and
+// appends its row to the progress feed.
+func (c *campaignState) record(hit bool, row any) {
+	b, err := json.Marshal(row)
 	c.mu.Lock()
 	if hit {
 		c.hits++
 	} else {
 		c.misses++
 	}
-	c.mu.Unlock()
-}
-
-func (c *campaignState) appendRow(v any) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return
+	if err == nil {
+		c.rows = append(c.rows, b)
 	}
-	c.mu.Lock()
-	c.rows = append(c.rows, b)
 	c.mu.Unlock()
-	if c.onRow != nil {
+	if err == nil && c.onRow != nil {
 		c.onRow()
 	}
 }
 
-func (c *campaignState) setExports(exp map[string][]byte) {
+// artifact is one named export and the writer that renders it.
+type artifact struct {
+	name  string
+	write func(io.Writer) error
+}
+
+// export renders the campaign's artifacts and publishes them together.
+// Order matters: a Matrix's first export sums its samples unsorted and
+// later ones sorted, so means differ in the last bits — CSV before
+// JSON is the order paperbench's bytes come from.
+func (c *campaignState) export(arts ...artifact) error {
+	exp := make(map[string][]byte, len(arts))
+	for _, a := range arts {
+		var b bytes.Buffer
+		if err := a.write(&b); err != nil {
+			return err
+		}
+		exp[a.name] = b.Bytes()
+	}
 	c.mu.Lock()
 	c.exports = exp
 	c.mu.Unlock()
+	return nil
 }
 
 func (c *campaignState) terminal() bool {
@@ -271,10 +278,10 @@ func newServer(ctx context.Context, cfg serverConfig) *server {
 // and exports byte-identically to an uninterrupted run.
 func (s *server) resumeCampaign(e journalEntry) {
 	spec := e.Spec
-	name, err := validateSpec(&spec)
+	name, run, err := s.validateSpec(&spec)
 	ctx, cancel := context.WithCancel(s.ctx)
 	c := &campaignState{
-		id: e.ID, spec: spec, name: name, resumed: true, state: stateQueued,
+		id: e.ID, spec: spec, name: name, run: run, resumed: true, state: stateQueued,
 		ctx: ctx, cancel: cancel, finished: make(chan struct{}),
 		onRow: s.rowSyncPoint,
 	}
@@ -342,17 +349,11 @@ func (s *server) runCampaign(c *campaignState) {
 	}
 	c.setState(stateRunning)
 	var err error
-	contained := sweep.Contain(func() {
-		if c.spec.Kind == kindLoad {
-			err = s.runLoad(c)
-		} else {
-			err = s.runExperiment(c)
-		}
-	})
-	switch {
-	case contained != nil:
+	if contained := sweep.Contain(func() { err = c.run(c) }); contained != nil {
 		line, _, _ := strings.Cut(contained.Error(), "\n")
-		c.fail(fmt.Errorf("%s", line))
+		err = errors.New(line)
+	}
+	switch {
 	case err != nil:
 		c.fail(err)
 	case c.ctx.Err() != nil:
@@ -366,283 +367,146 @@ func (s *server) runCampaign(c *campaignState) {
 // experimentKey is the content address of one campaign run: the job
 // descriptor carries everything that determines the result (and
 // nothing that doesn't — see experiment.CampaignJob), and the derived
-// per-run seed keys separately so distinct seeds cannot collide.
-func experimentKey(job experiment.CampaignJob) (string, error) {
-	return sweep.Key(struct {
+// per-run seed keys separately so distinct seeds cannot collide. An
+// empty key (the descriptor failed to encode) tells sweep.Memo not to
+// cache.
+func experimentKey(job experiment.CampaignJob) string {
+	key, _ := sweep.Key(struct {
 		Kind string                 `json:"kind"`
 		Job  experiment.CampaignJob `json:"job"`
 	}{Kind: kindExperiment, Job: job}, job.Seed)
-}
-
-// experimentIntercept wraps every campaign run with the
-// content-addressed cache: runs are pure functions of the job
-// descriptor, so substituting a stored result is sound by
-// construction. Failed runs (watchdog/panic — wall-clock facts) are
-// never cached.
-func (s *server) experimentIntercept(c *campaignState) func(experiment.CampaignJob, func() experiment.RunResult) experiment.RunResult {
-	return func(job experiment.CampaignJob, run func() experiment.RunResult) experiment.RunResult {
-		key, kerr := experimentKey(job)
-		if kerr == nil {
-			if b, ok := s.cfg.store.GetRef(key); ok {
-				var res experiment.RunResult
-				if err := json.Unmarshal(b, &res); err == nil {
-					c.note(true)
-					c.appendRow(newExperimentRow(job, res, true))
-					return res
-				}
-			}
-		}
-		res := run()
-		c.note(false)
-		if kerr == nil && res.FailReason == "" && res.Resilience == nil {
-			if b, err := json.Marshal(res); err == nil {
-				s.cfg.store.Put(key, b)
-			}
-		}
-		c.appendRow(newExperimentRow(job, res, false))
-		return res
-	}
-}
-
-func newExperimentRow(job experiment.CampaignJob, res experiment.RunResult, cached bool) experimentRow {
-	return experimentRow{
-		CampaignJob: job,
-		Completed:   res.Completed,
-		DownloadS:   res.DownloadTime.Seconds(),
-		CellShare:   res.CellShare(),
-		Subflows:    res.Subflows,
-		Fail:        res.FailReason,
-		Cached:      cached,
-	}
-}
-
-func (s *server) runExperiment(c *campaignState) error {
-	m, err := experiment.NewCampaign(c.name, experiment.CampaignOpts{
-		Reps: c.spec.Reps, Seed: c.spec.Seed, Workers: c.spec.Workers,
-		SampleProfiles: true, Periods: c.spec.Periods, SelfCheck: c.spec.SelfCheck,
-		Context:   c.ctx,
-		Progress:  c.progress,
-		Intercept: s.experimentIntercept(c),
-	})
-	if err != nil {
-		return err
-	}
-	var csv bytes.Buffer
-	if err := experiment.WriteCSV(&csv, m); err != nil {
-		return err
-	}
-	// Mirror paperbench -format json byte for byte.
-	out := struct {
-		Cells         []experiment.CellExport         `json:"cells"`
-		Distributions []experiment.DistributionExport `json:"distributions,omitempty"`
-	}{Cells: m.Export()}
-	if c.name == "fig12" {
-		out.Distributions = m.ExportDistributions()
-	}
-	var jb bytes.Buffer
-	enc := json.NewEncoder(&jb)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(&out); err != nil {
-		return err
-	}
-	c.setExports(map[string][]byte{
-		"export.csv":  csv.Bytes(),
-		"export.json": jb.Bytes(),
-	})
-	return nil
+	return key
 }
 
 // loadKey is the content address of one fleet run. The replay token
 // canonically renders every knob reachable through the service
 // surface — all daemon-built configs come from load.ParseReplay, so
 // profiles and probe periods are always the defaults the token
-// assumes — and the per-run seed keys separately so distinct seeds
-// cannot collide.
-func loadKey(cfg load.Config) (string, error) {
+// assumes — and the per-run seed again keys separately.
+func loadKey(cfg load.Config) string {
 	seed := cfg.Seed
 	cfg.Seed = 0
-	return sweep.Key(struct {
+	key, _ := sweep.Key(struct {
 		Kind  string `json:"kind"`
 		Token string `json:"token"`
 	}{Kind: kindLoad, Token: cfg.ReplayToken()}, seed)
+	return key
 }
 
-func newLoadRow(base load.Config, p load.SweepPoint, rep int, res *load.Result) *loadRow {
-	row := &loadRow{Run: load.ExportOne(base, p, rep, res)}
-	if re, ok := load.ExportResilienceOne(base, p, rep, res); ok {
-		row.Resilience = &re
-	}
-	return row
-}
+// Failed runs (watchdog/panic — wall-clock facts, not functions of the
+// key) are never cached.
+func keepResult(r experiment.RunResult) bool { return r.FailReason == "" && r.Resilience == nil }
+func keepRow(r load.Row) bool                { return !r.Run.Failed }
 
-func (s *server) runLoad(c *campaignState) error {
-	base, err := loadBase(c.spec)
+// runExperiment and runLoad run the same way: the runner offers
+// Intercept(job, run); the closure memoizes run through the result
+// store, counts the hit or miss and feeds the row to the rows stream.
+func (s *server) runExperiment(c *campaignState) error {
+	m, err := experiment.NewCampaign(c.name, experiment.CampaignOpts{
+		Reps: c.spec.Reps, Seed: c.spec.Seed, Workers: c.spec.Workers,
+		SampleProfiles: true, Periods: c.spec.Periods, SelfCheck: c.spec.SelfCheck,
+		Context:  c.ctx,
+		Progress: c.progress,
+		Intercept: func(job experiment.CampaignJob, run func() experiment.RunResult) experiment.RunResult {
+			res, hit := sweep.Memo(s.cfg.store, experimentKey(job), keepResult, run)
+			c.record(hit, experimentRow{
+				CampaignJob: job, Completed: res.Completed,
+				DownloadS: res.DownloadTime.Seconds(), CellShare: res.CellShare(),
+				Subflows: res.Subflows, Fail: res.FailReason, Cached: hit,
+			})
+			return res
+		},
+	})
 	if err != nil {
 		return err
 	}
-	so := load.SweepOpts{
-		Base: base, Rates: c.spec.Rates, Clients: c.spec.Clients,
-		Scheds: c.spec.Scheds, Reps: c.spec.Reps, Seed: c.spec.Seed,
-	}
-	points := so.Grid()
-	reps := len(points[0].Runs)
-	type job struct{ point, rep int }
-	var jobs []job
-	for pi := range points {
-		for rep := 0; rep < reps; rep++ {
-			jobs = append(jobs, job{pi, rep})
-		}
-	}
-	cfgFor := func(k int) load.Config {
-		j := jobs[k]
-		cfg := load.PointConfig(base, points[j.point])
-		cfg.Seed = so.RunSeed(j.point, j.rep)
-		return cfg
-	}
-
-	rows := make([]*loadRow, len(jobs))
-	sweep.Run(sweep.Opts{
-		Seed: so.Seed, Salt: load.SweepSalt, Workers: c.spec.Workers,
-		Context: c.ctx, Progress: c.progress,
-	}, len(jobs),
-		func(ws **world.World, k int) *loadRow {
-			j := jobs[k]
-			cfg := cfgFor(k)
-			key, kerr := loadKey(cfg)
-			if kerr == nil {
-				if b, ok := s.cfg.store.GetRef(key); ok {
-					var row loadRow
-					if json.Unmarshal(b, &row) == nil {
-						// The rep label is positional, not part of the
-						// content address (only the seed varies with
-						// it) — restore this sweep's position so a hit
-						// exports byte-identically to a cold run.
-						row.Run.Rep = j.rep
-						if row.Resilience != nil {
-							row.Resilience.Rep = j.rep
-						}
-						c.note(true)
-						c.appendRow(&row)
-						return &row
-					}
-				}
-			}
-			if *ws == nil {
-				*ws = world.New()
-			}
-			res := load.RunIn(*ws, cfg)
-			c.note(false)
-			row := newLoadRow(base, points[j.point], j.rep, res)
-			if kerr == nil && !res.Failed {
-				if b, err := json.Marshal(row); err == nil {
-					s.cfg.store.Put(key, b)
-				}
-			}
-			c.appendRow(row)
-			return row
-		},
-		func(k int, err error) *loadRow {
-			j := jobs[k]
-			c.note(false)
-			row := newLoadRow(base, points[j.point], j.rep, load.FailedRun(cfgFor(k), err))
-			c.appendRow(row)
-			return row
-		},
-		func(k int, row *loadRow) { rows[k] = row })
-
-	// Rows land indexed by job — point-major, rep-minor — which is
-	// exactly the order Sweep.Export walks, so these artifacts are
-	// byte-identical to the CLI runner's.
-	var runRows []load.RunExport
-	var resRows []load.ResilienceExport
-	for _, r := range rows {
-		if r == nil {
-			continue // cancelled before execution
-		}
-		runRows = append(runRows, r.Run)
-		if r.Resilience != nil {
-			resRows = append(resRows, *r.Resilience)
-		}
-	}
-	exp := map[string][]byte{}
-	var b bytes.Buffer
-	if err := load.WriteRunsCSV(&b, runRows); err != nil {
-		return err
-	}
-	exp["export.csv"] = append([]byte(nil), b.Bytes()...)
-	b.Reset()
-	if err := load.WriteRunsJSON(&b, runRows); err != nil {
-		return err
-	}
-	exp["export.json"] = append([]byte(nil), b.Bytes()...)
-	if len(resRows) > 0 {
-		b.Reset()
-		if err := load.WriteResilienceRowsCSV(&b, resRows); err != nil {
-			return err
-		}
-		exp["resilience.csv"] = append([]byte(nil), b.Bytes()...)
-		b.Reset()
-		if err := load.WriteResilienceRowsJSON(&b, resRows); err != nil {
-			return err
-		}
-		exp["resilience.json"] = append([]byte(nil), b.Bytes()...)
-	}
-	c.setExports(exp)
-	return nil
+	return c.export(
+		artifact{"export.csv", func(w io.Writer) error { return experiment.WriteCSV(w, m) }},
+		artifact{"export.json", func(w io.Writer) error { return experiment.WriteReportJSON(w, m) }},
+	)
 }
 
-func loadBase(spec campaignSpec) (load.Config, error) {
-	if spec.Base == "" {
-		return load.Config{}, nil
+func (s *server) runLoad(c *campaignState, so load.SweepOpts) error {
+	so.Context, so.Progress = c.ctx, c.progress
+	so.Intercept = func(job load.SweepJob, run func() load.Row) load.Row {
+		row, hit := sweep.Memo(s.cfg.store, loadKey(job.Config), keepRow, run)
+		c.record(hit, row)
+		return row
 	}
-	return load.ParseReplay(spec.Base)
+	sw := load.RunSweep(so)
+	arts := []artifact{
+		{"export.csv", func(w io.Writer) error { return sw.WriteCSV(w, so.Base) }},
+		{"export.json", func(w io.Writer) error { return sw.WriteJSON(w, so.Base) }},
+	}
+	if len(sw.ExportResilience()) > 0 {
+		arts = append(arts,
+			artifact{"resilience.csv", func(w io.Writer) error { return sw.WriteResilienceCSV(w, so.Base) }},
+			artifact{"resilience.json", func(w io.Writer) error { return sw.WriteResilienceJSON(w, so.Base) }})
+	}
+	return c.export(arts...)
 }
 
-func validateSpec(spec *campaignSpec) (name string, err error) {
+// validateSpec is the one place the daemon branches on spec.Kind: it
+// checks a spec at the boundary and returns the campaign's display
+// name and the function that runs it to its exports.
+func (s *server) validateSpec(spec *campaignSpec) (name string, run func(*campaignState) error, err error) {
 	if spec.Kind == "" {
 		spec.Kind = kindExperiment
 	}
 	if spec.Reps < 0 {
-		return "", fmt.Errorf("reps=%d is negative", spec.Reps)
+		return "", nil, fmt.Errorf("reps=%d is negative", spec.Reps)
 	}
 	switch spec.Kind {
 	case kindExperiment:
 		name = experiment.ResolveCampaign(spec.Experiment)
 		if name == "" {
-			return "", fmt.Errorf("unknown experiment %q (have %s)",
+			return "", nil, fmt.Errorf("unknown experiment %q (have %s)",
 				spec.Experiment, strings.Join(experiment.CampaignNames(), ", "))
 		}
-		return name, nil
+		return name, s.runExperiment, nil
 	case kindLoad:
-		if _, err := loadBase(*spec); err != nil {
-			return "", fmt.Errorf("bad base token: %v", err)
+		so := load.SweepOpts{
+			Rates: spec.Rates, Clients: spec.Clients, Scheds: spec.Scheds,
+			Reps: spec.Reps, Seed: spec.Seed, Workers: spec.Workers,
 		}
-		for _, sched := range spec.Scheds {
-			if err := mptcp.ValidateScheduler(sched); err != nil {
-				return "", err
+		if spec.Base != "" { // empty = package defaults
+			if so.Base, err = load.ParseReplay(spec.Base); err != nil {
+				return "", nil, fmt.Errorf("bad base token: %v", err)
 			}
 		}
-		return "", nil
+		if err := so.Validate(); err != nil {
+			return "", nil, err
+		}
+		return "", func(c *campaignState) error { return s.runLoad(c, so) }, nil
 	}
-	return "", fmt.Errorf("unknown kind %q (want %q or %q)", spec.Kind, kindExperiment, kindLoad)
+	return "", nil, fmt.Errorf("unknown kind %q (want %q or %q)", spec.Kind, kindExperiment, kindLoad)
 }
+
+// maxSpecBytes bounds a submitted spec; real ones are a few hundred
+// bytes.
+const maxSpecBytes = 1 << 20
 
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec campaignSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, "bad campaign spec: %v", err)
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, code, "bad campaign spec: %v", err)
 		return
 	}
-	name, err := validateSpec(&spec)
+	name, run, err := s.validateSpec(&spec)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	ctx, cancel := context.WithCancel(s.ctx)
 	c := &campaignState{
-		spec: spec, name: name, state: stateQueued,
+		spec: spec, name: name, run: run, state: stateQueued,
 		ctx: ctx, cancel: cancel, finished: make(chan struct{}),
 		journaled: make(chan struct{}),
 		onRow:     s.rowSyncPoint,
@@ -860,30 +724,11 @@ func (s *server) handleReplay(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	type replayView struct {
-		Cached     bool                   `json:"cached"`
-		Run        load.RunExport         `json:"run"`
-		Resilience *load.ResilienceExport `json:"resilience,omitempty"`
-	}
-	key, kerr := loadKey(cfg)
-	if kerr == nil {
-		if b, ok := s.cfg.store.GetRef(key); ok {
-			var row loadRow
-			if json.Unmarshal(b, &row) == nil {
-				writeJSON(w, replayView{Cached: true, Run: row.Run, Resilience: row.Resilience})
-				return
-			}
-		}
-	}
-	p := load.SweepPoint{Rate: cfg.Rate, Clients: cfg.Clients, Sched: cfg.Scheduler}
-	res := load.Run(cfg)
-	row := newLoadRow(cfg, p, 0, res)
-	if kerr == nil && !res.Failed {
-		if b, err := json.Marshal(row); err == nil {
-			s.cfg.store.Put(key, b)
-		}
-	}
-	writeJSON(w, replayView{Run: row.Run, Resilience: row.Resilience})
+	row, hit := sweep.Memo(s.cfg.store, loadKey(cfg), keepRow, func() load.Row { return load.RunRow(cfg) })
+	writeJSON(w, struct {
+		Cached bool `json:"cached"`
+		load.Row
+	}{hit, row})
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -23,7 +23,6 @@ import (
 
 	"mptcplab/internal/chaos"
 	"mptcplab/internal/load"
-	"mptcplab/internal/mptcp"
 	"mptcplab/internal/pathmodel"
 	"mptcplab/internal/sim"
 	"mptcplab/internal/units"
@@ -61,10 +60,6 @@ func main() {
 		resOut    = flag.String("res-out", "", "also write the per-run resilience report (CSV or JSON by extension) — chaos runs only")
 	)
 	flag.Parse()
-
-	// A scheduler typo must die here with a one-line error, not sweep
-	// an entire grid under a silent fallback policy.
-	exitOn(mptcp.ValidateScheduler(*scheduler))
 
 	if *replay != "" {
 		os.Exit(runReplay(os.Stdout, os.Stderr, *replay, *wifiProf, *carrier, *deadline))
@@ -108,6 +103,9 @@ func main() {
 		Seed:    *seed,
 		Workers: *workers,
 	}
+	// A bad axis or scheduler typo must die here with a one-line error,
+	// not sweep a grid of failed or mislabelled rows.
+	exitOn(opts.Validate())
 	if *progress {
 		opts.Progress = func(done, total int) {
 			fmt.Fprintf(os.Stderr, "\rrun %d/%d", done, total)

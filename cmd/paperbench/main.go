@@ -7,7 +7,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -23,46 +22,101 @@ import (
 	"mptcplab/internal/units"
 )
 
-func main() {
-	var (
-		which   = flag.String("experiment", "all", "comma-separated: fig2,fig4,fig6,fig8,fig9,fig11,fig12,shootout,all (aliases: fig3/table2->fig2, fig5/table3->fig4, fig7/table4->fig6, fig10/table5->fig9, fig13/table6->fig12, sched->shootout)")
-		reps    = flag.Int("reps", 5, "repetitions per configuration cell")
-		seed    = flag.Int64("seed", 1, "campaign seed")
-		workers = flag.Int("workers", 0, "parallel campaign workers (0 = all CPUs, 1 = serial); results are identical for any value")
-		quick   = flag.Bool("quick", false, "scale the infinite-backlog size down for fast runs")
-		format  = flag.String("format", "text", "output format: text | csv | json")
-		outp    = flag.String("o", "", "write output to file instead of stdout")
-		prog    = flag.Bool("progress", false, "print run progress to stderr")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
-		memprofile = flag.String("memprofile", "", "write an allocation profile to this file at exit")
-		tracefile  = flag.String("trace", "", "write a runtime execution trace to this file (inspect with go tool trace)")
+// experimentHelp renders the -experiment usage line from the registry.
+func experimentHelp() string {
+	var b strings.Builder
+	b.WriteString("comma-separated campaign names or aliases, or all:")
+	for _, c := range experiment.Campaigns() {
+		b.WriteString(" " + c.Name)
+		if len(c.Aliases) > 0 {
+			b.WriteString(" (" + strings.Join(c.Aliases, ", ") + ")")
+		}
+	}
+	return b.String()
+}
+
+// selectCampaigns resolves an -experiment value through the registry.
+// The selection comes back in registry order whatever order it was
+// named in; "all" stands for the entries marked InAll.
+func selectCampaigns(which string) ([]experiment.Campaign, error) {
+	sel := map[string]bool{}
+	all := false
+	for _, s := range strings.Split(which, ",") {
+		if s = strings.TrimSpace(s); s == "all" {
+			all = true
+			continue
+		}
+		name := experiment.ResolveCampaign(s)
+		if name == "" {
+			return nil, fmt.Errorf("unknown experiment %q (have %s, all)",
+				s, strings.Join(experiment.CampaignNames(), ", "))
+		}
+		sel[name] = true
+	}
+	var out []experiment.Campaign
+	for _, c := range experiment.Campaigns() {
+		if sel[c.Name] || all && c.InAll {
+			out = append(out, c)
+		}
+	}
+	return out, nil
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("paperbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		which   = fs.String("experiment", "all", experimentHelp())
+		reps    = fs.Int("reps", 5, "repetitions per configuration cell")
+		seed    = fs.Int64("seed", 1, "campaign seed")
+		workers = fs.Int("workers", 0, "parallel campaign workers (0 = all CPUs, 1 = serial); results are identical for any value")
+		quick   = fs.Bool("quick", false, "scale the infinite-backlog size down for fast runs")
+		format  = fs.String("format", "text", "output format: text | csv | json")
+		outp    = fs.String("o", "", "write output to file instead of stdout")
+		prog    = fs.Bool("progress", false, "print run progress to stderr")
+
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
+		memprofile = fs.String("memprofile", "", "write an allocation profile to this file at exit")
+		tracefile  = fs.String("trace", "", "write a runtime execution trace to this file (inspect with go tool trace)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "paperbench:", err)
+		return code
+	}
+	campaigns, err := selectCampaigns(*which)
+	if err != nil {
+		return fail(2, err)
+	}
+	switch *format {
+	case "text", "csv", "json":
+	default:
+		return fail(2, fmt.Errorf("unknown format %q", *format))
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "paperbench:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "paperbench:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 		defer pprof.StopCPUProfile()
 	}
 	if *tracefile != "" {
 		f, err := os.Create(*tracefile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "paperbench:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 		defer f.Close()
 		if err := rtrace.Start(f); err != nil {
-			fmt.Fprintln(os.Stderr, "paperbench:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 		defer rtrace.Stop()
 	}
@@ -71,13 +125,13 @@ func main() {
 		defer func() {
 			f, err := os.Create(path)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "paperbench:", err)
+				fmt.Fprintln(stderr, "paperbench:", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC() // settle live heap so the profile shows retained objects accurately
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "paperbench:", err)
+				fmt.Fprintln(stderr, "paperbench:", err)
 			}
 		}()
 	}
@@ -93,93 +147,21 @@ func main() {
 	}
 	if *prog {
 		opts.Progress = func(done, total int) {
-			fmt.Fprintf(os.Stderr, "\r%d/%d runs", done, total)
+			fmt.Fprintf(stderr, "\r%d/%d runs", done, total)
 			if done == total {
-				fmt.Fprintln(os.Stderr)
+				fmt.Fprintln(stderr)
 			}
 		}
 	}
 
-	sel := map[string]bool{}
-	for _, s := range strings.Split(*which, ",") {
-		sel[strings.TrimSpace(s)] = true
-	}
-	want := func(names ...string) bool {
-		if sel["all"] {
-			return true
-		}
-		for _, n := range names {
-			if sel[n] {
-				return true
-			}
-		}
-		return false
-	}
-
-	var w io.Writer = os.Stdout
+	w := stdout
 	if *outp != "" {
 		f, err := os.Create(*outp)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "paperbench:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 		defer f.Close()
 		w = f
-	}
-
-	type campaign struct {
-		run     func() *experiment.Matrix
-		text    func(io.Writer, *experiment.Matrix)
-		distrib bool
-	}
-	timesShareChars := func(w io.Writer, m *experiment.Matrix) {
-		experiment.WriteDownloadTimes(w, m)
-		experiment.WriteCellShare(w, m)
-		experiment.WritePathCharacteristics(w, m)
-	}
-	var campaigns []campaign
-	if want("fig2", "fig3", "table2") {
-		campaigns = append(campaigns, campaign{func() *experiment.Matrix { return experiment.Baseline(opts) }, timesShareChars, false})
-	}
-	if want("fig4", "fig5", "table3") {
-		campaigns = append(campaigns, campaign{func() *experiment.Matrix { return experiment.SmallFlows(opts) }, timesShareChars, false})
-	}
-	if want("fig6", "fig7", "table4") {
-		campaigns = append(campaigns, campaign{func() *experiment.Matrix { return experiment.CoffeeShop(opts) }, timesShareChars, false})
-	}
-	if want("fig8") {
-		campaigns = append(campaigns, campaign{func() *experiment.Matrix { return experiment.SimultaneousSYN(opts) },
-			func(w io.Writer, m *experiment.Matrix) { experiment.WriteDownloadTimes(w, m) }, false})
-	}
-	if want("fig9", "fig10", "table5") {
-		campaigns = append(campaigns, campaign{func() *experiment.Matrix { return experiment.LargeFlows(opts) }, timesShareChars, false})
-	}
-	if want("fig11") {
-		size := units.ByteCount(512 * units.MB)
-		if *quick {
-			size = 64 * units.MB
-		}
-		bopts := opts
-		if bopts.Reps > 3 {
-			bopts.Reps = 3
-		}
-		campaigns = append(campaigns, campaign{func() *experiment.Matrix { return experiment.Backlog(size, bopts) },
-			func(w io.Writer, m *experiment.Matrix) { experiment.WriteDownloadTimes(w, m) }, false})
-	}
-	if want("shootout", "sched") {
-		campaigns = append(campaigns, campaign{func() *experiment.Matrix { return experiment.SchedulerShootout(opts) }, timesShareChars, false})
-	}
-	if want("fig12", "fig13", "table6") {
-		campaigns = append(campaigns, campaign{func() *experiment.Matrix { return experiment.LatencyDistribution(opts) },
-			func(w io.Writer, m *experiment.Matrix) {
-				experiment.WriteRTTCCDF(w, m)
-				experiment.WriteOFOCCDF(w, m)
-				experiment.WriteMPTCPLatencyTable(w, m)
-			}, true})
-	}
-	if len(campaigns) == 0 {
-		fmt.Fprintf(os.Stderr, "paperbench: nothing selected by -experiment %q\n", *which)
-		os.Exit(2)
 	}
 
 	// speedline summarizes a campaign's host-side performance:
@@ -190,7 +172,7 @@ func main() {
 	// it lands in the report; otherwise on stderr so csv/json stay
 	// machine-readable.
 	speedline := func(m *experiment.Matrix, allocs uint64) {
-		dst := io.Writer(os.Stderr)
+		dst := stderr
 		if *format == "text" {
 			dst = w
 		}
@@ -214,27 +196,28 @@ func main() {
 	}
 
 	var matrices []*experiment.Matrix
-	var distribs []experiment.DistributionExport
 	cancelled := false
 	for _, c := range campaigns {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		m := c.run()
+		var m *experiment.Matrix
+		if *quick && c.Name == "fig11" {
+			m = experiment.Backlog(64*units.MB, opts)
+		} else {
+			m = c.Make(opts)
+		}
 		runtime.ReadMemStats(&after)
 		matrices = append(matrices, m)
 		if *format == "text" {
-			c.text(w, m)
+			c.Text(w, m)
 		}
 		speedline(m, after.Mallocs-before.Mallocs)
 		if m.FailedRuns > 0 {
-			fmt.Fprintf(os.Stderr, "%s: %d FAILED RUNS, first: %s\n", m.ID, m.FailedRuns, m.FirstFailure)
-		}
-		if c.distrib {
-			distribs = append(distribs, m.ExportDistributions()...)
+			fmt.Fprintf(stderr, "%s: %d FAILED RUNS, first: %s\n", m.ID, m.FailedRuns, m.FirstFailure)
 		}
 		if m.Cancelled {
 			cancelled = true
-			fmt.Fprintf(os.Stderr, "%s: cancelled — emitting partial results\n", m.ID)
+			fmt.Fprintf(stderr, "%s: cancelled — emitting partial results\n", m.ID)
 			break
 		}
 	}
@@ -244,29 +227,15 @@ func main() {
 	case "text":
 		fmt.Fprintln(w, "\ndone.")
 	case "csv":
-		if err := experiment.WriteCSV(w, matrices...); err != nil {
-			fmt.Fprintln(os.Stderr, "paperbench:", err)
-			os.Exit(1)
-		}
+		err = experiment.WriteCSV(w, matrices...)
 	case "json":
-		out := struct {
-			Cells         []experiment.CellExport         `json:"cells"`
-			Distributions []experiment.DistributionExport `json:"distributions,omitempty"`
-		}{Distributions: distribs}
-		for _, m := range matrices {
-			out.Cells = append(out.Cells, m.Export()...)
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, "paperbench:", err)
-			os.Exit(1)
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "paperbench: unknown format %q\n", *format)
-		os.Exit(2)
+		err = experiment.WriteReportJSON(w, matrices...)
+	}
+	if err != nil {
+		return fail(1, err)
 	}
 	if cancelled {
-		os.Exit(130)
+		return 130
 	}
+	return 0
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"mptcplab/internal/chaos"
@@ -157,14 +158,39 @@ func sabotageMatrix(t *testing.T, target int64, fn func(tb *Testbed)) {
 }
 
 // TestMatrixContainsPanickingRun: one run panicking mid-campaign is
-// contained as a cell failure; the rest of the campaign completes.
+// contained as a cell failure; the rest of the campaign completes. The
+// run contains its own panic, so a memoizing interceptor observes the
+// failed result — exactly once — and does not store it.
 func TestMatrixContainsPanickingRun(t *testing.T) {
 	opts := CampaignOpts{Reps: 3, Seed: 13, Workers: 2}
 	target := sweep.Seed(opts.Seed, 0, 0, 1)
 	sabotageMatrix(t, target, func(tb *Testbed) { panic("injected matrix fault") })
 
+	st := sweep.NewCache()
+	var sawFailed atomic.Int64
+	opts.Intercept = func(job CampaignJob, run func() RunResult) RunResult {
+		key, err := sweep.Key(job, job.Seed)
+		if err != nil {
+			t.Error(err)
+		}
+		res, _ := sweep.Memo(st, key, func(r RunResult) bool { return r.FailReason == "" }, run)
+		if res.FailReason != "" {
+			sawFailed.Add(1)
+			if job.Seed != target {
+				t.Errorf("interceptor saw job seed %d fail, want the sabotaged %d", job.Seed, target)
+			}
+		}
+		return res
+	}
+
 	sizes := []units.ByteCount{64 * units.KB}
 	m := runMatrix("contain", "panic containment probe", parallelTestRows(), sizes, opts)
+	if n := sawFailed.Load(); n != 1 {
+		t.Errorf("interceptor observed %d failed results, want 1", n)
+	}
+	if stored, _, _ := st.Stats(); stored != len(m.Rows)*opts.Reps-1 {
+		t.Errorf("store holds %d results, want every run but the failed one (%d)", stored, len(m.Rows)*opts.Reps-1)
+	}
 	if m.FailedRuns != 1 {
 		t.Fatalf("FailedRuns = %d, want 1", m.FailedRuns)
 	}

@@ -3,7 +3,6 @@ package experiment
 import (
 	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
 	"strconv"
 
@@ -90,6 +89,26 @@ func WriteJSON(w io.Writer, ms ...*Matrix) error {
 	return enc.Encode(all)
 }
 
+// WriteReportJSON emits the full JSON report paperbench -format json
+// and mptcpd's export.json share byte for byte: every matrix's cell
+// records, plus the CCDF series of the campaigns the registry marks
+// Distributions.
+func WriteReportJSON(w io.Writer, ms ...*Matrix) error {
+	var out struct {
+		Cells         []CellExport         `json:"cells"`
+		Distributions []DistributionExport `json:"distributions,omitempty"`
+	}
+	for _, m := range ms {
+		out.Cells = append(out.Cells, m.Export()...)
+		if c := lookupCampaign(m.ID); c != nil && c.Distributions {
+			out.Distributions = append(out.Distributions, m.ExportDistributions()...)
+		}
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(out)
+}
+
 // csvHeader lists the exported columns, in order.
 var csvHeader = []string{
 	"experiment", "config", "size_bytes", "n", "failures",
@@ -125,16 +144,6 @@ func WriteCSV(w io.Writer, ms ...*Matrix) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// Describe renders a one-line summary used by paperbench's progress
-// output.
-func (m *Matrix) Describe() string {
-	cells := 0
-	for _, r := range m.Rows {
-		cells += len(r.Cells)
-	}
-	return fmt.Sprintf("%s: %d configs x %d sizes (%d cells)", m.ID, len(m.Rows), len(m.Sizes), cells)
 }
 
 // DistributionExport carries raw per-packet samples for CCDF plotting

@@ -190,8 +190,10 @@ type CampaignOpts struct {
 	// functions of the job descriptor, so a content-addressed cache
 	// (sweep.Key over CampaignJob, which carries the derived seed) is
 	// sound by construction. Intercept is called from worker
-	// goroutines and must be safe for concurrent use; panics inside it
-	// are contained like any run panic.
+	// goroutines and must be safe for concurrent use. run contains its
+	// own panic and returns the failed result (FailReason set), so the
+	// callback sees every outcome; a panic in the callback itself is
+	// contained like a run panic.
 	Intercept func(job CampaignJob, run func() RunResult) RunResult
 }
 
@@ -268,6 +270,7 @@ func runMatrix(id, title string, rows []RowSpec, sizes []units.ByteCount, opts C
 		j := jobs[k]
 		row := rows[j.row]
 		cell := m.Rows[j.row].Cells[j.col]
+		seed := sweep.Seed(opts.Seed, j.row, j.col, j.rep)
 		do := func() RunResult {
 			cfg := TestbedConfig{
 				WiFi:              row.WiFi,
@@ -277,7 +280,7 @@ func runMatrix(id, title string, rows []RowSpec, sizes []units.ByteCount, opts C
 				UsePeriod:         opts.Periods,
 				Period:            pathmodel.AllPeriods[j.rep%len(pathmodel.AllPeriods)],
 				WarmRadio:         true,
-				Seed:              sweep.Seed(opts.Seed, j.row, j.col, j.rep),
+				Seed:              seed,
 			}
 			if *worker == nil {
 				*worker = NewTestbed(cfg)
@@ -292,6 +295,8 @@ func runMatrix(id, title string, rows []RowSpec, sizes []units.ByteCount, opts C
 		if opts.Intercept == nil {
 			return do()
 		}
+		// An interceptor must see a failed run, so its run contains the
+		// panic itself, exactly as the engine would have.
 		return opts.Intercept(CampaignJob{
 			Experiment: id,
 			Row:        row.Label,
@@ -300,8 +305,14 @@ func runMatrix(id, title string, rows []RowSpec, sizes []units.ByteCount, opts C
 			Periods:    opts.Periods,
 			Sample:     opts.SampleProfiles,
 			SelfCheck:  opts.SelfCheck,
-			Seed:       sweep.Seed(opts.Seed, j.row, j.col, j.rep),
-		}, do)
+			Seed:       seed,
+		}, func() (res RunResult) {
+			if err := sweep.Contain(func() { res = do() }); err != nil {
+				*worker = nil
+				res = failedResult(err)
+			}
+			return res
+		})
 	}
 
 	st := sweep.Run(sweep.Opts{
@@ -311,11 +322,7 @@ func runMatrix(id, title string, rows []RowSpec, sizes []units.ByteCount, opts C
 		Progress: opts.Progress,
 		Context:  opts.Context,
 	}, len(jobs), runJob,
-		func(k int, err error) RunResult {
-			var res RunResult
-			res.FailReason, _, _ = strings.Cut(err.Error(), "\n")
-			return res
-		},
+		func(_ int, err error) RunResult { return failedResult(err) },
 		func(k int, res RunResult) {
 			j := jobs[k]
 			m.TotalEvents += res.Events
@@ -328,6 +335,15 @@ func runMatrix(id, title string, rows []RowSpec, sizes []units.ByteCount, opts C
 	m.BusyTime = st.BusyTime
 	m.WallTime = st.WallTime
 	return m
+}
+
+// failedResult is the result of a contained run failure. Only the
+// error's first line is kept: the stack beneath it varies with worker
+// scheduling.
+func failedResult(err error) RunResult {
+	var res RunResult
+	res.FailReason, _, _ = strings.Cut(err.Error(), "\n")
+	return res
 }
 
 // absorbViolations accumulates a run's self-check findings and harness

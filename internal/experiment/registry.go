@@ -2,65 +2,96 @@ package experiment
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"strings"
-
-	"mptcplab/internal/units"
 )
 
-// The campaign registry names every measurement campaign the repo can
-// run, so callers that receive a campaign name at runtime — the
-// mptcpd service layer, paperbench's -experiment flag — resolve it
-// through one table instead of each hard-coding the scenario list.
-// Names are the paper's figure identifiers; aliases map the companion
-// figure/table numbers onto the campaign that produces them.
-var campaignMakers = map[string]func(CampaignOpts) *Matrix{
-	"fig2": Baseline,
-	"fig4": SmallFlows,
-	"fig6": CoffeeShop,
-	"fig8": SimultaneousSYN,
-	"fig9": LargeFlows,
-	"fig11": func(opts CampaignOpts) *Matrix {
-		// The infinite-backlog study is far heavier per run than the
-		// rest of the matrix; cap repetitions like paperbench does.
-		if opts.reps() > 3 {
-			opts.Reps = 3
-		}
-		return Backlog(512*units.MB, opts)
-	},
-	"fig12":    LatencyDistribution,
-	"shootout": SchedulerShootout,
-	"mobility": Mobility,
+// Campaign is one registry entry: everything a caller that receives a
+// campaign name at runtime needs to run and report it.
+type Campaign struct {
+	// Name is the paper's figure identifier (and the Matrix ID);
+	// Aliases are the companion figure/table numbers the same campaign
+	// produces.
+	Name    string
+	Aliases []string
+	Make    func(CampaignOpts) *Matrix
+	// Text renders the paper-style tables of a finished matrix.
+	Text func(io.Writer, *Matrix)
+	// Distributions marks campaigns whose JSON report carries the CCDF
+	// series next to the cells (Figures 12/13).
+	Distributions bool
+	// InAll marks the campaigns paperbench's "-experiment all" runs.
+	InAll bool
 }
 
-var campaignAliases = map[string]string{
-	"fig3": "fig2", "table2": "fig2",
-	"fig5": "fig4", "table3": "fig4",
-	"fig7": "fig6", "table4": "fig6",
-	"fig10": "fig9", "table5": "fig9",
-	"fig13": "fig12", "table6": "fig12",
-	"sched": "shootout",
+// campaigns is the one ordered table of every measurement campaign
+// the repo can run: the mptcpd service layer and paperbench's
+// -experiment flag both resolve names through it, and paperbench runs
+// and renders in its order.
+var campaigns = []Campaign{
+	{Name: "fig2", Aliases: []string{"fig3", "table2"}, Make: Baseline, Text: writeTimesSharePaths, InAll: true},
+	{Name: "fig4", Aliases: []string{"fig5", "table3"}, Make: SmallFlows, Text: writeTimesSharePaths, InAll: true},
+	{Name: "fig6", Aliases: []string{"fig7", "table4"}, Make: CoffeeShop, Text: writeTimesSharePaths, InAll: true},
+	{Name: "fig8", Make: SimultaneousSYN, Text: WriteDownloadTimes, InAll: true},
+	{Name: "fig9", Aliases: []string{"fig10", "table5"}, Make: LargeFlows, Text: writeTimesSharePaths, InAll: true},
+	{Name: "fig11", Text: WriteDownloadTimes, InAll: true,
+		Make: func(opts CampaignOpts) *Matrix { return Backlog(0, opts) }},
+	{Name: "shootout", Aliases: []string{"sched"}, Make: SchedulerShootout, Text: writeTimesSharePaths, InAll: true},
+	{Name: "fig12", Aliases: []string{"fig13", "table6"}, Make: LatencyDistribution, Distributions: true, InAll: true,
+		Text: func(w io.Writer, m *Matrix) {
+			WriteRTTCCDF(w, m)
+			WriteOFOCCDF(w, m)
+			WriteMPTCPLatencyTable(w, m)
+		}},
+	{Name: "mobility", Make: Mobility, Text: func(w io.Writer, m *Matrix) {
+		WriteDownloadTimes(w, m)
+		WriteCellShare(w, m)
+	}},
 }
+
+func writeTimesSharePaths(w io.Writer, m *Matrix) {
+	WriteDownloadTimes(w, m)
+	WriteCellShare(w, m)
+	WritePathCharacteristics(w, m)
+}
+
+// Campaigns lists the registry in its canonical order. The slice is
+// shared; callers must not modify it.
+func Campaigns() []Campaign { return campaigns }
 
 // CampaignNames lists the canonical campaign names, sorted.
 func CampaignNames() []string {
-	names := make([]string, 0, len(campaignMakers))
-	for name := range campaignMakers {
-		names = append(names, name)
+	names := make([]string, 0, len(campaigns))
+	for _, c := range campaigns {
+		names = append(names, c.Name)
 	}
 	sort.Strings(names)
 	return names
 }
 
+// lookupCampaign finds the entry a name or alias refers to.
+func lookupCampaign(name string) *Campaign {
+	name = strings.ToLower(strings.TrimSpace(name))
+	for i := range campaigns {
+		c := &campaigns[i]
+		if c.Name == name {
+			return c
+		}
+		for _, a := range c.Aliases {
+			if a == name {
+				return c
+			}
+		}
+	}
+	return nil
+}
+
 // ResolveCampaign canonicalizes a campaign name or alias; empty
 // string if unknown.
 func ResolveCampaign(name string) string {
-	name = strings.ToLower(strings.TrimSpace(name))
-	if canon, ok := campaignAliases[name]; ok {
-		return canon
-	}
-	if _, ok := campaignMakers[name]; ok {
-		return name
+	if c := lookupCampaign(name); c != nil {
+		return c.Name
 	}
 	return ""
 }
@@ -68,10 +99,10 @@ func ResolveCampaign(name string) string {
 // NewCampaign runs the named campaign. The name is resolved through
 // the alias table, so "table3" runs the fig4/fig5 small-flows matrix.
 func NewCampaign(name string, opts CampaignOpts) (*Matrix, error) {
-	canon := ResolveCampaign(name)
-	if canon == "" {
+	c := lookupCampaign(name)
+	if c == nil {
 		return nil, fmt.Errorf("experiment: unknown campaign %q (have %s)",
 			name, strings.Join(CampaignNames(), ", "))
 	}
-	return campaignMakers[canon](opts), nil
+	return c.Make(opts), nil
 }

@@ -115,9 +115,14 @@ func SimultaneousSYN(opts CampaignOpts) *Matrix {
 // Backlog reproduces Figure 11: approximate infinite backlog via a
 // single very large download (512 MB in the paper; Size overridable
 // for quick runs) under coupled and uncoupled reno, 2 and 4 paths.
+// The study is far heavier per run than the rest of the matrix, so
+// repetitions are capped at 3.
 func Backlog(size units.ByteCount, opts CampaignOpts) *Matrix {
 	if size == 0 {
 		size = 512 * units.MB
+	}
+	if opts.reps() > 3 {
+		opts.Reps = 3
 	}
 	wifi := pathmodel.ComcastHome()
 	att := pathmodel.ATT()

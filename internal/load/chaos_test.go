@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"mptcplab/internal/chaos"
 	"mptcplab/internal/sim"
+	"mptcplab/internal/sweep"
 	"mptcplab/internal/units"
 )
 
@@ -160,7 +162,7 @@ func TestChaosSweepWorkerInvariance(t *testing.T) {
 			t.Fatalf("%s export differs between -workers 1 and -workers 4", pair.name)
 		}
 	}
-	rows := sa.ExportResilience(opts.Base)
+	rows := sa.ExportResilience()
 	if len(rows) != 4 {
 		t.Fatalf("resilience export has %d rows, want 4", len(rows))
 	}
@@ -188,16 +190,38 @@ func sabotage(t *testing.T, target int64, fn func(f *fleet)) {
 
 // TestSweepContainsPanickingRun: a run that panics mid-sweep becomes a
 // single structured failed row; every other run completes normally.
+// The run contains its own panic, so a memoizing interceptor observes
+// the failed row — exactly once — and does not store it.
 func TestSweepContainsPanickingRun(t *testing.T) {
 	opts := SweepOpts{Base: smokeConfig(), Reps: 3, Seed: 17, Workers: 2}
-	target := opts.RunSeed(0, 1)
+	target := opts.runSeed(0, 1)
 	sabotage(t, target, func(f *fleet) { panic("injected fault") })
 
+	st := sweep.NewCache()
+	var sawFailed atomic.Int64
+	opts.Intercept = func(job SweepJob, run func() Row) Row {
+		key, err := sweep.Key(job.Config.ReplayToken(), 0)
+		if err != nil {
+			t.Error(err)
+		}
+		row, _ := sweep.Memo(st, key, func(r Row) bool { return !r.Run.Failed }, run)
+		if row.Run.Failed {
+			sawFailed.Add(1)
+		}
+		return row
+	}
+
 	sw := RunSweep(opts)
+	if n := sawFailed.Load(); n != 1 {
+		t.Errorf("interceptor observed %d failed rows, want 1", n)
+	}
+	if stored, _, _ := st.Stats(); stored != 2 {
+		t.Errorf("store holds %d rows, want the 2 healthy runs", stored)
+	}
 	if sw.FailedRuns != 1 {
 		t.Fatalf("FailedRuns = %d, want 1", sw.FailedRuns)
 	}
-	rows := sw.Export(opts.Base)
+	rows := sw.Export()
 	if len(rows) != 3 {
 		t.Fatalf("exported %d rows, want 3", len(rows))
 	}
@@ -234,7 +258,7 @@ func TestSweepContainsPanickingRun(t *testing.T) {
 // failed row, while the rest of the sweep completes.
 func TestSweepContainsLivelockedRun(t *testing.T) {
 	opts := SweepOpts{Base: smokeConfig(), Reps: 3, Seed: 23, Workers: 2}
-	target := opts.RunSeed(0, 2)
+	target := opts.runSeed(0, 2)
 	sabotage(t, target, func(f *fleet) {
 		var spin func()
 		spin = func() { f.topo.Sim.At(f.topo.Sim.Now(), "spin", spin) }
@@ -246,7 +270,7 @@ func TestSweepContainsLivelockedRun(t *testing.T) {
 		t.Fatalf("FailedRuns = %d, want 1", sw.FailedRuns)
 	}
 	var found bool
-	for _, e := range sw.Export(opts.Base) {
+	for _, e := range sw.Export() {
 		if !e.Failed {
 			continue
 		}
@@ -281,7 +305,7 @@ func TestSweepCancelExportsPartial(t *testing.T) {
 	if !sw.Cancelled {
 		t.Fatal("sweep not marked cancelled")
 	}
-	rows := sw.Export(opts.Base)
+	rows := sw.Export()
 	if len(rows) != 2 {
 		t.Fatalf("partial export has %d rows, want the 2 completed before cancel", len(rows))
 	}
@@ -306,7 +330,7 @@ func TestSweepCancelBeforeStart(t *testing.T) {
 		if !sw.Cancelled {
 			t.Fatalf("workers=%d: not marked cancelled", workers)
 		}
-		if n := len(sw.Export(smokeConfig())); n != 0 {
+		if n := len(sw.Export()); n != 0 {
 			t.Fatalf("workers=%d: pre-cancelled sweep exported %d rows", workers, n)
 		}
 	}

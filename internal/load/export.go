@@ -67,8 +67,8 @@ type RunExport struct {
 	FailReason string `json:"fail_reason,omitempty"`
 }
 
-// exportRun flattens one run. The replay token re-derives the exact
-// per-run Config so any row can be re-executed standalone.
+// exportRun flattens one run. token is the run's replay token (see
+// newRow).
 func exportRun(p SweepPoint, rep int, res *Result, token string) RunExport {
 	e := RunExport{
 		Rate: p.Rate, Clients: p.Clients, Sched: p.Sched, Rep: rep,
@@ -114,37 +114,27 @@ func exportRun(p SweepPoint, rep int, res *Result, token string) RunExport {
 	return e
 }
 
-// ExportOne flattens a single (point, rep) run — the row the service
-// layer caches individually. Export composes it over the whole grid.
-func ExportOne(base Config, p SweepPoint, rep int, res *Result) RunExport {
-	cfg := PointConfig(base, p)
-	cfg.Seed = res.Seed
-	return exportRun(p, rep, res, cfg.ReplayToken())
-}
-
-// Export flattens a sweep into one record per run, in grid order.
-func (sw *Sweep) Export(base Config) []RunExport {
+// Export lists the sweep's run records, one per executed run, in grid
+// order.
+func (sw *Sweep) Export() []RunExport {
 	var out []RunExport
-	for _, p := range sw.Points {
-		for rep, res := range p.Runs {
-			if res == nil {
-				continue
-			}
-			out = append(out, ExportOne(base, p, rep, res))
+	for _, r := range sw.rows {
+		if r != nil {
+			out = append(out, r.Run)
 		}
 	}
 	return out
 }
 
-// WriteJSON emits the sweep as a JSON array of run records.
-func (sw *Sweep) WriteJSON(w io.Writer, base Config) error {
-	return WriteRunsJSON(w, sw.Export(base))
+// WriteJSON emits the sweep as a JSON array of run records. The Config
+// parameter of this and the three writers below is unused — rows carry
+// their own replay tokens — and stays only because frozen bench/ passes
+// it; the next benchmark PR drops it.
+func (sw *Sweep) WriteJSON(w io.Writer, _ Config) error {
+	return writeIndented(w, sw.Export())
 }
 
-// WriteRunsJSON emits run records as a JSON array — the same bytes
-// Sweep.WriteJSON produces, for callers (the daemon) that assemble
-// rows from a cache instead of a completed Sweep.
-func WriteRunsJSON(w io.Writer, rows []RunExport) error {
+func writeIndented(w io.Writer, rows any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rows)
@@ -165,19 +155,13 @@ var csvHeader = []string{
 }
 
 // WriteCSV emits the sweep as CSV with a header row.
-func (sw *Sweep) WriteCSV(w io.Writer, base Config) error {
-	return WriteRunsCSV(w, sw.Export(base))
-}
-
-// WriteRunsCSV emits run records as CSV with a header row — the same
-// bytes Sweep.WriteCSV produces.
-func WriteRunsCSV(w io.Writer, rows []RunExport) error {
+func (sw *Sweep) WriteCSV(w io.Writer, _ Config) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(csvHeader); err != nil {
 		return err
 	}
 	f := func(v float64) string { return strconv.FormatFloat(v, 'g', 6, 64) }
-	for _, e := range rows {
+	for _, e := range sw.Export() {
 		rec := []string{
 			f(e.Rate), strconv.Itoa(e.Clients), e.Sched, strconv.Itoa(e.Rep),
 			strconv.FormatInt(e.Seed, 10),
@@ -235,22 +219,20 @@ type ResilienceExport struct {
 	Replay     string `json:"replay"`
 }
 
-// ExportResilienceOne flattens a single run's resilience row; ok is
+// exportResilience flattens a single run's resilience row; ok is
 // false when the run produced no row (no chaos report and no harness
 // failure).
-func ExportResilienceOne(base Config, p SweepPoint, rep int, res *Result) (ResilienceExport, bool) {
+func exportResilience(p SweepPoint, rep int, res *Result, token string) (ResilienceExport, bool) {
 	if res.Resilience == nil && !res.Failed {
 		return ResilienceExport{}, false
 	}
-	cfg := PointConfig(base, p)
-	cfg.Seed = res.Seed
 	e := ResilienceExport{
 		Rate: p.Rate, Clients: p.Clients, Rep: rep, Seed: res.Seed,
 		Failed: res.Failed, FailReason: res.FailReason,
 		WiFiAckedBytes: res.WiFiAckedBytes,
 		CellAckedBytes: res.CellAckedBytes,
 		Violations:     res.Violations,
-		Replay:         cfg.ReplayToken(),
+		Replay:         token,
 	}
 	if res.Resilience != nil {
 		e.ReportExport = res.Resilience.Export(res.ChaosSpec)
@@ -260,35 +242,23 @@ func ExportResilienceOne(base Config, p SweepPoint, rep int, res *Result) (Resil
 	return e, true
 }
 
-// ExportResilience flattens the sweep's resilience reports, one record
+// ExportResilience lists the sweep's resilience reports, one record
 // per executed run, in grid order. Failed runs (contained panic or
 // watchdog kill) appear with zeroed resilience fields and the failure
 // reason; runs without a chaos schedule are skipped.
-func (sw *Sweep) ExportResilience(base Config) []ResilienceExport {
+func (sw *Sweep) ExportResilience() []ResilienceExport {
 	var out []ResilienceExport
-	for _, p := range sw.Points {
-		for rep, res := range p.Runs {
-			if res == nil {
-				continue
-			}
-			if e, ok := ExportResilienceOne(base, p, rep, res); ok {
-				out = append(out, e)
-			}
+	for _, r := range sw.rows {
+		if r != nil && r.Resilience != nil {
+			out = append(out, *r.Resilience)
 		}
 	}
 	return out
 }
 
 // WriteResilienceJSON emits the resilience rows as a JSON array.
-func (sw *Sweep) WriteResilienceJSON(w io.Writer, base Config) error {
-	return WriteResilienceRowsJSON(w, sw.ExportResilience(base))
-}
-
-// WriteResilienceRowsJSON emits resilience rows as a JSON array.
-func WriteResilienceRowsJSON(w io.Writer, rows []ResilienceExport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rows)
+func (sw *Sweep) WriteResilienceJSON(w io.Writer, _ Config) error {
+	return writeIndented(w, sw.ExportResilience())
 }
 
 // resCSVHeader lists the resilience columns, in order.
@@ -306,18 +276,13 @@ var resCSVHeader = []string{
 }
 
 // WriteResilienceCSV emits the resilience rows as CSV with a header.
-func (sw *Sweep) WriteResilienceCSV(w io.Writer, base Config) error {
-	return WriteResilienceRowsCSV(w, sw.ExportResilience(base))
-}
-
-// WriteResilienceRowsCSV emits resilience rows as CSV with a header.
-func WriteResilienceRowsCSV(w io.Writer, rows []ResilienceExport) error {
+func (sw *Sweep) WriteResilienceCSV(w io.Writer, _ Config) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(resCSVHeader); err != nil {
 		return err
 	}
 	f := func(v float64) string { return strconv.FormatFloat(v, 'g', 6, 64) }
-	for _, e := range rows {
+	for _, e := range sw.ExportResilience() {
 		rec := []string{
 			f(e.Rate), strconv.Itoa(e.Clients), strconv.Itoa(e.Rep),
 			strconv.FormatInt(e.Seed, 10),

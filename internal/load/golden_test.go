@@ -2,14 +2,17 @@ package load
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"mptcplab/internal/chaos"
 	"mptcplab/internal/pathmodel"
 	"mptcplab/internal/sim"
+	"mptcplab/internal/sweep"
 )
 
 // TestGoldenLoadExports pins the fleet engine's exports byte-for-byte,
@@ -56,11 +59,11 @@ func TestGoldenLoadExports(t *testing.T) {
 		if cfg.Chaos, err = chaos.Parse(tc.chaos); err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 4} {
-			sw := RunSweep(SweepOpts{Base: cfg, Rates: tc.rates, Reps: 2, Seed: 42, Workers: workers})
+		check := func(what string, sw *Sweep) {
+			t.Helper()
 			if sw.TotalViolations != 0 || sw.FailedRuns != 0 {
-				t.Errorf("%s workers=%d: %d violations (first: %s), %d failed runs",
-					tc.name, workers, sw.TotalViolations, sw.FirstViolation, sw.FailedRuns)
+				t.Errorf("%s %s: %d violations (first: %s), %d failed runs",
+					tc.name, what, sw.TotalViolations, sw.FirstViolation, sw.FailedRuns)
 			}
 			writers := map[string]func(io.Writer, Config) error{
 				"golden_" + tc.name + ".csv":  sw.WriteCSV,
@@ -80,7 +83,50 @@ func TestGoldenLoadExports(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(got.Bytes(), want) {
-					t.Errorf("%s workers=%d: export differs from %s", tc.name, workers, file)
+					t.Errorf("%s %s: export differs from %s", tc.name, what, file)
+				}
+			}
+		}
+		for _, workers := range []int{1, 4} {
+			opts := SweepOpts{Base: cfg, Rates: tc.rates, Reps: 2, Seed: 42, Workers: workers}
+			check(fmt.Sprintf("workers=%d", workers), RunSweep(opts))
+
+			// The same sweep behind a memoizing Intercept, the way mptcpd
+			// runs it: cold it executes everything, warm it executes
+			// nothing, and both export the fixture's bytes.
+			st := sweep.NewCache()
+			var hits atomic.Int64
+			opts.Intercept = func(job SweepJob, run func() Row) Row {
+				key, err := sweep.Key(job.Config.ReplayToken(), 0)
+				if err != nil {
+					t.Error(err)
+				}
+				row, hit := sweep.Memo(st, key, func(r Row) bool { return !r.Run.Failed }, run)
+				if hit {
+					hits.Add(1)
+				}
+				return row
+			}
+			for _, pass := range []string{"cold", "warm"} {
+				hits.Store(0)
+				sw := RunSweep(opts)
+				check(fmt.Sprintf("workers=%d memo %s", workers, pass), sw)
+				live := 0
+				for _, p := range sw.Points {
+					for _, res := range p.Runs {
+						if res != nil {
+							live++
+						}
+					}
+				}
+				runs := len(sw.Export())
+				wantHits, wantLive := 0, runs
+				if pass == "warm" {
+					wantHits, wantLive = runs, 0
+				}
+				if int(hits.Load()) != wantHits || live != wantLive {
+					t.Errorf("%s workers=%d memo %s: %d hits, %d live results over %d runs; want %d and %d",
+						tc.name, workers, pass, hits.Load(), live, runs, wantHits, wantLive)
 				}
 			}
 		}

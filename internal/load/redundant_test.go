@@ -97,7 +97,7 @@ func TestReplayReproducesSweepRowPerScheduler(t *testing.T) {
 	}
 	scheds := []string{"minrtt", "roundrobin", "weighted", "redundant", "blest", "adaptive"}
 	sw := RunSweep(SweepOpts{Base: base, Rates: []float64{2}, Scheds: scheds, Reps: 1, Seed: 23})
-	rows := sw.Export(base)
+	rows := sw.Export()
 	if len(rows) != len(scheds) {
 		t.Fatalf("exported %d rows, want %d (one per scheduler)", len(rows), len(scheds))
 	}

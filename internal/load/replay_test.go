@@ -54,7 +54,7 @@ func TestReplayReproducesSweepRow(t *testing.T) {
 		SelfCheck: true,
 	}
 	sw := RunSweep(SweepOpts{Base: base, Rates: []float64{3}, Reps: 1, Seed: 11})
-	rows := sw.Export(base)
+	rows := sw.Export()
 	if len(rows) != 1 {
 		t.Fatalf("exported %d rows, want 1", len(rows))
 	}

@@ -48,6 +48,14 @@ type SweepOpts struct {
 	// Sweep.Cancelled set and nil entries for the runs never executed —
 	// exports skip those, so partial results survive a Ctrl-C.
 	Context context.Context
+
+	// Intercept, when non-nil, wraps every run, as
+	// experiment.CampaignOpts.Intercept does: the callback returns
+	// either run()'s row or one stored earlier for the same job.Config
+	// (runs are pure functions of it, so sweep.Memo is sound). run
+	// contains its own panic and returns the failed row. Called from
+	// worker goroutines; must be safe for concurrent use.
+	Intercept func(job SweepJob, run func() Row) Row
 }
 
 func (o SweepOpts) reps() int {
@@ -63,15 +71,39 @@ type SweepPoint struct {
 	Rate    float64
 	Clients int
 	Sched   string
-	Runs    []*Result // indexed by rep
+	// Runs holds the live result of each executed repetition; an entry
+	// is nil when the run never executed (cancellation) or when an
+	// interceptor substituted its row.
+	Runs []*Result
+}
+
+// SweepJob describes one run of a sweep: its grid position and the
+// per-run Config (point axes applied, seed derived), which determines
+// the run's Row up to the positional Rep label.
+type SweepJob struct {
+	Point, Rep int // indices into Sweep.Points and SweepPoint.Runs
+	Config     Config
+}
+
+// Row is one run's export rows — the unit an interceptor caches. It
+// round-trips through JSON exactly, so a substituted row reproduces
+// the cold run's export bytes.
+type Row struct {
+	Run        RunExport         `json:"run"`
+	Resilience *ResilienceExport `json:"resilience,omitempty"`
 }
 
 // Sweep is a completed campaign.
 type Sweep struct {
 	Points []SweepPoint
 
+	// rows holds each executed run's Row in grid order (point-major,
+	// rep-minor — the order every export walks); nil = never executed.
+	rows []*Row
+
 	// Execution metadata (excluded from exports, which must stay a
-	// pure function of the seed).
+	// pure function of the seed). TotalEvents and FirstViolation cover
+	// executed runs only.
 	WallTime        time.Duration
 	BusyTime        time.Duration
 	Workers         int
@@ -83,29 +115,19 @@ type Sweep struct {
 	// SweepOpts.Context; unexecuted runs stay nil.
 	Cancelled bool
 	// FailedRuns counts runs that panicked or were killed by the
-	// watchdog — each still has a Result row (Failed=true).
+	// watchdog — each still has a row (failed=true).
 	FailedRuns int
 }
 
-// sweepJob addresses one run: grid point and repetition indices.
-type sweepJob struct {
-	point, rep int
-}
-
-// SweepSalt is the load sweep's historical shuffle salt; like the
+// sweepSalt is the load sweep's historical shuffle salt; like the
 // experiment runner's it must never change, since it determines the
-// execution order equal seeds replay. Exported for harnesses that drive
-// grid points on the sweep engine themselves (the mptcpd service layer)
-// and must claim jobs in RunSweep's order.
-const SweepSalt = 0x10ad
+// execution order equal seeds replay.
+const sweepSalt = 0x10ad
 
-// Grid materializes the sweep's grid points in canonical order —
+// grid materializes the sweep's grid points in canonical order —
 // rates outermost, then fleet sizes, then schedulers, exactly the
-// order exports walk — with Runs slices sized for o.Reps. The service
-// layer uses it to address individual (point, rep) runs without
-// executing the whole sweep; RunSweep builds its own grid the same
-// way.
-func (o SweepOpts) Grid() []SweepPoint {
+// order exports walk.
+func (o SweepOpts) grid() []SweepPoint {
 	rates := o.Rates
 	if len(rates) == 0 {
 		rates = []float64{o.Base.Rate}
@@ -131,11 +153,9 @@ func (o SweepOpts) Grid() []SweepPoint {
 	return points
 }
 
-// PointConfig specializes the base config to one grid point: the
-// point's axes override the base, and a rate axis clears any fixed
-// flow count. The per-run seed is not set here — callers derive it
-// with RunSeed.
-func PointConfig(base Config, p SweepPoint) Config {
+// pointConfig specializes the base config to one grid point: the
+// point's axes override the base. The per-run seed is not set here.
+func pointConfig(base Config, p SweepPoint) Config {
 	cfg := base
 	if p.Rate > 0 {
 		cfg.Rate = p.Rate
@@ -150,64 +170,136 @@ func PointConfig(base Config, p SweepPoint) Config {
 	return cfg
 }
 
-// RunSeed derives the seed of one (point, rep) run of a sweep, the
-// same derivation RunSweep applies: disjoint 21-bit index fields
-// through the Splitmix64 bijection (see sweep.Seed).
-func (o SweepOpts) RunSeed(point, rep int) int64 {
+// runSeed derives the seed of one (point, rep) run: disjoint 21-bit
+// index fields through the Splitmix64 bijection (see sweep.Seed).
+func (o SweepOpts) runSeed(point, rep int) int64 {
 	return sweep.Seed(o.Seed, point, rep)
+}
+
+// Validate rejects a sweep that would panic, wedge, or export rows
+// labelled with an axis value that never ran (pointConfig reads a
+// non-positive axis as "use the base"); every grid point's Config must
+// itself validate — fleet bounds, scheduler names, the base.
+func (o SweepOpts) Validate() error {
+	if o.Reps < 0 {
+		return fmt.Errorf("load: reps=%d is negative", o.Reps)
+	}
+	for _, r := range o.Rates {
+		if !(r > 0) {
+			return fmt.Errorf("load: swept rate %g must be positive", r)
+		}
+	}
+	for _, c := range o.Clients {
+		if c <= 0 {
+			return fmt.Errorf("load: swept fleet size %d must be positive", c)
+		}
+	}
+	for _, p := range o.grid() {
+		if err := pointConfig(o.Base, p).Validate(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// newRow flattens one run into the Row grid position (p, rep) exports.
+// The replay token re-derives cfg, so any row can be re-executed
+// standalone.
+func newRow(p SweepPoint, rep int, cfg Config, res *Result) Row {
+	token := cfg.ReplayToken()
+	row := Row{Run: exportRun(p, rep, res, token)}
+	if re, ok := exportResilience(p, rep, res, token); ok {
+		row.Resilience = &re
+	}
+	return row
+}
+
+// RunRow executes one standalone run — a replay token's — and returns
+// the row a one-point, one-rep sweep of it would export.
+func RunRow(cfg Config) Row {
+	p := SweepPoint{Rate: cfg.Rate, Clients: cfg.Clients, Sched: cfg.Scheduler}
+	return newRow(p, 0, cfg, Run(cfg))
 }
 
 // RunSweep executes the grid on the generic sweep engine. Like the
 // experiment campaign runner, the job list is shuffled before
-// execution, fanned out to a worker pool, and absorbed into points in
-// the fixed shuffled-list order — so every aggregate and export is
+// execution, fanned out to a worker pool, and absorbed in the fixed
+// shuffled-list order — so every aggregate and export is
 // byte-identical for any worker count.
 func RunSweep(opts SweepOpts) *Sweep {
-	sw := &Sweep{Points: opts.Grid()}
-	var jobs []sweepJob
-	for pi := range sw.Points {
+	sw := &Sweep{Points: opts.grid()}
+	var jobs []SweepJob
+	for pi, p := range sw.Points {
 		for rep := 0; rep < opts.reps(); rep++ {
-			jobs = append(jobs, sweepJob{pi, rep})
+			cfg := pointConfig(opts.Base, p)
+			cfg.Seed = opts.runSeed(pi, rep)
+			jobs = append(jobs, SweepJob{Point: pi, Rep: rep, Config: cfg})
 		}
 	}
+	sw.rows = make([]*Row, len(jobs))
 
-	// runJob executes one run on the worker's world, reused across its
-	// job stream (warm pools, byte-identical results); after a
-	// contained panic the engine discards the world — it was left
-	// mid-run — and the next job builds a fresh one.
-	runJob := func(worker **world.World, k int) *Result {
+	// Each job writes its live result into its own Runs slot; absorb
+	// reads it after the engine's barrier.
+	failed := func(k int, err error) Row {
 		j := jobs[k]
-		cfg := PointConfig(opts.Base, sw.Points[j.point])
-		cfg.Seed = opts.RunSeed(j.point, j.rep)
-		if *worker == nil {
-			*worker = world.New()
-		}
-		return RunIn(*worker, cfg)
+		p := &sw.Points[j.Point]
+		p.Runs[j.Rep] = failedRun(j.Config, err)
+		return newRow(*p, j.Rep, j.Config, p.Runs[j.Rep])
 	}
-
 	st := sweep.Run(sweep.Opts{
 		Seed:     opts.Seed,
-		Salt:     SweepSalt,
+		Salt:     sweepSalt,
 		Workers:  opts.Workers,
 		Progress: opts.Progress,
 		Context:  opts.Context,
-	}, len(jobs), runJob,
-		func(k int, err error) *Result {
+	}, len(jobs),
+		// The worker's world is reused across its job stream (warm
+		// pools, byte-identical results); after a contained panic it is
+		// discarded — it was left mid-run — and the next job builds a
+		// fresh one.
+		func(worker **world.World, k int) Row {
 			j := jobs[k]
-			cfg := PointConfig(opts.Base, sw.Points[j.point])
-			cfg.Seed = opts.RunSeed(j.point, j.rep)
-			return FailedRun(cfg, err)
+			p := &sw.Points[j.Point]
+			run := func() Row {
+				if *worker == nil {
+					*worker = world.New()
+				}
+				p.Runs[j.Rep] = RunIn(*worker, j.Config)
+				return newRow(*p, j.Rep, j.Config, p.Runs[j.Rep])
+			}
+			if opts.Intercept == nil {
+				return run()
+			}
+			// An interceptor must see a failed run, so its run contains
+			// the panic itself, exactly as the engine would have.
+			return opts.Intercept(j, func() (row Row) {
+				if err := sweep.Contain(func() { row = run() }); err != nil {
+					*worker = nil
+					row = failed(k, err)
+				}
+				return row
+			})
 		},
-		func(k int, res *Result) {
+		failed,
+		func(k int, row Row) {
 			j := jobs[k]
-			sw.Points[j.point].Runs[j.rep] = res
-			sw.TotalEvents += res.Events
-			sw.TotalViolations += res.Violations
-			if res.Failed {
+			// The rep label is positional, not part of what determines
+			// the run (only the seed varies with it): a row substituted
+			// from another sweep position exports this one's.
+			row.Run.Rep = j.Rep
+			if row.Resilience != nil {
+				row.Resilience.Rep = j.Rep
+			}
+			sw.rows[k] = &row
+			sw.TotalViolations += row.Run.Violations
+			if row.Run.Failed {
 				sw.FailedRuns++
 			}
-			if sw.FirstViolation == "" {
-				sw.FirstViolation = res.FirstViolation
+			if res := sw.Points[j.Point].Runs[j.Rep]; res != nil {
+				sw.TotalEvents += res.Events
+				if sw.FirstViolation == "" {
+					sw.FirstViolation = res.FirstViolation
+				}
 			}
 		})
 
@@ -218,13 +310,11 @@ func RunSweep(opts SweepOpts) *Sweep {
 	return sw
 }
 
-// FailedRun builds the structured Result row for a contained run
-// failure — exported for harnesses that drive grid points on the
-// sweep engine themselves (the mptcpd service layer) and need
-// failures shaped exactly as RunSweep shapes them. Only the first line
-// of the error is kept: panic stacks carry goroutine ids that vary with
-// worker scheduling, and exports must be a pure function of the seed.
-func FailedRun(cfg Config, err error) *Result {
+// failedRun builds the structured Result for a contained run failure.
+// Only the first line of the error is kept: panic stacks carry
+// goroutine ids that vary with worker scheduling, and exports must be
+// a pure function of the seed.
+func failedRun(cfg Config, err error) *Result {
 	res := newResult(cfg.withDefaults())
 	res.Failed = true
 	res.FailReason, _, _ = strings.Cut(err.Error(), "\n")

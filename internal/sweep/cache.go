@@ -46,3 +46,30 @@ func Key(desc any, seed int64) (string, error) {
 	}
 	return fmt.Sprintf("%x:%d", sha256.Sum256(canon), seed), nil
 }
+
+// Memo is the one cache protocol every runner's Intercept hook is
+// wired to: answer run() from st when key already holds a decodable R,
+// otherwise execute it and store the row — once encoded on a miss,
+// once decoded on a hit, read through GetRef (no copy).
+//
+// A value that does not decode is a miss and is overwritten. A row
+// keep rejects (a failed run: a wall-clock fact, not a function of the
+// key) is returned but never stored. An empty key — the caller's Key
+// call failed — means "don't cache": run always executes.
+func Memo[R any](st *Store, key string, keep func(R) bool, run func() R) (res R, hit bool) {
+	if key == "" {
+		return run(), false
+	}
+	if b, ok := st.GetRef(key); ok {
+		if json.Unmarshal(b, &res) == nil {
+			return res, true
+		}
+	}
+	res = run()
+	if keep(res) {
+		if b, err := json.Marshal(res); err == nil {
+			st.Put(key, b)
+		}
+	}
+	return res, false
+}

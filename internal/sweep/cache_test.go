@@ -95,3 +95,46 @@ func TestCacheHitMissAccounting(t *testing.T) {
 		t.Fatalf("Stats = (%d, %d, %d), want (1, 1, 1)", entries, hits, misses)
 	}
 }
+
+// TestMemo pins the one cache protocol: a miss runs and stores, a hit
+// does not re-run, a row keep rejects is never stored, an undecodable
+// value is a miss and is overwritten, and an empty key never caches.
+func TestMemo(t *testing.T) {
+	type row struct {
+		V  int  `json:"v"`
+		OK bool `json:"ok"`
+	}
+	keep := func(r row) bool { return r.OK }
+	st := NewCache()
+	runs := 0
+	run := func(r row) func() row {
+		return func() row { runs++; return r }
+	}
+	step := func(what, key string, produce row, want row, wantHit bool, wantRuns int) {
+		t.Helper()
+		got, hit := Memo(st, key, keep, run(produce))
+		if got != want || hit != wantHit || runs != wantRuns {
+			t.Fatalf("%s: Memo = %+v hit=%v after %d runs; want %+v hit=%v after %d runs",
+				what, got, hit, runs, want, wantHit, wantRuns)
+		}
+	}
+	step("miss", "k", row{1, true}, row{1, true}, false, 1)
+	step("hit", "k", row{2, true}, row{1, true}, true, 1)
+
+	step("rejected row", "bad", row{3, false}, row{3, false}, false, 2)
+	if _, ok := st.Get("bad"); ok {
+		t.Fatal("a row keep rejected was stored")
+	}
+	step("rejected row again", "bad", row{4, true}, row{4, true}, false, 3)
+
+	st.Put("junk", []byte("{not json"))
+	step("garbage value", "junk", row{5, true}, row{5, true}, false, 4)
+	step("garbage overwritten", "junk", row{6, true}, row{5, true}, true, 4)
+
+	entries, _, _ := st.Stats()
+	step("empty key", "", row{7, true}, row{7, true}, false, 5)
+	step("empty key again", "", row{8, true}, row{8, true}, false, 6)
+	if after, _, _ := st.Stats(); after != entries {
+		t.Fatalf("an empty key stored something: %d -> %d entries", entries, after)
+	}
+}

@@ -1,7 +1,7 @@
-// Package sweep is the generic campaign engine every runner in this
-// repo executes on: a seeded job → row contract with deterministic
-// fan-out. The engine owns the pieces the experiment matrix, the load
-// sweep, and the fuzz sweep used to reimplement separately:
+// Package sweep is the generic campaign engine both runners in this
+// repo execute on: a seeded job → row contract with deterministic
+// fan-out. The engine owns the pieces the experiment matrix and the
+// load sweep used to reimplement separately:
 //
 //   - per-run seed derivation (Seed: disjoint 21-bit index packing
 //     through the Splitmix64 bijection),
@@ -20,7 +20,8 @@
 //
 // Runs are pure functions of their seed; everything wall-clock lands
 // in Stats, never in results. That purity is also what makes the
-// content-addressed result store (Store, Key) sound: see cache.go.
+// content-addressed result store (Store, Key, Memo) sound: see
+// cache.go.
 package sweep
 
 import (
