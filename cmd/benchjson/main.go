@@ -28,19 +28,21 @@ import (
 )
 
 // allocGates pins allocs/op ceilings for the pooled hot path. The
-// download ceilings sit ~25% above what the timer-wheel / batched-
-// delivery / arena-reuse round measures (~690 and ~360 allocs per 4 MB
-// download, from 168910 and 79247 before the two speed rounds), so any
-// regression back toward per-packet or per-event allocation trips the
-// gate long before the old numbers return. The bloated 8 MB transfer
+// download ceilings sit ~25% above what the runs measure (~570 and
+// ~336 allocs per 4 MB download, from 168910 and 79247 before the two
+// speed rounds, ~690 and ~360 before options became slots in the
+// segment), so any regression back toward per-packet or per-event
+// allocation trips the gate long before the old numbers return. The
+// encode/decode round trip needs exactly one object, the decoded
+// segment. The bloated 8 MB transfer
 // measures 753 (a few dozen slice growths on top of the pooled path):
 // its ceiling catches the in-flight queue or the scoreboard going back
 // to reallocating per ACK, which would add thousands.
 var allocGates = map[string]float64{
 	"BenchmarkSimEventLoop":      0,
-	"BenchmarkSegEncodeDecode":   4,
-	"BenchmarkSingleDownload4MB": 900,
-	"BenchmarkTCPSingle4MB":      500,
+	"BenchmarkSegEncodeDecode":   1,
+	"BenchmarkSingleDownload4MB": 720,
+	"BenchmarkTCPSingle4MB":      420,
 	"BenchmarkTCPBloat8MB":       950,
 }
 

@@ -224,8 +224,8 @@ func (c *Checker) onEgress(s *seg.Segment) {
 			f.sawSYN = true
 			f.iss = s.Seq
 			f.maxEnd, f.maxEndSet = s.End(), true
-			if o := s.Option(seg.KindWindowScale); o != nil {
-				f.wscale = o.(seg.WindowScaleOption).Shift
+			if s.Has(seg.OptWindowScale) {
+				f.wscale = s.WScale.Shift
 			}
 		}
 	case !f.maxEndSet:
@@ -263,7 +263,7 @@ func (c *Checker) onEgress(s *seg.Segment) {
 	}
 
 	// SACK legality.
-	if blocks := s.GetSACK(); len(blocks) > 0 {
+	if blocks := s.SACK(); len(blocks) > 0 {
 		for i, b := range blocks {
 			if !seg.SeqLT(b.Start, b.End) {
 				c.violatef("sack-empty", "%v>%v SACK block %d [%d,%d) empty or inverted", s.Src, s.Dst, i, b.Start, b.End)
@@ -322,10 +322,10 @@ func (c *Checker) onIngress(s *seg.Segment) {
 // duplicated deliveries re-verify cleanly); DataAck monotonicity only
 // holds in egress order.
 func (c *Checker) checkDSS(f *flowState, s *seg.Segment, egress bool) {
-	d, ok := s.GetDSS()
-	if !ok {
+	if !s.Has(seg.OptDSS) {
 		return
 	}
+	d := s.DSS
 	if d.HasMap && d.Length > 0 {
 		if s.PayloadLen > 0 && int(d.Length) != s.PayloadLen {
 			c.violatef("dss-length", "%v>%v DSS maps %d bytes, segment carries %d", s.Src, s.Dst, d.Length, s.PayloadLen)

@@ -114,7 +114,7 @@ func TestCheckerSACK(t *testing.T) {
 		t.Run(tc.rule, func(t *testing.T) {
 			c := newChecker()
 			s := &seg.Segment{Src: addrA, Dst: addrB, Flags: seg.ACK, Ack: tc.ack}
-			s.AddOption(seg.SACKOption{Blocks: tc.blocks})
+			s.AddSACK(tc.blocks)
 			egress(c, s)
 			expectRule(t, c, tc.rule)
 		})
@@ -125,7 +125,7 @@ func TestCheckerSACKUnsent(t *testing.T) {
 	c := newChecker()
 	egress(c, &seg.Segment{Src: addrB, Dst: addrA, Seq: 0, Flags: seg.SYN}) // peer sent [0,1)
 	s := &seg.Segment{Src: addrA, Dst: addrB, Flags: seg.ACK, Ack: 1}
-	s.AddOption(seg.SACKOption{Blocks: []seg.SACKBlock{{Start: 100, End: 200}}})
+	s.AddSACK([]seg.SACKBlock{{Start: 100, End: 200}})
 	egress(c, s)
 	expectRule(t, c, "sack-unsent")
 }
@@ -134,7 +134,7 @@ func TestCheckerWindowOverrun(t *testing.T) {
 	c := newChecker()
 	// B announces window scale 2 on its SYN.
 	syn := &seg.Segment{Src: addrB, Dst: addrA, Seq: 0, Flags: seg.SYN}
-	syn.AddOption(seg.WindowScaleOption{Shift: 2})
+	syn.AddWindowScale(seg.WindowScaleOption{Shift: 2})
 	c.OnSegment("b", netem.Egress, 0, syn)
 	// A receives B's ACK: right edge = 500 + 100<<2 = 900.
 	ingress(c, &seg.Segment{Src: addrB, Dst: addrA, Flags: seg.ACK, Ack: 500, Window: 100})
@@ -152,7 +152,7 @@ func TestCheckerWindowOverrun(t *testing.T) {
 func TestCheckerDSSLength(t *testing.T) {
 	c := newChecker()
 	s := dataSeg(addrA, addrB, 1, 100)
-	s.AddOption(seg.DSSOption{HasMap: true, DataSeq: 1, SubflowSeq: 1, Length: 50})
+	s.AddDSS(seg.DSSOption{HasMap: true, DataSeq: 1, SubflowSeq: 1, Length: 50})
 	ingress(c, s)
 	expectRule(t, c, "dss-length")
 }
@@ -161,7 +161,7 @@ func TestCheckerDSSSubflowSeq(t *testing.T) {
 	c := newChecker()
 	egress(c, &seg.Segment{Src: addrA, Dst: addrB, Seq: 100, Flags: seg.SYN})
 	s := dataSeg(addrA, addrB, 101, 100)
-	s.AddOption(seg.DSSOption{HasMap: true, DataSeq: 1, SubflowSeq: 999, Length: 100})
+	s.AddDSS(seg.DSSOption{HasMap: true, DataSeq: 1, SubflowSeq: 999, Length: 100})
 	egress(c, s)
 	expectRule(t, c, "dss-subflow-seq")
 }
@@ -169,11 +169,11 @@ func TestCheckerDSSSubflowSeq(t *testing.T) {
 func TestCheckerDSSRemap(t *testing.T) {
 	c := newChecker()
 	s1 := dataSeg(addrA, addrB, 1, 100)
-	s1.AddOption(seg.DSSOption{HasMap: true, DataSeq: 1000, SubflowSeq: 1, Length: 100})
+	s1.AddDSS(seg.DSSOption{HasMap: true, DataSeq: 1000, SubflowSeq: 1, Length: 100})
 	ingress(c, s1)
 	// Same subflow bytes re-presented with a different data sequence.
 	s2 := dataSeg(addrA, addrB, 1, 100)
-	s2.AddOption(seg.DSSOption{HasMap: true, DataSeq: 2000, SubflowSeq: 1, Length: 100})
+	s2.AddDSS(seg.DSSOption{HasMap: true, DataSeq: 2000, SubflowSeq: 1, Length: 100})
 	ingress(c, s2)
 	expectRule(t, c, "dss-remap")
 }
@@ -182,7 +182,7 @@ func TestCheckerDSSRemapConsistentDuplicate(t *testing.T) {
 	c := newChecker()
 	for i := 0; i < 2; i++ { // exact duplicate delivery is legal
 		s := dataSeg(addrA, addrB, 1, 100)
-		s.AddOption(seg.DSSOption{HasMap: true, DataSeq: 1000, SubflowSeq: 1, Length: 100})
+		s.AddDSS(seg.DSSOption{HasMap: true, DataSeq: 1000, SubflowSeq: 1, Length: 100})
 		ingress(c, s)
 	}
 	if !c.Ok() {
@@ -193,10 +193,10 @@ func TestCheckerDSSRemapConsistentDuplicate(t *testing.T) {
 func TestCheckerDataAckRegress(t *testing.T) {
 	c := newChecker()
 	s1 := &seg.Segment{Src: addrA, Dst: addrB, Flags: seg.ACK}
-	s1.AddOption(seg.DSSOption{HasAck: true, DataAck: 1000})
+	s1.AddDSS(seg.DSSOption{HasAck: true, DataAck: 1000})
 	egress(c, s1)
 	s2 := &seg.Segment{Src: addrA, Dst: addrB, Flags: seg.ACK}
-	s2.AddOption(seg.DSSOption{HasAck: true, DataAck: 500})
+	s2.AddDSS(seg.DSSOption{HasAck: true, DataAck: 500})
 	egress(c, s2)
 	expectRule(t, c, "dack-regress")
 }
@@ -204,10 +204,10 @@ func TestCheckerDataAckRegress(t *testing.T) {
 func TestCheckerDataFinMoved(t *testing.T) {
 	c := newChecker()
 	s1 := &seg.Segment{Src: addrA, Dst: addrB, Flags: seg.ACK}
-	s1.AddOption(seg.DSSOption{HasMap: true, DataFin: true, DataSeq: 500})
+	s1.AddDSS(seg.DSSOption{HasMap: true, DataFin: true, DataSeq: 500})
 	ingress(c, s1)
 	s2 := &seg.Segment{Src: addrA, Dst: addrB, Flags: seg.ACK}
-	s2.AddOption(seg.DSSOption{HasMap: true, DataFin: true, DataSeq: 600})
+	s2.AddDSS(seg.DSSOption{HasMap: true, DataFin: true, DataSeq: 600})
 	ingress(c, s2)
 	expectRule(t, c, "datafin-moved")
 }

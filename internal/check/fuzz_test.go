@@ -80,10 +80,8 @@ func corruptDSS(h *Harness) {
 		if n < 4 {
 			return
 		}
-		for _, o := range s.Options {
-			if d, ok := o.(*seg.DSSOption); ok && d.HasMap && d.Length > 0 {
-				d.DataSeq += 1 << 20
-			}
+		if s.Has(seg.OptDSS) && s.DSS.HasMap && s.DSS.Length > 0 {
+			s.DSS.DataSeq += 1 << 20
 		}
 	})
 }

@@ -1,9 +1,13 @@
 package experiment
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 
+	"mptcplab/internal/netem"
 	"mptcplab/internal/pathmodel"
+	"mptcplab/internal/pcap"
 	"mptcplab/internal/stats"
 	"mptcplab/internal/trace"
 	"mptcplab/internal/units"
@@ -101,5 +105,52 @@ func TestTraceCrossValidatesStackMetrics(t *testing.T) {
 	}
 	if d := traceOFO.Quantile(0.9) - stackOFO.Quantile(0.9); d > 10 || d < -10 {
 		t.Errorf("OFO p90: trace %.1fms vs stack %.1fms", traceOFO.Quantile(0.9), stackOFO.Quantile(0.9))
+	}
+}
+
+// TestMemoryAndPcapCapturesAgree taps one 4-path download both ways at
+// each host — MemoryCapture keeps the tap's segments as they are,
+// PcapTap encodes them to a file that AnalyzePcap decodes — and checks
+// that the two analyses are the same in every flow statistic and every
+// reconstructed connection: nothing the analyzer reads is lost or
+// changed by the trip through wire bytes.
+func TestMemoryAndPcapCapturesAgree(t *testing.T) {
+	tb := NewTestbed(TestbedConfig{
+		WiFi: pathmodel.ComcastHome(), Cell: pathmodel.Verizon(),
+		SampleProfiles: true, WarmRadio: true, Seed: 78, ServerSecondIface: true,
+	})
+	type vantage struct {
+		name string
+		mem  trace.MemoryCapture
+		file bytes.Buffer
+	}
+	vantages := []*vantage{{name: "server"}, {name: "client"}}
+	for i, host := range []*netem.Host{tb.Server, tb.Client} {
+		w, err := pcap.NewWriter(&vantages[i].file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		host.AddTap(vantages[i].mem.Tap())
+		host.AddTap(trace.PcapTap(w))
+	}
+	if res := tb.Run(RunConfig{Transport: MP4, Size: 2 * units.MB}); !res.Completed {
+		t.Fatal("download did not complete")
+	}
+	for _, v := range vantages {
+		fromMem := v.mem.Analyze()
+		fromFile, err := trace.AnalyzePcap(&v.file)
+		if err != nil {
+			t.Fatalf("%s: %v", v.name, err)
+		}
+		if len(fromMem.Flows()) != 8 || len(fromMem.Connections()) != 1 {
+			t.Errorf("%s: %d flows in %d connections, want 4 subflows both ways in one",
+				v.name, len(fromMem.Flows()), len(fromMem.Connections()))
+		}
+		if !reflect.DeepEqual(fromMem.Flows(), fromFile.Flows()) {
+			t.Errorf("%s: flow statistics differ between memory and pcap capture", v.name)
+		}
+		if !reflect.DeepEqual(fromMem.Connections(), fromFile.Connections()) {
+			t.Errorf("%s: reconstructed connections differ between memory and pcap capture", v.name)
+		}
 	}
 }

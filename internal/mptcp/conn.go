@@ -93,7 +93,11 @@ type Subflow struct {
 	// its predecessor's, so the mappings a data ACK covers need not be
 	// a prefix of the queue.
 	dataUnordered bool
-	pendingOpts   []seg.Option
+	// Signaling waiting for a ride: each departing segment takes at
+	// most one queued option per kind, oldest first (buildOptions).
+	pendingAdd    []seg.AddAddrOption
+	pendingRemove []seg.RemoveAddrOption
+	pendingClose  bool // MP_FASTCLOSE
 	lastPenalty   sim.Time
 	joinNonce     uint32
 	// alignHold marks a subflow whose free space stops short of the
@@ -439,7 +443,7 @@ func (c *Conn) afterFirstSubflow() {
 	}
 	for i := 1; i < len(c.localAddrs); i++ {
 		// Advertise the extra interface on the established subflow…
-		c.subflows[0].pendingOpts = append(c.subflows[0].pendingOpts,
+		c.subflows[0].pendingAdd = append(c.subflows[0].pendingAdd,
 			seg.AddAddrOption{AddrID: uint8(i), Addr: c.localAddrs[i]})
 		// …and join from it.
 		sf := c.addSubflow(c.localAddrs[i], c.knownRemotes[0], c.label(i))
@@ -455,10 +459,9 @@ func (c *Conn) serverAfterFirstSubflow() {
 		return
 	}
 	for i, a := range c.server.AdvertiseAddrs {
-		c.subflows[0].pendingOpts = append(c.subflows[0].pendingOpts,
+		// One ACK per address: a segment carries one ADD_ADDR.
+		c.subflows[0].pendingAdd = append(c.subflows[0].pendingAdd,
 			seg.AddAddrOption{AddrID: uint8(0x10 + i), Addr: a})
-	}
-	if len(c.server.AdvertiseAddrs) > 0 {
 		c.subflows[0].EP.PushAck()
 	}
 }
@@ -721,15 +724,15 @@ func (c *Conn) buildOptions(sf *Subflow, s *seg.Segment, kind tcp.SegKind) {
 			break
 		}
 		if sf.ID == 0 {
-			s.AddOption(seg.MPCapableOption{Key: c.localKey})
+			s.AddMPCapable(seg.MPCapableOption{Key: c.localKey})
 		} else {
-			s.AddOption(seg.MPJoinOption{Token: c.joinToken(), Nonce: sf.joinNonce, AddrID: sf.AddrID, Backup: sf.Backup})
+			s.AddMPJoin(seg.MPJoinOption{Token: c.joinToken(), Nonce: sf.joinNonce, AddrID: sf.AddrID, Backup: sf.Backup})
 		}
 	case tcp.KindSYNACK:
 		if sf.ID == 0 {
-			s.AddOption(seg.MPCapableOption{Key: c.localKey})
+			s.AddMPCapable(seg.MPCapableOption{Key: c.localKey})
 		} else {
-			s.AddOption(seg.MPJoinOption{Token: c.LocalToken(), Nonce: sf.joinNonce, AddrID: sf.AddrID})
+			s.AddMPJoin(seg.MPJoinOption{Token: c.LocalToken(), Nonce: sf.joinNonce, AddrID: sf.AddrID})
 		}
 	case tcp.KindData:
 		off := sf.EP.StreamOffset(s.Seq)
@@ -756,9 +759,17 @@ func (c *Conn) buildOptions(sf *Subflow, s *seg.Segment, kind tcp.SegKind) {
 		}
 		s.AddDSS(dss)
 	}
-	if len(sf.pendingOpts) > 0 {
-		s.Options = append(s.Options, sf.pendingOpts...)
-		sf.pendingOpts = nil
+	if len(sf.pendingAdd) > 0 {
+		s.AddAddAddr(sf.pendingAdd[0])
+		sf.pendingAdd = sf.pendingAdd[1:]
+	}
+	if len(sf.pendingRemove) > 0 {
+		s.AddRemoveAddr(sf.pendingRemove[0])
+		sf.pendingRemove = sf.pendingRemove[1:]
+	}
+	if sf.pendingClose {
+		s.AddFastClose(seg.FastCloseOption{Key: c.peerKey})
+		sf.pendingClose = false
 	}
 }
 
@@ -789,20 +800,21 @@ func (c *Conn) sharedWindow() int64 {
 
 // onSegment processes MPTCP signaling on any arriving segment.
 func (c *Conn) onSegment(sf *Subflow, s *seg.Segment) {
-	if o := s.MPTCP(seg.SubMPCapable); o != nil && !c.isServer {
-		c.peerKey = o.(seg.MPCapableOption).Key
+	if s.Has(seg.OptMPCapable) && !c.isServer {
+		c.peerKey = s.MPCapable.Key
 	}
-	if o := s.MPTCP(seg.SubAddAddr); o != nil {
-		c.onAddAddr(o.(seg.AddAddrOption))
+	if s.Has(seg.OptAddAddr) {
+		c.onAddAddr(s.AddAddr)
 	}
-	if o := s.MPTCP(seg.SubRemoveAddr); o != nil {
-		c.onRemoveAddr(o.(seg.RemoveAddrOption))
+	if s.Has(seg.OptRemoveAddr) {
+		c.onRemoveAddr(s.RemoveAddr)
 	}
-	if o := s.MPTCP(seg.SubFastClose); o != nil {
+	if s.Has(seg.OptFastClose) {
 		c.onFastClose()
 		return
 	}
-	if d, ok := s.GetDSS(); ok {
+	if s.Has(seg.OptDSS) {
+		d := s.DSS
 		if d.HasAck {
 			// The shared receive window is relative to the data-level
 			// ACK (RFC 6824 §3.3.1): DataAck plus this segment's window
@@ -915,7 +927,7 @@ func (c *Conn) RemoveLocalAddr(addr seg.Addr) {
 		sf.EP.Abort()
 	}
 	if survivor != nil {
-		survivor.pendingOpts = append(survivor.pendingOpts,
+		survivor.pendingRemove = append(survivor.pendingRemove,
 			seg.RemoveAddrOption{AddrID: c.addrID(addr), Addr: addr})
 		survivor.EP.PushAck()
 	}
@@ -963,7 +975,7 @@ func (c *Conn) RejoinLocalAddr(addr seg.Addr) *Subflow {
 		id = len(c.localAddrs)
 		c.localAddrs = append(c.localAddrs, addr)
 	}
-	adv.pendingOpts = append(adv.pendingOpts,
+	adv.pendingAdd = append(adv.pendingAdd,
 		seg.AddAddrOption{AddrID: uint8(id), Addr: addr})
 	adv.EP.PushAck()
 	sf := c.addSubflow(addr, c.knownRemotes[0], c.label(id))
@@ -1009,7 +1021,7 @@ func (c *Conn) Abort() {
 	sent := false
 	for _, sf := range c.subflows {
 		if !sent && sf.EP.Established() {
-			sf.pendingOpts = append(sf.pendingOpts, seg.FastCloseOption{Key: c.peerKey})
+			sf.pendingClose = true
 			sf.EP.PushAck()
 			sf.EP.Abort()
 			sent = true

@@ -3,6 +3,7 @@ package mptcp
 import (
 	"testing"
 
+	"mptcplab/internal/netem"
 	"mptcplab/internal/seg"
 	"mptcplab/internal/sim"
 	"mptcplab/internal/tcp"
@@ -179,6 +180,58 @@ func TestDuplicateAddAddrIgnored(t *testing.T) {
 	tn.sim.RunUntil(5 * sim.Second)
 	if got := len(conn.Subflows()); got != 4 {
 		t.Errorf("client has %d subflows, want exactly 4 despite duplicate ADD_ADDR", got)
+	}
+}
+
+// Every queued ADD_ADDR reaches the peer: a server advertising two
+// distinct secondary addresses ends with the client holding a subflow
+// from each interface to each of them, and each advertisement crosses
+// the wire in exactly one encoded frame (a header carries one ADD_ADDR;
+// the second rides the next segment).
+func TestEveryAdvertisedAddrJoined(t *testing.T) {
+	wifi, cell := defaultWifi(), defaultCell()
+	wifi.loss = 0 // ADD_ADDR rides an unreliable pure ACK
+	tn := buildTwoPath(t, wifi, cell, true)
+	srvAddr3 := seg.MakeAddr("192.168.3.1", 8080)
+	tn.net.AddDuplexRoute(tn.wifiAddr.IP, srvAddr3.IP, tn.client, tn.server,
+		[]*netem.Link{tn.wifiUp}, []*netem.Link{tn.wifiDown})
+	tn.net.AddDuplexRoute(tn.cellAddr.IP, srvAddr3.IP, tn.client, tn.server,
+		[]*netem.Link{tn.cellUp}, []*netem.Link{tn.cellDown})
+
+	cfg := DefaultConfig()
+	srv := NewServer(tn.server, tn.net, tn.srvAddr.Port, cfg, tn.rng.Child("srv"))
+	srv.AdvertiseAddrs = []seg.Addr{tn.srvAddr2, srvAddr3}
+	srv.OnConn = func(c *Conn) { c.OnData = func(int64) {} }
+	onWire := map[uint8]int{}
+	tn.server.AddTap(func(dir netem.Direction, _ sim.Time, s *seg.Segment) {
+		d, err := seg.Decode(seg.Encode(s))
+		if err != nil {
+			t.Errorf("captured frame does not decode: %v", err)
+		} else if dir == netem.Egress && d.Has(seg.OptAddAddr) {
+			onWire[d.AddAddr.AddrID]++
+		}
+	})
+	conn := Dial(tn.net, tn.client, DialOpts{
+		LocalAddrs:     []seg.Addr{tn.wifiAddr, tn.cellAddr},
+		ServerAddr:     tn.srvAddr,
+		JoinAdvertised: true,
+		Config:         cfg,
+	}, tn.rng.Child("cli"))
+	tn.sim.RunUntil(5 * sim.Second)
+
+	joined := map[seg.Addr]int{}
+	for _, sf := range conn.Subflows() {
+		if sf.EP.Established() {
+			joined[sf.EP.Remote]++
+		}
+	}
+	for _, a := range []seg.Addr{tn.srvAddr, tn.srvAddr2, srvAddr3} {
+		if joined[a] != 2 {
+			t.Errorf("client holds %d subflows to %v, want one per interface", joined[a], a)
+		}
+	}
+	if len(onWire) != 2 || onWire[0x10] != 1 || onWire[0x11] != 1 {
+		t.Errorf("encoded ADD_ADDR frames by AddrID = %v, want 0x10 and 0x11 once each", onWire)
 	}
 }
 

@@ -60,11 +60,11 @@ func NewServer(host *netem.Host, network *netem.Network, port uint16, cfg Config
 func (s *Server) Listener() *tcp.Listener { return s.lis }
 
 func (s *Server) accept(ep *tcp.Endpoint, syn *seg.Segment) bool {
-	if o := syn.MPTCP(seg.SubMPCapable); o != nil {
-		return s.acceptCapable(ep, o.(seg.MPCapableOption))
+	if syn.Has(seg.OptMPCapable) {
+		return s.acceptCapable(ep, syn.MPCapable)
 	}
-	if o := syn.MPTCP(seg.SubMPJoin); o != nil {
-		return s.acceptJoin(ep, o.(seg.MPJoinOption), syn)
+	if syn.Has(seg.OptMPJoin) {
+		return s.acceptJoin(ep, syn.MPJoin, syn)
 	}
 	if s.OnPlainConn != nil {
 		return s.OnPlainConn(ep)

@@ -52,11 +52,9 @@ func (p *Pool) Put(s *Segment) {
 	if s.pooled {
 		panic("seg: segment released to pool twice")
 	}
-	opts := s.Options
-	clear(opts)
 	// The generation counter survives the reset (incremented): holders
 	// that recorded Gen() at hand-off can detect recycling.
-	*s = Segment{Options: opts[:0], pooled: true, gen: s.gen + 1}
+	*s = Segment{pooled: true, gen: s.gen + 1}
 	p.free = append(p.free, s)
 }
 

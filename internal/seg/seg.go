@@ -10,6 +10,7 @@ package seg
 
 import (
 	"fmt"
+	"math/bits"
 	"net/netip"
 
 	"mptcplab/internal/sim"
@@ -79,9 +80,15 @@ func (f Flags) String() string {
 	return s
 }
 
-// Segment is one TCP segment in flight. PayloadLen stands in for the
-// application bytes (contents are synthesized on capture); everything
-// else is genuine TCP header state.
+// Segment is one TCP segment in flight: a parsed header. PayloadLen
+// stands in for the application bytes (contents are synthesized on
+// capture); everything else is genuine TCP header state.
+//
+// Options live in one typed slot per kind, valid only while the kind's
+// bit is set in the presence mask: set them with the Add methods, test
+// with Has, then read the field. A segment holds no pointer, slice or
+// interface, so pooled segments are invisible to the garbage collector,
+// a copy is a clone, and two segments compare with ==.
 type Segment struct {
 	Src, Dst Addr
 	Seq, Ack uint32
@@ -89,21 +96,25 @@ type Segment struct {
 	Window   uint32 // advertised receive window, bytes (post-scaling)
 
 	PayloadLen int
-	Options    []Option
+
+	// Option slots, in wire order (SACK-permitted is its bit alone).
+	opts       OptSet // which slots are present
+	MSS        MSSOption
+	WScale     WindowScaleOption
+	nsack      uint8
+	sack       [maxSACKBlocks]SACKBlock
+	Timestamps TimestampsOption
+	MPCapable  MPCapableOption
+	MPJoin     MPJoinOption
+	DSS        DSSOption
+	AddAddr    AddAddrOption
+	RemoveAddr RemoveAddrOption
+	FastClose  FastCloseOption
 
 	// Simulation bookkeeping, not on the wire.
 	SentAt     sim.Time // stamped when the sender hands it to the NIC
 	Retransmit bool     // true if this carries previously sent data
 	TxSeq      uint64   // per-path transmission serial, set by netem
-
-	// Inline storage for the per-packet options: AddDSS and AddSACK
-	// write here and append an interior pointer to Options, so
-	// decorating a data segment or ACK costs no allocation (boxing a
-	// pointer is allocation-free, boxing the option value is not).
-	// Clone re-points these into the copy.
-	dss     DSSOption
-	sack    SACKOption
-	sackArr [maxSACKBlocks]SACKBlock
 
 	pooled bool   // currently on a Pool free list (double-release guard)
 	gen    uint32 // incremented on each Pool.Put; detects stale handles
@@ -119,8 +130,8 @@ func (s *Segment) Gen() uint32 { return s.gen }
 // list. A true result means any outstanding pointer to it is stale.
 func (s *Segment) Pooled() bool { return s.pooled }
 
-// maxSACKBlocks bounds a segment's inline SACK storage; RFC 2018's
-// 40-byte option budget caps a real header at four blocks anyway.
+// maxSACKBlocks bounds a segment's SACK storage; RFC 2018's 40-byte
+// option budget caps a real header at four blocks anyway.
 const maxSACKBlocks = 4
 
 // Len reports the payload length in bytes.
@@ -130,7 +141,8 @@ func (s *Segment) Len() int { return s.PayloadLen }
 // header with options (padded to a 4-byte boundary), and payload.
 // Link-level queueing and transmission delay are computed from this.
 func (s *Segment) WireSize() int {
-	return ipv4HeaderLen + tcpBaseHeaderLen + s.optionsWireLen() + s.PayloadLen
+	_, optLen := s.wireOptions()
+	return ipv4HeaderLen + tcpBaseHeaderLen + optLen + s.PayloadLen
 }
 
 // End reports the sequence number after this segment's data, counting
@@ -146,93 +158,89 @@ func (s *Segment) End() uint32 {
 	return s.Seq + n
 }
 
-// Option looks up the first option of the given kind, or nil.
-func (s *Segment) Option(kind OptionKind) Option {
-	for _, o := range s.Options {
-		if o.Kind() == kind {
-			return o
-		}
-	}
-	return nil
-}
+// Has reports whether the segment carries any of the options in o.
+func (s *Segment) Has(o OptSet) bool { return s.opts&o != 0 }
 
-// MPTCP looks up the first MPTCP option with the given subtype, or nil.
-func (s *Segment) MPTCP(sub MPTCPSubtype) Option {
-	for _, o := range s.Options {
-		if m, ok := o.(mptcpOption); ok && m.Subtype() == sub {
-			return o
-		}
-	}
-	return nil
-}
+// The Add methods attach one option each and return the segment for
+// chaining. A segment carries at most one option per kind: adding a
+// kind again overwrites it.
 
-// AddOption appends an option and returns the segment for chaining.
-// Value options box on append; the hot-path options have allocation-
-// free variants (AddDSS, AddSACK) that use the segment's inline slots.
-func (s *Segment) AddOption(o Option) *Segment {
-	s.Options = append(s.Options, o)
+// AddMSS attaches an MSS option.
+func (s *Segment) AddMSS(o MSSOption) *Segment {
+	s.MSS, s.opts = o, s.opts|OptMSS
 	return s
 }
 
-// AddDSS attaches a DSS option using the segment's inline slot, so the
-// per-data-segment/per-ACK path does not allocate.
-func (s *Segment) AddDSS(d DSSOption) *Segment {
-	s.dss = d
-	s.Options = append(s.Options, &s.dss)
+// AddWindowScale attaches a window-scale option.
+func (s *Segment) AddWindowScale(o WindowScaleOption) *Segment {
+	s.WScale, s.opts = o, s.opts|OptWindowScale
 	return s
 }
 
-// AddSACK attaches a SACK option, copying blocks into the segment's
-// inline array (at most maxSACKBlocks are kept).
+// AddSACKPermitted attaches the SACK-permitted option.
+func (s *Segment) AddSACKPermitted() *Segment {
+	s.opts |= OptSACKPermitted
+	return s
+}
+
+// AddSACK attaches a SACK option, copying at most maxSACKBlocks blocks
+// into the segment.
 func (s *Segment) AddSACK(blocks []SACKBlock) *Segment {
-	n := copy(s.sackArr[:], blocks)
-	s.sack = SACKOption{Blocks: s.sackArr[:n]}
-	s.Options = append(s.Options, &s.sack)
+	s.sack = [maxSACKBlocks]SACKBlock{}
+	s.nsack = uint8(copy(s.sack[:], blocks))
+	s.opts |= OptSACK
 	return s
 }
 
-// GetDSS returns the segment's DSS option, whether attached inline by
-// AddDSS or decoded from the wire as a value.
-func (s *Segment) GetDSS() (DSSOption, bool) {
-	for _, o := range s.Options {
-		switch d := o.(type) {
-		case *DSSOption:
-			return *d, true
-		case DSSOption:
-			return d, true
-		}
+// SACK returns the segment's SACK blocks, or nil. The slice points into
+// the segment: callers must not retain it past the segment's lifetime.
+func (s *Segment) SACK() []SACKBlock {
+	if !s.Has(OptSACK) {
+		return nil
 	}
-	return DSSOption{}, false
+	return s.sack[:s.nsack]
 }
 
-// GetSACK returns the segment's SACK blocks, or nil. The slice may
-// point into the segment's inline storage: callers must not retain it
-// past the segment's lifetime.
-func (s *Segment) GetSACK() []SACKBlock {
-	for _, o := range s.Options {
-		switch v := o.(type) {
-		case *SACKOption:
-			return v.Blocks
-		case SACKOption:
-			return v.Blocks
-		}
-	}
-	return nil
+// AddTimestamps attaches a timestamps option.
+func (s *Segment) AddTimestamps(o TimestampsOption) *Segment {
+	s.Timestamps, s.opts = o, s.opts|OptTimestamps
+	return s
 }
 
-func (s *Segment) optionsWireLen() int {
-	// Same greedy budget scan as encodeOptions, without building the
-	// packed subset.
-	n := 0
-	for _, o := range s.Options {
-		w := o.wireLen()
-		if n+w > maxOptionBytes {
-			continue
-		}
-		n += w
-	}
-	// Pad to 32-bit boundary with NOPs as real stacks do.
-	return (n + 3) &^ 3
+// AddMPCapable attaches an MP_CAPABLE option.
+func (s *Segment) AddMPCapable(o MPCapableOption) *Segment {
+	s.MPCapable, s.opts = o, s.opts|OptMPCapable
+	return s
+}
+
+// AddMPJoin attaches an MP_JOIN option.
+func (s *Segment) AddMPJoin(o MPJoinOption) *Segment {
+	s.MPJoin, s.opts = o, s.opts|OptMPJoin
+	return s
+}
+
+// AddDSS attaches a DSS option.
+func (s *Segment) AddDSS(o DSSOption) *Segment {
+	s.DSS, s.opts = o, s.opts|OptDSS
+	return s
+}
+
+// AddAddAddr attaches an ADD_ADDR option.
+func (s *Segment) AddAddAddr(o AddAddrOption) *Segment {
+	s.AddAddr, s.opts = o, s.opts|OptAddAddr
+	return s
+}
+
+// AddRemoveAddr attaches a REMOVE_ADDR option.
+func (s *Segment) AddRemoveAddr(o RemoveAddrOption) *Segment {
+	s.RemoveAddr, s.opts = o, s.opts|OptRemoveAddr
+	return s
+}
+
+// AddFastClose attaches an MP_FASTCLOSE option.
+func (s *Segment) AddFastClose(o FastCloseOption) *Segment {
+	s.FastClose, s.opts = o, s.opts|OptFastClose
+	return s
 }
 
 // String renders a compact one-line summary for logs and tests.
@@ -241,43 +249,20 @@ func (s *Segment) String() string {
 	if s.Retransmit {
 		extra = " RTX"
 	}
-	for _, o := range s.Options {
-		if m, ok := o.(mptcpOption); ok {
-			extra += " " + m.Subtype().String()
-		}
+	for m := s.opts & OptMPTCP; m != 0; m &= m - 1 {
+		extra += " " + optNames[bits.TrailingZeros16(uint16(m))]
 	}
 	return fmt.Sprintf("%v>%v %s seq=%d ack=%d len=%d win=%d%s",
 		s.Src, s.Dst, s.Flags, s.Seq, s.Ack, s.PayloadLen, s.Window, extra)
 }
 
-// Clone returns a deep copy of the segment (options included). The
-// netem layer clones segments at fan-out points such as capture taps so
-// later mutation — including release back to a Pool — cannot corrupt a
-// recorded trace. Interior option pointers are re-pointed at the
-// clone's own inline slots.
+// Clone returns a copy of the segment. The netem layer clones segments
+// at fan-out points such as capture taps so later mutation — including
+// release back to a Pool — cannot corrupt a recorded trace.
 func (s *Segment) Clone() *Segment {
-	c := &Segment{}
-	*c = *s
+	c := *s
 	c.pooled = false
-	c.Options = nil
-	c.sack.Blocks = nil
-	if len(s.Options) > 0 {
-		c.Options = make([]Option, len(s.Options))
-		for i, o := range s.Options {
-			switch v := o.(type) {
-			case *DSSOption:
-				c.dss = *v
-				c.Options[i] = &c.dss
-			case *SACKOption:
-				n := copy(c.sackArr[:], v.Blocks)
-				c.sack = SACKOption{Blocks: c.sackArr[:n]}
-				c.Options[i] = &c.sack
-			default:
-				c.Options[i] = o
-			}
-		}
-	}
-	return c
+	return &c
 }
 
 // SeqLT reports a < b in 32-bit TCP sequence arithmetic.

@@ -23,7 +23,7 @@ func Encode(s *Segment) []byte {
 // extended slice. Reusing one scratch buffer across calls makes
 // per-packet capture (pcap taps) allocation-free in steady state.
 func AppendEncode(dst []byte, s *Segment) []byte {
-	optLen := s.optionsWireLen()
+	fit, optLen := s.wireOptions()
 	tcpLen := tcpBaseHeaderLen + optLen + s.PayloadLen
 	total := ipv4HeaderLen + tcpLen
 	base := len(dst)
@@ -58,7 +58,7 @@ func AppendEncode(dst []byte, s *Segment) []byte {
 	}
 	dst = binary.BigEndian.AppendUint16(dst, uint16(win))
 	dst = append(dst, 0, 0, 0, 0) // checksum + urgent placeholder
-	dst = encodeOptions(dst, s.Options)
+	dst = s.encodeOptions(dst, fit)
 
 	// Synthesized payload.
 	for i := 0; i < s.PayloadLen; i++ {
@@ -112,11 +112,9 @@ func Decode(b []byte) (*Segment, error) {
 	}
 	s.Flags = Flags(t[13])
 	s.Window = uint32(binary.BigEndian.Uint16(t[14:]))
-	opts, err := decodeOptions(t[tcpBaseHeaderLen:dataOff])
-	if err != nil {
+	if err := decodeOptions(t[tcpBaseHeaderLen:dataOff], &s); err != nil {
 		return nil, err
 	}
-	s.Options = opts
 	s.PayloadLen = len(t) - dataOff
 	return &s, nil
 }

@@ -163,7 +163,7 @@ func newSenderHarness(t testing.TB) *senderHarness {
 	}
 	h.ep.Connect()
 	synack := &seg.Segment{Flags: seg.SYN | seg.ACK, Seq: harnessPeerISN, Ack: h.ep.iss + 1, Window: 0xFFFF}
-	synack.AddOption(seg.WindowScaleOption{Shift: 8})
+	synack.AddWindowScale(seg.WindowScaleOption{Shift: 8})
 	h.ep.Receive(synack)
 	if h.ep.state != StateEstablished {
 		t.Fatalf("harness handshake left the endpoint in %v", h.ep.state)

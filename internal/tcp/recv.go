@@ -15,7 +15,7 @@ func (e *Endpoint) Receive(s *seg.Segment) {
 	}
 	// Give the MPTCP layer first sight of any segment carrying payload
 	// or MPTCP signaling (DSS, ADD_ADDR, MP_CAPABLE on the SYN-ACK...).
-	if e.OnSegmentArrival != nil && (s.PayloadLen > 0 || s.Option(seg.KindMPTCP) != nil) {
+	if e.OnSegmentArrival != nil && (s.PayloadLen > 0 || s.Has(seg.OptMPTCP)) {
 		e.OnSegmentArrival(s)
 	}
 
@@ -93,11 +93,11 @@ func (e *Endpoint) completeHandshake(s *seg.Segment) {
 
 // handleSynOptions digests the peer's SYN options.
 func (e *Endpoint) handleSynOptions(s *seg.Segment) {
-	if o := s.Option(seg.KindWindowScale); o != nil {
-		e.peerShift = o.(seg.WindowScaleOption).Shift
+	if s.Has(seg.OptWindowScale) {
+		e.peerShift = s.WScale.Shift
 	}
-	if o := s.Option(seg.KindMSS); o != nil {
-		if m := int(o.(seg.MSSOption).MSS); m > 0 && m < e.cfg.MSS {
+	if s.Has(seg.OptMSS) {
+		if m := int(s.MSS.MSS); m > 0 && m < e.cfg.MSS {
 			e.cfg.MSS = m
 		}
 	}
@@ -137,7 +137,7 @@ func (e *Endpoint) processAck(s *seg.Segment) {
 	e.updatePeerWindow(s)
 
 	// Fold in SACK information.
-	for _, b := range s.GetSACK() {
+	for _, b := range s.SACK() {
 		if seg.SeqGT(b.End, e.sndUna) && seg.SeqLEQ(b.End, e.sndNxt) {
 			e.board.Add(b)
 		}

@@ -60,9 +60,9 @@ func (e *Endpoint) sendSYN(isAck bool) {
 		kind = KindSYNACK
 	}
 	s := e.newSegment(flags, e.iss, 0)
-	s.AddOption(seg.MSSOption{MSS: uint16(e.cfg.MSS)})
-	s.AddOption(seg.WindowScaleOption{Shift: e.cfg.WindowScale})
-	s.AddOption(seg.SACKPermittedOption{})
+	s.AddMSS(seg.MSSOption{MSS: uint16(e.cfg.MSS)})
+	s.AddWindowScale(seg.WindowScaleOption{Shift: e.cfg.WindowScale})
+	s.AddSACKPermitted()
 	if e.BuildOptions != nil {
 		e.BuildOptions(s, kind)
 	}
@@ -272,9 +272,9 @@ func (e *Endpoint) onRTO() {
 		}
 		s := e.newSegment(flags, e.iss, 0)
 		s.Retransmit = true
-		s.AddOption(seg.MSSOption{MSS: uint16(e.cfg.MSS)})
-		s.AddOption(seg.WindowScaleOption{Shift: e.cfg.WindowScale})
-		s.AddOption(seg.SACKPermittedOption{})
+		s.AddMSS(seg.MSSOption{MSS: uint16(e.cfg.MSS)})
+		s.AddWindowScale(seg.WindowScaleOption{Shift: e.cfg.WindowScale})
+		s.AddSACKPermitted()
 		if e.BuildOptions != nil {
 			e.BuildOptions(s, kind)
 		}

@@ -91,10 +91,7 @@ func NewAnalyzer() *Analyzer {
 
 // Add processes one packet.
 func (a *Analyzer) Add(p *Packet) {
-	t := p.TCP()
-	if t == nil {
-		return
-	}
+	s := p.Seg
 	f := p.Flow()
 	fs := a.flow(f)
 	if fs.FirstTS == 0 {
@@ -102,17 +99,17 @@ func (a *Analyzer) Add(p *Packet) {
 	}
 	fs.LastTS = p.TS
 
-	if t.PayloadLen > 0 {
-		a.addData(fs, p, t)
+	if s.PayloadLen > 0 {
+		a.addData(fs, p)
 	}
-	if t.Flags.Has(seg.ACK) && !t.Flags.Has(seg.SYN) {
-		a.addAck(f.Reverse(), p, t)
+	if s.Flags.Has(seg.ACK) && !s.Flags.Has(seg.SYN) {
+		a.addAck(f.Reverse(), p)
 	}
 	cs := a.mptcp.observe(p)
-	if d, ok := t.DSS(); ok && d.HasMap && t.PayloadLen > 0 {
-		a.addDSS(p.TS, d.DataSeq, d.DataSeq+uint64(t.PayloadLen))
+	if d := s.DSS; s.Has(seg.OptDSS) && d.HasMap && s.PayloadLen > 0 {
+		a.addDSS(p.TS, d.DataSeq, d.DataSeq+uint64(s.PayloadLen))
 		if cs != nil {
-			cs.addDSS(f.Src, p.TS, d.DataSeq, d.DataSeq+uint64(t.PayloadLen))
+			cs.addDSS(f.Src, p.TS, d.DataSeq, d.DataSeq+uint64(s.PayloadLen))
 		}
 	}
 }
@@ -128,10 +125,10 @@ func (a *Analyzer) flow(f Flow) *FlowStats {
 
 // addData records a data transmission, detecting retransmissions as
 // tcptrace does: payload covering sequence space already seen.
-func (a *Analyzer) addData(fs *FlowStats, p *Packet, t *TCPLayer) {
+func (a *Analyzer) addData(fs *FlowStats, p *Packet) {
 	fs.DataPkts++
-	fs.Bytes += int64(t.PayloadLen)
-	start, end := t.Seq, t.Seq+uint32(t.PayloadLen)
+	fs.Bytes += int64(p.Seg.PayloadLen)
+	start, end := p.Seg.Seq, p.Seg.Seq+uint32(p.Seg.PayloadLen)
 
 	retrans := false
 	for _, c := range fs.covered {
@@ -156,7 +153,7 @@ func (a *Analyzer) addData(fs *FlowStats, p *Packet, t *TCPLayer) {
 
 // addAck matches an arriving ACK against outstanding transmissions of
 // the reverse flow.
-func (a *Analyzer) addAck(dataFlow Flow, p *Packet, t *TCPLayer) {
+func (a *Analyzer) addAck(dataFlow Flow, p *Packet) {
 	fs, ok := a.flows[dataFlow]
 	if !ok {
 		return
@@ -164,7 +161,7 @@ func (a *Analyzer) addAck(dataFlow Flow, p *Packet, t *TCPLayer) {
 	fs.Acks++
 	keep := fs.outstanding[:0]
 	for _, r := range fs.outstanding {
-		if seg.SeqGEQ(t.Ack, r.end) {
+		if seg.SeqGEQ(p.Seg.Ack, r.end) {
 			if r.valid {
 				fs.RTTms = append(fs.RTTms, float64(p.TS-r.ts)/1e6)
 			}

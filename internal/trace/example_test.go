@@ -7,30 +7,26 @@ import (
 	"mptcplab/internal/trace"
 )
 
-// Decoding a captured frame the gopacket way: layers, then typed
-// access to the one you need.
+// A captured frame decodes to the parsed header the stack itself
+// passes around: test for an option, then read its slot.
 func ExampleNewPacket() {
-	wire := seg.Encode(&seg.Segment{
+	s := &seg.Segment{
 		Src: seg.MakeAddr("192.168.1.1", 8080), Dst: seg.MakeAddr("10.0.0.2", 40000),
 		Seq: 1000, Flags: seg.ACK | seg.PSH, PayloadLen: 1460,
-		Options: []seg.Option{seg.DSSOption{HasMap: true, DataSeq: 4096, Length: 1460}},
-	})
-	p, err := trace.NewPacket(0, wire)
+	}
+	s.AddDSS(seg.DSSOption{HasMap: true, DataSeq: 4096, Length: 1460})
+	p, err := trace.NewPacket(0, seg.Encode(s))
 	if err != nil {
 		panic(err)
 	}
-	for _, l := range p.Layers() {
-		fmt.Println("layer:", l.LayerType())
-	}
-	tcp := p.TCP()
-	fmt.Printf("payload: %d bytes from port %d\n", tcp.PayloadLen, tcp.SrcPort)
-	if d, ok := tcp.DSS(); ok {
-		fmt.Println("data seq:", d.DataSeq)
+	fmt.Println("flow:", p.Flow())
+	fmt.Printf("payload: %d bytes, flags %v\n", p.Seg.PayloadLen, p.Seg.Flags)
+	if p.Seg.Has(seg.OptDSS) {
+		fmt.Println("data seq:", p.Seg.DSS.DataSeq)
 	}
 	// Output:
-	// layer: IPv4
-	// layer: TCP
-	// payload: 1460 bytes from port 8080
+	// flow: 192.168.1.1:8080->10.0.0.2:40000
+	// payload: 1460 bytes, flags ACK|PSH
 	// data seq: 4096
 }
 

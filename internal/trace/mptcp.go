@@ -61,21 +61,17 @@ func tokenOfKey(key uint64) uint32 {
 // connection the packet's flow belongs to (creating it as needed), or
 // nil for non-MPTCP flows.
 func (t *mptcpTracker) observe(p *Packet) *connState {
-	tcp := p.TCP()
-	if tcp == nil {
-		return nil
-	}
 	f := p.Flow()
 
-	if o := findMPTCP[seg.MPCapableOption](tcp); o != nil {
+	if p.Seg.Has(seg.OptMPCapable) {
 		id, ok := t.byFlow[canonical(f)]
 		if !ok {
 			id = t.newConn(canonical(f))
 		}
-		t.byToken[tokenOfKey(o.Key)] = id
+		t.byToken[tokenOfKey(p.Seg.MPCapable.Key)] = id
 		return t.conns[id]
 	}
-	if o := findMPTCP[seg.MPJoinOption](tcp); o != nil {
+	if o := p.Seg.MPJoin; p.Seg.Has(seg.OptMPJoin) {
 		if id, ok := t.byToken[o.Token]; ok {
 			t.adopt(id, canonical(f))
 			return t.conns[id]
@@ -171,16 +167,6 @@ func (st *dataStream) drain(now int64) {
 		st.ofoSamples = append(st.ofoSamples, float64(now-b.ts)/1e6)
 	}
 	st.blocks = st.blocks[i:]
-}
-
-// findMPTCP extracts the first MPTCP option of type T.
-func findMPTCP[T seg.Option](t *TCPLayer) *T {
-	for _, o := range t.Options {
-		if v, ok := o.(T); ok {
-			return &v
-		}
-	}
-	return nil
 }
 
 // ConnSummary reports one reconstructed MPTCP connection.

@@ -7,21 +7,18 @@ import (
 )
 
 func synCapable(ts int64, src, dst seg.Addr, key uint64) *Packet {
-	s := &seg.Segment{Src: src, Dst: dst, Flags: seg.SYN,
-		Options: []seg.Option{seg.MPCapableOption{Key: key}}}
-	return newPacketFromSegment(ts, s)
+	s := &seg.Segment{Src: src, Dst: dst, Flags: seg.SYN}
+	return &Packet{TS: ts, Seg: s.AddMPCapable(seg.MPCapableOption{Key: key})}
 }
 
 func synJoin(ts int64, src, dst seg.Addr, tok uint32) *Packet {
-	s := &seg.Segment{Src: src, Dst: dst, Flags: seg.SYN,
-		Options: []seg.Option{seg.MPJoinOption{Token: tok}}}
-	return newPacketFromSegment(ts, s)
+	s := &seg.Segment{Src: src, Dst: dst, Flags: seg.SYN}
+	return &Packet{TS: ts, Seg: s.AddMPJoin(seg.MPJoinOption{Token: tok})}
 }
 
 func dssData(ts int64, src, dst seg.Addr, dseq uint64, n int) *Packet {
-	s := &seg.Segment{Src: src, Dst: dst, Flags: seg.ACK, PayloadLen: n,
-		Options: []seg.Option{seg.DSSOption{HasMap: true, DataSeq: dseq, Length: uint16(n)}}}
-	return newPacketFromSegment(ts, s)
+	s := &seg.Segment{Src: src, Dst: dst, Flags: seg.ACK, PayloadLen: n}
+	return &Packet{TS: ts, Seg: s.AddDSS(seg.DSSOption{HasMap: true, DataSeq: dseq, Length: uint16(n)})}
 }
 
 func TestConnectionGroupingByToken(t *testing.T) {

@@ -24,8 +24,10 @@ func PcapTap(w *pcap.Writer) netem.Tap {
 	}
 }
 
-// MemoryCapture collects decoded packets in memory — the fast path
-// for in-process trace analysis without a file round trip.
+// MemoryCapture collects packets in memory — the fast path for
+// in-process trace analysis without an encode/decode round trip. It
+// keeps the segments it is handed, so it belongs on a cloning tap
+// (Host.AddTap), never a raw one.
 type MemoryCapture struct {
 	Packets []*Packet
 }
@@ -34,7 +36,7 @@ type MemoryCapture struct {
 func (m *MemoryCapture) Tap() netem.Tap {
 	return func(dir netem.Direction, at sim.Time, s *seg.Segment) {
 		_ = dir
-		m.Packets = append(m.Packets, newPacketFromSegment(int64(at), s))
+		m.Packets = append(m.Packets, &Packet{TS: int64(at), Seg: s})
 	}
 }
 

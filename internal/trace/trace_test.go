@@ -9,14 +9,12 @@ import (
 	"mptcplab/internal/seg"
 )
 
-func dataPkt(ts int64, src, dst seg.Addr, seqn uint32, n int, opts ...seg.Option) *Packet {
-	s := &seg.Segment{Src: src, Dst: dst, Seq: seqn, Flags: seg.ACK, PayloadLen: n, Options: opts}
-	return newPacketFromSegment(ts, s)
+func dataPkt(ts int64, src, dst seg.Addr, seqn uint32, n int) *Packet {
+	return &Packet{TS: ts, Seg: &seg.Segment{Src: src, Dst: dst, Seq: seqn, Flags: seg.ACK, PayloadLen: n}}
 }
 
 func ackPkt(ts int64, src, dst seg.Addr, ack uint32) *Packet {
-	s := &seg.Segment{Src: src, Dst: dst, Ack: ack, Flags: seg.ACK}
-	return newPacketFromSegment(ts, s)
+	return &Packet{TS: ts, Seg: &seg.Segment{Src: src, Dst: dst, Ack: ack, Flags: seg.ACK}}
 }
 
 var (
@@ -24,29 +22,18 @@ var (
 	cli = seg.MakeAddr("10.0.0.2", 40000)
 )
 
-func TestLayeredDecode(t *testing.T) {
+func TestPacketDecode(t *testing.T) {
 	s := &seg.Segment{
 		Src: srv, Dst: cli, Seq: 1000, Ack: 2000,
 		Flags: seg.ACK | seg.PSH, PayloadLen: 500,
-		Options: []seg.Option{seg.DSSOption{HasMap: true, HasAck: true, DataSeq: 77, Length: 500}},
 	}
+	s.AddDSS(seg.DSSOption{HasMap: true, HasAck: true, DataSeq: 77, Length: 500})
 	p, err := NewPacket(123456, seg.Encode(s))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Layers()) != 2 {
-		t.Fatalf("layers = %d", len(p.Layers()))
-	}
-	ip := p.IPv4()
-	if ip == nil || ip.Src != srv.IP || ip.Dst != cli.IP {
-		t.Errorf("IPv4 layer wrong: %+v", ip)
-	}
-	tcp := p.TCP()
-	if tcp == nil || tcp.Seq != 1000 || tcp.PayloadLen != 500 {
-		t.Fatalf("TCP layer wrong: %+v", tcp)
-	}
-	if d, ok := tcp.DSS(); !ok || d.DataSeq != 77 {
-		t.Errorf("DSS = %+v, %v", d, ok)
+	if p.TS != 123456 || *p.Seg != *s {
+		t.Errorf("decoded %d %+v, want %+v", p.TS, *p.Seg, *s)
 	}
 	f := p.Flow()
 	if f.String() != "192.168.1.1:8080->10.0.0.2:40000" {
@@ -67,7 +54,7 @@ func TestAnalyzerRTTAndRetransmissions(t *testing.T) {
 	a.Add(dataPkt(40*ms, srv, cli, 1001, 1000)) // B retransmitted
 	a.Add(ackPkt(80*ms, cli, srv, 2001))        // acks B — Karn: no sample
 
-	fs := a.FlowByEndpoints(Flow{Src: Endpoint{srv.IP, srv.Port}, Dst: Endpoint{cli.IP, cli.Port}})
+	fs := a.FlowByEndpoints(Flow{Src: srv, Dst: cli})
 	if fs == nil {
 		t.Fatal("flow missing")
 	}
@@ -97,14 +84,16 @@ func TestAnalyzerPartialRetransmissionNotCounted(t *testing.T) {
 func TestAnalyzerOFOReconstruction(t *testing.T) {
 	a := NewAnalyzer()
 	ms := int64(1e6)
-	dss := func(dseq uint64, n uint16) seg.Option {
-		return seg.DSSOption{HasMap: true, HasAck: true, DataSeq: dseq, Length: n}
+	add := func(ts int64, seqn uint32) {
+		p := dataPkt(ts, srv, cli, seqn, 1000)
+		p.Seg.AddDSS(seg.DSSOption{HasMap: true, HasAck: true, DataSeq: uint64(seqn), Length: 1000})
+		a.Add(p)
 	}
 	// Data seq 1..1001 arrives at t=0 (in order), 2001..3001 at t=10ms
 	// (hole at 1001), hole filled at t=50ms.
-	a.Add(dataPkt(0*ms, srv, cli, 1, 1000, dss(1, 1000)))
-	a.Add(dataPkt(10*ms, srv, cli, 2001, 1000, dss(2001, 1000)))
-	a.Add(dataPkt(50*ms, srv, cli, 1001, 1000, dss(1001, 1000)))
+	add(0*ms, 1)
+	add(10*ms, 2001)
+	add(50*ms, 1001)
 
 	ofo := a.OFOms()
 	if len(ofo) != 3 {
