@@ -14,6 +14,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -22,137 +23,102 @@ import (
 	"time"
 
 	"mptcplab/internal/chaos"
+	"mptcplab/internal/cli"
 	"mptcplab/internal/experiment"
-	"mptcplab/internal/mptcp"
 	"mptcplab/internal/pathmodel"
 	"mptcplab/internal/sim"
 	"mptcplab/internal/units"
 )
 
-func main() {
-	var (
-		schedule  = flag.String("schedule", "outage", "fault schedule: preset name or spec like 'flap:path=wifi;at=2s;dur=500ms;every=2s;n=5' (see -list)")
-		list      = flag.Bool("list", false, "list the named schedules with their specs and exit")
-		transport = flag.String("transport", "compare", "wifi | cell | mp2 | mp4 | compare (mp2 vs wifi under the same faults)")
-		size      = flag.String("size", "8MB", "download size")
-		wifiProf  = flag.String("wifi", "comcast", "WiFi profile: comcast | coffeeshop")
-		carrier   = flag.String("carrier", "att", "cellular profile: att | verizon | sprint")
-		scheduler = flag.String("scheduler", "", "MPTCP scheduler plugin: minrtt (default) | roundrobin | weighted[:w0;w1;...] | redundant | blest | adaptive | backup")
-		seed      = flag.Int64("seed", 61, "run seed (same seed + schedule => byte-identical behavior)")
-		deadline  = flag.Duration("deadline", 30*time.Second, "wall-clock budget per run; over-budget runs are killed, not hung (0 = none)")
-		selfCheck = flag.Bool("selfcheck", true, "arm the protocol invariant checker")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	// A scheduler typo must die here with a one-line error, not run a
-	// full chaos comparison under a silent fallback policy.
-	if err := mptcp.ValidateScheduler(*scheduler); err != nil {
-		fmt.Fprintln(os.Stderr, "mptcpchaos:", err)
-		os.Exit(1)
-	}
+var run = cli.Main("mptcpchaos", parse, compare)
 
-	if *list {
-		listSchedules(os.Stdout)
-		return
+// spec is one invocation: the testbed and the faulted download, run
+// once per transport (two of them in the default compare mode).
+type spec struct {
+	list       bool
+	tb         experiment.TestbedConfig
+	rc         experiment.RunConfig
+	transports []experiment.Transport
+}
+
+// parse is the flag → spec seam (internal/cli): it runs nothing.
+func parse(args []string, stdout io.Writer) (spec, error) {
+	// compare mode is the paper's §6 contrast under the same faults.
+	contrast := []experiment.Transport{experiment.MP2, experiment.SPWiFi}
+	s := spec{
+		tb:         experiment.TestbedConfig{WiFi: pathmodel.ComcastHome(), Cell: pathmodel.ATT(), WarmRadio: true},
+		rc:         experiment.RunConfig{Size: 8 * units.MB},
+		transports: contrast,
 	}
-	if err := run(os.Stdout, *schedule, *transport, *size, *wifiProf, *carrier, *scheduler, *seed, *deadline, *selfCheck); err != nil {
-		fmt.Fprintln(os.Stderr, "mptcpchaos:", err)
-		os.Exit(1)
+	s.rc.Chaos, _ = chaos.Named("outage")
+	fs := flag.NewFlagSet("mptcpchaos", flag.ContinueOnError)
+	cli.Var(fs, "schedule", "fault schedule: preset name or spec like 'flap:path=wifi;at=2s;dur=500ms;every=2s;n=5' (default outage; see -list)", &s.rc.Chaos, chaos.Parse)
+	fs.BoolVar(&s.list, "list", false, "list the named schedules with their specs and exit")
+	fs.Func("transport", "wifi | cell | mp2 | mp4 | compare: mp2 vs wifi under the same faults (default compare)", func(v string) error {
+		if strings.EqualFold(v, "compare") {
+			s.transports = contrast
+			return nil
+		}
+		tr, err := experiment.ParseTransport(v)
+		s.transports = []experiment.Transport{tr}
+		return err
+	})
+	cli.Var(fs, "size", "download size (default 8MB)", &s.rc.Size, units.ParseByteCount)
+	cli.Profiles(fs, &s.tb.WiFi, &s.tb.Cell)
+	cli.Scheduler(fs, "scheduler", &s.rc.Scheduler)
+	fs.Int64Var(&s.tb.Seed, "seed", 61, "run seed (same seed + schedule => byte-identical behavior)")
+	fs.DurationVar(&s.rc.Deadline, "deadline", 30*time.Second, "wall-clock budget per run; over-budget runs are killed, not hung (0 = none)")
+	fs.BoolVar(&s.rc.SelfCheck, "selfcheck", true, "arm the protocol invariant checker")
+	if err := cli.Parse(fs, args, stdout); err != nil {
+		return s, err
 	}
+	if s.rc.Chaos.Empty() {
+		return s, errors.New("empty -schedule; see -list")
+	}
+	return s, s.rc.Validate()
 }
 
 func listSchedules(w io.Writer) {
 	fmt.Fprintln(w, "named schedules (each expands to the spec shown; override fields with 'name:key=val;...'):")
 	for _, name := range chaos.PresetNames() {
-		sched, err := chaos.Named(name)
-		if err != nil {
-			continue
-		}
+		sched, _ := chaos.Named(name) // a preset name is one Named knows
 		fmt.Fprintf(w, "  %-8s %s\n", name, sched.Spec())
 	}
 	fmt.Fprintln(w, "compose with '+': e.g. 'flap+fade:path=cell;depth=0.5'")
 }
 
-func run(w io.Writer, spec, transport, sizeStr, wifi, carrier, scheduler string, seed int64, deadline time.Duration, selfCheck bool) error {
-	if err := mptcp.ValidateScheduler(scheduler); err != nil {
-		return err
+// compare runs the spec's download under each transport and prints the
+// resilience report; a failed run or a protocol violation is an error.
+func compare(s spec, w, _ io.Writer) error {
+	if s.list {
+		listSchedules(w)
+		return nil
 	}
-	sched, err := chaos.Parse(spec)
-	if err != nil {
-		return err
-	}
-	if sched.Empty() {
-		return fmt.Errorf("empty schedule %q; see -list", spec)
-	}
-	size, err := units.ParseByteCount(sizeStr)
-	if err != nil {
-		return fmt.Errorf("bad -size: %v", err)
-	}
-	wp, err := pathmodel.ByName(wifi)
-	if err != nil {
-		return err
-	}
-	cp, err := pathmodel.ByName(carrier)
-	if err != nil {
-		return err
-	}
-
-	one := func(tr experiment.Transport) experiment.RunResult {
-		tb := experiment.NewTestbed(experiment.TestbedConfig{
-			WiFi: wp, Cell: cp, WarmRadio: true, Seed: seed,
-			ServerSecondIface: tr == experiment.MP4,
-		})
-		return tb.Run(experiment.RunConfig{
-			Transport: tr,
-			Scheduler: scheduler,
-			Size:      size,
-			Chaos:     sched,
-			Deadline:  deadline,
-			SelfCheck: selfCheck,
-		})
-	}
-
 	fmt.Fprintf(w, "schedule: %s\nseed:     %d, size %s, wifi=%s, cell=%s\n\n",
-		sched.Spec(), seed, size, wifi, carrier)
+		s.rc.Chaos.Spec(), s.tb.Seed, s.rc.Size, s.tb.WiFi.Name, s.tb.Cell.Name)
 
-	transports, err := resolveTransports(transport)
-	if err != nil {
-		return err
-	}
-	results := make([]experiment.RunResult, len(transports))
-	for i, tr := range transports {
-		results[i] = one(tr)
+	results := make([]experiment.RunResult, len(s.transports))
+	for i, tr := range s.transports {
+		s.tb.ServerSecondIface = tr == experiment.MP4
+		s.rc.Transport = tr
+		results[i] = experiment.NewTestbed(s.tb).Run(s.rc)
 		printRun(w, tr, results[i])
 	}
-	if len(transports) == 2 {
+	if len(results) == 2 {
 		printContrast(w, results[0], results[1])
 	}
 	for i, res := range results {
 		if res.FailReason != "" {
-			return fmt.Errorf("%s run failed: %s", transports[i], res.FailReason)
+			return fmt.Errorf("%s run failed: %s", s.transports[i], res.FailReason)
 		}
 		if res.Violations > 0 {
 			return fmt.Errorf("%s run: %d protocol violations, first: %s",
-				transports[i], res.Violations, res.FirstViolation)
+				s.transports[i], res.Violations, res.FirstViolation)
 		}
 	}
 	return nil
-}
-
-func resolveTransports(s string) ([]experiment.Transport, error) {
-	switch strings.ToLower(s) {
-	case "wifi":
-		return []experiment.Transport{experiment.SPWiFi}, nil
-	case "cell":
-		return []experiment.Transport{experiment.SPCell}, nil
-	case "mp2", "mptcp":
-		return []experiment.Transport{experiment.MP2}, nil
-	case "mp4":
-		return []experiment.Transport{experiment.MP4}, nil
-	case "compare":
-		return []experiment.Transport{experiment.MP2, experiment.SPWiFi}, nil
-	}
-	return nil, fmt.Errorf("unknown -transport %q (want wifi|cell|mp2|mp4|compare)", s)
 }
 
 func printRun(w io.Writer, tr experiment.Transport, res experiment.RunResult) {

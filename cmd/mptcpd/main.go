@@ -34,6 +34,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -41,19 +42,20 @@ import (
 	"syscall"
 	"time"
 
+	"mptcplab/internal/cli"
 	"mptcplab/internal/sweep"
 )
 
-// openDurable wires a -store directory into a server config: the
-// disk-backed result store under <dir>/results, the campaign journal
-// under <dir>/journal, and the journal's incomplete entries queued
-// for resume. Shared by main and the crash-recovery test helper.
-func openDurable(dir string, cfg serverConfig) (serverConfig, error) {
-	st, err := sweep.OpenStore(filepath.Join(dir, "results"), sweep.StoreOpts{})
+// openDurable wires cfg's -store directory into it: the disk-backed
+// result store under <dir>/results, the campaign journal under
+// <dir>/journal, and the journal's incomplete entries queued for
+// resume. Shared by main and the crash-recovery test helper.
+func openDurable(cfg serverConfig) (serverConfig, error) {
+	st, err := sweep.OpenStore(filepath.Join(cfg.storeDir, "results"), sweep.StoreOpts{})
 	if err != nil {
 		return cfg, err
 	}
-	j, incomplete, maxID, err := openJournal(filepath.Join(dir, "journal"))
+	j, incomplete, maxID, err := openJournal(filepath.Join(cfg.storeDir, "journal"))
 	if err != nil {
 		st.Close()
 		return cfg, err
@@ -65,42 +67,53 @@ func openDurable(dir string, cfg serverConfig) (serverConfig, error) {
 	return cfg, nil
 }
 
-func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	storeDir := flag.String("store", "", "durable state directory: disk-backed result store + campaign journal with crash recovery (empty = in-memory only)")
-	queueDepth := flag.Int("queue-depth", 128, "campaign queue capacity; submissions beyond it get 503 + Retry-After")
-	followMax := flag.Duration("follow-max", 10*time.Minute, "maximum lifetime of one /rows follower connection")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	// Flag typos die at parse time with a one-line error, before any
-	// state is touched — same contract as the other binaries.
-	if *queueDepth < 1 {
-		exitOn(fmt.Errorf("-queue-depth %d: must be at least 1", *queueDepth))
-	}
-	if *followMax <= 0 {
-		exitOn(fmt.Errorf("-follow-max %s: must be positive", *followMax))
-	}
+var run = cli.Main("mptcpd", parse, serve)
 
+// parse is the flag → spec seam (internal/cli): it runs nothing, and
+// touches no state.
+func parse(args []string, stdout io.Writer) (serverConfig, error) {
+	var cfg serverConfig
+	fs := flag.NewFlagSet("mptcpd", flag.ContinueOnError)
+	fs.StringVar(&cfg.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&cfg.storeDir, "store", "", "durable state directory: disk-backed result store + campaign journal with crash recovery (empty = in-memory only)")
+	fs.IntVar(&cfg.queueDepth, "queue-depth", 128, "campaign queue capacity; submissions beyond it get 503 + Retry-After")
+	fs.DurationVar(&cfg.followMax, "follow-max", 10*time.Minute, "maximum lifetime of one /rows follower connection")
+	if err := cli.Parse(fs, args, stdout); err != nil {
+		return cfg, err
+	}
+	if cfg.queueDepth < 1 {
+		return cfg, fmt.Errorf("-queue-depth %d: must be at least 1", cfg.queueDepth)
+	}
+	if cfg.followMax <= 0 {
+		return cfg, fmt.Errorf("-follow-max %s: must be positive", cfg.followMax)
+	}
+	return cfg, nil
+}
+
+// serve runs the daemon until its listener fails or a signal drains
+// it.
+func serve(cfg serverConfig, _, stderr io.Writer) error {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
-	cfg := serverConfig{queueDepth: *queueDepth, followMax: *followMax}
-	if *storeDir != "" {
+	if cfg.storeDir != "" {
 		var err error
-		cfg, err = openDurable(*storeDir, cfg)
-		exitOn(err)
+		if cfg, err = openDurable(cfg); err != nil {
+			return err
+		}
 		h := cfg.store.Health()
-		fmt.Fprintf(os.Stderr, "mptcpd: store %s: %d entries from %d segments (%d corrupt records skipped)\n",
+		fmt.Fprintf(stderr, "mptcpd: store %s: %d entries from %d segments (%d corrupt records skipped)\n",
 			h.Dir, h.Entries, h.Segments, h.CorruptRecords)
 		if n := len(cfg.resume); n > 0 {
-			fmt.Fprintf(os.Stderr, "mptcpd: resuming %d interrupted campaign(s) from the journal\n", n)
+			fmt.Fprintf(stderr, "mptcpd: resuming %d interrupted campaign(s) from the journal\n", n)
 		}
 	}
 
-	s := newServer(ctx, cfg)
 	srv := &http.Server{
-		Addr:    *addr,
-		Handler: s.routes(),
+		Addr:    cfg.addr,
+		Handler: newServer(ctx, cfg).routes(),
 		// Edge hardening: slow-loris headers and idle keep-alives are
 		// bounded. No global write timeout — /rows is a long-lived
 		// follower with its own per-write deadlines and lifetime cap.
@@ -111,31 +124,23 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() {
-		fmt.Fprintf(os.Stderr, "mptcpd: listening on %s\n", *addr)
+		fmt.Fprintf(stderr, "mptcpd: listening on %s\n", cfg.addr)
 		errc <- srv.ListenAndServe()
 	}()
 
 	select {
 	case err := <-errc:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			exitOn(err)
+		if !errors.Is(err, http.ErrServerClosed) {
+			return err
 		}
+		return nil
 	case <-ctx.Done():
-		fmt.Fprintln(os.Stderr, "mptcpd: draining (signal received)")
+		fmt.Fprintln(stderr, "mptcpd: draining (signal received)")
 		// The root context cancellation already tells the running
 		// campaign's workers to finish their current runs and stop;
 		// give the listener a bounded window to flush responses.
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			exitOn(err)
-		}
-	}
-}
-
-func exitOn(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mptcpd:", err)
-		os.Exit(1)
+		return srv.Shutdown(shutdownCtx)
 	}
 }

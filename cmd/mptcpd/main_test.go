@@ -9,8 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"os"
-	"os/exec"
 	"strings"
 	"testing"
 	"time"
@@ -349,43 +347,61 @@ func TestServeRowsFollowerBounded(t *testing.T) {
 	}
 }
 
-// TestRejectsBadQueueDepth re-executes the test binary as mptcpd with
-// -queue-depth 0 and proves it dies at flag-parse time: exit code 1,
-// a one-line error, no listener, no panic — matching the other
-// binaries' validation contract.
+// TestRejectsBadQueueDepth is mptcpd's rejection table, -queue-depth 0
+// first: each command line must die in parse — exit 2, exactly one
+// stderr line that starts with the binary's name and names the bad
+// value, nothing on stdout, no store opened, no listener.
 func TestRejectsBadQueueDepth(t *testing.T) {
-	if os.Getenv("MPTCPD_RUN_MAIN") == "1" {
-		os.Args = []string{"mptcpd", "-queue-depth", "0"}
-		main()
-		return
+	for args, want := range map[string]string{
+		"-queue-depth 0":       "-queue-depth 0",
+		"-queue-depth many":    `"many"`,
+		"-follow-max 0s":       "-follow-max 0s",
+		"-follow-max -1m":      "-follow-max -1m",
+		"-nope":                "-nope",
+		"-addr :8080 serve":    `"serve"`,
+		"-store /tmp/x /tmp/y": `"/tmp/y"`,
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(strings.Fields(args), &stdout, &stderr)
+		line, rest, _ := strings.Cut(stderr.String(), "\n")
+		if code != 2 || stdout.Len() != 0 || rest != "" ||
+			!strings.HasPrefix(line, "mptcpd: ") || !strings.Contains(line, want) {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q; want exit 2 and one line naming %s",
+				args, code, stdout.String(), stderr.String(), want)
+		}
 	}
-	cmd := exec.Command(os.Args[0], "-test.run=^TestRejectsBadQueueDepth$")
-	cmd.Env = append(os.Environ(), "MPTCPD_RUN_MAIN=1")
-	out, err := cmd.CombinedOutput()
-	ee, ok := err.(*exec.ExitError)
-	if !ok {
-		t.Fatalf("want the child to exit non-zero, got err=%v; output:\n%s", err, out)
+}
+
+// TestAcceptsRepoCommandLines: every mptcpd command line the repo
+// itself issues (README, EXPERIMENTS.md, the verify skill, and the
+// `-addr … -store …` bench/ boots its daemon with) parses and
+// validates, touching no state.
+func TestAcceptsRepoCommandLines(t *testing.T) {
+	for _, args := range []string{
+		"",
+		"-addr :8080 -store /var/lib/mptcpd",
+		"-addr :8080",
+		"-addr 127.0.0.1:8123 -store /var/lib/mptcpd",
+		"-addr 127.0.0.1:18080 -store /root/scratch/store",
+		"-addr 127.0.0.1:40123 -store /no/such/dir/store",
+		"-queue-depth 1 -follow-max 1s",
+	} {
+		if _, err := parse(strings.Fields(args), io.Discard); err != nil {
+			t.Errorf("%s: %v", args, err)
+		}
 	}
-	if code := ee.ExitCode(); code != 1 {
-		t.Fatalf("exit code %d, want 1; output:\n%s", code, out)
-	}
-	text := strings.TrimSpace(string(out))
-	if strings.Contains(text, "panic") {
-		t.Fatalf("queue-depth validation panicked:\n%s", out)
-	}
-	if strings.Count(text, "\n") != 0 {
-		t.Errorf("want a one-line error, got:\n%s", out)
-	}
-	if !strings.Contains(text, "-queue-depth") {
-		t.Errorf("error line %q should name the bad flag", text)
+	cfg, err := parse(strings.Fields("-addr 127.0.0.1:1 -store /x"), io.Discard)
+	if err != nil || cfg.addr != "127.0.0.1:1" || cfg.storeDir != "/x" || cfg.queueDepth != 128 || cfg.followMax != 10*time.Minute {
+		t.Errorf("parse bound %+v, %v", cfg, err)
 	}
 }
 
 // TestServeRejectsBadSpecs pins the submit-time validation surface:
 // every bad spec is refused with a one-line JSON error before anything
-// is queued. The swept-axis cases used to be accepted — an oversized
-// fleet finished "done" with a row whose fail_reason was a panic, and
-// non-positive axes exported rows labelled with values that never ran.
+// is queued. The swept-axis and controller cases used to be accepted —
+// an oversized fleet or a cc= typo finished "done" with rows whose
+// fail_reason was a panic, and non-positive axes exported rows labelled
+// with values that never ran.
 func TestServeRejectsBadSpecs(t *testing.T) {
 	ts := newTestServer(t)
 	for spec, code := range map[string]int{
@@ -398,6 +414,9 @@ func TestServeRejectsBadSpecs(t *testing.T) {
 		`{"kind":"load","rates":[-3]}`:                               http.StatusBadRequest,
 		`{"kind":"load","clients":[20,-5]}`:                          http.StatusBadRequest,
 		`{"kind":"load","rates":[0]}`:                                http.StatusBadRequest,
+		`{"kind":"load","base":"clients=8,flows=12,dur=5s,cc=foo"}`:  http.StatusBadRequest,
+		`{"kind":"load","base":"clients=8,wifi=lan"}`:                http.StatusBadRequest,
+		`{"kind":"load","reps":-1}`:                                  http.StatusBadRequest,
 		`{"experiment":"` + strings.Repeat("x", maxSpecBytes) + `"}`: http.StatusRequestEntityTooLarge,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(spec))

@@ -48,8 +48,7 @@ func TestHelperDaemon(t *testing.T) {
 	if dir == "" {
 		t.Skip("helper process entry point; only meaningful re-executed with MPTCPD_HELPER_STORE")
 	}
-	cfg := serverConfig{queueDepth: 32}
-	cfg, err := openDurable(dir, cfg)
+	cfg, err := openDurable(serverConfig{queueDepth: 32, storeDir: dir})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "helper:", err)
 		os.Exit(1)
@@ -264,7 +263,7 @@ func TestServeStoreCorruptionRecovery(t *testing.T) {
 
 	// Lifetime one: run the campaign to completion in-process over a
 	// durable store, exactly as main would wire it.
-	cfg, err := openDurable(dir, serverConfig{})
+	cfg, err := openDurable(serverConfig{storeDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +291,7 @@ func TestServeStoreCorruptionRecovery(t *testing.T) {
 	}
 
 	// Lifetime two: open degraded-gracefully, resubmit the same spec.
-	cfg2, err := openDurable(dir, serverConfig{})
+	cfg2, err := openDurable(serverConfig{storeDir: dir})
 	if err != nil {
 		t.Fatalf("corrupted store failed to open: %v", err)
 	}
@@ -341,7 +340,7 @@ func TestServeJournalGarbageTolerated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cfg, err := openDurable(dir, serverConfig{})
+	cfg, err := openDurable(serverConfig{storeDir: dir})
 	if err != nil {
 		t.Fatalf("garbage-filled journal failed recovery open: %v", err)
 	}

@@ -198,6 +198,9 @@ func (c *campaignState) status() statusView {
 // submissions are journaled for crash recovery, and the HTTP-edge
 // limits. The zero value is the historical in-memory daemon.
 type serverConfig struct {
+	// addr is where the daemon listens; storeDir, when set, is the
+	// -store directory openDurable fills the next four fields from.
+	addr, storeDir string
 	// store is the result store (nil = fresh memory-only); a
 	// disk-backed one exposes its durability health on /healthz.
 	store *sweep.Store
@@ -379,10 +382,8 @@ func experimentKey(job experiment.CampaignJob) string {
 }
 
 // loadKey is the content address of one fleet run. The replay token
-// canonically renders every knob reachable through the service
-// surface — all daemon-built configs come from load.ParseReplay, so
-// profiles and probe periods are always the defaults the token
-// assumes — and the per-run seed again keys separately.
+// canonically renders every knob that determines the run, and the
+// per-run seed again keys separately.
 func loadKey(cfg load.Config) string {
 	seed := cfg.Seed
 	cfg.Seed = 0
@@ -401,25 +402,18 @@ func keepRow(r load.Row) bool                { return !r.Run.Failed }
 // runExperiment and runLoad run the same way: the runner offers
 // Intercept(job, run); the closure memoizes run through the result
 // store, counts the hit or miss and feeds the row to the rows stream.
-func (s *server) runExperiment(c *campaignState) error {
-	m, err := experiment.NewCampaign(c.name, experiment.CampaignOpts{
-		Reps: c.spec.Reps, Seed: c.spec.Seed, Workers: c.spec.Workers,
-		SampleProfiles: true, Periods: c.spec.Periods, SelfCheck: c.spec.SelfCheck,
-		Context:  c.ctx,
-		Progress: c.progress,
-		Intercept: func(job experiment.CampaignJob, run func() experiment.RunResult) experiment.RunResult {
-			res, hit := sweep.Memo(s.cfg.store, experimentKey(job), keepResult, run)
-			c.record(hit, experimentRow{
-				CampaignJob: job, Completed: res.Completed,
-				DownloadS: res.DownloadTime.Seconds(), CellShare: res.CellShare(),
-				Subflows: res.Subflows, Fail: res.FailReason, Cached: hit,
-			})
-			return res
-		},
-	})
-	if err != nil {
-		return err
+func (s *server) runExperiment(c *campaignState, camp experiment.Campaign, co experiment.CampaignOpts) error {
+	co.Context, co.Progress = c.ctx, c.progress
+	co.Intercept = func(job experiment.CampaignJob, run func() experiment.RunResult) experiment.RunResult {
+		res, hit := sweep.Memo(s.cfg.store, experimentKey(job), keepResult, run)
+		c.record(hit, experimentRow{
+			CampaignJob: job, Completed: res.Completed,
+			DownloadS: res.DownloadTime.Seconds(), CellShare: res.CellShare(),
+			Subflows: res.Subflows, Fail: res.FailReason, Cached: hit,
+		})
+		return res
 	}
+	m := camp.Make(co)
 	return c.export(
 		artifact{"export.csv", func(w io.Writer) error { return experiment.WriteCSV(w, m) }},
 		artifact{"export.json", func(w io.Writer) error { return experiment.WriteReportJSON(w, m) }},
@@ -453,17 +447,20 @@ func (s *server) validateSpec(spec *campaignSpec) (name string, run func(*campai
 	if spec.Kind == "" {
 		spec.Kind = kindExperiment
 	}
-	if spec.Reps < 0 {
-		return "", nil, fmt.Errorf("reps=%d is negative", spec.Reps)
-	}
 	switch spec.Kind {
 	case kindExperiment:
-		name = experiment.ResolveCampaign(spec.Experiment)
-		if name == "" {
-			return "", nil, fmt.Errorf("unknown experiment %q (have %s)",
-				spec.Experiment, strings.Join(experiment.CampaignNames(), ", "))
+		camp, err := experiment.ParseCampaign(spec.Experiment)
+		if err != nil {
+			return "", nil, err
 		}
-		return name, s.runExperiment, nil
+		co := experiment.CampaignOpts{
+			Reps: spec.Reps, Seed: spec.Seed, Workers: spec.Workers,
+			SampleProfiles: true, Periods: spec.Periods, SelfCheck: spec.SelfCheck,
+		}
+		if err := co.Validate(); err != nil {
+			return "", nil, err
+		}
+		return camp.Name, func(c *campaignState) error { return s.runExperiment(c, camp, co) }, nil
 	case kindLoad:
 		so := load.SweepOpts{
 			Rates: spec.Rates, Clients: spec.Clients, Scheds: spec.Scheds,

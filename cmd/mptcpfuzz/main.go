@@ -11,71 +11,86 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"mptcplab/internal/check"
-	"mptcplab/internal/mptcp"
+	"mptcplab/internal/cli"
 )
 
-func main() {
-	var (
-		n      = flag.Int("n", 100, "number of scenarios to run")
-		seed   = flag.Int64("seed", 1, "base seed; case i runs GenScenario(seed+i)")
-		sched  = flag.String("sched", "", "run every generated scenario under this scheduler plugin: minrtt (default) | roundrobin | weighted[:w0;w1;...] | redundant | blest | adaptive | backup")
-		replay = flag.String("replay", "", "replay one scenario from a seed:mask[:sched] token")
-		v      = flag.Bool("v", false, "log every scenario, not just failures")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	// A scheduler typo must die here with a one-line error, not fuzz
-	// hundreds of scenarios under a silent fallback policy.
-	if err := mptcp.ValidateScheduler(*sched); err != nil {
-		fmt.Fprintln(os.Stderr, "mptcpfuzz:", err)
-		os.Exit(1)
+var run = cli.Main("mptcpfuzz", parse, fuzz)
+
+// spec is one invocation: a sweep of n generated scenarios from seed
+// under sched, or the one scenario a replay token names.
+type spec struct {
+	n       int
+	seed    int64
+	sched   string
+	replay  *check.Scenario
+	verbose bool
+}
+
+// parse is the flag → spec seam (internal/cli): it runs nothing.
+func parse(args []string, stdout io.Writer) (spec, error) {
+	var s spec
+	fs := flag.NewFlagSet("mptcpfuzz", flag.ContinueOnError)
+	fs.IntVar(&s.n, "n", 100, "number of scenarios to run")
+	fs.Int64Var(&s.seed, "seed", 1, "base seed; case i runs GenScenario(seed+i)")
+	cli.Scheduler(fs, "sched", &s.sched)
+	cli.Var(fs, "replay", "replay one scenario from a seed:mask[:sched] token", &s.replay,
+		func(v string) (*check.Scenario, error) { sc, err := check.ParseReplay(v); return &sc, err })
+	fs.BoolVar(&s.verbose, "v", false, "log every scenario, not just failures")
+	if err := cli.Parse(fs, args, stdout); err != nil {
+		return s, err
 	}
+	if s.n < 0 {
+		return s, fmt.Errorf("-n %d: must not be negative", s.n)
+	}
+	return s, nil
+}
 
-	if *replay != "" {
-		sc, err := check.ParseReplay(*replay)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		rep := check.RunScenario(sc, nil)
-		describe(rep, true)
+// fuzz runs the spec's scenarios; any violation is an error, after its
+// shrunk reproducer and replay token are on stdout.
+func fuzz(s spec, w, _ io.Writer) error {
+	if s.replay != nil {
+		rep := check.RunScenario(*s.replay, nil)
+		describe(w, rep, true)
 		if !rep.Ok() {
-			os.Exit(1)
+			return fmt.Errorf("%d violation(s)", rep.Count)
 		}
-		return
+		return nil
 	}
 
 	failures := 0
-	for i := 0; i < *n; i++ {
-		sc := check.GenScenario(*seed + int64(i))
-		sc.Scheduler = *sched
+	for i := 0; i < s.n; i++ {
+		sc := check.GenScenario(s.seed + int64(i))
+		sc.Scheduler = s.sched
 		rep := check.RunScenario(sc, nil)
 		if rep.Ok() {
-			if *v {
-				describe(rep, false)
+			if s.verbose {
+				describe(w, rep, false)
 			}
 			continue
 		}
 		failures++
-		fmt.Printf("FAIL seed=%d: %d violation(s)\n", sc.Seed, rep.Count)
+		fmt.Fprintf(w, "FAIL seed=%d: %d violation(s)\n", sc.Seed, rep.Count)
 		min := check.Shrink(sc, func(s check.Scenario) check.Report {
 			return check.RunScenario(s, nil)
 		})
 		minRep := check.RunScenario(min, nil)
-		describe(minRep, true)
-		fmt.Printf("  replay: mptcpfuzz -replay %s\n", min.Replay())
+		describe(w, minRep, true)
+		fmt.Fprintf(w, "  replay: mptcpfuzz -replay %s\n", min.Replay())
 	}
 	if failures > 0 {
-		fmt.Printf("%d/%d scenarios violated invariants\n", failures, *n)
-		os.Exit(1)
+		return fmt.Errorf("%d/%d scenarios violated invariants", failures, s.n)
 	}
-	fmt.Printf("ok: %d scenarios, 0 violations\n", *n)
+	fmt.Fprintf(w, "ok: %d scenarios, 0 violations\n", s.n)
+	return nil
 }
 
-func describe(rep check.Report, detail bool) {
+func describe(w io.Writer, rep check.Report, detail bool) {
 	sc := rep.Scenario
 	status := "ok"
 	if !rep.Ok() {
@@ -85,14 +100,14 @@ func describe(rep check.Report, detail bool) {
 	if rep.Completed {
 		done = "completed"
 	}
-	fmt.Printf("  seed=%d mask=%x size=%dKB paths=%d faults=%d: %s, %s, %d bytes delivered\n",
+	fmt.Fprintf(w, "  seed=%d mask=%x size=%dKB paths=%d faults=%d: %s, %s, %d bytes delivered\n",
 		sc.Seed, sc.Mask, sc.Size>>10, pathCount(sc), len(sc.ActiveFaults()), status, done, rep.Delivered)
 	if detail {
 		for _, f := range sc.ActiveFaults() {
-			fmt.Printf("    fault %v\n", f)
+			fmt.Fprintf(w, "    fault %v\n", f)
 		}
 		for _, viol := range rep.Violations {
-			fmt.Printf("    %v\n", viol)
+			fmt.Fprintf(w, "    %v\n", viol)
 		}
 	}
 }

@@ -10,7 +10,9 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -21,272 +23,178 @@ import (
 	"syscall"
 	"time"
 
-	"mptcplab/internal/chaos"
+	"mptcplab/internal/cli"
 	"mptcplab/internal/load"
 	"mptcplab/internal/pathmodel"
 	"mptcplab/internal/sim"
 	"mptcplab/internal/units"
 )
 
-func main() {
-	var (
-		clients   = flag.Int("clients", 100, "fleet size (clients sharing the bottlenecks)")
-		fleets    = flag.String("fleets", "", "comma list of fleet sizes to sweep (overrides -clients)")
-		rate      = flag.Float64("rate", 0, "open-loop Poisson arrival rate, flows per simulated second")
-		rates     = flag.String("rates", "", "comma list of arrival rates to sweep (overrides -rate)")
-		flows     = flag.Int("flows", 0, "exact open-loop flow count (Poisson-conditioned arrivals)")
-		sessions  = flag.Int("sessions", 0, "closed-loop sessions (request, download, think, repeat)")
-		think     = flag.Duration("think", 2*time.Second, "closed-loop mean think time")
-		duration  = flag.Duration("duration", 60*time.Second, "arrival window (simulated)")
-		drain     = flag.Duration("drain", 30*time.Second, "extra simulated time for in-flight transfers")
-		mix       = flag.String("mix", "small", "flow size distribution: small | web | heavy | <size>")
-		transport = flag.String("transport", "mptcp", "per-flow stack: mptcp | wifi | cell | wifi=0.3,cell=0.2,mptcp=0.5")
-		cc        = flag.String("cc", "", "MPTCP coupling: coupled (default) | olia | reno")
-		scheduler = flag.String("scheduler", "", "MPTCP scheduler plugin: minrtt (default) | roundrobin | weighted[:w0;w1;...] | redundant | blest | adaptive | backup")
-		wifiProf  = flag.String("wifi", "coffeeshop", "WiFi profile: coffeeshop | wifi")
-		carrier   = flag.String("carrier", "att", "cellular profile: att | verizon | sprint")
-		sample    = flag.Bool("sample", false, "sample per-run link-parameter variation from the seed")
-		bg        = flag.String("bg", "", "background cross-traffic, e.g. wd=8Mbps,wu=1Mbps,cd=2Mbps,cu=256Kbps")
-		reps      = flag.Int("reps", 1, "repetitions per grid point")
-		seed      = flag.Int64("seed", 1, "campaign seed (per-run seeds derive from it)")
-		workers   = flag.Int("workers", 0, "parallel runs (0 = GOMAXPROCS, 1 = serial); exports identical either way")
-		selfCheck = flag.Bool("selfcheck", true, "arm the protocol invariant checker on every run")
-		format    = flag.String("format", "", "export format: csv | json (default: from -o extension, else csv)")
-		out       = flag.String("o", "-", "output path ('-' = stdout)")
-		progress  = flag.Bool("progress", false, "print per-run progress to stderr")
-		replay    = flag.String("replay", "", "re-execute one run from an exported replay token and print its summary")
-		chaosSpec = flag.String("chaos", "", "fault schedule: preset (outage|flap|storm|ramp|fade) or spec like 'flap:path=wifi;at=2s;dur=500ms;every=2s;n=5'")
-		deadline  = flag.Duration("deadline", 0, "wall-clock budget per run; a run over budget is killed and exported as failed (0 = none)")
-		resOut    = flag.String("res-out", "", "also write the per-run resilience report (CSV or JSON by extension) — chaos runs only")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if *replay != "" {
-		os.Exit(runReplay(os.Stdout, os.Stderr, *replay, *wifiProf, *carrier, *deadline))
+var run = cli.Main("mptcpload", parse, sweep)
+
+// spec is one invocation: the sweep and where its exports go, or the
+// one run a replay token names.
+type spec struct {
+	sweep       load.SweepOpts
+	replay      *load.Config
+	format      string // csv | json; empty = by the path's extension
+	out, resOut string
+	progress    bool
+}
+
+// list binds a comma-separated flag to a swept axis.
+func list[T any](dst *[]T, parse func(string) (T, error)) func(string) error {
+	return func(v string) error {
+		*dst = nil
+		for _, part := range strings.Split(v, ",") {
+			x, err := parse(strings.TrimSpace(part))
+			if err != nil {
+				return err
+			}
+			*dst = append(*dst, x)
+		}
+		return nil
 	}
+}
 
-	base := load.Config{
-		Clients:        *clients,
-		Rate:           *rate,
-		Flows:          *flows,
-		Sessions:       *sessions,
-		ThinkMean:      sim.Time(*think),
-		Duration:       sim.Time(*duration),
-		Drain:          sim.Time(*drain),
-		Controller:     *cc,
-		Scheduler:      *scheduler,
-		SampleProfiles: *sample,
-		SelfCheck:      *selfCheck,
+// parse is the flag → spec seam (internal/cli): it runs nothing. A flag
+// the flag package cannot parse itself goes through load.Config.Set
+// under its replay-token key — the token grammar is the load spec.
+func parse(args []string, stdout io.Writer) (spec, error) {
+	var s spec
+	o, base := &s.sweep, &s.sweep.Base
+	base.WiFi, base.Cell = pathmodel.CoffeeShop(), pathmodel.ATT()
+	fs := flag.NewFlagSet("mptcpload", flag.ContinueOnError)
+	set := func(name, key, usage string) {
+		fs.Func(name, usage, func(v string) error { return base.Set(key, v) })
 	}
-	applyProfiles(&base, *wifiProf, *carrier)
+	fs.IntVar(&base.Clients, "clients", 100, "fleet size (clients sharing the bottlenecks)")
+	fs.Func("fleets", "comma list of fleet sizes to sweep (overrides -clients)", list(&o.Clients, strconv.Atoi))
+	fs.Float64Var(&base.Rate, "rate", 0, "open-loop Poisson arrival rate, flows per simulated second")
+	fs.Func("rates", "comma list of arrival rates to sweep (overrides -rate)",
+		list(&o.Rates, func(v string) (float64, error) { return strconv.ParseFloat(v, 64) }))
+	fs.IntVar(&base.Flows, "flows", 0, "exact open-loop flow count (Poisson-conditioned arrivals)")
+	fs.IntVar(&base.Sessions, "sessions", 0, "closed-loop sessions (request, download, think, repeat)")
+	set("think", "think", "closed-loop mean think time (default 2s)")
+	set("duration", "dur", "arrival window, simulated (default 1m0s)")
+	set("drain", "drain", "extra simulated time for in-flight transfers (default 30s)")
+	set("mix", "mix", "flow size distribution: small | web | heavy | <size> (default small)")
+	set("transport", "transport", "per-flow stack: mptcp | wifi | cell | wifi=0.3,cell=0.2,mptcp=0.5 (default mptcp)")
+	fs.StringVar(&base.Controller, "cc", "", "MPTCP coupling: coupled (default) | olia | reno")
+	cli.Scheduler(fs, "scheduler", &base.Scheduler)
+	cli.Profiles(fs, &base.WiFi, &base.Cell)
+	fs.BoolVar(&base.SampleProfiles, "sample", false, "sample per-run link-parameter variation from the seed")
+	set("bg", "bg", "background cross-traffic, e.g. wd=8Mbps,wu=1Mbps,cd=2Mbps,cu=256Kbps")
+	fs.IntVar(&o.Reps, "reps", 1, "repetitions per grid point")
+	fs.Int64Var(&o.Seed, "seed", 1, "campaign seed (per-run seeds derive from it)")
+	fs.IntVar(&o.Workers, "workers", 0, "parallel runs (0 = GOMAXPROCS, 1 = serial); exports identical either way")
+	fs.BoolVar(&base.SelfCheck, "selfcheck", true, "arm the protocol invariant checker on every run")
+	fs.Func("format", "export format: csv | json (default: from the output path's extension, else csv)", func(v string) error {
+		if s.format = strings.ToLower(v); s.format != "csv" && s.format != "json" {
+			return errors.New("want csv or json")
+		}
+		return nil
+	})
+	fs.StringVar(&s.out, "o", "-", "output path ('-' = stdout)")
+	fs.BoolVar(&s.progress, "progress", false, "print per-run progress to stderr")
+	cli.Var(fs, "replay", "re-execute one run from an exported replay token and print its summary", &s.replay,
+		func(v string) (*load.Config, error) { cfg, err := load.ParseReplay(v); return &cfg, err })
+	set("chaos", "chaos", "fault schedule: preset (outage|flap|storm|ramp|fade) or spec like 'flap:path=wifi;at=2s;dur=500ms;every=2s;n=5'")
+	fs.DurationVar(&base.Deadline, "deadline", 0, "wall-clock budget per run; a run over budget is killed and exported as failed (0 = none)")
+	fs.StringVar(&s.resOut, "res-out", "", "also write the per-run resilience report (CSV or JSON by extension) — chaos runs only")
+	if err := cli.Parse(fs, args, stdout); err != nil {
+		return s, err
+	}
+	if s.replay != nil {
+		// The token says everything about its run but the wall-clock
+		// budget. One exported before tokens carried wifi=/cell= means
+		// the default profiles; a profile flag beside it still applies.
+		s.replay.Deadline = base.Deadline
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "wifi":
+				s.replay.WiFi = base.WiFi
+			case "carrier":
+				s.replay.Cell = base.Cell
+			}
+		})
+		return s, nil
+	}
+	if s.resOut != "" && base.Chaos.Empty() {
+		return s, errors.New("-res-out needs a fault schedule; pass -chaos")
+	}
+	return s, o.Validate()
+}
 
-	var err error
-	base.Sizes, err = load.ParseSizeDist(*mix)
-	exitOn(err)
-	base.Transports, err = load.ParseTransportMix(*transport)
-	exitOn(err)
-	base.Background, err = parseBackground(*bg)
-	exitOn(err)
-	base.Chaos, err = chaos.Parse(*chaosSpec)
-	exitOn(err)
-	base.Deadline = *deadline
+// sweep runs the spec and writes its exports; failed runs and protocol
+// violations are an error, after everything that ran is exported.
+func sweep(s spec, stdout, stderr io.Writer) error {
+	if s.replay != nil {
+		res := load.Run(*s.replay)
+		printSummary(stdout, *s.replay, res)
+		if res.Failed || res.Violations > 0 {
+			return errors.New("the replayed run failed or violated protocol invariants")
+		}
+		return nil
+	}
 
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
-
-	opts := load.SweepOpts{
-		Context: ctx,
-		Base:    base,
-		Rates:   parseFloats(*rates),
-		Clients: parseInts(*fleets),
-		Reps:    *reps,
-		Seed:    *seed,
-		Workers: *workers,
-	}
-	// A bad axis or scheduler typo must die here with a one-line error,
-	// not sweep a grid of failed or mislabelled rows.
-	exitOn(opts.Validate())
-	if *progress {
-		opts.Progress = func(done, total int) {
-			fmt.Fprintf(os.Stderr, "\rrun %d/%d", done, total)
+	s.sweep.Context = ctx
+	if s.progress {
+		s.sweep.Progress = func(done, total int) {
+			fmt.Fprintf(stderr, "\rrun %d/%d", done, total)
 			if done == total {
-				fmt.Fprintln(os.Stderr)
+				fmt.Fprintln(stderr)
 			}
 		}
 	}
 
-	sw := load.RunSweep(opts)
+	sw := load.RunSweep(s.sweep)
 	stopSignals() // a second Ctrl-C past this point kills the process outright
-	fmt.Fprintf(os.Stderr, "%s: %s wall (%s busy, %d workers), %s events\n",
+	fmt.Fprintf(stderr, "%s: %s wall (%s busy, %d workers), %s events\n",
 		sw.Describe(), sw.WallTime.Round(time.Millisecond),
 		sw.BusyTime.Round(time.Millisecond), sw.Workers, withCommas(sw.TotalEvents))
 	if sw.Cancelled {
-		fmt.Fprintln(os.Stderr, "cancelled — exporting partial results")
-	}
-	if sw.FailedRuns > 0 {
-		fmt.Fprintf(os.Stderr, "FAILED RUNS: %d (exported with fail_reason and replay token)\n", sw.FailedRuns)
-	}
-	if sw.TotalViolations > 0 {
-		fmt.Fprintf(os.Stderr, "PROTOCOL VIOLATIONS: %d, first: %s\n",
-			sw.TotalViolations, sw.FirstViolation)
+		fmt.Fprintln(stderr, "cancelled — exporting partial results")
 	}
 
-	w, closer, err := openOut(*out)
-	exitOn(err)
-	switch resolveFormat(*format, *out) {
-	case "json":
-		err = sw.WriteJSON(w, base)
-	default:
-		err = sw.WriteCSV(w, base)
-	}
-	if closer != nil {
-		closer()
-	}
-	exitOn(err)
-
-	if *resOut != "" {
-		if base.Chaos.Empty() {
-			exitOn(fmt.Errorf("-res-out needs a fault schedule; pass -chaos"))
-		}
-		rw, rcloser, err := openOut(*resOut)
-		exitOn(err)
-		switch resolveFormat(*format, *resOut) {
-		case "json":
-			err = sw.WriteResilienceJSON(rw, base)
-		default:
-			err = sw.WriteResilienceCSV(rw, base)
-		}
-		if rcloser != nil {
-			rcloser()
-		}
-		exitOn(err)
-	}
-	if sw.TotalViolations > 0 || sw.FailedRuns > 0 {
-		os.Exit(1)
-	}
-}
-
-// runReplay re-executes one exported run from its token and prints a
-// human summary. All failures — malformed tokens included — come back
-// as a one-line error and exit code 1, never a panic.
-func runReplay(w, ew io.Writer, token, wifi, carrier string, deadline time.Duration) int {
-	cfg, err := load.ParseReplay(token)
-	if err != nil {
-		fmt.Fprintf(ew, "bad replay token: %v\n", err)
-		return 1
-	}
-	if err := resolveProfiles(&cfg, wifi, carrier); err != nil {
-		fmt.Fprintln(ew, err)
-		return 1
-	}
-	cfg.Deadline = deadline
-	res := load.Run(cfg)
-	printSummary(w, cfg, res)
-	if res.Failed || res.Violations > 0 {
-		return 1
-	}
-	return 0
-}
-
-// applyProfiles resolves named WiFi and cellular profiles into cfg.
-func applyProfiles(cfg *load.Config, wifi, carrier string) {
-	exitOn(resolveProfiles(cfg, wifi, carrier))
-}
-
-func resolveProfiles(cfg *load.Config, wifi, carrier string) error {
-	wp, err := pathmodel.ByName(wifi)
-	if err != nil {
+	if err := s.export(s.out, stdout, sw.WriteCSV, sw.WriteJSON); err != nil {
 		return err
 	}
-	cp, err := pathmodel.ByName(carrier)
-	if err != nil {
-		return err
+	if s.resOut != "" {
+		if err := s.export(s.resOut, stdout, sw.WriteResilienceCSV, sw.WriteResilienceJSON); err != nil {
+			return err
+		}
 	}
-	cfg.WiFi, cfg.Cell = wp, cp
+	if sw.FailedRuns > 0 || sw.TotalViolations > 0 {
+		return fmt.Errorf("%d failed runs (exported with fail_reason and replay token), %d protocol violations, first: %q",
+			sw.FailedRuns, sw.TotalViolations, sw.FirstViolation)
+	}
+	if sw.Cancelled {
+		return context.Canceled
+	}
 	return nil
 }
 
-// parseBackground reads a "wd=8Mbps,wu=1Mbps,cd=2Mbps,cu=256Kbps" spec;
-// omitted directions stay silent.
-func parseBackground(s string) (load.Background, error) {
-	var b load.Background
-	if strings.TrimSpace(s) == "" {
-		return b, nil
+// export writes one artifact to path ('-' = stdout) as -format says,
+// or else as the path's extension does.
+func (s spec) export(path string, stdout io.Writer, csv, json func(io.Writer, load.Config) error) error {
+	write := csv
+	if s.format == "json" || s.format == "" && strings.HasSuffix(path, ".json") {
+		write = json
 	}
-	for _, part := range strings.Split(s, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok {
-			return b, fmt.Errorf("bad background part %q (want dir=rate)", part)
-		}
-		r, err := units.ParseBitRate(v)
-		if err != nil {
-			return b, fmt.Errorf("background %q: %v", part, err)
-		}
-		switch strings.ToLower(k) {
-		case "wd", "wifi-down":
-			b.WiFiDown = r
-		case "wu", "wifi-up":
-			b.WiFiUp = r
-		case "cd", "cell-down":
-			b.CellDown = r
-		case "cu", "cell-up":
-			b.CellUp = r
-		default:
-			return b, fmt.Errorf("unknown background direction %q (want wd|wu|cd|cu)", k)
-		}
+	var b bytes.Buffer
+	if err := write(&b, s.sweep.Base); err != nil {
+		return err
 	}
-	return b, nil
-}
-
-func parseFloats(s string) []float64 {
-	var out []float64
-	for _, p := range splitList(s) {
-		v, err := strconv.ParseFloat(p, 64)
-		exitOn(err)
-		out = append(out, v)
-	}
-	return out
-}
-
-func parseInts(s string) []int {
-	var out []int
-	for _, p := range splitList(s) {
-		v, err := strconv.Atoi(p)
-		exitOn(err)
-		out = append(out, v)
-	}
-	return out
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-func resolveFormat(format, out string) string {
-	if format != "" {
-		return strings.ToLower(format)
-	}
-	if strings.HasSuffix(out, ".json") {
-		return "json"
-	}
-	return "csv"
-}
-
-func openOut(path string) (io.Writer, func(), error) {
 	if path == "" || path == "-" {
-		return os.Stdout, nil, nil
+		_, err := stdout.Write(b.Bytes())
+		return err
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return f, func() { f.Close() }, nil
+	return os.WriteFile(path, b.Bytes(), 0o666)
 }
 
 // printSummary renders one replayed run for a human.
@@ -340,11 +248,4 @@ func withCommas(n uint64) string {
 		b.WriteRune(r)
 	}
 	return b.String()
-}
-
-func exitOn(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 }

@@ -5,12 +5,16 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strconv"
 
+	"mptcplab/internal/cli"
 	"mptcplab/internal/experiment"
-	"mptcplab/internal/mptcp"
+	"mptcplab/internal/netem"
 	"mptcplab/internal/pathmodel"
 	"mptcplab/internal/pcap"
 	"mptcplab/internal/stats"
@@ -18,126 +22,99 @@ import (
 	"mptcplab/internal/units"
 )
 
-func main() {
-	var (
-		transport  = flag.String("transport", "mp2", "sp-wifi | sp-cell | mp2 | mp4")
-		carrier    = flag.String("carrier", "att", "att | verizon | sprint")
-		wifi       = flag.String("wifi", "wifi", "wifi | coffeeshop")
-		controller = flag.String("cc", "coupled", "reno | coupled | olia")
-		scheduler  = flag.String("scheduler", "minrtt", "scheduler plugin: minrtt | roundrobin | weighted[:w0;w1;...] | redundant | blest | adaptive | backup")
-		sizeKB     = flag.Int("size-kb", 4096, "download size in KB")
-		seed       = flag.Int64("seed", 1, "simulation seed")
-		simSYN     = flag.Bool("simultaneous-syn", false, "send all subflow SYNs together (§4.1.2)")
-		penalize   = flag.Bool("penalize", false, "enable v0.86 receive-buffer penalization")
-		coldRadio  = flag.Bool("cold-radio", false, "skip the pre-measurement radio warmup pings")
-		pcapOut    = flag.String("pcap", "", "write client+server captures to <prefix>-client.pcap / -server.pcap")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	// A scheduler typo must die here with a one-line error, not run
-	// the whole simulation under a silent fallback policy.
-	exitOn(mptcp.ValidateScheduler(*scheduler))
+var run = cli.Main("mptcpsim", parse, download)
 
-	cellProfile, err := pathmodel.ByName(*carrier)
-	exitOn(err)
-	wifiProfile, err := pathmodel.ByName(*wifi)
-	exitOn(err)
+// spec is one invocation: the testbed, the download on it, and where
+// the captures go.
+type spec struct {
+	tb   experiment.TestbedConfig
+	rc   experiment.RunConfig
+	pcap string
+}
 
-	tb := experiment.NewTestbed(experiment.TestbedConfig{
-		WiFi:              wifiProfile,
-		Cell:              cellProfile,
-		ServerSecondIface: *transport == "mp4",
-		SampleProfiles:    true,
-		WarmRadio:         !*coldRadio,
-		Seed:              *seed,
+// parse is the flag → spec seam (internal/cli): it runs nothing.
+func parse(args []string, stdout io.Writer) (spec, error) {
+	s := spec{
+		tb: experiment.TestbedConfig{WiFi: pathmodel.ComcastHome(), Cell: pathmodel.ATT(), SampleProfiles: true},
+		rc: experiment.RunConfig{Transport: experiment.MP2, Size: 4096 * units.KB},
+	}
+	fs := flag.NewFlagSet("mptcpsim", flag.ContinueOnError)
+	cli.Var(fs, "transport", "sp-wifi | sp-cell | mp2 | mp4 (default mp2)", &s.rc.Transport, experiment.ParseTransport)
+	cli.Profiles(fs, &s.tb.WiFi, &s.tb.Cell)
+	fs.StringVar(&s.rc.Controller, "cc", "coupled", "reno | coupled | olia")
+	cli.Scheduler(fs, "scheduler", &s.rc.Scheduler)
+	fs.Func("size-kb", "download size in KB (default 4096)", func(v string) error {
+		kb, err := strconv.Atoi(v)
+		s.rc.Size = units.ByteCount(kb) * units.KB
+		return err
 	})
-
-	var closers []func()
-	if *pcapOut != "" {
-		closers = append(closers, attachPcap(tb, *pcapOut)...)
+	fs.Int64Var(&s.tb.Seed, "seed", 1, "simulation seed")
+	fs.BoolVar(&s.rc.SimultaneousSYN, "simultaneous-syn", false, "send all subflow SYNs together (§4.1.2)")
+	fs.BoolVar(&s.rc.Penalize, "penalize", false, "enable v0.86 receive-buffer penalization")
+	cold := fs.Bool("cold-radio", false, "skip the pre-measurement radio warmup pings")
+	fs.StringVar(&s.pcap, "pcap", "", "write client+server captures to <prefix>-client.pcap / -server.pcap")
+	if err := cli.Parse(fs, args, stdout); err != nil {
+		return s, err
 	}
+	s.tb.WarmRadio, s.tb.ServerSecondIface = !*cold, s.rc.Transport == experiment.MP4
+	return s, s.rc.Validate()
+}
 
-	rc := experiment.RunConfig{
-		Transport:       parseTransport(*transport),
-		Controller:      *controller,
-		Scheduler:       *scheduler,
-		Size:            units.ByteCount(*sizeKB) * units.KB,
-		SimultaneousSYN: *simSYN,
-		Penalize:        *penalize,
+// download runs the one measurement and prints its metrics.
+func download(s spec, w, _ io.Writer) error {
+	tb := experiment.NewTestbed(s.tb)
+	var captures []func() // each reports one finished capture
+	if s.pcap != "" {
+		for _, end := range []struct {
+			name string
+			host *netem.Host
+		}{{"client", tb.Client}, {"server", tb.Server}} {
+			path := s.pcap + "-" + end.name + ".pcap"
+			f, err := os.Create(path)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			pw, err := pcap.NewWriter(f)
+			if err != nil {
+				return err
+			}
+			end.host.AddTap(trace.PcapTap(pw))
+			captures = append(captures, func() { fmt.Fprintf(w, "wrote %s (%d packets)\n", path, pw.Packets) })
+		}
 	}
-	res := tb.Run(rc)
-	for _, c := range closers {
-		c()
+	res := tb.Run(s.rc)
+	for _, report := range captures {
+		report()
 	}
-
 	if !res.Completed {
-		fmt.Println("download did NOT complete within the simulation timeout")
-		os.Exit(1)
+		return errors.New("download did not complete within the simulation timeout")
 	}
-	fmt.Printf("config:        %s over %s (+%s)\n", rc.Describe(), cellProfile.Name, wifiProfile.Name)
-	fmt.Printf("download time: %.3f s\n", res.DownloadTime.Seconds())
-	fmt.Printf("subflows:      %d\n", res.Subflows)
-	fmt.Printf("cell share:    %.1f%%\n", res.CellShare()*100)
-	fmt.Printf("wifi:  %8d data pkts, loss %.2f%%\n", res.WiFiDataPkts, res.WiFiLossRate()*100)
-	fmt.Printf("cell:  %8d data pkts, loss %.2f%%\n", res.CellDataPkts, res.CellLossRate()*100)
-	printRTT("wifi RTT", res.WiFiRTTms)
-	printRTT("cell RTT", res.CellRTTms)
+	fmt.Fprintf(w, "config:        %s over %s (+%s)\n", s.rc.Describe(), s.tb.Cell.Name, s.tb.WiFi.Name)
+	fmt.Fprintf(w, "download time: %.3f s\n", res.DownloadTime.Seconds())
+	fmt.Fprintf(w, "subflows:      %d\n", res.Subflows)
+	fmt.Fprintf(w, "cell share:    %.1f%%\n", res.CellShare()*100)
+	fmt.Fprintf(w, "wifi:  %8d data pkts, loss %.2f%%\n", res.WiFiDataPkts, res.WiFiLossRate()*100)
+	fmt.Fprintf(w, "cell:  %8d data pkts, loss %.2f%%\n", res.CellDataPkts, res.CellLossRate()*100)
+	printRTT(w, "wifi RTT", res.WiFiRTTms)
+	printRTT(w, "cell RTT", res.CellRTTms)
 	if len(res.OFOms) > 0 {
 		s := stats.New()
 		s.AddAll(res.OFOms)
-		fmt.Printf("out-of-order delay: n=%d in-order=%.1f%% mean=%.1fms p95=%.1fms max=%.0fms\n",
+		fmt.Fprintf(w, "out-of-order delay: n=%d in-order=%.1f%% mean=%.1fms p95=%.1fms max=%.0fms\n",
 			s.N(), 100*(1-s.FractionAbove(0)), s.Mean(), s.Quantile(0.95), s.Max())
 	}
+	return nil
 }
 
-func printRTT(label string, ms []float64) {
+func printRTT(w io.Writer, label string, ms []float64) {
 	if len(ms) == 0 {
 		return
 	}
 	s := stats.New()
 	s.AddAll(ms)
-	fmt.Printf("%s: n=%d min=%.1f median=%.1f mean=%.1f max=%.1f ms\n",
+	fmt.Fprintf(w, "%s: n=%d min=%.1f median=%.1f mean=%.1f max=%.1f ms\n",
 		label, s.N(), s.Min(), s.Median(), s.Mean(), s.Max())
-}
-
-func parseTransport(s string) experiment.Transport {
-	switch s {
-	case "sp-wifi":
-		return experiment.SPWiFi
-	case "sp-cell":
-		return experiment.SPCell
-	case "mp2":
-		return experiment.MP2
-	case "mp4":
-		return experiment.MP4
-	default:
-		exitOn(fmt.Errorf("unknown transport %q", s))
-		return 0
-	}
-}
-
-// attachPcap wires tcpdump-style taps on both hosts.
-func attachPcap(tb *experiment.Testbed, prefix string) []func() {
-	var closers []func()
-	mk := func(suffix string) *pcap.Writer {
-		f, err := os.Create(prefix + "-" + suffix + ".pcap")
-		exitOn(err)
-		w, err := pcap.NewWriter(f)
-		exitOn(err)
-		closers = append(closers, func() {
-			fmt.Printf("wrote %s-%s.pcap (%d packets)\n", prefix, suffix, w.Packets)
-			f.Close()
-		})
-		return w
-	}
-	tb.Client.AddTap(trace.PcapTap(mk("client")))
-	tb.Server.AddTap(trace.PcapTap(mk("server")))
-	return closers
-}
-
-func exitOn(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mptcpsim:", err)
-		os.Exit(1)
-	}
 }

@@ -7,6 +7,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -18,11 +19,14 @@ import (
 	"strings"
 	"syscall"
 
+	"mptcplab/internal/cli"
 	"mptcplab/internal/experiment"
 	"mptcplab/internal/units"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+var run = cli.Main("paperbench", parse, bench)
 
 // experimentHelp renders the -experiment usage line from the registry.
 func experimentHelp() string {
@@ -37,93 +41,75 @@ func experimentHelp() string {
 	return b.String()
 }
 
-// selectCampaigns resolves an -experiment value through the registry.
-// The selection comes back in registry order whatever order it was
-// named in; "all" stands for the entries marked InAll.
-func selectCampaigns(which string) ([]experiment.Campaign, error) {
-	sel := map[string]bool{}
-	all := false
-	for _, s := range strings.Split(which, ",") {
-		if s = strings.TrimSpace(s); s == "all" {
-			all = true
-			continue
-		}
-		name := experiment.ResolveCampaign(s)
-		if name == "" {
-			return nil, fmt.Errorf("unknown experiment %q (have %s, all)",
-				s, strings.Join(experiment.CampaignNames(), ", "))
-		}
-		sel[name] = true
-	}
-	var out []experiment.Campaign
-	for _, c := range experiment.Campaigns() {
-		if sel[c.Name] || all && c.InAll {
-			out = append(out, c)
-		}
-	}
-	return out, nil
+// spec is one invocation: the campaigns, the options they all run
+// under, and where the report and the profiles go.
+type spec struct {
+	campaigns []experiment.Campaign
+	opts      experiment.CampaignOpts
+	quick     bool
+	format    string // text | csv | json
+	out       string
+	progress  bool
+
+	cpuprofile, memprofile, trace string
 }
 
-func run(args []string, stdout, stderr io.Writer) int {
+// parse is the flag → spec seam (internal/cli): it runs nothing.
+func parse(args []string, stdout io.Writer) (spec, error) {
+	s := spec{format: "text"}
+	s.opts.SampleProfiles = true
+	s.campaigns, _ = experiment.ParseCampaigns("all")
 	fs := flag.NewFlagSet("paperbench", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var (
-		which   = fs.String("experiment", "all", experimentHelp())
-		reps    = fs.Int("reps", 5, "repetitions per configuration cell")
-		seed    = fs.Int64("seed", 1, "campaign seed")
-		workers = fs.Int("workers", 0, "parallel campaign workers (0 = all CPUs, 1 = serial); results are identical for any value")
-		quick   = fs.Bool("quick", false, "scale the infinite-backlog size down for fast runs")
-		format  = fs.String("format", "text", "output format: text | csv | json")
-		outp    = fs.String("o", "", "write output to file instead of stdout")
-		prog    = fs.Bool("progress", false, "print run progress to stderr")
+	cli.Var(fs, "experiment", experimentHelp(), &s.campaigns, experiment.ParseCampaigns)
+	fs.IntVar(&s.opts.Reps, "reps", 5, "repetitions per configuration cell")
+	fs.Int64Var(&s.opts.Seed, "seed", 1, "campaign seed")
+	fs.IntVar(&s.opts.Workers, "workers", 0, "parallel campaign workers (0 = all CPUs, 1 = serial); results are identical for any value")
+	fs.BoolVar(&s.quick, "quick", false, "scale the infinite-backlog size down for fast runs")
+	fs.Func("format", "output format: text | csv | json (default text)", func(v string) error {
+		if s.format = v; v != "text" && v != "csv" && v != "json" {
+			return errors.New("want text, csv or json")
+		}
+		return nil
+	})
+	fs.StringVar(&s.out, "o", "", "write output to file instead of stdout")
+	fs.BoolVar(&s.progress, "progress", false, "print run progress to stderr")
+	fs.StringVar(&s.cpuprofile, "cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
+	fs.StringVar(&s.memprofile, "memprofile", "", "write an allocation profile to this file at exit")
+	fs.StringVar(&s.trace, "trace", "", "write a runtime execution trace to this file (inspect with go tool trace)")
+	if err := cli.Parse(fs, args, stdout); err != nil {
+		return s, err
+	}
+	return s, s.opts.Validate()
+}
 
-		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
-		memprofile = fs.String("memprofile", "", "write an allocation profile to this file at exit")
-		tracefile  = fs.String("trace", "", "write a runtime execution trace to this file (inspect with go tool trace)")
-	)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	fail := func(code int, err error) int {
-		fmt.Fprintln(stderr, "paperbench:", err)
-		return code
-	}
-	campaigns, err := selectCampaigns(*which)
-	if err != nil {
-		return fail(2, err)
-	}
-	switch *format {
-	case "text", "csv", "json":
-	default:
-		return fail(2, fmt.Errorf("unknown format %q", *format))
-	}
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
+// bench runs the spec's campaigns and writes the report; failed runs
+// are an error, after everything that ran is reported.
+func bench(s spec, stdout, stderr io.Writer) error {
+	if s.cpuprofile != "" {
+		f, err := os.Create(s.cpuprofile)
 		if err != nil {
-			return fail(1, err)
+			return err
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			return fail(1, err)
+			return err
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *tracefile != "" {
-		f, err := os.Create(*tracefile)
+	if s.trace != "" {
+		f, err := os.Create(s.trace)
 		if err != nil {
-			return fail(1, err)
+			return err
 		}
 		defer f.Close()
 		if err := rtrace.Start(f); err != nil {
-			return fail(1, err)
+			return err
 		}
 		defer rtrace.Stop()
 	}
-	if *memprofile != "" {
-		path := *memprofile
+	if s.memprofile != "" {
 		defer func() {
-			f, err := os.Create(path)
+			f, err := os.Create(s.memprofile)
 			if err != nil {
 				fmt.Fprintln(stderr, "paperbench:", err)
 				return
@@ -141,12 +127,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
-	opts := experiment.CampaignOpts{
-		Reps: *reps, Seed: *seed, SampleProfiles: true, Workers: *workers,
-		Context: ctx,
-	}
-	if *prog {
-		opts.Progress = func(done, total int) {
+	s.opts.Context = ctx
+	if s.progress {
+		s.opts.Progress = func(done, total int) {
 			fmt.Fprintf(stderr, "\r%d/%d runs", done, total)
 			if done == total {
 				fmt.Fprintln(stderr)
@@ -155,10 +138,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	w := stdout
-	if *outp != "" {
-		f, err := os.Create(*outp)
+	if s.out != "" {
+		f, err := os.Create(s.out)
 		if err != nil {
-			return fail(1, err)
+			return err
 		}
 		defer f.Close()
 		w = f
@@ -173,7 +156,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// machine-readable.
 	speedline := func(m *experiment.Matrix, allocs uint64) {
 		dst := stderr
-		if *format == "text" {
+		if s.format == "text" {
 			dst = w
 		}
 		speedup := 1.0
@@ -196,23 +179,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	var matrices []*experiment.Matrix
-	cancelled := false
-	for _, c := range campaigns {
+	cancelled, failed := false, 0
+	for _, c := range s.campaigns {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		var m *experiment.Matrix
-		if *quick && c.Name == "fig11" {
-			m = experiment.Backlog(64*units.MB, opts)
+		if s.quick && c.Name == "fig11" {
+			m = experiment.Backlog(64*units.MB, s.opts)
 		} else {
-			m = c.Make(opts)
+			m = c.Make(s.opts)
 		}
 		runtime.ReadMemStats(&after)
 		matrices = append(matrices, m)
-		if *format == "text" {
+		if s.format == "text" {
 			c.Text(w, m)
 		}
 		speedline(m, after.Mallocs-before.Mallocs)
 		if m.FailedRuns > 0 {
+			failed += m.FailedRuns
 			fmt.Fprintf(stderr, "%s: %d FAILED RUNS, first: %s\n", m.ID, m.FailedRuns, m.FirstFailure)
 		}
 		if m.Cancelled {
@@ -223,7 +207,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	stopSignals()
 
-	switch *format {
+	var err error
+	switch s.format {
 	case "text":
 		fmt.Fprintln(w, "\ndone.")
 	case "csv":
@@ -231,11 +216,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "json":
 		err = experiment.WriteReportJSON(w, matrices...)
 	}
-	if err != nil {
-		return fail(1, err)
+	switch {
+	case err != nil:
+		return err
+	case failed > 0:
+		return fmt.Errorf("%d runs failed", failed)
+	case cancelled:
+		return context.Canceled
 	}
-	if cancelled {
-		return 130
-	}
-	return 0
+	return nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 
@@ -18,9 +19,10 @@ func names(cs []experiment.Campaign) string {
 }
 
 // TestSelectCampaigns pins -experiment's resolution through the
-// registry against the list paperbench used to hard-code: "all" is the
-// same eight campaigns in the same order, every historical alias still
-// lands on its campaign, and selections come back in registry order.
+// registry (experiment.ParseCampaigns) against the list paperbench used
+// to hard-code: "all" is the same eight campaigns in the same order,
+// every historical alias still lands on its campaign, and selections
+// come back in registry order.
 func TestSelectCampaigns(t *testing.T) {
 	for which, want := range map[string]string{
 		"all":                "fig2,fig4,fig6,fig8,fig9,fig11,shootout,fig12",
@@ -39,31 +41,64 @@ func TestSelectCampaigns(t *testing.T) {
 		"mobility":           "mobility",
 		"all,mobility":       "fig2,fig4,fig6,fig8,fig9,fig11,shootout,fig12,mobility",
 	} {
-		got, err := selectCampaigns(which)
-		if err != nil || names(got) != want {
-			t.Errorf("selectCampaigns(%q) = %s, %v; want %s", which, names(got), err, want)
+		s, err := parse([]string{"-experiment", which}, io.Discard)
+		if got := names(s.campaigns); err != nil || got != want {
+			t.Errorf("-experiment %q selected %s, %v; want %s", which, got, err, want)
 		}
 	}
 }
 
-// TestRejectsBadFlags: a typo dies before any campaign runs — exit
-// code 2, one line on stderr, nothing on stdout.
+// TestRejectsBadFlags is paperbench's rejection table: each command
+// line must die in parse — exit 2, exactly one stderr line that starts
+// with the binary's name and names the bad value, nothing on stdout,
+// no campaign run.
 func TestRejectsBadFlags(t *testing.T) {
-	for _, args := range [][]string{
-		{"-experiment", "nope"},
-		{"-experiment", "fig8,nope"},
-		{"-experiment", "fig8", "-format", "yaml"},
+	for args, want := range map[string]string{
+		"-experiment nope":              `"nope"`,
+		"-experiment fig8,nope":         `"nope"`,
+		"-experiment fig8 -format yaml": `"yaml"`,
+		"-reps -1":                      "-1",
+		"-reps few":                     `"few"`,
+		"-nope":                         "-nope",
+		"-experiment fig8 fig9":         `"fig9"`,
 	} {
 		var stdout, stderr bytes.Buffer
-		if code := run(args, &stdout, &stderr); code != 2 {
-			t.Errorf("%v: exit code %d, want 2", args, code)
+		code := run(strings.Fields(args), &stdout, &stderr)
+		line, rest, _ := strings.Cut(stderr.String(), "\n")
+		if code != 2 || stdout.Len() != 0 || rest != "" ||
+			!strings.HasPrefix(line, "paperbench: ") || !strings.Contains(line, want) {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q; want exit 2 and one line naming %s",
+				args, code, stdout.String(), stderr.String(), want)
 		}
-		if text := strings.TrimSpace(stderr.String()); text == "" || strings.Contains(text, "\n") {
-			t.Errorf("%v: want a one-line error, got %q", args, stderr.String())
+	}
+}
+
+// TestAcceptsRepoCommandLines: every paperbench command line the repo
+// itself issues (README, EXPERIMENTS.md, the verify skill) parses and
+// validates, creating none of the files it names.
+func TestAcceptsRepoCommandLines(t *testing.T) {
+	for _, args := range []string{
+		"",
+		"-experiment fig2,fig9 -reps 10",
+		"-experiment all -reps 6 -quick",
+		"-experiment fig12 -format json -o latency.json",
+		"-experiment fig4 -reps 20 -workers 8 -progress",
+		"-experiment mobility",
+		"-experiment all -reps 8",
+		"-experiment fig4 -reps 5 -cpuprofile cpu.out -memprofile mem.out -trace trace.out -format csv -o fig4.csv",
+		"-experiment fig4 -reps 32 -workers 4",
+		"-experiment shootout -reps 3 -seed 1",
+		"-experiment fig8 -reps 2",
+		"-experiment fig4 -reps 4 -format json -o /tmp/a.json",
+	} {
+		if _, err := parse(strings.Fields(args), io.Discard); err != nil {
+			t.Errorf("%s: %v", args, err)
 		}
-		if stdout.Len() != 0 {
-			t.Errorf("%v: wrote %q to stdout", args, stdout.String())
-		}
+	}
+	s, err := parse(nil, io.Discard)
+	if err != nil || names(s.campaigns) != "fig2,fig4,fig6,fig8,fig9,fig11,shootout,fig12" ||
+		s.opts.Reps != 5 || s.opts.Seed != 1 || !s.opts.SampleProfiles || s.format != "text" {
+		t.Errorf("defaults bound %+v, %v", s, err)
 	}
 }
 

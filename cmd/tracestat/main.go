@@ -5,37 +5,50 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
+	"mptcplab/internal/cli"
 	"mptcplab/internal/trace"
 )
 
-func main() {
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: tracestat <capture.pcap> [more.pcap ...]\n")
-		flag.PrintDefaults()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+var run = cli.Main("tracestat", parse, analyze)
+
+const usage = "usage: tracestat <capture.pcap> [more.pcap ...]"
+
+// parse takes the captures to read: tracestat has no flags, and its
+// positional arguments are its input.
+func parse(args []string, stdout io.Writer) ([]string, error) {
+	fs := flag.NewFlagSet("tracestat", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	err := fs.Parse(args)
+	if errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(stdout, usage)
+	} else if err == nil && fs.NArg() == 0 {
+		err = errors.New("no capture given; " + usage)
 	}
-	flag.Parse()
-	if flag.NArg() == 0 {
-		flag.Usage()
-		os.Exit(2)
-	}
-	for _, path := range flag.Args() {
+	return fs.Args(), err
+}
+
+func analyze(paths []string, w, _ io.Writer) error {
+	for _, path := range paths {
 		f, err := os.Open(path)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tracestat:", err)
-			os.Exit(1)
+			return err
 		}
 		a, err := trace.AnalyzePcap(f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tracestat:", err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Printf("== %s ==\n", path)
-		a.WriteSummary(os.Stdout)
-		fmt.Println()
+		fmt.Fprintf(w, "== %s ==\n", path)
+		a.WriteSummary(w)
+		fmt.Fprintln(w)
 	}
+	return nil
 }

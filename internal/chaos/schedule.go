@@ -102,23 +102,6 @@ func (k Kind) String() string {
 	}
 }
 
-func parseKind(s string) (Kind, error) {
-	switch s {
-	case "outage":
-		return Outage, nil
-	case "flap":
-		return Flap, nil
-	case "storm":
-		return Storm, nil
-	case "ramp":
-		return Ramp, nil
-	case "fade":
-		return Fade, nil
-	default:
-		return 0, fmt.Errorf("chaos: unknown schedule kind %q (want outage|flap|storm|ramp|fade)", s)
-	}
-}
-
 // Event is one scheduled fault. Which fields matter depends on Kind;
 // Parse fills unused ones with zero values and Spec omits them.
 type Event struct {
@@ -176,17 +159,6 @@ func (sc Schedule) Windows() []Window {
 	}
 	sort.SliceStable(ws, func(i, j int) bool { return ws[i].Start < ws[j].Start })
 	return ws
-}
-
-// End reports when the last fault activity finishes.
-func (sc Schedule) End() sim.Time {
-	var end sim.Time
-	for _, w := range sc.Windows() {
-		if w.End > end {
-			end = w.End
-		}
-	}
-	return end
 }
 
 // Named returns a preset schedule by name — the spec grammar's

@@ -100,7 +100,7 @@ func WriteReportJSON(w io.Writer, ms ...*Matrix) error {
 	}
 	for _, m := range ms {
 		out.Cells = append(out.Cells, m.Export()...)
-		if c := lookupCampaign(m.ID); c != nil && c.Distributions {
+		if c, err := ParseCampaign(m.ID); err == nil && c.Distributions {
 			out.Distributions = append(out.Distributions, m.ExportDistributions()...)
 		}
 	}

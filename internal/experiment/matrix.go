@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"time"
 
@@ -213,6 +214,14 @@ type CampaignJob struct {
 	Sample    bool  `json:"sample,omitempty"`
 	SelfCheck bool  `json:"selfcheck,omitempty"`
 	Seed      int64 `json:"seed"`
+}
+
+// Validate rejects a repetition count reps would silently replace.
+func (o CampaignOpts) Validate() error {
+	if o.Reps < 0 {
+		return fmt.Errorf("experiment: reps=%d is negative", o.Reps)
+	}
+	return nil
 }
 
 func (o CampaignOpts) reps() int {

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -70,39 +71,48 @@ func CampaignNames() []string {
 	return names
 }
 
-// lookupCampaign finds the entry a name or alias refers to.
-func lookupCampaign(name string) *Campaign {
+// ParseCampaign finds the campaign a name or alias refers to, so
+// "table3" is the fig4/fig5 small-flows matrix.
+func ParseCampaign(name string) (Campaign, error) {
 	name = strings.ToLower(strings.TrimSpace(name))
-	for i := range campaigns {
-		c := &campaigns[i]
-		if c.Name == name {
-			return c
+	for _, c := range campaigns {
+		if c.Name == name || slices.Contains(c.Aliases, name) {
+			return c, nil
 		}
-		for _, a := range c.Aliases {
-			if a == name {
-				return c
+	}
+	return Campaign{}, fmt.Errorf("experiment: unknown campaign %q (have %s)",
+		name, strings.Join(CampaignNames(), ", "))
+}
+
+// ParseCampaigns resolves a comma-separated list of names and aliases
+// (paperbench's -experiment) into registry order, whatever order it was
+// written in; "all" stands for the entries marked InAll.
+func ParseCampaigns(list string) ([]Campaign, error) {
+	sel := map[string]bool{}
+	for _, name := range strings.Split(list, ",") {
+		if name = strings.TrimSpace(name); name != "all" {
+			c, err := ParseCampaign(name)
+			if err != nil {
+				return nil, err
 			}
+			name = c.Name
+		}
+		sel[name] = true
+	}
+	var out []Campaign
+	for _, c := range campaigns {
+		if sel[c.Name] || sel["all"] && c.InAll {
+			out = append(out, c)
 		}
 	}
-	return nil
+	return out, nil
 }
 
-// ResolveCampaign canonicalizes a campaign name or alias; empty
-// string if unknown.
-func ResolveCampaign(name string) string {
-	if c := lookupCampaign(name); c != nil {
-		return c.Name
-	}
-	return ""
-}
-
-// NewCampaign runs the named campaign. The name is resolved through
-// the alias table, so "table3" runs the fig4/fig5 small-flows matrix.
+// NewCampaign runs the named campaign.
 func NewCampaign(name string, opts CampaignOpts) (*Matrix, error) {
-	c := lookupCampaign(name)
-	if c == nil {
-		return nil, fmt.Errorf("experiment: unknown campaign %q (have %s)",
-			name, strings.Join(CampaignNames(), ", "))
+	c, err := ParseCampaign(name)
+	if err != nil {
+		return nil, err
 	}
 	return c.Make(opts), nil
 }

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"mptcplab/internal/cc"
@@ -41,6 +42,22 @@ func (t Transport) String() string {
 	default:
 		return "?"
 	}
+}
+
+// ParseTransport inverts Transport.String and accepts every shorter
+// spelling a binary has taken ("wifi", "tcp-cell", "mp2", "mptcp").
+func ParseTransport(s string) (Transport, error) {
+	switch strings.ToLower(s) {
+	case "sp-wifi", "tcp-wifi", "wifi":
+		return SPWiFi, nil
+	case "sp-cell", "tcp-cell", "cell":
+		return SPCell, nil
+	case "mp-2", "mp2", "mptcp":
+		return MP2, nil
+	case "mp-4", "mp4":
+		return MP4, nil
+	}
+	return 0, fmt.Errorf("experiment: unknown transport %q (want sp-wifi|sp-cell|mp2|mp4)", s)
 }
 
 // RunConfig describes one download measurement.
@@ -173,10 +190,25 @@ func (r *RunResult) CellLossRate() float64 {
 	return float64(r.CellRetransPkts) / float64(r.CellDataPkts)
 }
 
+// Validate rejects what Testbed.Run would panic on (an unknown controller),
+// silently replace (an unknown scheduler) or time out on (no bytes).
+func (rc RunConfig) Validate() error {
+	if _, err := cc.New(defaultStr(rc.Controller, "coupled")); err != nil {
+		return err
+	}
+	if err := mptcp.ValidateScheduler(rc.Scheduler); err != nil {
+		return err
+	}
+	if rc.Size <= 0 {
+		return fmt.Errorf("experiment: size %s must be positive", rc.Size)
+	}
+	return nil
+}
+
 func (rc RunConfig) stackConfig() mptcp.Config {
 	ctrl, err := cc.New(defaultStr(rc.Controller, "coupled"))
 	if err != nil {
-		panic(err)
+		panic(err) // a caller skipped Validate
 	}
 	t := tcp.DefaultConfig()
 	t.Controller = ctrl

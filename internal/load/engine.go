@@ -81,15 +81,19 @@ type Config struct {
 	SelfCheck bool
 }
 
+// The default profiles, as pathmodel.ByName knows them: withDefaults
+// fills them in and ReplayToken leaves them out.
+const defaultWiFi, defaultCell = "coffeeshop-wifi", "att"
+
 func (c Config) withDefaults() Config {
 	if c.Clients == 0 {
 		c.Clients = 100
 	}
 	if c.WiFi.Name == "" {
-		c.WiFi = pathmodel.CoffeeShop()
+		c.WiFi, _ = pathmodel.ByName(defaultWiFi)
 	}
 	if c.Cell.Name == "" {
-		c.Cell = pathmodel.ATT()
+		c.Cell, _ = pathmodel.ByName(defaultCell)
 	}
 	if c.Sizes == nil {
 		c.Sizes = SmallFlowMix()

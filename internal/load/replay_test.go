@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mptcplab/internal/chaos"
+	"mptcplab/internal/pathmodel"
 	"mptcplab/internal/sim"
 	"mptcplab/internal/units"
 )
@@ -40,6 +41,44 @@ func TestReplayTokenRoundTrip(t *testing.T) {
 	}
 	if _, err := ParseReplay("wat=1"); err == nil {
 		t.Error("ParseReplay accepted an unknown key")
+	}
+}
+
+// TestReplayTokenCarriesProfiles: a token is self-contained off the
+// default profiles too. A verizon + home-WiFi run, parsed back from its
+// own token and run again, exports the same row; at the defaults the
+// token stays byte-for-byte what it always was (cache keys hang on it).
+func TestReplayTokenCarriesProfiles(t *testing.T) {
+	cfg := Config{Clients: 8, Flows: 10, Duration: 3 * sim.Second, Drain: 5 * sim.Second, Seed: 5}
+	if got, want := cfg.ReplayToken(), "clients=8,flows=10,dur=3s,drain=5s,seed=5,mix=small,transport=mptcp"; got != want {
+		t.Errorf("default-profile token moved:\n  got  %s\n  want %s", got, want)
+	}
+	cfg.WiFi, cfg.Cell = pathmodel.ComcastHome(), pathmodel.Verizon()
+	first := RunRow(cfg).Run
+	if !strings.Contains(first.Replay, ",wifi=wifi,cell=verizon") {
+		t.Fatalf("token %q does not name the profiles", first.Replay)
+	}
+	back, err := ParseReplay(first.Replay)
+	if err != nil {
+		t.Fatalf("ParseReplay(%q): %v", first.Replay, err)
+	}
+	if again := RunRow(back).Run; again != first {
+		t.Errorf("replayed row differs:\n  first %+v\n  again %+v", first, again)
+	}
+	if onDefaults := RunRow(Config{Clients: 8, Flows: 10, Duration: 3 * sim.Second, Drain: 5 * sim.Second, Seed: 5}).Run; onDefaults.FCTMean == first.FCTMean {
+		t.Error("the profiles made no difference to the run; the test proves nothing")
+	}
+}
+
+// TestSetBackgroundList: the "bg" key takes all four directions at once
+// in the same k=v grammar, which is how mptcpload's -bg binds.
+func TestSetBackgroundList(t *testing.T) {
+	var c Config
+	if err := c.Set("bg", "wd=8Mbps,cu=256Kbps"); err != nil {
+		t.Fatal(err)
+	}
+	if want := (Background{WiFiDown: 8 * units.Mbps, CellUp: 256 * units.Kbps}); c.Background != want {
+		t.Errorf("bg set %+v, want %+v", c.Background, want)
 	}
 }
 
@@ -217,6 +256,9 @@ func TestParseReplayRejectsMalformed(t *testing.T) {
 		"clients=10,seed=notanum",               // unparseable integer
 		"clients=10,sched=bogus",                // unknown scheduler
 		"clients=10,sched=weighted:a;b",         // malformed weights
+		"clients=10,cc=foo",                     // unknown controller: used to panic inside the run
+		"clients=10,wifi=lan",                   // unknown profile
+		"clients=10,bg=sideways=1",              // unknown background direction
 	}
 	for _, tok := range bad {
 		cfg, err := ParseReplay(tok)

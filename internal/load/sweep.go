@@ -7,8 +7,10 @@ import (
 	"strings"
 	"time"
 
+	"mptcplab/internal/cc"
 	"mptcplab/internal/chaos"
 	"mptcplab/internal/mptcp"
+	"mptcplab/internal/pathmodel"
 	"mptcplab/internal/sim"
 	"mptcplab/internal/sweep"
 	"mptcplab/internal/units"
@@ -342,6 +344,12 @@ func (c Config) ReplayToken() string {
 	}
 	fmt.Fprintf(&b, ",dur=%s,drain=%s,seed=%d", c.Duration, c.Drain, c.Seed)
 	fmt.Fprintf(&b, ",mix=%s,transport=%s", c.Sizes.Name(), c.Transports)
+	if c.WiFi.Name != defaultWiFi {
+		fmt.Fprintf(&b, ",wifi=%s", c.WiFi.Name)
+	}
+	if c.Cell.Name != defaultCell {
+		fmt.Fprintf(&b, ",cell=%s", c.Cell.Name)
+	}
 	if c.Controller != "" {
 		fmt.Fprintf(&b, ",cc=%s", c.Controller)
 	}
@@ -367,67 +375,83 @@ func (c Config) ReplayToken() string {
 	return b.String()
 }
 
-// ParseReplay reconstructs a run Config from a ReplayToken. Profiles
-// come back as the defaults (the token does not encode sampled link
-// parameters; SampleProfiles re-derives them from the seed).
+// ParseReplay reconstructs a run Config from a ReplayToken (sampled link
+// parameters are not in it; SampleProfiles re-derives them from the seed).
 func ParseReplay(tok string) (Config, error) {
 	var c Config
-	for _, part := range strings.Split(tok, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok {
-			return c, fmt.Errorf("load: bad replay part %q", part)
-		}
-		var err error
-		switch k {
-		case "clients":
-			_, err = fmt.Sscanf(v, "%d", &c.Clients)
-		case "sessions":
-			_, err = fmt.Sscanf(v, "%d", &c.Sessions)
-		case "think":
-			c.ThinkMean, err = parseSimTime(v)
-		case "flows":
-			_, err = fmt.Sscanf(v, "%d", &c.Flows)
-		case "rate":
-			_, err = fmt.Sscanf(v, "%g", &c.Rate)
-		case "dur":
-			c.Duration, err = parseSimTime(v)
-		case "drain":
-			c.Drain, err = parseSimTime(v)
-		case "seed":
-			_, err = fmt.Sscanf(v, "%d", &c.Seed)
-		case "mix":
-			c.Sizes, err = ParseSizeDist(v)
-		case "transport":
-			c.Transports, err = ParseTransportMix(v)
-		case "cc":
-			c.Controller = v
-		case "sched":
-			c.Scheduler = v
-		case "sample":
-			c.SampleProfiles = v == "1"
-		case "check":
-			c.SelfCheck = v == "1"
-		case "bgwd":
-			c.Background.WiFiDown, err = units.ParseBitRate(v)
-		case "bgwu":
-			c.Background.WiFiUp, err = units.ParseBitRate(v)
-		case "bgcd":
-			c.Background.CellDown, err = units.ParseBitRate(v)
-		case "bgcu":
-			c.Background.CellUp, err = units.ParseBitRate(v)
-		case "chaos":
-			c.Chaos, err = chaos.Parse(v)
-		default:
-			err = fmt.Errorf("unknown key %q", k)
-		}
-		if err != nil {
-			return c, fmt.Errorf("load: replay token part %q: %v", part, err)
-		}
-	}
-	if err := c.Validate(); err != nil {
+	if err := c.setAll("", tok); err != nil {
 		return c, err
 	}
-	return c, nil
+	return c, c.Validate()
+}
+
+// setAll walks a "k=v,k=v" list through Set, prefix before each key.
+func (c *Config) setAll(prefix, list string) error {
+	for _, part := range strings.Split(list, ",") {
+		k, v, ok := strings.Cut(strings.TrimSpace(part), "=")
+		if !ok {
+			return fmt.Errorf("load: bad part %q (want key=value)", part)
+		}
+		if err := c.Set(prefix+k, v); err != nil {
+			return fmt.Errorf("load: part %q: %v", part, err)
+		}
+	}
+	return nil
+}
+
+// Set assigns one field by its replay-token key: the token grammar is the
+// load spec, for ParseReplay and for mptcpload's flags alike.
+func (c *Config) Set(k, v string) error {
+	var err error
+	switch k {
+	case "clients":
+		_, err = fmt.Sscanf(v, "%d", &c.Clients)
+	case "sessions":
+		_, err = fmt.Sscanf(v, "%d", &c.Sessions)
+	case "think":
+		c.ThinkMean, err = parseSimTime(v)
+	case "flows":
+		_, err = fmt.Sscanf(v, "%d", &c.Flows)
+	case "rate":
+		_, err = fmt.Sscanf(v, "%g", &c.Rate)
+	case "dur":
+		c.Duration, err = parseSimTime(v)
+	case "drain":
+		c.Drain, err = parseSimTime(v)
+	case "seed":
+		_, err = fmt.Sscanf(v, "%d", &c.Seed)
+	case "mix":
+		c.Sizes, err = ParseSizeDist(v)
+	case "transport":
+		c.Transports, err = ParseTransportMix(v)
+	case "wifi":
+		c.WiFi, err = pathmodel.ByName(v)
+	case "cell":
+		c.Cell, err = pathmodel.ByName(v)
+	case "cc":
+		c.Controller = v
+	case "sched":
+		c.Scheduler = v
+	case "sample":
+		c.SampleProfiles = v == "1"
+	case "check":
+		c.SelfCheck = v == "1"
+	case "bg": // all four directions at once: "wd=8Mbps,cu=256Kbps"
+		err = c.setAll("bg", v)
+	case "bgwd":
+		c.Background.WiFiDown, err = units.ParseBitRate(v)
+	case "bgwu":
+		c.Background.WiFiUp, err = units.ParseBitRate(v)
+	case "bgcd":
+		c.Background.CellDown, err = units.ParseBitRate(v)
+	case "bgcu":
+		c.Background.CellUp, err = units.ParseBitRate(v)
+	case "chaos":
+		c.Chaos, err = chaos.Parse(v)
+	default:
+		err = fmt.Errorf("unknown key %q", k)
+	}
+	return err
 }
 
 // Validate rejects configs that would panic or wedge the engine —
@@ -456,12 +480,12 @@ func (c Config) Validate() error {
 	if c.Drain < 0 {
 		return fmt.Errorf("load: drain=%v is negative", c.Drain)
 	}
-	if c.Scheduler != "" {
-		if err := mptcp.ValidateScheduler(c.Scheduler); err != nil {
+	if c.Controller != "" {
+		if _, err := cc.New(c.Controller); err != nil {
 			return err
 		}
 	}
-	return nil
+	return mptcp.ValidateScheduler(c.Scheduler)
 }
 
 func parseSimTime(s string) (sim.Time, error) {
