@@ -507,3 +507,52 @@ func TestServeReplayThenSweepRestampsRep(t *testing.T) {
 		t.Fatalf("export.csv after a replay-seeded hit differs from RunSweep's:\n%s\nwant:\n%s", got, wantCSV.Bytes())
 	}
 }
+
+// TestServeStatusCountsFailedRows: a campaign is "done" when its runner
+// returned, and the status must still say when rows in it are failed
+// runs. The daemon has no per-run budget of its own, so the test holds
+// the run loop, takes the submitted campaign off the queue and runs it
+// the way runLoop would, with one change: its sweep carries a 1 ns
+// wall-clock deadline, so the watchdog kills every run at its first
+// check (the spec is sized to reach one: far more than 65,536 events
+// per run). A healthy campaign on the same daemon keeps the status body
+// it always had — no failed_rows key at all.
+func TestServeStatusCountsFailedRows(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	srv := newServer(ctx, serverConfig{noRunLoop: true})
+	ts := httptest.NewServer(srv.routes())
+	t.Cleanup(func() { cancel(); ts.Close() })
+
+	const base = "clients=200,rate=60,dur=60s,drain=10s,mix=web"
+	doomed := submit(t, ts, fmt.Sprintf(`{"kind":"load","base":"%s","rates":[30,60],"reps":1,"seed":7,"workers":1}`, base))
+	c := <-srv.queue
+	c.run = func(c *campaignState) error {
+		so := load.SweepOpts{Rates: c.spec.Rates, Reps: c.spec.Reps, Seed: c.spec.Seed, Workers: c.spec.Workers}
+		var err error
+		if so.Base, err = load.ParseReplay(c.spec.Base); err != nil {
+			return err
+		}
+		so.Base.Deadline = time.Nanosecond
+		return srv.runLoad(c, so)
+	}
+	srv.runCampaign(c)
+	st := getStatus(t, ts, doomed.ID)
+	if st.State != stateDone || st.Rows != 2 || st.FailedRows != 2 {
+		t.Fatalf("all-failed campaign: state=%q rows=%d failed_rows=%d error=%q, want done/2/2", st.State, st.Rows, st.FailedRows, st.Error)
+	}
+	rows := getBytes(t, ts, "/v1/campaigns/"+doomed.ID+"/rows")
+	for _, row := range bytes.Split(bytes.TrimSpace(rows), []byte("\n")) {
+		if !bytes.Contains(row, []byte("wall-clock deadline exceeded")) {
+			t.Fatalf("a row counted as failed does not name the watchdog: %s", row)
+		}
+	}
+
+	healthy := submit(t, ts, `{"kind":"load","base":"clients=8,flows=12,dur=5s","rates":[3],"reps":1,"seed":7,"workers":1}`)
+	srv.runCampaign(<-srv.queue)
+	if st := getStatus(t, ts, healthy.ID); st.State != stateDone || st.Rows != 1 {
+		t.Fatalf("healthy campaign: state=%q rows=%d error=%q", st.State, st.Rows, st.Error)
+	}
+	if body := getBytes(t, ts, "/v1/campaigns/"+healthy.ID); bytes.Contains(body, []byte("failed_rows")) {
+		t.Fatalf("healthy campaign's status grew a key: %s", body)
+	}
+}

@@ -92,6 +92,7 @@ type campaignState struct {
 	state        string
 	done, total  int
 	hits, misses int64
+	failedRows   int               // rows whose run the watchdog killed or a panic ended
 	rows         []json.RawMessage // completion-order progress feed
 	errMsg       string
 	exports      map[string][]byte // export.csv, export.json, resilience.*
@@ -116,15 +117,18 @@ func (c *campaignState) progress(done, total int) {
 	c.mu.Unlock()
 }
 
-// record counts one run against the campaign's cache accounting and
-// appends its row to the progress feed.
-func (c *campaignState) record(hit bool, row any) {
+// record counts one run against the campaign's cache and failure
+// accounting and appends its row to the progress feed.
+func (c *campaignState) record(hit, failed bool, row any) {
 	b, err := json.Marshal(row)
 	c.mu.Lock()
 	if hit {
 		c.hits++
 	} else {
 		c.misses++
+	}
+	if failed {
+		c.failedRows++
 	}
 	if err == nil {
 		c.rows = append(c.rows, b)
@@ -168,7 +172,8 @@ func (c *campaignState) terminal() bool {
 	return false
 }
 
-// statusView is the GET /v1/campaigns/{id} body.
+// statusView is the GET /v1/campaigns/{id} body. State "done" says the
+// runner returned; FailedRows says how many of Rows are failed runs.
 type statusView struct {
 	ID          string `json:"id"`
 	Kind        string `json:"kind"`
@@ -179,6 +184,7 @@ type statusView struct {
 	CacheHits   int64  `json:"cache_hits"`
 	CacheMisses int64  `json:"cache_misses"`
 	Rows        int    `json:"rows"`
+	FailedRows  int    `json:"failed_rows,omitempty"`
 	Resumed     bool   `json:"resumed,omitempty"`
 	Error       string `json:"error,omitempty"`
 }
@@ -190,7 +196,7 @@ func (c *campaignState) status() statusView {
 		ID: c.id, Kind: c.spec.Kind, Name: c.name, State: c.state,
 		Done: c.done, Total: c.total,
 		CacheHits: c.hits, CacheMisses: c.misses,
-		Rows: len(c.rows), Resumed: c.resumed, Error: c.errMsg,
+		Rows: len(c.rows), FailedRows: c.failedRows, Resumed: c.resumed, Error: c.errMsg,
 	}
 }
 
@@ -406,7 +412,7 @@ func (s *server) runExperiment(c *campaignState, camp experiment.Campaign, co ex
 	co.Context, co.Progress = c.ctx, c.progress
 	co.Intercept = func(job experiment.CampaignJob, run func() experiment.RunResult) experiment.RunResult {
 		res, hit := sweep.Memo(s.cfg.store, experimentKey(job), keepResult, run)
-		c.record(hit, experimentRow{
+		c.record(hit, res.FailReason != "", experimentRow{
 			CampaignJob: job, Completed: res.Completed,
 			DownloadS: res.DownloadTime.Seconds(), CellShare: res.CellShare(),
 			Subflows: res.Subflows, Fail: res.FailReason, Cached: hit,
@@ -424,7 +430,7 @@ func (s *server) runLoad(c *campaignState, so load.SweepOpts) error {
 	so.Context, so.Progress = c.ctx, c.progress
 	so.Intercept = func(job load.SweepJob, run func() load.Row) load.Row {
 		row, hit := sweep.Memo(s.cfg.store, loadKey(job.Config), keepRow, run)
-		c.record(hit, row)
+		c.record(hit, row.Run.Failed, row)
 		return row
 	}
 	sw := load.RunSweep(so)

@@ -92,24 +92,26 @@ type Link struct {
 	// links driven directly by tests.
 	pool *seg.Pool
 
-	// Per-packet event state rides in FIFO rings matched to the two
-	// prebound callbacks below, so Send schedules events without
-	// allocating a closure or an event-name string per packet. Each
-	// ring keeps at most ONE event in the simulator's heap — the head
-	// entry, at the (at, seq) slot reserved for it at Send time — and
-	// when it fires the callback drains every ring entry due at the
-	// same instant inline before scheduling the next head. The heap
-	// stays O(links) instead of O(packets in flight) while firing
-	// order is byte-identical to one event per packet. See ring, and
+	// Per-packet state rides in two FIFO rings, each entry holding the
+	// (at, seq) slot reserved for it at Send time, so Send allocates no
+	// closure and no event-name string per packet. arriveQ keeps at
+	// most ONE event in the simulator's heap — its head — and when that
+	// fires, onArrive drains every entry due at the same instant inline
+	// before scheduling the next head: the heap stays O(links), not
+	// O(packets in flight). departQ keeps none: a departure only frees
+	// queue bytes, which only Send's tail-drop check and QueuedBytes
+	// read, so its slot is never scheduled — retire pops every head the
+	// run loop has passed just before the counter is read. Each reader
+	// sees what one event per packet would have shown it. See ring, and
 	// sim.Slot for the ordering argument.
-	departName, arriveName string
-	onDepart, onArrive     func()
-	departQ                ring[departRec]
-	arriveQ                ring[arrivalRec]
+	arriveName string
+	onArrive   func()
+	departQ    ring[departRec]
+	arriveQ    ring[arrivalRec]
 }
 
 // departRec is one queued packet's serialization accounting: popped by
-// the link's depart callback when the rate limiter finishes with it.
+// retire once the rate limiter has finished with it.
 type departRec struct {
 	ws   units.ByteCount
 	slot sim.Slot
@@ -153,21 +155,7 @@ func NewLink(s *sim.Simulator, rng *sim.RNG, name string) *Link {
 		Jitter:     NoJitter{},
 		sim:        s,
 		rng:        rng.Child("link/" + name),
-		departName: "link.depart:" + name,
 		arriveName: "link.arrive:" + name,
-	}
-	l.onDepart = func() {
-		for {
-			l.queuedBytes -= l.departQ.pop().ws
-			if l.departQ.len() == 0 {
-				return
-			}
-			h := l.departQ.at(0)
-			if !l.sim.ConsumeSlot(h.slot) {
-				l.sim.ScheduleSlot(h.slot, l.departName, l.onDepart)
-				return
-			}
-		}
 	}
 	l.onArrive = func() {
 		for {
@@ -209,8 +197,19 @@ func (l *Link) arrive(a arrivalRec) {
 	a.deliver(a.s)
 }
 
+// retire frees the queue bytes of every packet whose departure slot
+// the run loop has passed.
+func (l *Link) retire() {
+	for l.departQ.len() > 0 && l.sim.Passed(l.departQ.at(0).slot) {
+		l.queuedBytes -= l.departQ.pop().ws
+	}
+}
+
 // QueuedBytes reports the current queue occupancy.
-func (l *Link) QueuedBytes() units.ByteCount { return l.queuedBytes }
+func (l *Link) QueuedBytes() units.ByteCount {
+	l.retire()
+	return l.queuedBytes
+}
 
 // QueueDelay reports the delay a packet entering now would wait before
 // its serialization begins.
@@ -264,9 +263,9 @@ func (l *Link) IsDown() bool { return l.down }
 
 // Send enqueues s. If it survives the queue and the medium, deliver is
 // invoked at the packet's arrival time at the far end; otherwise the
-// segment is released to the link's pool (if any). Departure and
-// arrival events are scheduled through per-link FIFO rings and shared
-// callbacks, so the steady-state send path allocates nothing.
+// segment is released to the link's pool (if any). Departures and
+// arrivals ride per-link FIFO rings and one shared callback, so the
+// steady-state send path allocates nothing.
 func (l *Link) Send(s *seg.Segment, deliver func(*seg.Segment)) {
 	if l.down {
 		l.Stats.MediumDrop++
@@ -276,6 +275,7 @@ func (l *Link) Send(s *seg.Segment, deliver func(*seg.Segment)) {
 	now := l.sim.Now()
 	ws := units.ByteCount(s.WireSize())
 
+	l.retire()
 	if l.QueueLimit > 0 && l.queuedBytes+ws > l.QueueLimit {
 		l.Stats.QueueDrop++
 		l.pool.Put(s)
@@ -308,15 +308,11 @@ func (l *Link) Send(s *seg.Segment, deliver func(*seg.Segment)) {
 	}
 	l.lastArrival = arrival
 
-	// Slot reservations replace eager heap events: only a ring's head
-	// entry is heap-resident, and the depart/arrive callbacks schedule
-	// (or inline-drain) successors as heads retire. The reservation
-	// draws the same tie-break sequence an eager event would have, so
-	// the simulation's execution order is unchanged.
+	// Slot reservations replace eager heap events: each draws the
+	// tie-break sequence an eager event would have, so execution order
+	// is unchanged. The departure's is only ever compared (retire); of
+	// the arrivals only the ring's head is heap-resident.
 	l.departQ.push(departRec{ws: ws, slot: l.sim.ReserveSlot(departure)})
-	if l.departQ.len() == 1 {
-		l.sim.ScheduleSlot(l.departQ.at(0).slot, l.departName, l.onDepart)
-	}
 	if !survives {
 		l.Stats.MediumDrop++
 		l.pool.Put(s)

@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"fmt"
 	"testing"
 
 	"mptcplab/internal/seg"
@@ -340,5 +341,54 @@ func TestSharedLinkIsSharedBottleneck(t *testing.T) {
 	want := sim.Time(240) * sim.Millisecond
 	if last < want-sim.Millisecond || last > want+sim.Millisecond {
 		t.Errorf("last delivery at %v, want ≈%v (shared bottleneck)", last, want)
+	}
+}
+
+// TestEventsPerPacketHop is the event budget of the packet path, as an
+// exact gate: a packet costs one simulator event per hop — its arrival.
+// Departures are accounted lazily (Link.retire) and a hop's delivery
+// calls the next hop's Send inline, so anything that makes
+// sim.Processed() grow faster than packets×hops is per-packet
+// bookkeeping that became an event again, and fails here rather than in
+// a timing job.
+func TestEventsPerPacketHop(t *testing.T) {
+	const n, slack = 1000, 8
+	for hops := 1; hops <= 2; hops++ {
+		s := sim.New()
+		nw := NewNetwork(s)
+		a, b := nw.NewHost("a"), nw.NewHost("b")
+		aAddr, bAddr := seg.MakeAddr("10.0.0.1", 1), seg.MakeAddr("10.0.0.2", 2)
+		var route []*Link
+		for i := 0; i < hops; i++ {
+			l := NewLink(s, sim.NewRNG(1), fmt.Sprintf("hop%d", i))
+			l.Rate = 12 * units.Mbps
+			l.PropDelay = 5 * sim.Millisecond
+			route = append(route, l)
+		}
+		nw.AddRoute(aAddr.IP, bAddr.IP, b, route...)
+		got := 0
+		b.Bind(bAddr, aAddr, handlerFunc(func(*seg.Segment) { got++ }))
+
+		// Two bursts with an idle gap between, so the count covers a
+		// queue that builds, drains, and restarts from empty.
+		for burst := 0; burst < 2; burst++ {
+			for i := 0; i < n/2; i++ {
+				p := nw.NewSegment()
+				p.Src, p.Dst, p.Flags, p.PayloadLen = aAddr, bAddr, seg.ACK, 1460
+				a.Send(p)
+			}
+			s.RunFor(10 * sim.Second)
+		}
+		if got != n {
+			t.Fatalf("%d hops: delivered %d of %d", hops, got, n)
+		}
+		if max := uint64(n*hops + slack); s.Processed() > max {
+			t.Errorf("%d hops: %d events for %d packets, ceiling %d (one per packet-hop)", hops, s.Processed(), n, max)
+		}
+		for _, l := range route {
+			if l.QueuedBytes() != 0 {
+				t.Errorf("%d hops: %s holds %d bytes after draining", hops, l.Name, l.QueuedBytes())
+			}
+		}
 	}
 }

@@ -1,12 +1,12 @@
 package netem
 
 // ring is a growable FIFO of T over a power-of-two circular buffer.
-// Links use rings to carry per-packet state from Send to the matching
-// depart/arrive event: because a link's departure and arrival times are
-// both monotone (busyUntil and lastArrival never move backwards) and
-// the simulator breaks ties FIFO, events fire in exactly push order, so
-// one prebound callback popping the head replaces a fresh closure per
-// packet. Steady state pushes and pops allocate nothing.
+// Links use rings to carry per-packet state from Send to the packet's
+// departure and arrival: because a link's departure and arrival times
+// are both monotone (busyUntil and lastArrival never move backwards)
+// and the simulator breaks ties FIFO, both come due in exactly push
+// order, so popping the head (Link.retire, the prebound onArrive)
+// replaces a closure per packet. Steady state allocates nothing.
 type ring[T any] struct {
 	buf  []T
 	head int

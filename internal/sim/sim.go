@@ -110,7 +110,10 @@ func (e Event) Cancelled() bool { return e.live() && e.rec.dead }
 // Simulator is a discrete-event scheduler with a virtual clock.
 // The zero value is ready to use.
 type Simulator struct {
-	now     Time
+	now Time
+	// pos is the (at, seq) of the event executing now, or executed
+	// last: everything before it has fired, nothing after. See Passed.
+	pos     Slot
 	queue   []*eventRec // 4-ary min-heap by (at, seq)
 	free    []*eventRec // recycled records
 	live    int         // queued, not-cancelled events
@@ -283,8 +286,15 @@ func (s *Simulator) Step() bool {
 	if e == nil {
 		return false
 	}
+	s.exec(e)
+	return true
+}
+
+// exec pops and runs e, the head record peek just returned.
+func (s *Simulator) exec(e *eventRec) {
 	s.pop()
 	s.now = e.at
+	s.pos = Slot{at: e.at, seq: e.seq}
 	s.live--
 	s.ran++
 	fn := e.fn
@@ -293,7 +303,6 @@ func (s *Simulator) Step() bool {
 	// event — e.g. its own timer — must already be stale.
 	s.recycle(e)
 	fn()
-	return true
 }
 
 // Run executes events until the queue drains, Stop is called, or the
@@ -322,9 +331,14 @@ func (s *Simulator) RunUntil(deadline Time) {
 	for !s.stopped {
 		e := s.peek()
 		if e == nil || e.at > deadline {
+			// Everything due by the deadline has fired — reserved slots
+			// included, whichever sequence they drew so far.
+			if s.now <= deadline {
+				s.pos = Slot{at: deadline, seq: s.nextSeq}
+			}
 			break
 		}
-		s.Step()
+		s.exec(e)
 		if s.watchFn != nil && s.watchdogTripped() {
 			return
 		}

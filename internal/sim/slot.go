@@ -2,15 +2,17 @@ package sim
 
 // Reserved slots: batched scheduling for components with FIFO work.
 //
-// A netem link keeps per-packet state in FIFO rings whose entries fire
-// in exactly push order (departure and arrival times are monotone per
-// link). Scheduling a heap event per packet makes the heap O(packets
-// in flight); a slot lets such a component draw the (at, seq) position
-// an eager event would have received while materializing only its FIFO
-// head as a real heap event. The heap stays O(links + timers), every
-// push and pop sifts through a far shallower tree, and — because the
-// stored (at, seq) is exactly what the eager schedule would have used —
-// the global firing order is byte-identical.
+// A netem link keeps per-packet state in FIFO rings whose entries come
+// due in exactly push order (departure and arrival times are monotone
+// per link). Scheduling a heap event per packet makes the heap
+// O(packets in flight); a slot lets such a component draw the (at, seq)
+// position an eager event would have received and then do the least the
+// entry needs: one that runs code (an arrival) is materialized only
+// while it is the FIFO head, and one that is pure bookkeeping (a
+// departure freeing queue bytes) never — its owner asks Passed when it
+// next reads the state. The heap stays O(links + timers), and because
+// the stored (at, seq) is exactly what the eager schedule would have
+// used, what every handler observes is byte-identical.
 
 // Slot is a reserved position in the schedule: an absolute deadline
 // plus the tie-break sequence drawn at reservation time. The zero Slot
@@ -20,17 +22,15 @@ type Slot struct {
 	seq uint64
 }
 
-// At reports the slot's deadline.
-func (sl Slot) At() Time { return sl.at }
-
 // ReserveSlot draws the position an event scheduled now for time at
-// would occupy, without pushing anything onto the heap. The caller
-// must materialize the slot with ScheduleSlot (or retire it with
+// would occupy, without pushing anything onto the heap. A slot that
+// must run code is materialized with ScheduleSlot (or retired with
 // ConsumeSlot) before the run loop passes its position — in practice
 // by scheduling its FIFO head whenever the previous head fires, which
-// is always in time because a FIFO's (at, seq) pairs are monotone.
-// Abandoning a reservation (e.g. the packet was dropped) is safe:
-// sequence numbers only order events, and gaps cost nothing.
+// is always in time because a FIFO's (at, seq) pairs are monotone. A
+// slot that only marks a moment is never scheduled, just compared with
+// Passed. Abandoning a reservation (e.g. the packet was dropped) is
+// safe: sequence numbers only order events, and gaps cost nothing.
 func (s *Simulator) ReserveSlot(at Time) Slot {
 	if at < s.now {
 		panic("sim: slot reserved in the past")
@@ -38,6 +38,15 @@ func (s *Simulator) ReserveSlot(at Time) Slot {
 	sl := Slot{at: at, seq: s.nextSeq}
 	s.nextSeq++
 	return sl
+}
+
+// Passed reports whether an event scheduled eagerly at sl would have
+// fired by now: sl orders strictly before the executing event's own
+// position (moved by Step and ConsumeSlot, pushed past the deadline's
+// whole instant by a RunUntil that runs dry, rewound by Reset). Not
+// sl.at <= Now(): that cannot split a same-nanosecond tie.
+func (s *Simulator) Passed(sl Slot) bool {
+	return sl.at < s.pos.at || (sl.at == s.pos.at && sl.seq < s.pos.seq)
 }
 
 // ScheduleSlot materializes a reserved slot as a pending event, firing
@@ -86,6 +95,7 @@ func (s *Simulator) ConsumeSlot(sl Slot) bool {
 		s.pop()
 		s.recycle(h)
 	}
+	s.pos = sl
 	s.ran++
 	return true
 }

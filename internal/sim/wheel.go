@@ -325,6 +325,7 @@ func (s *Simulator) Reset() {
 	w.count = 0
 	w.flushPos = 0
 	s.now = 0
+	s.pos = Slot{}
 	s.live = 0
 	s.nextSeq = 0
 	s.ran = 0
