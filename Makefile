@@ -82,6 +82,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLinkOccupancy$$' -fuzztime $(FUZZTIME) ./internal/netem/
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreOpen$$' -fuzztime $(FUZZTIME) ./internal/sweep/
 	$(GO) test -run '^$$' -fuzz '^FuzzSenderBookkeeping$$' -fuzztime $(FUZZTIME) ./internal/tcp/
+	$(GO) test -run '^$$' -fuzz '^FuzzResultBinary$$' -fuzztime $(FUZZTIME) ./internal/experiment/
+	$(GO) test -run '^$$' -fuzz '^FuzzSortFloats$$' -fuzztime $(FUZZTIME) ./internal/stats/
 	for s in $(FUZZ_SCHEDS); do \
 		$(GO) run ./cmd/mptcpfuzz -n 200 -seed 1 -sched $$s || exit 1; \
 	done

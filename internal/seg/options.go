@@ -356,7 +356,10 @@ func decodeMPTCP(b []byte, s *Segment) error {
 	sub := MPTCPSubtype(b[2] >> 4)
 	switch sub {
 	case SubMPCapable:
-		if len(b) != 12 {
+		// 12 octets on SYN and SYN-ACK; the third ACK of a v0 handshake
+		// (RFC 6824 §3.1) echoes the receiver's key after the sender's,
+		// 20 octets. Either way the sender's key is the one kept.
+		if len(b) != 12 && len(b) != 20 {
 			return fmt.Errorf("seg: MP_CAPABLE length %d", len(b))
 		}
 		s.AddMPCapable(MPCapableOption{Key: binary.BigEndian.Uint64(b[4:])})

@@ -325,6 +325,47 @@ func TestDecodeDSSWidths(t *testing.T) {
 	}
 }
 
+// thirdAckV0 is the third ACK of a Linux v0 handshake (RFC 6824 §3.1):
+// NOP NOP timestamps, then a 20-octet MP_CAPABLE with checksum-required
+// and HMAC-SHA1 flags that carries the sender's key 0123456789abcdef and
+// echoes the receiver's.
+const thirdAckV0 = "450000481c464000400652bf0a000002c0a801019c401f90000003e900001389d01000e5383e0000" +
+	"0101080a0000100100002002" + "1e140081" + "0123456789abcdef" + "fedcba9876543210"
+
+func TestDecodeThirdAckMPCapable(t *testing.T) {
+	frame, err := hex.DecodeString(thirdAckV0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyChecksums(frame); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Decode(frame)
+	if err != nil {
+		t.Fatalf("a real capture's third ACK does not decode: %v", err)
+	}
+	want := Segment{
+		Src: MakeAddr("10.0.0.2", 40000), Dst: MakeAddr("192.168.1.1", 8080),
+		Seq: 1001, Ack: 5001, Flags: ACK, Window: 229,
+	}
+	want.AddTimestamps(TimestampsOption{Val: 0x1001, Ecr: 0x2002})
+	want.AddMPCapable(MPCapableOption{Key: 0x0123456789abcdef})
+	if *s != want {
+		t.Errorf("decoded %+v\n   want %+v", *s, want)
+	}
+	// The stack itself only ever sends the 12-octet form.
+	if got := len(Encode(s)); got != 20+20+12+12 {
+		t.Errorf("re-encoded frame is %d bytes, want the 12-octet MP_CAPABLE", got)
+	}
+	for _, n := range []int{4, 11, 13, 19, 21} {
+		opt := make([]byte, n)
+		opt[0], opt[1] = byte(KindMPTCP), byte(n)
+		if err := decodeOptions(opt, new(Segment)); err == nil {
+			t.Errorf("accepted a %d-octet MP_CAPABLE", n)
+		}
+	}
+}
+
 // Any segment built from random fields round-trips through the wire.
 func TestWireRoundTripProperty(t *testing.T) {
 	f := func(seq, ack uint32, flagBits uint8, payload uint16, win uint16,

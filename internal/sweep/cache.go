@@ -1,7 +1,9 @@
 package sweep
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding"
 	"encoding/json"
 	"fmt"
 )
@@ -52,6 +54,12 @@ func Key(desc any, seed int64) (string, error) {
 // otherwise execute it and store the row — once encoded on a miss,
 // once decoded on a hit, read through GetRef (no copy).
 //
+// A row travels through its own encoding.BinaryMarshaler and
+// BinaryUnmarshaler when *R has both, and through JSON otherwise. A
+// stored value that opens with '{' is always read as JSON: that is
+// what every row was before any type had a binary form, so a store an
+// earlier daemon wrote keeps answering.
+//
 // A value that does not decode is a miss and is overwritten. A row
 // keep rejects (a failed run: a wall-clock fact, not a function of the
 // key) is returned but never stored. An empty key — the caller's Key
@@ -60,16 +68,34 @@ func Memo[R any](st *Store, key string, keep func(R) bool, run func() R) (res R,
 	if key == "" {
 		return run(), false
 	}
-	if b, ok := st.GetRef(key); ok {
-		if json.Unmarshal(b, &res) == nil {
-			return res, true
-		}
+	if b, ok := st.GetRef(key); ok && decodeRow(b, &res) == nil {
+		return res, true
 	}
 	res = run()
 	if keep(res) {
-		if b, err := json.Marshal(res); err == nil {
+		if b, err := encodeRow(&res); err == nil {
 			st.Put(key, b)
 		}
 	}
 	return res, false
+}
+
+// binaryRow is a row type that brings its own stored form.
+type binaryRow interface {
+	encoding.BinaryMarshaler
+	encoding.BinaryUnmarshaler
+}
+
+func encodeRow(row any) ([]byte, error) {
+	if r, ok := row.(binaryRow); ok {
+		return r.MarshalBinary()
+	}
+	return json.Marshal(row)
+}
+
+func decodeRow(b []byte, row any) error {
+	if r, ok := row.(binaryRow); ok && !bytes.HasPrefix(b, []byte("{")) {
+		return r.UnmarshalBinary(b)
+	}
+	return json.Unmarshal(b, row)
 }

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -136,5 +137,61 @@ func TestMemo(t *testing.T) {
 	step("empty key again", "", row{8, true}, row{8, true}, false, 6)
 	if after, _, _ := st.Stats(); after != entries {
 		t.Fatalf("an empty key stored something: %d -> %d entries", entries, after)
+	}
+}
+
+// binRow has a binary form, as experiment.RunResult does: 'B' and one
+// byte.
+type binRow struct {
+	V byte `json:"v"`
+}
+
+func (r *binRow) MarshalBinary() ([]byte, error) { return []byte{'B', r.V}, nil }
+
+func (r *binRow) UnmarshalBinary(b []byte) error {
+	if len(b) != 2 || b[0] != 'B' {
+		return errors.New("not a binRow")
+	}
+	r.V = b[1]
+	return nil
+}
+
+// TestMemoBinaryRows: a row type with a binary form is stored in it and
+// read back through it, a value that opens with '{' is still read as
+// the JSON an earlier daemon stored, and anything else is a miss that
+// the binary form overwrites.
+func TestMemoBinaryRows(t *testing.T) {
+	st := NewCache()
+	keep := func(binRow) bool { return true }
+	runs := 0
+	memo := func(key string, produce byte) (binRow, bool) {
+		return Memo(st, key, keep, func() binRow { runs++; return binRow{produce} })
+	}
+	stored := func(key string) string { b, _ := st.Get(key); return string(b) }
+
+	if got, hit := memo("k", 1); hit || got.V != 1 || stored("k") != "B\x01" {
+		t.Fatalf("miss: %+v hit=%v, stored %q; want the binary form", got, hit, stored("k"))
+	}
+	if got, hit := memo("k", 2); !hit || got.V != 1 || runs != 1 {
+		t.Fatalf("hit: %+v hit=%v after %d runs", got, hit, runs)
+	}
+
+	st.Put("legacy", []byte(`{"v":9}`))
+	if got, hit := memo("legacy", 3); !hit || got.V != 9 || runs != 1 {
+		t.Fatalf("a JSON value: %+v hit=%v after %d runs; want a hit", got, hit, runs)
+	}
+	if stored("legacy") != `{"v":9}` {
+		t.Fatal("a hit rewrote the stored value")
+	}
+
+	for _, junk := range []string{"", "B", "Bxx", "{not json", "[1]", "\x00\x01"} {
+		st.Put("junk", []byte(junk))
+		before := runs
+		if got, hit := memo("junk", 4); hit || got.V != 4 || runs != before+1 {
+			t.Fatalf("%q: %+v hit=%v, %d runs; want a miss", junk, got, hit, runs-before)
+		}
+		if got, hit := memo("junk", 5); !hit || got.V != 4 || stored("junk") != "B\x04" {
+			t.Fatalf("%q: not overwritten: %+v hit=%v, stored %q", junk, got, hit, stored("junk"))
+		}
 	}
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/hex"
 	"strings"
 	"testing"
 
@@ -174,5 +175,35 @@ func TestPacketSourceSkipsGarbage(t *testing.T) {
 	}
 	if len(pkts) != 1 || ps.DecodeErrors != 1 {
 		t.Errorf("pkts=%d decodeErrors=%d", len(pkts), ps.DecodeErrors)
+	}
+}
+
+// TestPacketSourceKeepsThirdAck: a capture of a real v0 handshake has a
+// 20-octet MP_CAPABLE on its third ACK (RFC 6824 §3.1; the frame is
+// internal/seg's thirdAckV0). It is a packet of the flow like any
+// other, not a decode error.
+func TestPacketSourceKeepsThirdAck(t *testing.T) {
+	frame, err := hex.DecodeString("450000481c464000400652bf0a000002c0a801019c401f90000003e900001389d01000e5383e0000" +
+		"0101080a00001001000020021e1400810123456789abcdeffedcba9876543210")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	w, _ := pcap.NewWriter(&buf)
+	_ = w.WritePacket(pcap.Packet{TS: 1, Data: frame})
+	r, err := pcap.NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := NewPacketSource(r)
+	pkts, err := ps.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkts) != 1 || ps.DecodeErrors != 0 {
+		t.Fatalf("pkts=%d decodeErrors=%d, want the frame kept", len(pkts), ps.DecodeErrors)
+	}
+	if s := pkts[0].Seg; !s.Has(seg.OptMPCapable) || s.MPCapable.Key != 0x0123456789abcdef || s.Src != cli {
+		t.Errorf("third ACK decoded as %v with key %#x", s, s.MPCapable.Key)
 	}
 }
