@@ -392,3 +392,58 @@ func TestEventsPerPacketHop(t *testing.T) {
 		}
 	}
 }
+
+// A resolved route is a handle, not a snapshot: AddRoute over the same
+// pair redirects a sender already holding it. A sender holding none is
+// counted and its segment released, every time.
+func TestResolvedRoute(t *testing.T) {
+	s := sim.New()
+	n := NewNetwork(s)
+	a, b, c := n.NewHost("a"), n.NewHost("b"), n.NewHost("c")
+	link := func(name string) *Link {
+		l := NewLink(s, sim.NewRNG(1), name)
+		l.Rate = 1 * units.Gbps
+		return l
+	}
+	aAddr := seg.MakeAddr("10.0.0.1", 100)
+	bAddr := seg.MakeAddr("10.0.0.2", 200)
+	send := func(r *Route) {
+		sg := n.NewSegment()
+		sg.Src, sg.Dst, sg.Flags = aAddr, bAddr, seg.ACK
+		a.SendVia(r, sg)
+		s.Run()
+	}
+
+	for i := uint64(1); i <= 3; i++ {
+		send(a.Route(aAddr.IP, bAddr.IP))
+		if n.NoRoute != i {
+			t.Fatalf("NoRoute = %d after %d unrouted sends", n.NoRoute, i)
+		}
+	}
+	if p := n.Pool(); p.Gets != 3 || p.News != 1 {
+		t.Errorf("unrouted sends leaked segments: %d gets, %d of them fresh", p.Gets, p.News)
+	}
+
+	var gotB, gotC int
+	b.Bind(bAddr, aAddr, handlerFunc(func(*seg.Segment) { gotB++ }))
+	c.Bind(bAddr, aAddr, handlerFunc(func(*seg.Segment) { gotC++ }))
+	n.AddRoute(aAddr.IP, bAddr.IP, b, link("ab"))
+	r := a.Route(aAddr.IP, bAddr.IP)
+	send(r)
+	if r == nil || gotB != 1 {
+		t.Fatalf("route %v delivered %d segments to b", r, gotB)
+	}
+
+	ac := link("ac")
+	n.AddRoute(aAddr.IP, bAddr.IP, c, ac)
+	if a.Route(aAddr.IP, bAddr.IP) != r {
+		t.Error("AddRoute over an installed pair replaced the route instead of updating it")
+	}
+	send(r)
+	if gotB != 1 || gotC != 1 || ac.Stats.Sent != 1 {
+		t.Errorf("held route after re-AddRoute: b got %d, c got %d, new link carried %d", gotB, gotC, ac.Stats.Sent)
+	}
+	if p := n.Pool(); n.NoRoute != 3 || p.News != 1 {
+		t.Errorf("NoRoute = %d, %d fresh segments; want 3 and 1", n.NoRoute, p.News)
+	}
+}

@@ -116,9 +116,29 @@ func (h *Host) NewSegment() *seg.Segment { return h.net.pool.Get() }
 // passes to the network: the route chain releases it to the pool after
 // final delivery or at a drop, so callers must not use it afterwards.
 func (h *Host) Send(s *seg.Segment) {
+	h.SendVia(h.Route(s.Src.IP, s.Dst.IP), s)
+}
+
+// Route resolves the network's route from srcIP to dstIP, nil if none
+// is installed yet. The handle follows later AddRoute calls for the
+// pair and is dead after Network.Reset, like everything else built on
+// the old topology.
+func (h *Host) Route(srcIP, dstIP [4]byte) *Route {
+	return h.net.routes[routeKey{srcIP, dstIP}]
+}
+
+// SendVia is Send for a sender that keeps its resolved Route instead
+// of paying the lookup per packet. A nil route counts NoRoute and
+// releases the segment.
+func (h *Host) SendVia(r *Route, s *seg.Segment) {
 	s.SentAt = h.net.sim.Now()
 	h.tap(Egress, s)
-	h.net.route(s)
+	if r == nil {
+		h.net.NoRoute++
+		h.net.pool.Put(s)
+		return
+	}
+	r.start(s)
 }
 
 // Deliver hands an arriving segment to the owning connection or
@@ -140,10 +160,8 @@ type routeKey struct {
 	src, dst [4]byte
 }
 
-type route struct {
-	hops []*Link
-	dst  *Host
-
+// Route is an installed route, as Host.Route resolves it.
+type Route struct {
 	// start is the precomputed delivery chain: hop 0's Send bound to
 	// hop 1's, ending in Deliver-then-release. Built once in AddRoute
 	// so routing a packet creates no closures.
@@ -157,7 +175,7 @@ type route struct {
 type Network struct {
 	sim    *sim.Simulator
 	hosts  []*Host
-	routes map[routeKey]route
+	routes map[routeKey]*Route
 
 	// pool recycles segments across the network's packet lifecycle:
 	// endpoints Get one via Host.NewSegment, routes carry it hop to
@@ -173,7 +191,7 @@ type Network struct {
 
 // NewNetwork returns an empty network on the simulator.
 func NewNetwork(s *sim.Simulator) *Network {
-	return &Network{sim: s, routes: make(map[routeKey]route)}
+	return &Network{sim: s, routes: make(map[routeKey]*Route)}
 }
 
 // Sim exposes the simulator driving this network.
@@ -187,6 +205,7 @@ func (n *Network) Sim() *sim.Simulator { return n.sim }
 // pool's Gets/News counters keep accumulating across runs like the
 // simulator's pools do. Callers pair this with Simulator.Reset.
 func (n *Network) Reset() {
+	clear(n.hosts) // or the arena pins the last run's hosts and all they bind
 	n.hosts = n.hosts[:0]
 	clear(n.routes)
 	n.NoRoute = 0
@@ -213,7 +232,11 @@ func (n *Network) AddRoute(srcIP, dstIP [4]byte, dst *Host, hops ...*Link) {
 		hop.pool = &n.pool
 		next = func(s *seg.Segment) { hop.Send(s, downstream) }
 	}
-	n.routes[routeKey{srcIP, dstIP}] = route{hops: hops, dst: dst, start: next}
+	if r := n.routes[routeKey{srcIP, dstIP}]; r != nil {
+		r.start = next // in place: senders holding the route follow it
+		return
+	}
+	n.routes[routeKey{srcIP, dstIP}] = &Route{start: next}
 }
 
 // AddDuplexRoute installs forward and reverse routes in one call:
@@ -221,16 +244,6 @@ func (n *Network) AddRoute(srcIP, dstIP [4]byte, dst *Host, hops ...*Link) {
 func (n *Network) AddDuplexRoute(aIP, bIP [4]byte, aHost, bHost *Host, forward, reverse []*Link) {
 	n.AddRoute(aIP, bIP, bHost, forward...)
 	n.AddRoute(bIP, aIP, aHost, reverse...)
-}
-
-func (n *Network) route(s *seg.Segment) {
-	r, ok := n.routes[routeKey{s.Src.IP, s.Dst.IP}]
-	if !ok {
-		n.NoRoute++
-		n.pool.Put(s)
-		return
-	}
-	r.start(s)
 }
 
 // String summarizes the network.

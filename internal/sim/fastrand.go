@@ -8,8 +8,8 @@ import (
 
 // Fast-seeding source, bit-identical to math/rand.
 //
-// Every testbed or fleet build derives a handful of labeled child
-// streams (per link, per flow), and math/rand's generator pays ~1900
+// Every run derives labeled child streams (per link, per listener
+// accept, per subflow, per flow), and math/rand's generator pays ~1900
 // Schrage-division LCG steps per Seed — it dominated world-building
 // profiles once the event loop itself stopped allocating. The RNG
 // streams, however, are frozen: golden export fixtures pin every draw,
@@ -18,12 +18,13 @@ import (
 // lfSource therefore reimplements the same additive lagged-Fibonacci
 // generator (length 607, tap 273) with the seeding LCG's modulus
 // folded instead of divided: 2^31 ≡ 1 (mod 2^31−1), so A·x mod M is a
-// 64-bit multiply, a mask, a shift-add, and one conditional subtract —
-// ~10x cheaper than the hi/lo division pair, with mathematically
-// identical results. The table of cooked constants the seeder XORs in
-// is recovered once at init from an actual seeded math/rand source
-// (compute our own LCG terms, XOR them out of the observed state), and
-// a self-check then replays several seeds against math/rand; if layout
+// 64-bit multiply, a mask, a shift-add, and one conditional subtract.
+// And it seeds lazily: nearly every child stream draws once or twice
+// (an ISN, a nonce), so a source computes its first draws from the two
+// register slots each needs and builds the 4.9 KB register only if
+// asked for more. The table of cooked constants the seeder XORs in is
+// recovered once at init from an actual seeded math/rand source, and a
+// self-check then replays several seeds against math/rand; if layout
 // or output ever disagrees, lfFastOK stays false and NewRNG falls back
 // to the stock source — slower, never wrong.
 
@@ -34,21 +35,22 @@ const (
 	lfSeedA  = 48271     // its multiplier (MINSTD, as in math/rand)
 	lfSeed0  = 89482311  // replacement for the degenerate zero seed
 	lfWarmup = 20        // LCG steps discarded before filling the state
+
+	// lfLazy is how many draws a source serves from its seed alone
+	// before it builds the register, replaying them: any value ≤ lfTap
+	// is exact (see Uint64), and a stream that crosses pays them twice.
+	lfLazy = 64
 )
 
 var (
 	lfCooked [lfLen]int64
 	lfFastOK bool
 
-	// lfJump[k] = A^(warmup + 3·base)  mod M for chain k's base slot:
-	// the one-multiply jump that positions each of Seed's four
-	// interleaved LCG chains (computed once in init).
-	lfJump [4]uint64
+	// lfJump[i] = A^(warmup + 3i) mod M: the one-multiply jump from a
+	// seed to the LCG state slot i's three terms start from (the LCG
+	// after n more steps is A^n·x mod M). Computed once in init.
+	lfJump [lfLen]uint64
 )
-
-// lfChainBase splits the 607 slots into four near-equal runs; the last
-// chain is one slot short (607 = 3·152 + 151).
-var lfChainBase = [5]int{0, 152, 304, 456, lfLen}
 
 // lfModmul returns a·b mod 2^31−1 for a, b < 2^31, folding the 62-bit
 // product twice.
@@ -72,10 +74,32 @@ func lfSeedrand(x int32) int32 {
 	return int32(v)
 }
 
+// lfTerms packs the next three LCG terms after state x the way
+// math/rand's seeder lays them into one register slot.
+func lfTerms(x int32) int64 {
+	x = lfSeedrand(x)
+	u := int64(x) << 40
+	x = lfSeedrand(x)
+	u ^= int64(x) << 20
+	x = lfSeedrand(x)
+	return u ^ int64(x)
+}
+
+// lfSlot is register slot i as math/rand seeds it. Nominally that is
+// one 1841-step serial recurrence; jumping to each slot makes the slots
+// independent, so one can be had alone and a whole fill pipelines.
+func lfSlot(seed uint64, i int) int64 {
+	return lfTerms(int32(lfModmul(seed, lfJump[i]))) ^ lfCooked[i]
+}
+
 // lfSource is the lagged-Fibonacci state: vec[feed] += vec[tap], with
-// both cursors walking backwards through the register.
+// both cursors walking backwards through the register. A freshly seeded
+// source has no register: its first lfLazy draws are computed from the
+// seed, n counting them.
 type lfSource struct {
-	vec       [lfLen]int64
+	seed      uint64 // normalised into [1, M)
+	n         int
+	vec       *[lfLen]int64
 	tap, feed int
 }
 
@@ -85,16 +109,8 @@ func newLFSource(seed int64) *lfSource {
 	return s
 }
 
-// Seed fills the register exactly as math/rand does: a warmed-up LCG
-// contributes three terms per slot, XORed with the cooked table. The
-// nominal computation is one 1841-step serial recurrence; because the
-// LCG jumps in one modular multiply (x after n more steps is A^n·x mod
-// M), Seed instead positions four chains at precomputed offsets and
-// advances them interleaved, so the multiplies of independent chains
-// pipeline instead of serializing on one dependency chain.
+// Seed normalises the seed as math/rand does and drops the register.
 func (s *lfSource) Seed(seed int64) {
-	s.tap = 0
-	s.feed = lfLen - lfTap
 	seed %= lfMax
 	if seed < 0 {
 		seed += lfMax
@@ -102,39 +118,34 @@ func (s *lfSource) Seed(seed int64) {
 	if seed == 0 {
 		seed = lfSeed0
 	}
-	x0 := int32(lfModmul(uint64(seed), lfJump[0]))
-	x1 := int32(lfModmul(uint64(seed), lfJump[1]))
-	x2 := int32(lfModmul(uint64(seed), lfJump[2]))
-	x3 := int32(lfModmul(uint64(seed), lfJump[3]))
-	fill := func(x int32, i int) (int32, int) {
-		x = lfSeedrand(x)
-		u := int64(x) << 40
-		x = lfSeedrand(x)
-		u ^= int64(x) << 20
-		x = lfSeedrand(x)
-		u ^= int64(x)
-		s.vec[i] = u ^ lfCooked[i]
-		return x, i + 1
+	*s = lfSource{seed: uint64(seed)}
+}
+
+// fill seeds the register and replays the draws served without it.
+func (s *lfSource) fill() {
+	s.vec = new([lfLen]int64)
+	for i := range s.vec {
+		s.vec[i] = lfSlot(s.seed, i)
 	}
-	i0, i1, i2, i3 := lfChainBase[0], lfChainBase[1], lfChainBase[2], lfChainBase[3]
-	for j := 0; j < lfLen-lfChainBase[3]; j++ { // the shortest chain's length
-		x0, i0 = fill(x0, i0)
-		x1, i1 = fill(x1, i1)
-		x2, i2 = fill(x2, i2)
-		x3, i3 = fill(x3, i3)
-	}
-	for i0 < lfChainBase[1] { // drain the longer chains' leftover slots
-		x0, i0 = fill(x0, i0)
-	}
-	for i1 < lfChainBase[2] {
-		x1, i1 = fill(x1, i1)
-	}
-	for i2 < lfChainBase[3] {
-		x2, i2 = fill(x2, i2)
+	s.tap, s.feed = 0, lfLen-lfTap
+	for ; s.n > 0; s.n-- {
+		s.Uint64()
 	}
 }
 
+// Uint64 is draw k = n+1 since Seed. On a full register it reads slots
+// feed = 334−k and tap = 607−k (mod 607) and writes their sum to feed;
+// the slots written so far are 333 … 335−k, so tap first reads a
+// written one at k = 274. Up to k = lfTap both operands are therefore
+// still as seeded, and the draw needs those two slots and nothing else.
 func (s *lfSource) Uint64() uint64 {
+	if s.vec == nil {
+		if s.n < lfLazy {
+			s.n++
+			return uint64(lfSlot(s.seed, lfLen-lfTap-s.n) + lfSlot(s.seed, lfLen-s.n))
+		}
+		s.fill()
+	}
 	s.tap--
 	if s.tap < 0 {
 		s.tap += lfLen
@@ -160,15 +171,13 @@ func newSource(seed int64) rand.Source {
 }
 
 func init() {
-	// A^(warmup + 3·base) mod M for each chain base, by iterated
-	// modular multiplication (a few thousand multiplies, once).
 	p := uint64(1)
-	step := 0
-	for k := 0; k < 4; k++ {
-		for ; step < lfWarmup+3*lfChainBase[k]; step++ {
-			p = lfModmul(p, lfSeedA)
-		}
-		lfJump[k] = p
+	for k := 0; k < lfWarmup; k++ {
+		p = lfModmul(p, lfSeedA)
+	}
+	for i := range lfJump {
+		lfJump[i] = p
+		p = lfModmul(p, lfSeedA*lfSeedA*lfSeedA%lfMax)
 	}
 	if !lfRecoverCooked() {
 		return
@@ -178,7 +187,7 @@ func init() {
 	for _, seed := range []int64{0, 1, -7, 42, lfMax, 1 << 40, -(1 << 52)} {
 		want := rand.New(rand.NewSource(seed))
 		got := rand.New(newLFSource(seed))
-		for k := 0; k < 700; k++ { // past one full register cycle
+		for k := 0; k < 700; k++ { // across the lazy→filled boundary and one full register cycle
 			if want.Int63() != got.Int63() {
 				return
 			}
@@ -206,17 +215,8 @@ func lfRecoverCooked() (ok bool) {
 		return false
 	}
 	vec := (*[lfLen]int64)(unsafe.Pointer(f.UnsafeAddr()))
-	x := int32(1)
-	for i := -lfWarmup; i < lfLen; i++ {
-		x = lfSeedrand(x)
-		if i >= 0 {
-			u := int64(x) << 40
-			x = lfSeedrand(x)
-			u ^= int64(x) << 20
-			x = lfSeedrand(x)
-			u ^= int64(x)
-			lfCooked[i] = u ^ vec[i]
-		}
+	for i := range lfCooked { // seed 1: slot i's terms start from lfJump[i] itself
+		lfCooked[i] = lfTerms(int32(lfJump[i])) ^ vec[i]
 	}
 	return true
 }

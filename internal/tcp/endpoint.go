@@ -145,9 +145,10 @@ type txRec struct {
 type Endpoint struct {
 	Local, Remote seg.Addr
 
-	host *netem.Host
-	sim  *sim.Simulator
-	cfg  Config
+	host  *netem.Host
+	route *netem.Route // see transmit
+	sim   *sim.Simulator
+	cfg   Config
 
 	state State
 
@@ -420,7 +421,7 @@ func (e *Endpoint) Close() {
 func (e *Endpoint) Abort() {
 	if e.state != StateClosed {
 		rst := e.newSegment(seg.RST|seg.ACK, e.sndNxt, 0)
-		e.host.Send(rst)
+		e.transmit(rst)
 	}
 	e.teardown()
 }

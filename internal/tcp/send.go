@@ -5,7 +5,7 @@ import "mptcplab/internal/seg"
 // newSegment builds an outgoing segment with the current ACK state and
 // advertised window. The segment comes from the host's pool and is
 // surrendered when sent; every newSegment must be paired with a
-// host.Send.
+// transmit.
 func (e *Endpoint) newSegment(flags seg.Flags, seqn uint32, payload int) *seg.Segment {
 	s := e.host.NewSegment()
 	s.Src = e.Local
@@ -18,6 +18,17 @@ func (e *Endpoint) newSegment(flags seg.Flags, seqn uint32, payload int) *seg.Se
 	}
 	s.Window = e.wireWindow(flags.Has(seg.SYN))
 	return s
+}
+
+// transmit hands s to the network over the connection's route, which
+// cannot change while it lives: resolved at the first send that finds
+// one (a route may be installed after the endpoint is created) and
+// held from then on.
+func (e *Endpoint) transmit(s *seg.Segment) {
+	if e.route == nil {
+		e.route = e.host.Route(e.Local.IP, e.Remote.IP)
+	}
+	e.host.SendVia(e.route, s)
 }
 
 // advertisedWindow computes the receive window in bytes, honoring an
@@ -68,7 +79,7 @@ func (e *Endpoint) sendSYN(isAck bool) {
 	}
 	e.track(e.iss, e.iss+1)
 	e.sndNxt = e.iss + 1
-	e.host.Send(s)
+	e.transmit(s)
 	e.armRTX()
 }
 
@@ -145,7 +156,7 @@ func (e *Endpoint) trySend() {
 		}
 		e.track(e.finSeq, e.finSeq+1)
 		e.sndNxt = e.finSeq + 1
-		e.host.Send(s)
+		e.transmit(s)
 		e.delAckPending = 0
 		e.delAckTimer.Stop()
 		e.armRTX()
@@ -174,7 +185,7 @@ func (e *Endpoint) emitData(seqn uint32, n int, isRtx bool) {
 	// A data segment also carries our current ACK; cancel delayed ACK.
 	e.delAckPending = 0
 	e.delAckTimer.Stop()
-	e.host.Send(s)
+	e.transmit(s)
 	e.armRTX()
 }
 
@@ -210,7 +221,7 @@ func (e *Endpoint) retransmitLost() {
 			if e.BuildOptions != nil {
 				e.BuildOptions(s, KindFin)
 			}
-			e.host.Send(s)
+			e.transmit(s)
 			e.armRTX()
 			continue
 		}
@@ -278,7 +289,7 @@ func (e *Endpoint) onRTO() {
 		if e.BuildOptions != nil {
 			e.BuildOptions(s, kind)
 		}
-		e.host.Send(s)
+		e.transmit(s)
 		e.rtxTimer.Reset(e.est.RTO())
 		return
 	}
@@ -330,7 +341,7 @@ func (e *Endpoint) sendAck() {
 	e.Stats.AcksSent++
 	e.delAckPending = 0
 	e.delAckTimer.Stop()
-	e.host.Send(s)
+	e.transmit(s)
 }
 
 // scheduleAck implements delayed ACKs: every DelAckCount-th full

@@ -179,6 +179,7 @@ func (w *World) Build(rng *sim.RNG, a Access, clients int, p Plan) {
 		ifaces = append(ifaces, iface{ServerAddr2.IP, lan("srv2-in"), lan("srv2-out")})
 	}
 
+	clear(w.Clients) // as Network.Reset: no pointers left behind the new length
 	w.Clients = w.Clients[:0]
 	if w.cellIPs == nil {
 		w.cellIPs = make(map[[4]byte]bool)

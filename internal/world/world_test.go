@@ -3,8 +3,10 @@ package world
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"mptcplab/internal/chaos"
 	"mptcplab/internal/mptcp"
@@ -226,6 +228,33 @@ func TestArmChaosHandover(t *testing.T) {
 		}
 		if rejoins < 2 {
 			t.Errorf("%d rejoins over a four-cycle storm", rejoins)
+		}
+	}
+}
+
+// TestResetReleasesPreviousRun: a sweep worker's arena runs a
+// 5,000-client point and then small ones, so a Reset world must not pin
+// the larger run's hosts — with their conns maps and every endpoint
+// still bound — in the slack of the slices it truncates.
+func TestResetReleasesPreviousRun(t *testing.T) {
+	w := New()
+	collected := make(chan struct{})
+	func() {
+		drive(w, 64, testPlan(false), 1)
+		last := w.Clients[len(w.Clients)-1]
+		runtime.SetFinalizer(last.Host, func(*netem.Host) { close(collected) })
+	}()
+	w.Reset()
+	drive(w, 1, testPlan(false), 2)
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("a client host of the previous, larger run is still reachable from the Reset world")
 		}
 	}
 }
