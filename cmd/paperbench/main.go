@@ -150,11 +150,13 @@ func bench(s spec, stdout, stderr io.Writer) error {
 	// speedline summarizes a campaign's host-side performance:
 	// aggregate busy time over wall time approximates the speedup the
 	// worker pool delivered, events/sec is the simulator's throughput,
-	// and allocs/run is the heap-allocation cost of one download (the
-	// pooled hot path keeps it O(window), not O(packets)). In text mode
+	// and allocs/run and MB/run are the heap-allocation cost of one
+	// download in objects and bytes (the pooled hot path keeps the first
+	// O(window), not O(packets); a per-packet series costs the second
+	// one write and one copy, DESIGN.md §23). In text mode
 	// it lands in the report; otherwise on stderr so csv/json stay
 	// machine-readable.
-	speedline := func(m *experiment.Matrix, allocs uint64) {
+	speedline := func(m *experiment.Matrix, allocs, bytes uint64) {
 		dst := stderr
 		if s.format == "text" {
 			dst = w
@@ -167,15 +169,16 @@ func bench(s spec, stdout, stderr io.Writer) error {
 		for _, e := range m.Export() {
 			runs += e.N + e.Failures
 		}
-		var evRate, allocsPerRun float64
+		var evRate, allocsPerRun, mbPerRun float64
 		if m.WallTime > 0 {
 			evRate = float64(m.TotalEvents) / m.WallTime.Seconds()
 		}
 		if runs > 0 {
 			allocsPerRun = float64(allocs) / float64(runs)
+			mbPerRun = float64(bytes) / 1e6 / float64(runs)
 		}
-		fmt.Fprintf(dst, "%s: wall %.2fs, aggregate run time %.2fs, %d workers (%.2fx speedup), %.2fM events/sec, %.0f allocs/run\n",
-			m.ID, m.WallTime.Seconds(), m.BusyTime.Seconds(), m.Workers, speedup, evRate/1e6, allocsPerRun)
+		fmt.Fprintf(dst, "%s: wall %.2fs, aggregate run time %.2fs, %d workers (%.2fx speedup), %.2fM events/sec, %.0f allocs/run, %.2f MB/run\n",
+			m.ID, m.WallTime.Seconds(), m.BusyTime.Seconds(), m.Workers, speedup, evRate/1e6, allocsPerRun, mbPerRun)
 	}
 
 	var matrices []*experiment.Matrix
@@ -194,7 +197,7 @@ func bench(s spec, stdout, stderr io.Writer) error {
 		if s.format == "text" {
 			c.Text(w, m)
 		}
-		speedline(m, after.Mallocs-before.Mallocs)
+		speedline(m, after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc)
 		if m.FailedRuns > 0 {
 			failed += m.FailedRuns
 			fmt.Fprintf(stderr, "%s: %d FAILED RUNS, first: %s\n", m.ID, m.FailedRuns, m.FirstFailure)

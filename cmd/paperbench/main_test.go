@@ -125,7 +125,7 @@ func TestJSONReportMatchesDaemonEnvelope(t *testing.T) {
 	if !bytes.Equal(stdout.Bytes(), want.Bytes()) {
 		t.Fatalf("paperbench -format json differs from the daemon's export.json envelope:\n%s\nwant:\n%s", stdout.Bytes(), want.Bytes())
 	}
-	if !strings.Contains(stderr.String(), "fig8: wall") {
-		t.Errorf("speedline missing from stderr in json mode: %q", stderr.String())
+	if line := stderr.String(); !strings.Contains(line, "fig8: wall") || !strings.Contains(line, " allocs/run, ") || !strings.Contains(line, " MB/run\n") {
+		t.Errorf("speedline missing from stderr in json mode: %q", line)
 	}
 }

@@ -1,7 +1,9 @@
 package experiment
 
 import (
+	"io"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"mptcplab/internal/chaos"
@@ -109,5 +111,42 @@ func BenchmarkRunReusedTestbed(b *testing.B) {
 			tb.Reset(reuseBenchCfg(i))
 		}
 		reuseBenchRun(tb, b)
+	}
+}
+
+// TestCampaignBytesPerRun gates what a campaign run costs in bytes,
+// from the run to the export. Object counts (TestDownloadAllocBudget,
+// paperbench's allocs/run) cannot see a per-packet series regrown by
+// doubling in its collector and again in its cell's pooled sample: few
+// objects, most of a campaign's bytes (DESIGN.md §23).
+func TestCampaignBytesPerRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two SmallFlows campaigns")
+	}
+	pass := func() (runs int) {
+		m := SmallFlows(CampaignOpts{Reps: 4, Seed: 3, SampleProfiles: true, Workers: 1})
+		if err := WriteCSV(io.Discard, m); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range m.Export() {
+			runs += e.N
+		}
+		return runs
+	}
+	pass() // one-time initialisation; within a pass the worker's testbed is built once and reused
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	runs := pass()
+	runtime.ReadMemStats(&m1)
+	if runs != 128 {
+		t.Fatalf("%d runs completed, want 128", runs)
+	}
+	perRun := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(runs)
+	t.Logf("%d runs, %.0f bytes allocated per run", runs, perRun)
+	// 108,175 since a series is written once and copied once (152,244
+	// before), plus 25 %.
+	const ceiling = 135000
+	if perRun > ceiling {
+		t.Errorf("%.0f bytes allocated per run, ceiling %d", perRun, ceiling)
 	}
 }

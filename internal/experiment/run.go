@@ -255,6 +255,7 @@ func (tb *Testbed) Run(rc RunConfig) RunResult {
 	}
 	cfg := rc.stackConfig()
 	stack := world.MPTCP
+	tb.wifiRTTms, tb.cellRTTms, tb.ofoMs = tb.wifiRTTms[:0], tb.cellRTTms[:0], tb.ofoMs[:0]
 	var res RunResult
 	switch rc.Transport {
 	case SPWiFi:
@@ -284,10 +285,10 @@ func (tb *Testbed) Run(rc RunConfig) RunResult {
 	tb.Serve(cfg, tb.RNG.Child("srv"), func(p world.Peer) *web.FileServer {
 		if p.Conn != nil {
 			serverConn = p.Conn
-			p.Conn.OnSubflowUp = func(sf *mptcp.Subflow) { tb.attachRTTCollector(sf.EP, &res) }
+			p.Conn.OnSubflowUp = func(sf *mptcp.Subflow) { tb.attachRTTCollector(sf.EP) }
 		} else {
 			serverEPs = append(serverEPs, p.EP)
-			tb.attachRTTCollector(p.EP, &res)
+			tb.attachRTTCollector(p.EP)
 		}
 		if ck != nil {
 			ck.Watch("server", p)
@@ -315,7 +316,7 @@ func (tb *Testbed) Run(rc RunConfig) RunResult {
 	}
 	if client.Conn != nil {
 		client.Conn.OnOFOSample = func(d sim.Time, subflowID int) {
-			res.OFOms = append(res.OFOms, d.Milliseconds())
+			tb.ofoMs = append(tb.ofoMs, d.Milliseconds())
 		}
 	}
 	var done sim.Time = -1
@@ -345,6 +346,7 @@ func (tb *Testbed) Run(rc RunConfig) RunResult {
 		ck.RunProbes()
 		res.Violations, res.FirstViolation = ck.Summary()
 	}
+	res.WiFiRTTms, res.CellRTTms, res.OFOms = exactCopy(tb.wifiRTTms), exactCopy(tb.cellRTTms), exactCopy(tb.ofoMs)
 	if done < 0 {
 		return res
 	}
@@ -370,16 +372,23 @@ func (tb *Testbed) Run(rc RunConfig) RunResult {
 
 // attachRTTCollector records the server's per-packet RTT samples,
 // classified by the client interface they travel to.
-func (tb *Testbed) attachRTTCollector(ep *tcp.Endpoint, res *RunResult) {
-	cell := tb.IsCell(ep.Remote)
-	ep.OnRTTSample = func(rtt sim.Time) {
-		ms := rtt.Milliseconds()
-		if cell {
-			res.CellRTTms = append(res.CellRTTms, ms)
-		} else {
-			res.WiFiRTTms = append(res.WiFiRTTms, ms)
-		}
+func (tb *Testbed) attachRTTCollector(ep *tcp.Endpoint) {
+	buf := &tb.wifiRTTms
+	if tb.IsCell(ep.Remote) {
+		buf = &tb.cellRTTms
 	}
+	ep.OnRTTSample = func(rtt sim.Time) { *buf = append(*buf, rtt.Milliseconds()) }
+}
+
+// exactCopy returns xs in an allocation of exactly its length, nil when
+// empty: the result must not alias a buffer the next run overwrites.
+func exactCopy(xs []float64) []float64 {
+	if len(xs) == 0 {
+		return nil
+	}
+	out := make([]float64, len(xs))
+	copy(out, xs)
+	return out
 }
 
 // accountSender folds one server-side endpoint's sender stats into the

@@ -49,6 +49,11 @@ type Testbed struct {
 	WiFiAddr, CellAddr seg.Addr
 
 	cfg TestbedConfig
+
+	// The run's per-packet collectors append here; Run hands its result
+	// exactly sized copies, so a worker's buffers grow to its largest
+	// run once instead of from nil every run.
+	wifiRTTms, cellRTTms, ofoMs []float64
 }
 
 // NewTestbed builds the Figure 1 topology on a fresh world.

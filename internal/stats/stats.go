@@ -9,10 +9,14 @@ import (
 	"sort"
 )
 
-// Sample is a growing collection of float64 observations.
+// Sample is a growing collection of float64 observations: xs, then the
+// adopted runs in order. Every reader but N flattens the adopted runs
+// behind xs first, so storage order is insertion order (DESIGN.md §23).
 type Sample struct {
-	xs     []float64
-	sorted bool
+	xs       []float64
+	adopted  [][]float64 // NaN-free runs AddAll holds by reference; never written
+	nAdopted int
+	sorted   bool
 }
 
 // New returns an empty sample.
@@ -34,12 +38,18 @@ func (s *Sample) Add(x float64) {
 	if math.IsNaN(x) {
 		return
 	}
+	s.flatten()
 	s.xs = append(s.xs, x)
 	s.sorted = false
 }
 
-// AddAll appends many observations, dropping NaNs like Add: one append
-// per NaN-free run, so a per-packet series costs one scan and one copy.
+// AddAll appends many observations, dropping NaNs like Add. It adopts
+// each NaN-free run of xs by reference instead of copying it: the
+// sample keeps the slice and never writes it, and the caller must not
+// write its elements afterwards (appending to it is harmless). The
+// first statistic copies every adopted run behind the observations
+// already held, once, so a per-packet series costs one scan here and
+// one copy there.
 func (s *Sample) AddAll(xs []float64) {
 	for len(xs) > 0 {
 		n := 0
@@ -47,15 +57,34 @@ func (s *Sample) AddAll(xs []float64) {
 			n++
 		}
 		if n > 0 {
-			s.xs = append(s.xs, xs[:n]...)
+			s.adopted = append(s.adopted, xs[:n:n])
+			s.nAdopted += n
 			s.sorted = false
 		}
 		xs = xs[min(n+1, len(xs)):]
 	}
 }
 
+// flatten copies the adopted runs behind xs in adoption order — what
+// appending each at its AddAll would have stored — growing xs at most
+// once, to exactly the size needed, and lets the runs go.
+func (s *Sample) flatten() {
+	if len(s.adopted) == 0 {
+		return
+	}
+	if need := len(s.xs) + s.nAdopted; need > cap(s.xs) {
+		xs := make([]float64, len(s.xs), need)
+		copy(xs, s.xs)
+		s.xs = xs
+	}
+	for _, run := range s.adopted {
+		s.xs = append(s.xs, run...)
+	}
+	s.adopted, s.nAdopted = nil, 0
+}
+
 // N reports the number of observations.
-func (s *Sample) N() int { return len(s.xs) }
+func (s *Sample) N() int { return len(s.xs) + s.nAdopted }
 
 // Values returns a copy of the observations in sorted order. The copy
 // is defensive: earlier versions returned the internal slice, and a
@@ -69,6 +98,7 @@ func (s *Sample) Values() []float64 {
 }
 
 func (s *Sample) sort() {
+	s.flatten()
 	if !s.sorted {
 		sortFloats(s.xs)
 		s.sorted = true
@@ -131,6 +161,7 @@ func floatKey(x float64) uint64 {
 
 // Mean reports the sample mean (0 for an empty sample).
 func (s *Sample) Mean() float64 {
+	s.flatten()
 	if len(s.xs) == 0 {
 		return 0
 	}
@@ -143,7 +174,7 @@ func (s *Sample) Mean() float64 {
 
 // Var reports the unbiased sample variance.
 func (s *Sample) Var() float64 {
-	n := len(s.xs)
+	n := s.N()
 	if n < 2 {
 		return 0
 	}
@@ -162,15 +193,15 @@ func (s *Sample) Stddev() float64 { return math.Sqrt(s.Var()) }
 // Stderr reports the standard error of the mean — the "± " the paper's
 // tables quote.
 func (s *Sample) Stderr() float64 {
-	if len(s.xs) < 2 {
+	if s.N() < 2 {
 		return 0
 	}
-	return s.Stddev() / math.Sqrt(float64(len(s.xs)))
+	return s.Stddev() / math.Sqrt(float64(s.N()))
 }
 
 // Min reports the smallest observation.
 func (s *Sample) Min() float64 {
-	if len(s.xs) == 0 {
+	if s.N() == 0 {
 		return 0
 	}
 	s.sort()
@@ -179,7 +210,7 @@ func (s *Sample) Min() float64 {
 
 // Max reports the largest observation.
 func (s *Sample) Max() float64 {
-	if len(s.xs) == 0 {
+	if s.N() == 0 {
 		return 0
 	}
 	s.sort()
@@ -189,7 +220,7 @@ func (s *Sample) Max() float64 {
 // Quantile reports the q-quantile (0 <= q <= 1) by linear
 // interpolation between order statistics.
 func (s *Sample) Quantile(q float64) float64 {
-	n := len(s.xs)
+	n := s.N()
 	if n == 0 {
 		return 0
 	}

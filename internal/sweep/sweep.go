@@ -113,9 +113,12 @@ func Contain(fn func()) (err error) {
 // stack beneath it is not, so exports must not include it).
 //
 // absorb folds one row into the caller's aggregates. It is called on
-// the caller's goroutine, in the fixed (shuffled) job order, for
-// exactly the jobs that executed — identical for any worker count,
-// which is the engine's export-determinism contract.
+// the caller's goroutine, never concurrently with itself, run or
+// Progress (a pool has returned before its first row is folded), in
+// the fixed (shuffled) job order, for exactly the jobs that executed:
+// a prefix of that order, the whole of it unless the sweep was
+// cancelled — identical for any worker count, which is the engine's
+// export-determinism contract.
 func Run[W, R any](opts Opts, n int, run func(ws *W, job int) R, failed func(job int, err error) R, absorb func(job int, res R)) Stats {
 	st := Stats{Workers: opts.workers()}
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"mptcplab/internal/sim"
@@ -184,26 +185,40 @@ func TestRunResetsWorkerStateAfterPanic(t *testing.T) {
 }
 
 // Cancellation mid-sweep: workers stop claiming jobs, absorb sees
-// only executed runs, and Stats.Cancelled is set.
+// exactly the executed runs — a contiguous prefix of the shuffled job
+// order, in that order — and Stats.Cancelled is set.
 func TestRunCancellation(t *testing.T) {
+	const n = 100
+	var order []int
+	Run(Opts{Seed: 5, Salt: 0x5eed, Workers: 1}, n,
+		func(ws *struct{}, job int) int { return job },
+		func(job int, err error) int { return -1 },
+		func(job, r int) { order = append(order, job) })
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var rows []int
-		st := Run(Opts{Workers: workers, Context: ctx,
+		var executed atomic.Int64
+		st := Run(Opts{Seed: 5, Salt: 0x5eed, Workers: workers, Context: ctx,
 			Progress: func(done, total int) {
 				if done == 3 {
 					cancel()
 				}
-			}}, 100,
-			func(ws *struct{}, job int) int { return job },
+			}}, n,
+			func(ws *struct{}, job int) int { executed.Add(1); return job },
 			func(job int, err error) int { return -1 },
 			func(job, r int) { rows = append(rows, r) })
 		cancel()
 		if !st.Cancelled {
 			t.Fatalf("workers=%d: Stats.Cancelled not set", workers)
 		}
-		if len(rows) >= 100 || len(rows) < 3 {
+		if len(rows) >= n || len(rows) < 3 {
 			t.Fatalf("workers=%d: absorbed %d rows after cancel at 3", workers, len(rows))
+		}
+		if int(executed.Load()) != len(rows) {
+			t.Fatalf("workers=%d: %d runs executed, %d absorbed", workers, executed.Load(), len(rows))
+		}
+		if !reflect.DeepEqual(rows, order[:len(rows)]) {
+			t.Fatalf("workers=%d: absorbed %v, not the first %d of the job order %v", workers, rows, len(rows), order[:len(rows)])
 		}
 	}
 }
