@@ -385,35 +385,6 @@ func BenchmarkAblationScheduler(b *testing.B) {
 	}
 }
 
-// Penalization: the v0.86 receive-buffer penalization the paper
-// removed (§3.1) — with an ample buffer it should only hurt.
-func BenchmarkAblationPenalization(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, pen := range []bool{false, true} {
-			times := stats.New()
-			for rep := 0; rep < benchReps; rep++ {
-				tb := experiment.NewTestbed(experiment.TestbedConfig{
-					WiFi: pathmodel.ComcastHome(), Cell: pathmodel.Sprint(),
-					SampleProfiles: true, WarmRadio: true, Seed: int64(rep)*17 + 3,
-				})
-				res := tb.Run(experiment.RunConfig{
-					Transport: experiment.MP2, Size: 8 * units.MB,
-					Penalize: pen,
-					RcvBuf:   256 * units.KB, // pressure makes the heuristic fire
-				})
-				if res.Completed {
-					times.Add(res.DownloadTime.Seconds())
-				}
-			}
-			name := "off"
-			if pen {
-				name = "on"
-			}
-			b.ReportMetric(times.Median(), "s_median/penalize_"+name)
-		}
-	}
-}
-
 // ssthresh: the paper's 64 KB initial threshold vs the Linux default
 // of infinity, which lets the loss-free cellular path blow up its
 // window and its RTT (§3.1).
@@ -671,41 +642,6 @@ func BenchmarkMobilityOutageSweep(b *testing.B) {
 				b.ReportMetric(c.Times.Median(), fmt.Sprintf("s_median/%s/outage_%ds", slug(row.Label), int64(d)))
 				if c.Failures > 0 {
 					b.ReportMetric(float64(c.Failures), fmt.Sprintf("failures/%s/outage_%ds", slug(row.Label), int64(d)))
-				}
-			}
-		}
-	}
-}
-
-// --- Extension: §3.2's four time-of-day periods ---
-
-// BenchmarkTimeOfDayVariation measures the same 2 MB download in each
-// of the paper's four measurement windows: residential WiFi degrades
-// in the evening, so SP-WiFi slows while MPTCP leans harder on
-// cellular and stays flat — the robustness the paper attributes to
-// MPTCP across its 24-hour campaigns.
-func BenchmarkTimeOfDayVariation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, period := range pathmodel.AllPeriods {
-			for _, tr := range []experiment.Transport{experiment.SPWiFi, experiment.MP2} {
-				times := stats.New()
-				share := stats.New()
-				for rep := 0; rep < benchReps; rep++ {
-					tb := experiment.NewTestbed(experiment.TestbedConfig{
-						WiFi: pathmodel.ComcastHome(), Cell: pathmodel.ATT(),
-						SampleProfiles: true, WarmRadio: true,
-						UsePeriod: true, Period: period,
-						Seed: int64(rep)*53 + 11,
-					})
-					res := tb.Run(experiment.RunConfig{Transport: tr, Size: 2 * units.MB})
-					if res.Completed {
-						times.Add(res.DownloadTime.Seconds())
-						share.Add(res.CellShare())
-					}
-				}
-				b.ReportMetric(times.Median(), fmt.Sprintf("s_median/%v/%v", tr, period))
-				if tr == experiment.MP2 {
-					b.ReportMetric(share.Mean(), fmt.Sprintf("cellshare/%v", period))
 				}
 			}
 		}

@@ -15,9 +15,12 @@ package main
 // parse — garbage, partial writes from a crash mid-journal, foreign
 // droppings — are skipped with a counted warning, never a failed
 // startup: losing one submission's durability must not take the
-// service down with it.
+// service down with it. So is a spec naming a field this daemon does
+// not have (an older daemon's "periods"): resuming it without that
+// field would run a different campaign under the journaled id.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -97,16 +100,21 @@ func openJournal(dir string) (j *journal, incomplete []journalEntry, maxID int, 
 				j.skipped++
 				continue
 			}
+			if n, _ := campaignID(e.ID); n > maxID {
+				maxID = n
+			}
+			strict := json.NewDecoder(bytes.NewReader(b))
+			strict.DisallowUnknownFields()
+			if strict.Decode(&journalEntry{}) != nil {
+				j.skipped++
+				continue
+			}
 			entries = append(entries, e)
 		default:
 			j.skipped++
 		}
 	}
 	for _, e := range entries {
-		n, _ := campaignID(e.ID)
-		if n > maxID {
-			maxID = n
-		}
 		if !finished[e.ID] {
 			incomplete = append(incomplete, e)
 		}

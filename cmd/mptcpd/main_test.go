@@ -426,21 +426,28 @@ func TestAcceptsRepoCommandLines(t *testing.T) {
 // with values that never ran.
 func TestServeRejectsBadSpecs(t *testing.T) {
 	ts := newTestServer(t)
-	for spec, code := range map[string]int{
-		`{"experiment":"fig99"}`:                                     http.StatusBadRequest,
-		`{"kind":"load","base":"clients=banana"}`:                    http.StatusBadRequest,
-		`{"kind":"load","scheds":["warp-drive"]}`:                    http.StatusBadRequest,
-		`{"kind":"quantum"}`:                                         http.StatusBadRequest,
-		`{"experiment":"fig8","reps":-1}`:                            http.StatusBadRequest,
-		`{"kind":"load","clients":[999999]}`:                         http.StatusBadRequest,
-		`{"kind":"load","rates":[-3]}`:                               http.StatusBadRequest,
-		`{"kind":"load","clients":[20,-5]}`:                          http.StatusBadRequest,
-		`{"kind":"load","rates":[0]}`:                                http.StatusBadRequest,
-		`{"kind":"load","base":"clients=8,flows=12,dur=5s,cc=foo"}`:  http.StatusBadRequest,
-		`{"kind":"load","base":"clients=8,wifi=lan"}`:                http.StatusBadRequest,
-		`{"kind":"load","reps":-1}`:                                  http.StatusBadRequest,
-		`{"experiment":"` + strings.Repeat("x", maxSpecBytes) + `"}`: http.StatusRequestEntityTooLarge,
+	for _, tc := range []struct {
+		spec  string
+		code  int
+		names string // the error must contain it
+	}{
+		{`{"experiment":"fig99"}`, http.StatusBadRequest, ""},
+		{`{"kind":"load","base":"clients=banana"}`, http.StatusBadRequest, ""},
+		{`{"kind":"load","scheds":["warp-drive"]}`, http.StatusBadRequest, ""},
+		{`{"kind":"quantum"}`, http.StatusBadRequest, ""},
+		{`{"experiment":"fig8","reps":-1}`, http.StatusBadRequest, ""},
+		{`{"kind":"load","clients":[999999]}`, http.StatusBadRequest, ""},
+		{`{"kind":"load","rates":[-3]}`, http.StatusBadRequest, ""},
+		{`{"kind":"load","clients":[20,-5]}`, http.StatusBadRequest, ""},
+		{`{"kind":"load","rates":[0]}`, http.StatusBadRequest, ""},
+		{`{"kind":"load","base":"clients=8,flows=12,dur=5s,cc=foo"}`, http.StatusBadRequest, ""},
+		{`{"kind":"load","base":"clients=8,wifi=lan"}`, http.StatusBadRequest, ""},
+		{`{"kind":"load","reps":-1}`, http.StatusBadRequest, ""},
+		{`{"experiment":"` + strings.Repeat("x", maxSpecBytes) + `"}`, http.StatusRequestEntityTooLarge, ""},
+		// A field an older daemon accepted is refused by name, not ignored.
+		{`{"experiment":"fig8","periods":true}`, http.StatusBadRequest, `"periods"`},
 	} {
+		spec, code := tc.spec, tc.code
 		resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(spec))
 		if err != nil {
 			t.Fatal(err)
@@ -458,6 +465,9 @@ func TestServeRejectsBadSpecs(t *testing.T) {
 		}
 		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" || strings.Contains(e.Error, "\n") {
 			t.Fatalf("spec %s: want a one-line JSON error, got %q (%v)", spec, body, err)
+		}
+		if !strings.Contains(e.Error, tc.names) {
+			t.Fatalf("spec %s: error %q does not name %s", spec, e.Error, tc.names)
 		}
 	}
 	if st := getStatus(t, ts, "c1"); st.ID != "" {

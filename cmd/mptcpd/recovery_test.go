@@ -330,7 +330,10 @@ func TestServeJournalGarbageTolerated(t *testing.T) {
 	// And the garbage.
 	writeJournalFile(t, jdir, "c3.campaign.json", `{"id":"c3","spec":{truncated-by-a-cra`)
 	writeJournalFile(t, jdir, "c4.campaign.json", `{"id":"c999","spec":{}}`) // id ≠ filename
-	writeJournalFile(t, jdir, "cX.done", "")                                 // unparseable id
+	// An older daemon's spec naming a field this one no longer has: not
+	// resumed as some other campaign, but its id stays taken.
+	writeJournalFile(t, jdir, "c9.campaign.json", `{"id":"c9","name":"fig8","spec":{"kind":"experiment","seed":1,"experiment":"fig8","periods":true}}`)
+	writeJournalFile(t, jdir, "cX.done", "") // unparseable id
 	writeJournalFile(t, jdir, "README.txt", "not yours")
 	writeJournalFile(t, jdir, "c5.campaign.json.tmp", "crash mid-record()")
 	if err := os.WriteFile(filepath.Join(jdir, "junk.bin"), []byte{0xde, 0xad, 0xbe, 0xef}, 0o644); err != nil {
@@ -354,7 +357,7 @@ func TestServeJournalGarbageTolerated(t *testing.T) {
 	}
 	// New ids never collide with journaled ones.
 	st := submit(t, ts, `{"experiment":"fig8","reps":1,"seed":1,"workers":1}`)
-	if n, _ := campaignID(st.ID); n <= 7 {
+	if n, _ := campaignID(st.ID); n <= 9 {
 		t.Fatalf("fresh submission reused journaled id space: %q", st.ID)
 	}
 	// Let it finish: its terminal journal mark must not race TempDir's
@@ -366,10 +369,10 @@ func TestServeJournalGarbageTolerated(t *testing.T) {
 	if err := json.Unmarshal(getBytes(t, ts, "/healthz"), &health); err != nil {
 		t.Fatal(err)
 	}
-	// junk.bin, README.txt, subdir, the .tmp, cX.done, and the two
-	// bad campaign files: 7 skipped warnings, no crash.
-	if health.Journal.Skipped != 7 {
-		t.Fatalf("journal skipped %d files, want 7 counted warnings", health.Journal.Skipped)
+	// junk.bin, README.txt, subdir, the .tmp, cX.done, and the three
+	// bad campaign files: 8 skipped warnings, no crash.
+	if health.Journal.Skipped != 8 {
+		t.Fatalf("journal skipped %d files, want 8 counted warnings", health.Journal.Skipped)
 	}
 }
 

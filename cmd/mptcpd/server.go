@@ -44,7 +44,6 @@ type campaignSpec struct {
 	// Experiment campaigns: a registry name or alias (fig2, fig4,
 	// fig6, fig8, fig9, fig11, fig12, shootout, mobility, table3, ...).
 	Experiment string `json:"experiment,omitempty"`
-	Periods    bool   `json:"periods,omitempty"`
 	SelfCheck  bool   `json:"selfcheck,omitempty"`
 
 	// Load campaigns: a base config as a load replay token
@@ -461,7 +460,7 @@ func (s *server) validateSpec(spec *campaignSpec) (name string, run func(*campai
 		}
 		co := experiment.CampaignOpts{
 			Reps: spec.Reps, Seed: spec.Seed, Workers: spec.Workers,
-			SampleProfiles: true, Periods: spec.Periods, SelfCheck: spec.SelfCheck,
+			SampleProfiles: true, SelfCheck: spec.SelfCheck,
 		}
 		if err := co.Validate(); err != nil {
 			return "", nil, err

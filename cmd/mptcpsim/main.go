@@ -52,7 +52,6 @@ func parse(args []string, stdout io.Writer) (spec, error) {
 	})
 	fs.Int64Var(&s.tb.Seed, "seed", 1, "simulation seed")
 	fs.BoolVar(&s.rc.SimultaneousSYN, "simultaneous-syn", false, "send all subflow SYNs together (§4.1.2)")
-	fs.BoolVar(&s.rc.Penalize, "penalize", false, "enable v0.86 receive-buffer penalization")
 	cold := fs.Bool("cold-radio", false, "skip the pre-measurement radio warmup pings")
 	fs.StringVar(&s.pcap, "pcap", "", "write client+server captures to <prefix>-client.pcap / -server.pcap")
 	if err := cli.Parse(fs, args, stdout); err != nil {

@@ -24,6 +24,7 @@ func TestRejectsUnknownScheduler(t *testing.T) {
 		"-carrier tmobile":            `"tmobile"`,
 		"-seed":                       "-seed",
 		"-nope":                       "-nope",
+		"-penalize":                   "-penalize",
 		"size-kb 64":                  `"size-kb"`,
 		"-transport mp2 -cc olia out": `"out"`,
 	} {
@@ -49,7 +50,7 @@ func TestAcceptsRepoCommandLines(t *testing.T) {
 		"-transport mp4 -carrier verizon -size-kb 2048 -seed 7 -pcap /root/scratch/mp4",
 		"-pcap /tmp/x",
 		"-transport wifi", "-transport cell", "-transport mptcp", "-transport MP-4", "-transport SP-WiFi",
-		"-cc reno -scheduler weighted:3;1 -wifi coffeeshop -carrier sprint -cold-radio -penalize -simultaneous-syn",
+		"-cc reno -scheduler weighted:3;1 -wifi coffeeshop -carrier sprint -cold-radio -simultaneous-syn",
 	} {
 		if _, err := parse(strings.Fields(args), io.Discard); err != nil {
 			t.Errorf("%s: %v", args, err)

@@ -42,7 +42,11 @@ type CellExport struct {
 	OFOAbove150 float64 `json:"ofo_gt150ms_frac"`
 }
 
-// Export flattens a matrix into one record per cell.
+// Export flattens a matrix into one record per cell. It is idempotent:
+// a mean sums in storage order and a quantile sorts in place, so every
+// sample's order statistics are taken before its mean (calls in a
+// composite literal run left to right), and every export sums sorted
+// values.
 func (m *Matrix) Export() []CellExport {
 	var out []CellExport
 	for _, row := range m.Rows {
@@ -61,14 +65,14 @@ func (m *Matrix) Export() []CellExport {
 				CellShareMean:   c.Share.Mean(),
 				WiFiLossPctMean: c.WiFiLoss.Mean(),
 				CellLossPctMean: c.CellLoss.Mean(),
-				WiFiRTTMean:     c.WiFiRTT.Mean(),
 				WiFiRTTP90:      c.WiFiRTT.Quantile(0.9),
-				CellRTTMean:     c.CellRTT.Mean(),
+				WiFiRTTMean:     c.WiFiRTT.Mean(),
 				CellRTTP90:      c.CellRTT.Quantile(0.9),
+				CellRTTMean:     c.CellRTT.Mean(),
 			}
 			if c.OFO.N() > 0 {
-				e.OFOMean = c.OFO.Mean()
 				e.OFOP90 = c.OFO.Quantile(0.9)
+				e.OFOMean = c.OFO.Mean()
 				e.OFOInOrder = 1 - c.OFO.FractionAbove(0)
 				e.OFOAbove150 = c.OFO.FractionAbove(150)
 			}

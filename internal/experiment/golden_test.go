@@ -87,35 +87,34 @@ func TestMobilityExportsPinned(t *testing.T) {
 	}
 }
 
-// TestExportFirstAndSecondPinned pins a quirk performance work must not
-// disturb: Matrix.Export is not idempotent in the last float bits. A
-// mean sums in storage order and the first quantile sorts in place, so
-// a pooled sample's mean is summed in absorb order by the first export
-// and in ascending order by every later one. Each export has its own
-// fixture (the second is the golden JSON, which TestGoldenSmallFlowsExports
-// writes after the CSV), so a change to the order samples are stored
-// in, or to when they are first sorted, fails here whichever export it
-// moves. ROADMAP item 1's recalibration PR makes Export idempotent and
-// deletes this test with the quirk.
-func TestExportFirstAndSecondPinned(t *testing.T) {
+// TestExportIdempotent: exporting a matrix does not change what the
+// next export says. Every pooled sample's order statistics are taken
+// before its mean, so the first export already sums sorted values and
+// both forms, written twice, match the goldens each time.
+func TestExportIdempotent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full SmallFlows campaign")
 	}
 	m := SmallFlows(CampaignOpts{Reps: 2, Seed: 42, SampleProfiles: true, Workers: 4})
-	var exports [2]bytes.Buffer
-	for i, name := range []string{"golden_smallflows_seed42_reps2_first.json", "golden_smallflows_seed42_reps2.json"} {
-		want, err := os.ReadFile(filepath.Join("testdata", name))
+	for _, f := range []struct {
+		name  string
+		write func(io.Writer, ...*Matrix) error
+	}{
+		{"golden_smallflows_seed42_reps2.json", WriteJSON},
+		{"golden_smallflows_seed42_reps2.csv", WriteCSV},
+		{"golden_smallflows_seed42_reps2.json", WriteJSON},
+		{"golden_smallflows_seed42_reps2.csv", WriteCSV},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", f.name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteJSON(&exports[i], m); err != nil {
+		var got bytes.Buffer
+		if err := f.write(&got, m); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(exports[i].Bytes(), want) {
-			t.Errorf("export %d of the matrix differs from testdata/%s", i+1, name)
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("an export of the matrix differs from testdata/%s", f.name)
 		}
-	}
-	if bytes.Equal(exports[0].Bytes(), exports[1].Bytes()) {
-		t.Error("first and second export agree: the quirk is gone, and so should this test and its fixture be")
 	}
 }

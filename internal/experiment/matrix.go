@@ -24,8 +24,7 @@ type Cell struct {
 	CellRTT  *stats.Sample // pooled per-packet cellular RTTs, ms
 	OFO      *stats.Sample // pooled out-of-order delays, ms
 
-	Failures  int
-	Penalties uint64
+	Failures int
 }
 
 func newCell(rc RunConfig) *Cell {
@@ -53,7 +52,6 @@ func (c *Cell) absorb(res RunResult) {
 	c.WiFiRTT.AddAll(res.WiFiRTTms)
 	c.CellRTT.AddAll(res.CellRTTms)
 	c.OFO.AddAll(res.OFOms)
-	c.Penalties += res.Penalties
 }
 
 // RowSpec describes one figure row: a labeled configuration over a
@@ -157,11 +155,6 @@ type CampaignOpts struct {
 	// SampleProfiles applies per-run network variation (§3.2's
 	// temporal and spatial randomization). On by default in scenarios.
 	SampleProfiles bool
-	// Periods cycles repetitions through the paper's four times of
-	// day (§3.2), applying diurnal load multipliers. Off by default:
-	// the published EXPERIMENTS.md campaign uses Spread-only
-	// variation; enable for the time-of-day study.
-	Periods bool
 	// SelfCheck arms the protocol-invariant checker on every run of the
 	// campaign (see RunConfig.SelfCheck). Aggregates remain
 	// byte-identical; violation counts land in Matrix.TotalViolations.
@@ -207,13 +200,10 @@ type CampaignJob struct {
 	Experiment string          `json:"experiment"`
 	Row        string          `json:"row"`
 	Size       units.ByteCount `json:"size"`
-	// Rep selects the repetition; with Periods set it also selects the
-	// time-of-day profile (rep mod len(pathmodel.AllPeriods)).
-	Rep       int   `json:"rep"`
-	Periods   bool  `json:"periods,omitempty"`
-	Sample    bool  `json:"sample,omitempty"`
-	SelfCheck bool  `json:"selfcheck,omitempty"`
-	Seed      int64 `json:"seed"`
+	Rep        int             `json:"rep"`
+	Sample     bool            `json:"sample,omitempty"`
+	SelfCheck  bool            `json:"selfcheck,omitempty"`
+	Seed       int64           `json:"seed"`
 }
 
 // Validate rejects a repetition count reps would silently replace.
@@ -286,8 +276,6 @@ func runMatrix(id, title string, rows []RowSpec, sizes []units.ByteCount, opts C
 				Cell:              row.Cell,
 				ServerSecondIface: cell.Config.Transport == MP4,
 				SampleProfiles:    opts.SampleProfiles,
-				UsePeriod:         opts.Periods,
-				Period:            pathmodel.AllPeriods[j.rep%len(pathmodel.AllPeriods)],
 				WarmRadio:         true,
 				Seed:              seed,
 			}
@@ -311,7 +299,6 @@ func runMatrix(id, title string, rows []RowSpec, sizes []units.ByteCount, opts C
 			Row:        row.Label,
 			Size:       sizes[j.col],
 			Rep:        j.rep,
-			Periods:    opts.Periods,
 			Sample:     opts.SampleProfiles,
 			SelfCheck:  opts.SelfCheck,
 			Seed:       seed,

@@ -68,15 +68,12 @@ type RunConfig struct {
 	Size       units.ByteCount
 
 	SimultaneousSYN bool
-	Penalize        bool
 	// BackupCell dials with the cellular path flagged as a backup
 	// subflow (the MP_JOIN B bit), for use with the "backup" scheduler.
 	BackupCell bool
 
-	// SSThresh overrides the paper's 64 KB initial threshold when
-	// nonzero; set Infinite to model the Linux default of infinity
-	// (the §3.1 ablation).
-	SSThresh         units.ByteCount
+	// InfiniteSSThresh replaces the paper's 64 KB initial threshold
+	// with the Linux default of infinity (the §3.1 ablation).
 	InfiniteSSThresh bool
 	// RcvBuf overrides the 8 MB receive buffer when nonzero.
 	RcvBuf units.ByteCount
@@ -131,8 +128,6 @@ type RunResult struct {
 
 	// Subflows observed at the server (1 for SP, 2 or 4 for MPTCP).
 	Subflows int
-	// Penalties counts receive-buffer penalization events (ablation).
-	Penalties uint64
 
 	// Events is the number of simulator events the run processed — the
 	// denominator of paperbench's events/sec throughput line. It is not
@@ -211,8 +206,6 @@ func (rc RunConfig) stackConfig() mptcp.Config {
 	t.Controller = ctrl
 	if rc.InfiniteSSThresh {
 		t.SSThresh = 0
-	} else if rc.SSThresh > 0 {
-		t.SSThresh = rc.SSThresh
 	}
 	if rc.RcvBuf > 0 {
 		t.RcvBuf = rc.RcvBuf
@@ -221,7 +214,6 @@ func (rc RunConfig) stackConfig() mptcp.Config {
 	cfg.Controller = ctrl
 	cfg.Scheduler = defaultStr(rc.Scheduler, "minrtt")
 	cfg.SimultaneousSYN = rc.SimultaneousSYN
-	cfg.Penalize = rc.Penalize
 	return cfg
 }
 
@@ -350,7 +342,6 @@ func (tb *Testbed) Run(rc RunConfig) RunResult {
 	}
 	if serverConn != nil {
 		res.Subflows = len(serverConn.Subflows())
-		res.Penalties = serverConn.Penalties
 		for _, sf := range serverConn.Subflows() {
 			tb.accountSender(sf.EP, &res)
 			if tb.IsCell(sf.EP.Remote) {

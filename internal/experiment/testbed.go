@@ -23,10 +23,6 @@ type TestbedConfig struct {
 	// SampleProfiles applies the profiles' per-run Spread, modeling
 	// the paper's location-to-location variation.
 	SampleProfiles bool
-	// UsePeriod applies Period's diurnal load multipliers (§3.2's four
-	// measurement windows) before sampling.
-	UsePeriod bool
-	Period    pathmodel.Period
 	// WarmRadio pre-warms the cellular radio, as the paper's two ICMP
 	// pings before each measurement do (§3.2). Default true via
 	// NewTestbed; set false to measure promotion-delay impact.
@@ -82,10 +78,6 @@ func (tb *Testbed) build(cfg TestbedConfig) {
 	tb.cfg = cfg
 
 	wifi, cell := cfg.WiFi, cfg.Cell
-	if cfg.UsePeriod {
-		wifi = wifi.AtPeriod(cfg.Period)
-		cell = cell.AtPeriod(cfg.Period)
-	}
 	if cfg.SampleProfiles {
 		wifi = wifi.Sample(rng.Child("wifi-sample"))
 		cell = cell.Sample(rng.Child("cell-sample"))

@@ -37,13 +37,6 @@ type Config struct {
 	// (pre-authorized servers, as the paper assumes).
 	SimultaneousSYN bool
 
-	// Penalize enables v0.86's receive-buffer penalization: when
-	// transmission stalls on the shared receive window, the subflow
-	// holding the oldest outstanding data has its congestion window
-	// halved. The paper removes this mechanism (§3.1); it is off by
-	// default and exists for the ablation study.
-	Penalize bool
-
 	// RcvBuf is the shared connection-level receive buffer (8 MB in
 	// the paper). Defaults to TCP.RcvBuf when zero.
 	RcvBuf units.ByteCount
@@ -98,7 +91,6 @@ type Subflow struct {
 	pendingAdd    []seg.AddAddrOption
 	pendingRemove []seg.RemoveAddrOption
 	pendingClose  bool // MP_FASTCLOSE
-	lastPenalty   sim.Time
 	joinNonce     uint32
 	// alignHold marks a subflow whose free space stops short of the
 	// next MSS boundary; pump sets it to steer the scheduler toward
@@ -234,8 +226,6 @@ type Conn struct {
 	// the paper runs from here, §3.3).
 	StartedAt sim.Time
 
-	// Penalties counts receive-buffer penalization events.
-	Penalties uint64
 	// Reinjections counts mappings copied off presumed-dead subflows.
 	Reinjections uint64
 	// DupTxBytes counts payload bytes a redundant scheduler placed as
@@ -523,7 +513,6 @@ func (c *Conn) pump() {
 	for c.sndNxtData < c.sndEndData {
 		i := c.sched.Pick(c.subflows)
 		if i < 0 {
-			c.maybePenalize()
 			return
 		}
 		sf := c.subflows[i]
@@ -648,49 +637,6 @@ func (c *Conn) reinjectFrom(dead *Subflow) {
 		return // nothing alive; retried on the next timeout
 	}
 	c.reinjectVia(dead, c.subflows[i])
-}
-
-// maybePenalize implements the v0.86 receive-buffer penalization when
-// enabled: transmission stalled on the shared receive window halves
-// the cwnd of the subflow holding the oldest outstanding data.
-func (c *Conn) maybePenalize() {
-	if !c.cfg.Penalize || c.sndNxtData >= c.sndEndData {
-		return
-	}
-	anyEstablished := false
-	for _, sf := range c.subflows {
-		if !sf.EP.Established() {
-			continue
-		}
-		anyEstablished = true
-		if !sf.EP.WindowLimited() {
-			return // stalled on cwnd, not the receive buffer
-		}
-	}
-	if !anyEstablished {
-		return
-	}
-	// Oldest outstanding data identifies the blocking subflow.
-	var victim *Subflow
-	oldest := uint64(1<<63 - 1)
-	for _, sf := range c.subflows {
-		for _, m := range sf.mappings.Items() {
-			if m.dataSeq >= c.dataAck && m.dataSeq < oldest {
-				oldest = m.dataSeq
-				victim = sf
-			}
-		}
-	}
-	if victim == nil {
-		return
-	}
-	now := c.sim.Now()
-	if now-victim.lastPenalty < victim.EP.SRTTTime() {
-		return
-	}
-	victim.lastPenalty = now
-	victim.EP.PenalizeHalve()
-	c.Penalties++
 }
 
 // segmentLimit keeps a data segment inside a single DSS mapping. A

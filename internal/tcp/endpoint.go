@@ -478,18 +478,6 @@ func (e *Endpoint) ConsecutiveTimeouts() int { return e.consecRTO }
 // SsthreshPackets reports the current slow-start threshold.
 func (e *Endpoint) SsthreshPackets() float64 { return e.ssthresh }
 
-// PenalizeHalve halves cwnd without a loss event — the v0.86 receive-
-// buffer penalization the paper removes for its measurements (§3.1).
-func (e *Endpoint) PenalizeHalve() {
-	e.cwnd = e.cwnd / 2
-	if e.cwnd < 1 {
-		e.cwnd = 1
-	}
-	if e.ssthresh > e.cwnd {
-		e.ssthresh = e.cwnd
-	}
-}
-
 // --- teardown ---
 
 func (e *Endpoint) enterTimeWait() {

@@ -377,13 +377,6 @@ func (e *Endpoint) PushAck() {
 	}
 }
 
-// WindowLimited reports whether transmission is currently blocked by
-// the peer's receive window rather than by cwnd — the trigger for
-// MPTCP's receive-buffer penalization heuristic.
-func (e *Endpoint) WindowLimited() bool {
-	return e.rwnd < e.cwndBytes() && e.pipe() >= e.rwnd
-}
-
 // RwndBinding reports whether the peer's receive window, not cwnd, is
 // what bounds SendSpace right now. MPTCP's scheduler consults it: a
 // window-bound subflow should be packed to the brim (so a stall is
