@@ -4,7 +4,7 @@ SHA := $(shell git rev-parse --short HEAD)
 # Benchmarks archived per commit and gated on allocs/op by benchjson.
 GATED_BENCHES := BenchmarkSimEventLoop|BenchmarkSegEncodeDecode|BenchmarkSingleDownload4MB|BenchmarkTCPSingle4MB|BenchmarkTCPBloat8MB
 
-.PHONY: all build test race vet bench bench-diff ledger ledger-identity fuzz-smoke cover loadsmoke chaos-smoke sched-smoke serve-smoke
+.PHONY: all build test race vet bench bench-diff ledger ledger-identity scorecard fuzz-smoke cover loadsmoke chaos-smoke sched-smoke serve-smoke
 
 all: vet build test
 
@@ -67,6 +67,14 @@ ledger-identity:
 		rm -f ledger_identity.out; exit 1; }
 	@rm -f ledger_identity.out
 	@echo "ledger-identity: all export_sha256 / sim.events pairs match LEDGER_IDENTITY"
+
+# scorecard regenerates SCORECARD.csv: every paper claim of
+# internal/experiment/scorecard.go with its band, its value at seed
+# families 1, 2 and 3, and its verdict. TestScorecard fails when the
+# committed file differs from what this writes, or when a row fails; a
+# change that moves a scored number runs this and commits the diff.
+scorecard:
+	$(GO) run ./cmd/paperbench -experiment all -reps 8 -format scorecard -o SCORECARD.csv
 
 # fuzz-smoke gives each native fuzz target a short budget beyond its
 # checked-in corpus, then sweeps the adversarial scenario fuzzer over

@@ -1,21 +1,15 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation, plus ablations of the design choices DESIGN.md calls
-// out and micro-benchmarks of the core data structures.
+// Ablations of the design choices DESIGN.md §4 calls out, the campaign
+// runner's worker scaling, micro-benchmarks of the core data structures
+// (the gated ones are archived by make bench), and the allocation gates.
 //
-// Each experiment benchmark runs a scaled-down campaign (fewer
-// repetitions than the paper's 20-per-period) and reports the series
-// the corresponding figure plots via b.ReportMetric, so
-//
-//	go test -bench=Fig9 -benchtime=1x
-//
-// prints the regenerated rows. cmd/paperbench renders the same
-// campaigns as full text tables.
+// The paper's figures and tables are regenerated by cmd/paperbench
+// (`paperbench -experiment fig9`) and checked claim by claim by
+// SCORECARD.csv (`make scorecard`, internal/experiment's TestScorecard).
 package mptcplab_test
 
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"testing"
 
 	"mptcplab/internal/experiment"
@@ -28,336 +22,9 @@ import (
 	"mptcplab/internal/stats"
 	"mptcplab/internal/tcp"
 	"mptcplab/internal/units"
-	"mptcplab/internal/web"
-	"mptcplab/internal/world"
 )
 
 const benchReps = 3
-
-// Workers: 0 fans each campaign out to all CPUs; the runner guarantees
-// aggregates are byte-identical to a serial run, so reported metrics
-// are unaffected.
-var benchOpts = experiment.CampaignOpts{Reps: benchReps, Seed: 1, SampleProfiles: true, Workers: 0}
-
-// Campaigns are deterministic; share them across the benchmarks that
-// read different projections of the same matrix (e.g. Fig 2/3 and
-// Table 2 all come from the baseline campaign).
-var (
-	campaignMu    sync.Mutex
-	campaignCache = map[string]*experiment.Matrix{}
-)
-
-func campaign(name string, run func() *experiment.Matrix) *experiment.Matrix {
-	campaignMu.Lock()
-	defer campaignMu.Unlock()
-	if m, ok := campaignCache[name]; ok {
-		return m
-	}
-	m := run()
-	campaignCache[name] = m
-	return m
-}
-
-// reportTimes emits each row's median download time for every size.
-func reportTimes(b *testing.B, m *experiment.Matrix) {
-	b.Helper()
-	for _, row := range m.Rows {
-		for i, size := range m.Sizes {
-			c := row.Cells[i]
-			b.ReportMetric(c.Times.Median(), fmt.Sprintf("s_median/%s/%v", slug(row.Label), size))
-		}
-	}
-}
-
-// reportShare emits each MPTCP row's mean cellular share.
-func reportShare(b *testing.B, m *experiment.Matrix) {
-	b.Helper()
-	for _, row := range m.Rows {
-		for i, size := range m.Sizes {
-			c := row.Cells[i]
-			if c.Share.N() > 0 && c.Config.Transport != experiment.SPWiFi && c.Config.Transport != experiment.SPCell {
-				b.ReportMetric(c.Share.Mean(), fmt.Sprintf("cellshare/%s/%v", slug(row.Label), size))
-			}
-		}
-	}
-}
-
-func slug(s string) string {
-	out := make([]rune, 0, len(s))
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-':
-			out = append(out, r)
-		case r == ' ':
-			out = append(out, '_')
-		}
-	}
-	return string(out)
-}
-
-// --- Figures 2 & 3, Table 2: baseline across carriers ---
-
-func BenchmarkFig2BaselineDownloadTimes(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		m := campaign("baseline", func() *experiment.Matrix { return experiment.Baseline(benchOpts) })
-		reportTimes(b, m)
-	}
-}
-
-func BenchmarkFig3BaselineCellShare(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		m := campaign("baseline", func() *experiment.Matrix { return experiment.Baseline(benchOpts) })
-		reportShare(b, m)
-	}
-}
-
-func BenchmarkTable2BaselinePathCharacteristics(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		m := campaign("baseline", func() *experiment.Matrix { return experiment.Baseline(benchOpts) })
-		for _, label := range []string{"SP-att", "SP-verizon", "SP-sprint", "SP-WiFi"} {
-			row := m.Row(label)
-			if row == nil {
-				continue
-			}
-			for j, size := range m.Sizes {
-				c := row.Cells[j]
-				loss, rtt := c.CellLoss, c.CellRTT
-				if label == "SP-WiFi" {
-					loss, rtt = c.WiFiLoss, c.WiFiRTT
-				}
-				b.ReportMetric(loss.Mean(), fmt.Sprintf("losspct/%s/%v", slug(label), size))
-				b.ReportMetric(rtt.Mean(), fmt.Sprintf("rtt_ms/%s/%v", slug(label), size))
-			}
-		}
-	}
-}
-
-// --- Figures 4 & 5, Table 3: small flows ---
-
-func BenchmarkFig4SmallFlowDownloadTimes(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		m := campaign("small", func() *experiment.Matrix { return experiment.SmallFlows(benchOpts) })
-		reportTimes(b, m)
-	}
-}
-
-func BenchmarkFig5SmallFlowCellShare(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		m := campaign("small", func() *experiment.Matrix { return experiment.SmallFlows(benchOpts) })
-		reportShare(b, m)
-	}
-}
-
-func BenchmarkTable3SmallFlowPathCharacteristics(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		m := campaign("small", func() *experiment.Matrix { return experiment.SmallFlows(benchOpts) })
-		for j, size := range m.Sizes {
-			wifi := m.Row("SP-WiFi").Cells[j]
-			att := m.Row("SP-ATT").Cells[j]
-			b.ReportMetric(wifi.WiFiLoss.Mean(), fmt.Sprintf("losspct/wifi/%v", size))
-			b.ReportMetric(wifi.WiFiRTT.Mean(), fmt.Sprintf("rtt_ms/wifi/%v", size))
-			b.ReportMetric(att.CellLoss.Mean(), fmt.Sprintf("losspct/att/%v", size))
-			b.ReportMetric(att.CellRTT.Mean(), fmt.Sprintf("rtt_ms/att/%v", size))
-		}
-	}
-}
-
-// --- Figures 6 & 7, Table 4: coffee-shop hotspot ---
-
-func BenchmarkFig6CoffeeShopDownloadTimes(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		m := campaign("coffee", func() *experiment.Matrix { return experiment.CoffeeShop(benchOpts) })
-		reportTimes(b, m)
-	}
-}
-
-func BenchmarkFig7CoffeeShopCellShare(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		m := campaign("coffee", func() *experiment.Matrix { return experiment.CoffeeShop(benchOpts) })
-		reportShare(b, m)
-	}
-}
-
-func BenchmarkTable4CoffeeShopPathCharacteristics(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		m := campaign("coffee", func() *experiment.Matrix { return experiment.CoffeeShop(benchOpts) })
-		for j, size := range m.Sizes {
-			wifi := m.Row("SP-WiFi").Cells[j]
-			b.ReportMetric(wifi.WiFiLoss.Mean(), fmt.Sprintf("losspct/publicwifi/%v", size))
-			b.ReportMetric(wifi.WiFiRTT.Mean(), fmt.Sprintf("rtt_ms/publicwifi/%v", size))
-		}
-	}
-}
-
-// --- Figure 8: simultaneous vs delayed SYN ---
-
-func BenchmarkFig8SimultaneousSYN(b *testing.B) {
-	opts := benchOpts
-	opts.Reps = 8 // the effect is ~10%; needs more samples
-	for i := 0; i < b.N; i++ {
-		m := campaign("simsyn", func() *experiment.Matrix { return experiment.SimultaneousSYN(opts) })
-		reportTimes(b, m)
-		// Report the headline: relative improvement at each size.
-		for j, size := range m.Sizes {
-			d := m.Rows[0].Cells[j].Times.Median()
-			s := m.Rows[1].Cells[j].Times.Median()
-			if d > 0 {
-				b.ReportMetric((d-s)/d*100, fmt.Sprintf("improvement_pct/%v", size))
-			}
-		}
-	}
-}
-
-// --- Figures 9 & 10, Table 5: large flows ---
-
-func BenchmarkFig9LargeFlowDownloadTimes(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		m := campaign("large", func() *experiment.Matrix { return experiment.LargeFlows(benchOpts) })
-		reportTimes(b, m)
-	}
-}
-
-func BenchmarkFig10LargeFlowCellShare(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		m := campaign("large", func() *experiment.Matrix { return experiment.LargeFlows(benchOpts) })
-		reportShare(b, m)
-	}
-}
-
-func BenchmarkTable5LargeFlowPathCharacteristics(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		m := campaign("large", func() *experiment.Matrix { return experiment.LargeFlows(benchOpts) })
-		for j, size := range m.Sizes {
-			wifi := m.Row("SP-WiFi").Cells[j]
-			att := m.Row("SP-ATT").Cells[j]
-			b.ReportMetric(wifi.WiFiLoss.Mean(), fmt.Sprintf("losspct/wifi/%v", size))
-			b.ReportMetric(att.CellRTT.Mean(), fmt.Sprintf("rtt_ms/att/%v", size))
-		}
-	}
-}
-
-// --- Figure 11: infinite backlog ---
-
-func BenchmarkFig11InfiniteBacklog(b *testing.B) {
-	opts := benchOpts
-	opts.Reps = 2
-	// 128 MB approximates the paper's 512 MB "infinite backlog" at a
-	// quarter of the simulation cost; slow-start effects are equally
-	// negligible at this scale.
-	size := units.ByteCount(128 * units.MB)
-	for i := 0; i < b.N; i++ {
-		m := campaign("backlog", func() *experiment.Matrix { return experiment.Backlog(size, opts) })
-		reportTimes(b, m)
-	}
-}
-
-// --- Figures 12 & 13, Table 6: latency distributions ---
-
-func BenchmarkFig12RTTCCDF(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		m := campaign("latency", func() *experiment.Matrix { return experiment.LatencyDistribution(benchOpts) })
-		for _, row := range m.Rows {
-			for j, size := range m.Sizes {
-				c := row.Cells[j]
-				for _, p := range []float64{0.5, 0.9, 0.99} {
-					b.ReportMetric(c.CellRTT.Quantile(p), fmt.Sprintf("rtt_ms_p%.0f/%s/%v", p*100, slug(row.Label), size))
-				}
-			}
-		}
-	}
-}
-
-func BenchmarkFig13OFOCCDF(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		m := campaign("latency", func() *experiment.Matrix { return experiment.LatencyDistribution(benchOpts) })
-		for _, row := range m.Rows {
-			for j, size := range m.Sizes {
-				c := row.Cells[j]
-				b.ReportMetric(1-c.OFO.FractionAbove(0), fmt.Sprintf("inorder_frac/%s/%v", slug(row.Label), size))
-				b.ReportMetric(c.OFO.FractionAbove(150), fmt.Sprintf("ofo_gt150ms_frac/%s/%v", slug(row.Label), size))
-			}
-		}
-	}
-}
-
-func BenchmarkTable6MPTCPLatencyStats(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		m := campaign("latency", func() *experiment.Matrix { return experiment.LatencyDistribution(benchOpts) })
-		for _, row := range m.Rows {
-			for j, size := range m.Sizes {
-				c := row.Cells[j]
-				b.ReportMetric(c.CellRTT.Mean(), fmt.Sprintf("rtt_ms/%s/%v", slug(row.Label), size))
-				b.ReportMetric(c.OFO.Mean(), fmt.Sprintf("ofo_ms/%s/%v", slug(row.Label), size))
-			}
-		}
-	}
-}
-
-// --- Table 7: video streaming workloads ---
-
-func BenchmarkTable7VideoStreaming(b *testing.B) {
-	type profile struct {
-		name     string
-		prefetch units.ByteCount
-		block    units.ByteCount
-		period   sim.Time
-		blocks   int
-	}
-	profiles := []profile{
-		{"netflix-android", 40 * units.MB, 5 * units.MB, 72 * sim.Second, 4},
-		{"netflix-ipad", 15 * units.MB, 1843 * units.KB, 10 * sim.Second, 8},
-	}
-	for i := 0; i < b.N; i++ {
-		for _, p := range profiles {
-			tb := experiment.NewTestbed(experiment.TestbedConfig{
-				WiFi: pathmodel.ComcastHome(), Cell: pathmodel.ATT(),
-				SampleProfiles: true, WarmRadio: true, Seed: int64(i) + 9,
-			})
-			cfg := mptcp.DefaultConfig()
-			fs := &web.FileServer{CloseAfter: -1, SizeFor: func(r int) int {
-				if r == 0 {
-					return int(p.prefetch)
-				}
-				return int(p.block)
-			}}
-			tb.Serve(cfg, tb.RNG.Child("srv"), func(world.Peer) *web.FileServer { return fs })
-			client := tb.Dial(tb.Clients[0], world.MPTCP, mptcp.DialOpts{
-				LocalAddrs: []seg.Addr{tb.WiFiAddr, tb.CellAddr},
-				Config:     cfg,
-			}, tb.RNG.Child("cli"))
-			g := web.NewGetter(client.Stream())
-
-			blockTimes := stats.New()
-			var prefetchSec float64
-			start := tb.Sim.Now()
-			var fetch func(k int)
-			fetch = func(k int) {
-				issued := tb.Sim.Now()
-				g.Get(int(p.block), func() {
-					blockTimes.Add((tb.Sim.Now() - issued).Seconds())
-					if k+1 < p.blocks {
-						wait := p.period - (tb.Sim.Now() - issued)
-						if wait < 0 {
-							wait = 0
-						}
-						tb.Sim.After(wait, "block", func() { fetch(k + 1) })
-					} else {
-						tb.Sim.Stop()
-					}
-				})
-			}
-			g.Get(int(p.prefetch), func() {
-				prefetchSec = (tb.Sim.Now() - start).Seconds()
-				fetch(0)
-			})
-			tb.Sim.RunUntil(30 * sim.Minute)
-
-			b.ReportMetric(prefetchSec, "prefetch_s/"+p.name)
-			b.ReportMetric(blockTimes.Mean(), "block_s/"+p.name)
-			b.ReportMetric(blockTimes.FractionAbove(p.period.Seconds()), "stall_frac/"+p.name)
-		}
-	}
-}
 
 // --- Ablations of DESIGN.md's design choices ---
 
@@ -630,29 +297,11 @@ func BenchmarkTCPBloat8MB(b *testing.B) {
 	}
 }
 
-// --- Extension: mobility/outage sweep (beyond the paper's §6 text) ---
-
-func BenchmarkMobilityOutageSweep(b *testing.B) {
-	opts := benchOpts
-	for i := 0; i < b.N; i++ {
-		m := campaign("mobility", func() *experiment.Matrix { return experiment.Mobility(opts) })
-		for _, row := range m.Rows {
-			for j, d := range m.Sizes {
-				c := row.Cells[j]
-				b.ReportMetric(c.Times.Median(), fmt.Sprintf("s_median/%s/outage_%ds", slug(row.Label), int64(d)))
-				if c.Failures > 0 {
-					b.ReportMetric(float64(c.Failures), fmt.Sprintf("failures/%s/outage_%ds", slug(row.Label), int64(d)))
-				}
-			}
-		}
-	}
-}
-
 // --- Allocation gates for the pooled hot path ---
 //
 // These are Tests, not Benchmarks, so every CI test run enforces them:
 // a change that reintroduces per-event or per-packet allocation fails
-// here rather than silently regressing the numbers in EXPERIMENTS.md.
+// here rather than silently regressing the numbers DESIGN.md records.
 
 // TestSimEventLoopAllocFree pins the schedule+dispatch cycle at zero
 // allocations: events come from the simulator's free list and handles
@@ -757,7 +406,7 @@ func TestReorderBufferAllocFree(t *testing.T) {
 // the pooling rounds), so `go test ./...` alone fails where `make
 // bench` would: a change that reintroduces per-packet or per-event
 // allocation anywhere in the stack fails this test long before it
-// shows up in EXPERIMENTS.md.
+// shows up in a campaign's speedline.
 func TestDownloadAllocBudget(t *testing.T) {
 	budgets := []struct {
 		transport experiment.Transport

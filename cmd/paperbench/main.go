@@ -2,7 +2,9 @@
 //
 // Text mode prints paper-style tables; csv/json modes emit
 // machine-readable per-cell records (plus CCDF series for the
-// latency-distribution figures) for external plotting.
+// latency-distribution figures) for external plotting. Scorecard mode
+// runs the selected campaigns at three seed families and writes one
+// verdict per paper claim (SCORECARD.csv, experiment.Claims).
 package main
 
 import (
@@ -21,7 +23,6 @@ import (
 
 	"mptcplab/internal/cli"
 	"mptcplab/internal/experiment"
-	"mptcplab/internal/units"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -46,8 +47,7 @@ func experimentHelp() string {
 type spec struct {
 	campaigns []experiment.Campaign
 	opts      experiment.CampaignOpts
-	quick     bool
-	format    string // text | csv | json
+	format    string // text | csv | json | scorecard
 	out       string
 	progress  bool
 
@@ -64,10 +64,9 @@ func parse(args []string, stdout io.Writer) (spec, error) {
 	fs.IntVar(&s.opts.Reps, "reps", 5, "repetitions per configuration cell")
 	fs.Int64Var(&s.opts.Seed, "seed", 1, "campaign seed")
 	fs.IntVar(&s.opts.Workers, "workers", 0, "parallel campaign workers (0 = all CPUs, 1 = serial); results are identical for any value")
-	fs.BoolVar(&s.quick, "quick", false, "scale the infinite-backlog size down for fast runs")
-	fs.Func("format", "output format: text | csv | json (default text)", func(v string) error {
-		if s.format = v; v != "text" && v != "csv" && v != "json" {
-			return errors.New("want text, csv or json")
+	fs.Func("format", "output format: text | csv | json | scorecard (default text); scorecard scores the paper's claims at seeds seed, seed+1 and seed+2", func(v string) error {
+		if s.format = v; v != "text" && v != "csv" && v != "json" && v != "scorecard" {
+			return errors.New("want text, csv, json or scorecard")
 		}
 		return nil
 	})
@@ -147,6 +146,14 @@ func bench(s spec, stdout, stderr io.Writer) error {
 		w = f
 	}
 
+	if s.format == "scorecard" {
+		scores, err := experiment.Scorecard(s.campaigns, s.opts)
+		if err != nil {
+			return err
+		}
+		return experiment.WriteScorecard(w, scores)
+	}
+
 	// speedline summarizes a campaign's host-side performance:
 	// aggregate busy time over wall time approximates the speedup the
 	// worker pool delivered, events/sec is the simulator's throughput,
@@ -166,8 +173,10 @@ func bench(s spec, stdout, stderr io.Writer) error {
 			speedup = m.BusyTime.Seconds() / m.WallTime.Seconds()
 		}
 		runs := 0
-		for _, e := range m.Export() {
-			runs += e.N + e.Failures
+		for _, row := range m.Rows {
+			for _, c := range row.Cells {
+				runs += c.Times.N() + c.Failures
+			}
 		}
 		var evRate, allocsPerRun, mbPerRun float64
 		if m.WallTime > 0 {
@@ -186,12 +195,7 @@ func bench(s spec, stdout, stderr io.Writer) error {
 	for _, c := range s.campaigns {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		var m *experiment.Matrix
-		if s.quick && c.Name == "fig11" {
-			m = experiment.Backlog(64*units.MB, s.opts)
-		} else {
-			m = c.Make(s.opts)
-		}
+		m := c.Make(s.opts)
 		runtime.ReadMemStats(&after)
 		matrices = append(matrices, m)
 		if s.format == "text" {

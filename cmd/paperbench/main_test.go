@@ -61,6 +61,7 @@ func TestRejectsBadFlags(t *testing.T) {
 		"-reps few":                     `"few"`,
 		"-nope":                         "-nope",
 		"-experiment fig8 fig9":         `"fig9"`,
+		"-experiment all -quick":        "-quick",
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(strings.Fields(args), &stdout, &stderr)
@@ -80,7 +81,9 @@ func TestAcceptsRepoCommandLines(t *testing.T) {
 	for _, args := range []string{
 		"",
 		"-experiment fig2,fig9 -reps 10",
-		"-experiment all -reps 6 -quick",
+		"-experiment all -reps 6",
+		"-experiment all -reps 8 -format scorecard -o SCORECARD.csv",
+		"-experiment fig8 -reps 2 -format scorecard",
 		"-experiment fig12 -format json -o latency.json",
 		"-experiment fig4 -reps 20 -workers 8 -progress",
 		"-experiment mobility",
@@ -90,6 +93,8 @@ func TestAcceptsRepoCommandLines(t *testing.T) {
 		"-experiment shootout -reps 3 -seed 1",
 		"-experiment fig8 -reps 2",
 		"-experiment fig4 -reps 4 -format json -o /tmp/a.json",
+		"-experiment fig2", "-experiment fig4", "-experiment fig6", "-experiment fig8",
+		"-experiment fig9", "-experiment fig11", "-experiment fig12", "-experiment fig12 -format json",
 	} {
 		if _, err := parse(strings.Fields(args), io.Discard); err != nil {
 			t.Errorf("%s: %v", args, err)
@@ -113,7 +118,6 @@ func TestJSONReportMatchesDaemonEnvelope(t *testing.T) {
 		t.Fatalf("exit code %d: %s", code, stderr.String())
 	}
 	m := experiment.SimultaneousSYN(experiment.CampaignOpts{Reps: 1, Seed: 42, SampleProfiles: true})
-	m.Export() // paperbench's speedline exports once before the report does
 	var want bytes.Buffer
 	enc := json.NewEncoder(&want)
 	enc.SetIndent("", "  ")
@@ -127,5 +131,19 @@ func TestJSONReportMatchesDaemonEnvelope(t *testing.T) {
 	}
 	if line := stderr.String(); !strings.Contains(line, "fig8: wall") || !strings.Contains(line, " allocs/run, ") || !strings.Contains(line, " MB/run\n") {
 		t.Errorf("speedline missing from stderr in json mode: %q", line)
+	}
+}
+
+// TestScorecardFormat: -format scorecard writes only the rows of the
+// claims whose campaigns -experiment selects, and nothing else.
+func TestScorecardFormat(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run(strings.Fields("-experiment fig8 -reps 2 -format scorecard"), &stdout, &stderr); code != 0 {
+		t.Fatalf("exit code %d: %s", code, stderr.String())
+	}
+	lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
+	if len(lines) != 5 || !strings.HasPrefix(lines[0], "id,source,claim,paper,lo,hi,f1,f2,f3,verdict,owner") ||
+		!strings.HasPrefix(lines[1], "fig8-simsyn-8kb,") || !strings.HasPrefix(lines[4], "fig8-simsyn-512kb-no-harm,") {
+		t.Errorf("-experiment fig8 -format scorecard wrote:\n%s", stdout.Bytes())
 	}
 }

@@ -12,10 +12,12 @@
 // paper's evaluation.
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
-// per-experiment index, and EXPERIMENTS.md for paper-vs-measured
-// results. The benchmarks in bench_test.go regenerate each experiment:
+// per-experiment index, and EXPERIMENTS.md for the experiments.
+// SCORECARD.csv gives each paper claim's band and verdict; paperbench
+// regenerates an experiment, and the scorecard:
 //
-//	go test -bench=Fig2 -benchtime=1x .
+//	go run ./cmd/paperbench -experiment fig2
+//	make scorecard
 //
 // Executables:
 //

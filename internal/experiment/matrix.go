@@ -127,16 +127,6 @@ func (m *Matrix) Cell(rowLabel string, size units.ByteCount) *Cell {
 	return nil
 }
 
-// Row looks up a row by label; nil if absent.
-func (m *Matrix) Row(label string) *MatrixRow {
-	for i := range m.Rows {
-		if m.Rows[i].Label == label {
-			return &m.Rows[i]
-		}
-	}
-	return nil
-}
-
 // CampaignOpts tunes a measurement campaign.
 type CampaignOpts struct {
 	// Reps is the number of repetitions per cell (the paper performs

@@ -60,8 +60,8 @@ func TestTestbedResetDeterminism(t *testing.T) {
 
 // The reuse benchmarks measure what Testbed.Reset buys a sweep worker:
 // the same small run with a fresh world per iteration versus one
-// reused testbed. Run with -benchtime=1000x for the 1k-run campaign
-// comparison quoted in EXPERIMENTS.md.
+// reused testbed. DESIGN.md §13 quotes what reuse bought the 1,024-run
+// fig4 campaign.
 func reuseBenchRun(tb *Testbed, b *testing.B) {
 	res := tb.Run(RunConfig{Transport: MP2, Size: 64 * units.KB})
 	if !res.Completed {

@@ -101,8 +101,7 @@ func TestFleetBytesPerFlow(t *testing.T) {
 }
 
 // The reuse benchmarks measure what arena reuse buys a sweep worker.
-// Run with -benchtime=1000x for the 1k-run sweep comparison quoted in
-// EXPERIMENTS.md.
+// DESIGN.md §22 quotes them at -benchtime 300x.
 func arenaBenchCfg(i int) Config {
 	return Config{
 		Clients:    10,
