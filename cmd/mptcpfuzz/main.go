@@ -1,11 +1,14 @@
 // Command mptcpfuzz is the deterministic adversarial scenario fuzzer:
 // it generates seeded scenarios — randomized path characteristics plus
-// a script of mid-flow outages, burst loss, duplication/reordering
-// windows, address churn, and handover storms — and runs each with the
-// protocol invariant checker armed. On a violation it shrinks the
-// fault script to a minimal reproducer and prints a one-line replay
-// token; `mptcpfuzz -replay seed:mask[:sched]` re-runs exactly that
-// case, under exactly that scheduler plugin.
+// a script of chaos events (mid-flow outages, loss bursts,
+// duplication/reordering windows, address churn as one-cycle storms,
+// and handover storms as flaps) armed exactly as a campaign's schedule
+// is — and runs each with the protocol invariant checker and the
+// livelock watchdog armed. On a violation it shrinks the fault script
+// to a minimal reproducer and prints a one-line replay token;
+// `mptcpfuzz -replay seed:mask[:sched]` re-runs exactly that case,
+// under exactly that scheduler plugin. -v prints each active fault as
+// its chaos spec clause.
 package main
 
 import (
@@ -14,6 +17,7 @@ import (
 	"io"
 	"os"
 
+	"mptcplab/internal/chaos"
 	"mptcplab/internal/check"
 	"mptcplab/internal/cli"
 )
@@ -104,7 +108,7 @@ func describe(w io.Writer, rep check.Report, detail bool) {
 		sc.Seed, sc.Mask, sc.Size>>10, pathCount(sc), len(sc.ActiveFaults()), status, done, rep.Delivered)
 	if detail {
 		for _, f := range sc.ActiveFaults() {
-			fmt.Fprintf(w, "    fault %v\n", f)
+			fmt.Fprintf(w, "    fault %s\n", chaos.Schedule{Events: []chaos.Event{f}}.Spec())
 		}
 		for _, viol := range rep.Violations {
 			fmt.Fprintf(w, "    %v\n", viol)

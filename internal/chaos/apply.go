@@ -1,6 +1,8 @@
 package chaos
 
 import (
+	"slices"
+
 	"mptcplab/internal/netem"
 	"mptcplab/internal/pathmodel"
 	"mptcplab/internal/sim"
@@ -24,48 +26,35 @@ type Target struct {
 	Restore  func(Path)
 }
 
-func (t Target) links(p Path) []*netem.Link {
-	switch p {
-	case WiFi:
-		return t.WiFi
-	case Cell:
-		return t.Cell
-	default:
-		return append(append([]*netem.Link{}, t.WiFi...), t.Cell...)
-	}
-}
-
 // Apply schedules every event of the schedule onto the simulator. All
 // timers are laid down up front — application is data-independent, so
-// the same spec always perturbs the run identically.
+// the same spec always perturbs the run identically. Link-level windows
+// compose: each link's nominal parameters are read here, once, and
+// every fault instant recomputes the link from them and every window
+// active on it (see links.recompute), so overlapping windows never undo
+// each other.
 func (sc Schedule) Apply(s *sim.Simulator, tgt Target) {
+	ls := nominal(tgt)
 	for _, e := range sc.Events {
 		switch e.Kind {
 		case Outage:
-			applyOutage(s, tgt, e.Path, e.At, e.Dur, "outage")
+			ls.window(s, e.Path, e.At, e.Dur, "outage", effect{down: true})
 		case Flap:
 			for i := 0; i < e.Count; i++ {
-				applyOutage(s, tgt, e.Path, e.At+sim.Time(i)*e.Every, e.Dur, "flap")
+				ls.window(s, e.Path, e.At+sim.Time(i)*e.Every, e.Dur, "flap", effect{down: true})
 			}
+		case Loss:
+			ls.window(s, e.Path, e.At, e.Dur, "loss", effect{scale: 1, loss: e.Loss})
+		case Reorder:
+			ls.window(s, e.Path, e.At, e.Dur, "reorder", effect{scale: 1, chaos: &netem.Chaos{
+				ReorderProb: e.Depth, DupProb: e.Depth / 2, ExtraDelay: e.ExtraDelay,
+			}})
+		case Ramp, Fade:
+			ls.shaped(s, e)
 		case Storm:
 			applyStorm(s, tgt, e)
-		case Ramp, Fade:
-			applyShaped(s, tgt, e)
 		}
 	}
-}
-
-func applyOutage(s *sim.Simulator, tgt Target, p Path, at, dur sim.Time, name string) {
-	s.At(at, "chaos-"+name+"-down", func() {
-		for _, l := range tgt.links(p) {
-			l.SetDown(true)
-		}
-	})
-	s.At(at+dur, "chaos-"+name+"-up", func() {
-		for _, l := range tgt.links(p) {
-			l.SetUp()
-		}
-	})
 }
 
 // applyStorm alternates Withdraw and Restore across the window: the
@@ -87,75 +76,135 @@ func applyStorm(s *sim.Simulator, tgt Target, e Event) {
 	}
 }
 
-// shapeState snapshots a link's nominal parameters the moment shaping
-// begins, so every step scales from nominal (not from the previous
-// step) and the end of the window restores exactly.
-type shapeState struct {
-	link      *netem.Link
-	rate      float64
-	propDelay sim.Time
-	loss      netem.LossModel
+// effect is one active window's current contribution to the links of
+// its path: down for outage and flap, otherwise a rate scale, extra
+// loss, extra delay and (reorder) a netem.Chaos.
+type effect struct {
+	path  Path
+	down  bool
+	scale float64
+	loss  float64
+	delay sim.Time
+	chaos *netem.Chaos
 }
 
-func snapshot(links []*netem.Link) []shapeState {
-	ss := make([]shapeState, len(links))
-	for i, l := range links {
-		ss[i] = shapeState{link: l, rate: float64(l.Rate), propDelay: l.PropDelay, loss: l.Loss}
+// link is one target link with the parameters Apply found on it.
+type link struct {
+	l     *netem.Link
+	cell  bool
+	rate  float64
+	delay sim.Time
+	loss  netem.LossModel
+	chaos *netem.Chaos
+}
+
+// links is a schedule's view of its target: every link with its
+// nominal parameters, and the windows active right now in start order.
+type links struct {
+	all    []link
+	active []*effect
+}
+
+func nominal(tgt Target) *links {
+	ls := &links{}
+	for i, set := range [2][]*netem.Link{tgt.WiFi, tgt.Cell} {
+		for _, l := range set {
+			ls.all = append(ls.all, link{
+				l: l, cell: i == 1,
+				rate: float64(l.Rate), delay: l.PropDelay, loss: l.Loss, chaos: l.Chaos,
+			})
+		}
 	}
-	return ss
+	return ls
 }
 
-func (st shapeState) apply(rateScale, loss float64, extraDelay sim.Time) {
-	if rateScale < 0.01 {
-		rateScale = 0.01 // a shaped link never fully blackholes; that's Outage's job
-	}
-	st.link.Rate = units.BitRate(st.rate * rateScale)
-	st.link.PropDelay = st.propDelay + extraDelay
-	if loss > 0 {
-		st.link.Loss = overlayLoss{base: st.loss, p: loss}
-	} else {
-		st.link.Loss = st.loss
-	}
+// Covers reports whether a fault on p reaches the WiFi (cell false) or
+// the cellular access network.
+func (p Path) Covers(cell bool) bool { return p == Both || (p == Cell) == cell }
+
+// window makes e active on path p across [at, at+dur].
+func (ls *links) window(s *sim.Simulator, p Path, at, dur sim.Time, name string, e effect) {
+	e.path = p
+	s.At(at, "chaos-"+name, func() { ls.set(&e, true) })
+	s.At(at+dur, "chaos-"+name, func() { ls.set(&e, false) })
 }
 
-func (st shapeState) restore() {
-	st.link.Rate = units.BitRate(st.rate)
-	st.link.PropDelay = st.propDelay
-	st.link.Loss = st.loss
-}
-
-// applyShaped drives Ramp (linear degradation, abrupt recovery) and
-// Fade (raised-cosine dip and symmetric recovery) as Steps discrete
-// parameter updates across the window.
-func applyShaped(s *sim.Simulator, tgt Target, e Event) {
-	var ss []shapeState
+// shaped drives Ramp (linear degradation, abrupt recovery) and Fade
+// (raised-cosine dip and symmetric recovery) as Steps discrete updates
+// of one window's effect across [At, At+Dur].
+func (ls *links) shaped(s *sim.Simulator, e Event) {
+	eff := &effect{path: e.Path}
 	step := e.Dur / sim.Time(e.Steps)
 	for i := 0; i <= e.Steps; i++ {
 		s.At(e.At+sim.Time(i)*step, "chaos-"+e.Kind.String(), func() {
-			if ss == nil {
-				ss = snapshot(tgt.links(e.Path))
-			}
 			if i == e.Steps {
-				for _, st := range ss {
-					st.restore()
-				}
+				ls.set(eff, false)
 				return
 			}
 			frac := float64(i) / float64(e.Steps)
-			var scale, loss float64
-			var delay sim.Time
 			if e.Kind == Fade {
-				scale, loss = pathmodel.SignalFade(frac, e.Depth)
+				eff.scale, eff.loss = pathmodel.SignalFade(frac, e.Depth)
 			} else {
-				scale = 1 - e.Depth*frac
-				loss = e.Loss * frac
-				delay = sim.Time(float64(e.ExtraDelay) * frac)
+				eff.scale = 1 - e.Depth*frac
+				eff.loss = e.Loss * frac
+				eff.delay = sim.Time(float64(e.ExtraDelay) * frac)
 			}
-			for _, st := range ss {
-				st.apply(scale, loss, delay)
-			}
+			ls.set(eff, true)
 		})
 	}
+}
+
+// set activates (or updates in place) or deactivates one window, then
+// recomputes every link its path covers.
+func (ls *links) set(e *effect, on bool) {
+	switch i := slices.Index(ls.active, e); {
+	case on && i < 0:
+		ls.active = append(ls.active, e)
+	case !on && i >= 0:
+		ls.active = slices.Delete(ls.active, i, i+1)
+	}
+	for _, k := range ls.all {
+		if e.path.Covers(k.cell) {
+			ls.recompute(k)
+		}
+	}
+}
+
+// recompute sets a link from its nominal parameters and the windows
+// active on it: down while any outage or flap covers it; rate nominal
+// times the product of the active scales, floored at 1 %; delay nominal
+// plus the sum of the extras; loss the nominal model overlaid with
+// 1 − Π(1 − pᵢ), drawn once per packet; and the latest-started active
+// reorder window's netem.Chaos. With one window active this makes the
+// assignments a lone window always made.
+func (ls *links) recompute(k link) {
+	down, scale, loss, delay, chaos := false, 1.0, 0.0, sim.Time(0), k.chaos
+	for _, e := range ls.active {
+		if !e.path.Covers(k.cell) {
+			continue
+		}
+		if e.down {
+			down = true
+			continue
+		}
+		scale *= e.scale
+		loss += e.loss - loss*e.loss
+		delay += e.delay
+		if e.chaos != nil {
+			chaos = e.chaos
+		}
+	}
+	if scale < 0.01 {
+		scale = 0.01 // a shaped link never fully blackholes; that's Outage's job
+	}
+	k.l.SetDown(down)
+	k.l.Rate = units.BitRate(k.rate * scale)
+	k.l.PropDelay = k.delay + delay
+	k.l.Loss = k.loss
+	if loss > 0 {
+		k.l.Loss = overlayLoss{base: k.loss, p: loss}
+	}
+	k.l.Chaos = chaos
 }
 
 // overlayLoss adds independent random loss on top of whatever loss

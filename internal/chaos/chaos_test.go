@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mptcplab/internal/netem"
+	"mptcplab/internal/pathmodel"
 	"mptcplab/internal/sim"
 	"mptcplab/internal/units"
 )
@@ -368,4 +369,95 @@ func TestArmWatchdogPassesHealthyRun(t *testing.T) {
 	if s.AbortErr() != nil {
 		t.Fatalf("healthy run aborted: %v", s.AbortErr())
 	}
+}
+
+// TestOverlappingWindowsCompose: two windows on one path compose
+// instead of the later one's edges undoing the earlier one. Each link
+// is recomputed from its nominal parameters and every window active on
+// it, so the link ends each overlap exactly where the survivor wants it
+// and ends the schedule at nominal.
+func TestOverlappingWindowsCompose(t *testing.T) {
+	run := func(t *testing.T, spec string) (*sim.Simulator, *netem.Link) {
+		t.Helper()
+		s := sim.New()
+		wifi := testLink(s, sim.NewRNG(1), "wifi")
+		wifi.Loss = netem.BernoulliLoss{P: 0.01}
+		sc, err := Parse(spec)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", spec, err)
+		}
+		sc.Apply(s, Target{WiFi: []*netem.Link{wifi}})
+		return s, wifi
+	}
+	nominalLoss := netem.BernoulliLoss{P: 0.01}
+	overlay := func(t *testing.T, l *netem.Link, want float64) {
+		t.Helper()
+		o, ok := l.Loss.(overlayLoss)
+		if !ok || o.base != nominalLoss || math.Abs(o.p-want) > 1e-12 {
+			t.Fatalf("loss = %#v, want overlay p=%v on the nominal model", l.Loss, want)
+		}
+	}
+
+	t.Run("outage+outage", func(t *testing.T) {
+		s, wifi := run(t, "outage:path=wifi;at=1s;dur=2s+outage:path=wifi;at=2s;dur=2s")
+		s.RunUntil(3500 * sim.Millisecond)
+		if !wifi.IsDown() {
+			t.Fatal("link up at 3.5s while the second outage still covers it")
+		}
+		s.RunUntil(4 * sim.Second)
+		if wifi.IsDown() {
+			t.Fatal("link still down at 4s after both outages ended")
+		}
+	})
+
+	t.Run("ramp+fade", func(t *testing.T) {
+		s, wifi := run(t, "ramp:path=wifi;at=1s;dur=2s;depth=0.5;loss=0.05;delay=20ms;steps=4"+
+			"+fade:path=wifi;at=2s;dur=3s;depth=0.5;steps=6")
+		s.RunUntil(2600 * sim.Millisecond) // ramp step 3 and fade step 1 both active
+		rampScale := 1 - 0.5*0.75
+		fadeScale, _ := pathmodel.SignalFade(1.0/6, 0.5)
+		if want := units.BitRate(float64(10*units.Mbps) * (rampScale * fadeScale)); wifi.Rate != want {
+			t.Errorf("rate %v in the overlap, want nominal x both scales = %v", wifi.Rate, want)
+		}
+		if want := 10*sim.Millisecond + 15*sim.Millisecond; wifi.PropDelay != want {
+			t.Errorf("delay %v in the overlap, want %v", wifi.PropDelay, want)
+		}
+		s.RunUntil(6 * sim.Second)
+		if wifi.Rate != 10*units.Mbps || wifi.PropDelay != 10*sim.Millisecond || wifi.Loss != nominalLoss {
+			t.Fatalf("after both windows: rate=%v delay=%v loss=%#v, want nominal", wifi.Rate, wifi.PropDelay, wifi.Loss)
+		}
+	})
+
+	t.Run("loss+loss", func(t *testing.T) {
+		s, wifi := run(t, "loss:path=wifi;at=1s;dur=2s;loss=0.1+loss:path=wifi;at=2s;dur=2s;loss=0.2")
+		s.RunUntil(1500 * sim.Millisecond)
+		overlay(t, wifi, 0.1)
+		s.RunUntil(2500 * sim.Millisecond)
+		overlay(t, wifi, 1-0.9*0.8) // one draw at the combined probability
+		s.RunUntil(3500 * sim.Millisecond)
+		overlay(t, wifi, 0.2)
+		s.RunUntil(4 * sim.Second)
+		if wifi.Loss != nominalLoss {
+			t.Fatalf("loss %#v after both windows, want the nominal model", wifi.Loss)
+		}
+	})
+
+	t.Run("outage+flap", func(t *testing.T) {
+		s, wifi := run(t, "outage:path=wifi;at=1s;dur=2s+flap:path=wifi;at=2s;dur=200ms;every=1s;n=2")
+		for _, tc := range []struct {
+			at   sim.Time
+			down bool
+		}{
+			{1500 * sim.Millisecond, true},
+			{2100 * sim.Millisecond, true},
+			{2500 * sim.Millisecond, true}, // the flap's first up must not end the outage
+			{3100 * sim.Millisecond, true}, // the outage's end must not end the flap
+			{3500 * sim.Millisecond, false},
+		} {
+			s.RunUntil(tc.at)
+			if wifi.IsDown() != tc.down {
+				t.Fatalf("at %v: down=%v, want %v", tc.at, wifi.IsDown(), tc.down)
+			}
+		}
+	})
 }

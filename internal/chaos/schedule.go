@@ -1,12 +1,13 @@
 // Package chaos turns path disruption into a first-class, schedulable,
 // measured subsystem. A Schedule is a declarative, deterministic
 // timeline of faults — outages, link flaps, handover storms,
-// progressive rate/loss/delay ramps, and radio signal fades — applied
-// to any topology through a small Target adapter. A Monitor samples
-// per-flow progress against the schedule's fault windows and produces
-// a resilience Report: stall spans, time-to-recover after each fault,
-// bytes moved during faults vs steady state, and a did-it-degrade-
-// gracefully verdict.
+// progressive rate/loss/delay ramps, radio signal fades, loss bursts
+// and reordering windows — applied to any topology through a small
+// Target adapter; windows that overlap on a path compose. A Monitor
+// samples per-flow progress against the schedule's fault windows and
+// produces a resilience Report: stall spans, time-to-recover after each
+// fault, bytes moved during faults vs steady state, and a
+// did-it-degrade-gracefully verdict.
 //
 // Everything is driven by simulator virtual time, so a chaos run is a
 // pure function of (seed, schedule spec): exports are byte-identical
@@ -82,6 +83,13 @@ const (
 	// [At, At+Dur] in Steps steps: capacity dips to (1-Depth)× at the
 	// midpoint and recovers symmetrically, with fade-depth loss.
 	Fade
+	// Loss adds constant random loss Loss on top of the path's own
+	// across [At, At+Dur].
+	Loss
+	// Reorder breaks the path's FIFO contract across [At, At+Dur]: a
+	// Depth share of packets is held back up to ExtraDelay, so later
+	// ones overtake it, and a Depth/2 share arrives twice.
+	Reorder
 )
 
 // String names the kind in spec grammar form.
@@ -97,6 +105,10 @@ func (k Kind) String() string {
 		return "ramp"
 	case Fade:
 		return "fade"
+	case Loss:
+		return "loss"
+	case Reorder:
+		return "reorder"
 	default:
 		return "unknown"
 	}
@@ -112,7 +124,7 @@ type Event struct {
 	// Flap and Storm repetition.
 	Every sim.Time
 	Count int
-	// Ramp and Fade shape.
+	// Ramp, Fade, Loss and Reorder shape.
 	Depth      float64
 	Loss       float64
 	ExtraDelay sim.Time
@@ -198,13 +210,27 @@ func Named(name string) (Schedule, error) {
 			Kind: Fade, Path: WiFi, At: 2 * sim.Second, Dur: 6 * sim.Second,
 			Depth: 0.95, Steps: 24,
 		}}}, nil
+	case "loss":
+		// A lossy patch: 5% extra random WiFi loss for 3 s.
+		return Schedule{Name: name, Events: []Event{{
+			Kind: Loss, Path: WiFi, At: 2 * sim.Second, Dur: 3 * sim.Second, Loss: 0.05,
+		}}}, nil
+	case "reorder":
+		// A misbehaving AP: for 3 s a fifth of WiFi packets arrive up to
+		// 150 ms late and a tenth arrive twice.
+		return Schedule{Name: name, Events: []Event{{
+			Kind: Reorder, Path: WiFi, At: 2 * sim.Second, Dur: 3 * sim.Second,
+			Depth: 0.2, ExtraDelay: 150 * sim.Millisecond,
+		}}}, nil
 	default:
-		return Schedule{}, fmt.Errorf("chaos: unknown schedule %q (want outage|flap|storm|ramp|fade)", name)
+		return Schedule{}, fmt.Errorf("chaos: unknown schedule %q (want outage|flap|storm|ramp|fade|loss|reorder)", name)
 	}
 }
 
 // PresetNames lists the built-in schedule names.
-func PresetNames() []string { return []string{"outage", "flap", "storm", "ramp", "fade"} }
+func PresetNames() []string {
+	return []string{"outage", "flap", "storm", "ramp", "fade", "loss", "reorder"}
+}
 
 // Parse builds a schedule from a compact spec:
 //
@@ -322,6 +348,14 @@ func (e *Event) validate() error {
 		if e.Steps < 1 {
 			return fmt.Errorf("chaos: %s needs steps >= 1", e.Kind)
 		}
+	case Loss:
+		if e.Loss <= 0 {
+			return fmt.Errorf("chaos: loss needs loss > 0")
+		}
+	case Reorder:
+		if e.Depth <= 0 {
+			return fmt.Errorf("chaos: reorder needs depth > 0")
+		}
 	}
 	return nil
 }
@@ -350,6 +384,12 @@ func (sc Schedule) Spec() string {
 			kv = append(kv,
 				"depth="+strconv.FormatFloat(e.Depth, 'g', -1, 64),
 				"steps="+strconv.Itoa(e.Steps))
+		case Loss:
+			kv = append(kv, "loss="+strconv.FormatFloat(e.Loss, 'g', -1, 64))
+		case Reorder:
+			kv = append(kv,
+				"depth="+strconv.FormatFloat(e.Depth, 'g', -1, 64),
+				"delay="+FormatTime(e.ExtraDelay))
 		}
 		clauses = append(clauses, e.Kind.String()+":"+strings.Join(kv, ";"))
 	}

@@ -1,6 +1,9 @@
 package check
 
 import (
+	"math"
+
+	"mptcplab/internal/chaos"
 	"mptcplab/internal/sim"
 	"mptcplab/internal/units"
 )
@@ -21,12 +24,6 @@ type ConformanceScenario struct {
 	Name string
 	Base Scenario
 }
-
-// conformancePeriod is the delivery-probe sampling interval. Stall
-// measurements subtract one period as the resolution floor, so a
-// receiver whose in-order edge advances every probe — or misses a
-// single probe — reports 0; only sustained multi-period gaps count.
-const conformancePeriod = 50 * sim.Millisecond
 
 // ConformanceBattery returns the standard scenario battery: steady
 // state, asymmetric RTT, a mid-transfer single-path blackout, and a
@@ -55,10 +52,11 @@ func ConformanceBattery() []ConformanceScenario {
 	blackout := base(103, 8<<20)
 	blackout.WiFi = PathParams{Rate: 6 * units.Mbps, Delay: 10 * sim.Millisecond, Queue: 128 * units.KB}
 	blackout.Cell = PathParams{Rate: 30 * units.Mbps, Delay: 30 * sim.Millisecond, Queue: 512 * units.KB}
-	blackout.Faults = []Fault{{Kind: FaultWiFiOutage, At: 1 * sim.Second, Dur: 3 * sim.Second}}
+	blackout.Faults = []chaos.Event{{Kind: chaos.Outage, Path: chaos.WiFi, At: 1 * sim.Second, Dur: 3 * sim.Second}}
 	blackout.Mask = 1
 	storm := base(104, 1<<20)
-	storm.Faults = []Fault{{Kind: FaultHandoverStorm, At: 500 * sim.Millisecond, Dur: 1 * sim.Second}}
+	storm.Faults = []chaos.Event{{Kind: chaos.Flap, Path: chaos.WiFi, At: 500 * sim.Millisecond,
+		Dur: 100 * sim.Millisecond, Every: 200 * sim.Millisecond, Count: 5}}
 	storm.Mask = 1
 	// The fade scenario is the mmWave-blockage shape: the fast path
 	// sinks through a deep raised-cosine fade mid-transfer — never
@@ -71,7 +69,7 @@ func ConformanceBattery() []ConformanceScenario {
 	fade := base(105, 8<<20)
 	fade.WiFi = PathParams{Rate: 20 * units.Mbps, Delay: 10 * sim.Millisecond, Queue: 256 * units.KB}
 	fade.Cell = PathParams{Rate: 8 * units.Mbps, Delay: 40 * sim.Millisecond, Queue: 512 * units.KB}
-	fade.Faults = []Fault{{Kind: FaultWiFiFade, At: 1 * sim.Second, Dur: 20 * sim.Second, Par: 1.0}}
+	fade.Faults = []chaos.Event{{Kind: chaos.Fade, Path: chaos.WiFi, At: 1 * sim.Second, Dur: 20 * sim.Second, Depth: 1.0, Steps: 40}}
 	fade.Mask = 1
 	return []ConformanceScenario{
 		{Name: "steady-state", Base: steady},
@@ -104,11 +102,12 @@ type ConformanceResult struct {
 	PlaceCounts   []int
 	PlaceSwitches int
 
-	// LongestStall is the longest span the receiver's in-order
-	// delivery edge failed to advance, sampled every conformancePeriod
-	// between first byte and completion, minus one period of sampling
-	// resolution. A scheduler that keeps data flowing through a fault
-	// reports 0 here.
+	// LongestStall is the run's chaos.Monitor longest stall with the
+	// stall threshold at one sampling period: 0 when the receiver's
+	// in-order delivery edge advanced at every tick until completion,
+	// otherwise the span from the last advance to the next. A scheduler
+	// that keeps data flowing through a fault reports 0 here; a
+	// fault-free run has no monitor and reports 0 too.
 	LongestStall sim.Time
 }
 
@@ -125,19 +124,16 @@ func (r ConformanceResult) Ok() bool {
 func RunConformance(sched string, cs ConformanceScenario) ConformanceResult {
 	sc := cs.Base
 	sc.Scheduler = sched
-	var (
-		h     *Harness
-		stall *stallProbe
-	)
+	var h *Harness
 	rep := RunScenario(sc, func(hh *Harness) {
 		h = hh
-		stall = watchStalls(hh, int64(sc.Size))
+		if hh.Monitor != nil {
+			hh.Monitor.StallAfter = hh.Monitor.Period
+		}
 	})
-	res := ConformanceResult{
-		Scheduler:    sched,
-		Scenario:     cs.Name,
-		Report:       rep,
-		LongestStall: stall.longest,
+	res := ConformanceResult{Scheduler: sched, Scenario: cs.Name, Report: rep}
+	if rep.Resilience != nil {
+		res.LongestStall = sim.Time(math.Round(rep.Resilience.LongestStallS * float64(sim.Second)))
 	}
 	if h.ServerConn != nil {
 		for _, sf := range h.ServerConn.Subflows() {
@@ -153,40 +149,4 @@ func RunConformance(sched string, cs ConformanceScenario) ConformanceResult {
 	}
 	res.DupRxBytes = h.ClientConn.Reorder().DupBytes
 	return res
-}
-
-// stallProbe samples the client's in-order delivery edge on a fixed
-// period and records the longest non-advancing span between the first
-// delivered byte and transfer completion, net of one sampling period.
-type stallProbe struct {
-	longest sim.Time
-}
-
-func watchStalls(h *Harness, size int64) *stallProbe {
-	p := &stallProbe{}
-	var (
-		last        int64
-		lastAdvance sim.Time
-		started     bool
-	)
-	var tick func()
-	tick = func() {
-		now := h.Sim.Now()
-		d := h.ClientConn.Reorder().Delivered
-		if started {
-			if gap := now - lastAdvance - conformancePeriod; gap > p.longest {
-				p.longest = gap
-			}
-		}
-		if d > last {
-			last, lastAdvance = d, now
-			started = true
-		}
-		if d >= size || now+conformancePeriod > scenarioDeadline {
-			return
-		}
-		h.Sim.At(now+conformancePeriod, "conformance.stall-probe", tick)
-	}
-	h.Sim.At(conformancePeriod, "conformance.stall-probe", tick)
-	return p
 }

@@ -5,9 +5,9 @@ import (
 	"strconv"
 	"strings"
 
+	"mptcplab/internal/chaos"
 	"mptcplab/internal/mptcp"
 	"mptcplab/internal/netem"
-	"mptcplab/internal/pathmodel"
 	"mptcplab/internal/seg"
 	"mptcplab/internal/sim"
 	"mptcplab/internal/tcp"
@@ -15,67 +15,6 @@ import (
 	"mptcplab/internal/web"
 	"mptcplab/internal/world"
 )
-
-// FaultKind enumerates the adversarial events the fuzzer composes.
-type FaultKind int
-
-// Fault kinds.
-const (
-	FaultWiFiOutage FaultKind = iota
-	FaultCellOutage
-	FaultBurstLoss     // Bernoulli loss spike on the WiFi path
-	FaultChaosWindow   // duplication + extreme reordering on the WiFi path
-	FaultRemoveAddr    // client tears an interface down via REMOVE_ADDR
-	FaultHandoverStorm // rapid WiFi down/up toggles
-	faultKinds
-
-	// Kinds past the faultKinds sentinel are battery-only: GenScenario's
-	// seeded draw is rng.Intn(int(faultKinds)), so adding them here
-	// leaves every historical seed-derived scenario — and with it every
-	// replay token — byte-identical. They can only appear in scripts
-	// built by hand (the conformance battery).
-
-	// FaultWiFiFade sweeps a raised-cosine signal fade across the WiFi
-	// path: link rate scales down and loss scales up following
-	// pathmodel.SignalFade, bottoming out at depth Par mid-fade. Unlike
-	// an outage the path never goes administratively down — it keeps
-	// accepting (and mostly dropping) bytes, which is exactly the trap
-	// that punishes schedulers trusting stale path weights.
-	FaultWiFiFade
-)
-
-// String names the fault for replay logs.
-func (k FaultKind) String() string {
-	switch k {
-	case FaultWiFiOutage:
-		return "wifi-outage"
-	case FaultCellOutage:
-		return "cell-outage"
-	case FaultBurstLoss:
-		return "burst-loss"
-	case FaultChaosWindow:
-		return "chaos"
-	case FaultRemoveAddr:
-		return "remove-addr"
-	case FaultHandoverStorm:
-		return "handover-storm"
-	case FaultWiFiFade:
-		return "wifi-fade"
-	}
-	return fmt.Sprintf("fault(%d)", int(k))
-}
-
-// Fault is one timed adversarial event in a scenario.
-type Fault struct {
-	Kind FaultKind
-	At   sim.Time
-	Dur  sim.Time
-	Par  float64 // kind-specific intensity
-}
-
-func (f Fault) String() string {
-	return fmt.Sprintf("%v@%v+%v(%.2f)", f.Kind, f.At, f.Dur, f.Par)
-}
 
 // PathParams sizes one access network of a scenario.
 type PathParams struct {
@@ -89,7 +28,9 @@ type PathParams struct {
 // topology, transfer, and the fault script — derives deterministically
 // from Seed, and Mask selects which generated faults are active (bit i
 // keeps Faults[i]). Shrinking only clears mask bits, so a scenario is
-// always replayable from the "seed:mask" token alone.
+// always replayable from the "seed:mask" token alone. The faults are
+// chaos events, armed through World.ArmChaos exactly as a campaign's
+// or a fleet's schedule is.
 type Scenario struct {
 	Seed         int64
 	Size         int
@@ -97,7 +38,7 @@ type Scenario struct {
 	Simultaneous bool
 	RcvBuf       units.ByteCount
 	WiFi, Cell   PathParams
-	Faults       []Fault
+	Faults       []chaos.Event
 	Mask         uint64
 
 	// Scheduler selects the packet-scheduling plugin ("" = minrtt).
@@ -134,17 +75,15 @@ func GenScenario(seed int64) Scenario {
 	}
 	n := rng.Intn(maxFaults + 1)
 	for i := 0; i < n; i++ {
-		f := Fault{
-			Kind: FaultKind(rng.Intn(int(faultKinds))),
-			At:   rng.Duration(0, 4*sim.Second),
-			Dur:  rng.Duration(50*sim.Millisecond, 2*sim.Second),
-			Par:  rng.Uniform(0.05, 0.5),
-		}
+		kind := rng.Intn(drawnKinds)
+		at := rng.Duration(0, 4*sim.Second)
+		dur := rng.Duration(50*sim.Millisecond, 2*sim.Second)
+		par := rng.Uniform(0.05, 0.5)
 		if i == 0 && rng.Bool(0.3) {
 			// Bias one fault onto the handshake window.
-			f.At = rng.Duration(0, 200*sim.Millisecond)
+			at = rng.Duration(0, 200*sim.Millisecond)
 		}
-		sc.Faults = append(sc.Faults, f)
+		sc.Faults = append(sc.Faults, drawnFault(kind, at, dur, par))
 	}
 	if len(sc.Faults) > 0 {
 		sc.Mask = (uint64(1) << len(sc.Faults)) - 1
@@ -152,9 +91,44 @@ func GenScenario(seed int64) Scenario {
 	return sc
 }
 
+// drawnKinds is how many fault kinds GenScenario draws from. The draw
+// and its order are part of every replay token: a kind added to the
+// fuzzer must come after these six, drawn so no earlier seed moves.
+const drawnKinds = 6
+
+// drawnFault maps one drawn fault onto the chaos event that plays it,
+// on WiFi unless noted: 0 an outage; 1 a cellular outage; 2 a constant
+// loss burst of par; 3 a reorder window of depth par; 4 one storm
+// cycle, whose address (WiFi's if par > 0.3, else cellular's) leaves at
+// the start and rejoins dur later; 5 a handover storm, 100 ms flaps
+// every 200 ms, one per two 100 ms toggles across dur (at most ten).
+func drawnFault(kind int, at, dur sim.Time, par float64) chaos.Event {
+	e := chaos.Event{Path: chaos.WiFi, At: at, Dur: dur}
+	switch kind {
+	case 0:
+		e.Kind = chaos.Outage
+	case 1:
+		e.Kind, e.Path = chaos.Outage, chaos.Cell
+	case 2:
+		e.Kind, e.Loss = chaos.Loss, par
+	case 3:
+		e.Kind, e.Depth, e.ExtraDelay = chaos.Reorder, par, 150*sim.Millisecond
+	case 4:
+		e.Kind, e.Every = chaos.Storm, 2*dur
+		if par <= 0.3 {
+			e.Path = chaos.Cell
+		}
+	case 5:
+		toggles := min(int(dur/(100*sim.Millisecond))+1, 10)
+		e.Kind, e.Count = chaos.Flap, (toggles+1)/2
+		e.Dur, e.Every = 100*sim.Millisecond, 200*sim.Millisecond
+	}
+	return e
+}
+
 // ActiveFaults returns the faults selected by the mask.
-func (sc Scenario) ActiveFaults() []Fault {
-	var out []Fault
+func (sc Scenario) ActiveFaults() []chaos.Event {
+	var out []chaos.Event
 	for i, f := range sc.Faults {
 		if sc.Mask&(uint64(1)<<i) != 0 {
 			out = append(out, f)
@@ -212,6 +186,10 @@ type Harness struct {
 
 	ClientConn *mptcp.Conn
 	ServerConn *mptcp.Conn
+
+	// Monitor scores the download against the active faults; nil when
+	// none is active. A hook may tune it before the run.
+	Monitor *chaos.Monitor
 }
 
 // Report is the outcome of one fuzzed scenario.
@@ -222,6 +200,9 @@ type Report struct {
 	Delivered   int64
 	Violations  []Violation
 	Count       int
+
+	// Resilience is the monitor's report; nil when no fault was active.
+	Resilience *chaos.Report
 }
 
 // Ok reports a violation-free run.
@@ -284,27 +265,47 @@ func RunScenario(sc Scenario, bug func(*Harness)) Report {
 	ck.WatchConn("client", conn)
 
 	getter := web.NewGetter(web.MPTCPStream{Conn: conn})
-	completed := false
-	var completedAt sim.Time
+	var (
+		completed   bool
+		completedAt sim.Time
+		tracked     *chaos.Tracked
+	)
 	getter.Get(sc.Size, func() {
 		completed = true
 		completedAt = s.Now()
+		if tracked != nil {
+			tracked.Done(true)
+		}
 		getter.Close()
 	})
 
-	h.scheduleFaults(sc)
+	h.Monitor = w.ArmChaos(chaos.Schedule{Events: sc.ActiveFaults()}, 0,
+		func(yield func(cl *world.Client, client, server *mptcp.Conn)) {
+			yield(w.Clients[0], conn, h.ServerConn)
+		})
+	if h.Monitor != nil {
+		tracked = h.Monitor.Track(func() int64 { return conn.Reorder().Delivered })
+	}
 	if bug != nil {
 		bug(h)
 	}
 
 	s.RunUntil(scenarioDeadline)
 
+	// A run the watchdog killed is a violation like any other, so it
+	// shrinks and replays through the same token.
+	if reason := w.FailReason(); reason != "" {
+		ck.Report("livelock", reason)
+		if tracked != nil {
+			tracked.Abort()
+		}
+	}
 	if h.ServerConn != nil {
 		ck.CheckTransfer("download", h.ServerConn, conn, completed)
 	}
 	ck.RunProbes()
 
-	return Report{
+	rep := Report{
 		Scenario:    sc,
 		Completed:   completed,
 		CompletedAt: completedAt,
@@ -312,95 +313,10 @@ func RunScenario(sc Scenario, bug func(*Harness)) Report {
 		Violations:  ck.Violations(),
 		Count:       ck.Count(),
 	}
-}
-
-// scheduleFaults turns the active fault script into simulator events.
-func (h *Harness) scheduleFaults(sc Scenario) {
-	for _, f := range sc.ActiveFaults() {
-		f := f
-		switch f.Kind {
-		case FaultWiFiOutage:
-			h.Sim.At(f.At, "fault.wifi-outage", func() { h.SetWiFiDown(true) })
-			h.Sim.At(f.At+f.Dur, "fault.wifi-restore", func() { h.SetWiFiDown(false) })
-		case FaultCellOutage:
-			h.Sim.At(f.At, "fault.cell-outage", func() { h.SetCellDown(true) })
-			h.Sim.At(f.At+f.Dur, "fault.cell-restore", func() { h.SetCellDown(false) })
-		case FaultBurstLoss:
-			h.Sim.At(f.At, "fault.burst-loss", func() {
-				h.WiFiUp.Loss = netem.BernoulliLoss{P: f.Par}
-				h.WiFiDown.Loss = netem.BernoulliLoss{P: f.Par}
-			})
-			h.Sim.At(f.At+f.Dur, "fault.loss-restore", func() {
-				h.WiFiUp.Loss = netem.BernoulliLoss{P: sc.WiFi.Loss}
-				h.WiFiDown.Loss = netem.BernoulliLoss{P: sc.WiFi.Loss}
-			})
-		case FaultChaosWindow:
-			chaos := &netem.Chaos{
-				DupProb:     f.Par * 0.5,
-				ReorderProb: f.Par,
-				ExtraDelay:  150 * sim.Millisecond,
-			}
-			h.Sim.At(f.At, "fault.chaos", func() {
-				h.WiFiUp.Chaos = chaos
-				h.WiFiDown.Chaos = chaos
-			})
-			h.Sim.At(f.At+f.Dur, "fault.chaos-restore", func() {
-				h.WiFiUp.Chaos = nil
-				h.WiFiDown.Chaos = nil
-			})
-		case FaultRemoveAddr:
-			addr := h.CellAddr
-			if f.Par > 0.3 {
-				addr = h.WiFiAddr
-			}
-			h.Sim.At(f.At, "fault.remove-addr", func() { h.ClientConn.RemoveLocalAddr(addr) })
-		case FaultHandoverStorm:
-			toggles := int(f.Dur/(100*sim.Millisecond)) + 1
-			if toggles > 10 {
-				toggles = 10
-			}
-			for i := 0; i < toggles; i++ {
-				down := i%2 == 0
-				h.Sim.At(f.At+sim.Time(i)*100*sim.Millisecond, "fault.handover", func() { h.SetWiFiDown(down) })
-			}
-			// Always come back up after the storm.
-			h.Sim.At(f.At+sim.Time(toggles)*100*sim.Millisecond, "fault.handover-end", func() { h.SetWiFiDown(false) })
-		case FaultWiFiFade:
-			// Sweep the raised-cosine fade in fixed steps. The link never
-			// goes down — rate bottoms out at (1-Par) of nominal with a
-			// small floor so serialization stays defined, and loss peaks
-			// mid-fade per the SignalFade curve.
-			const fadeSteps = 40
-			step := f.Dur / fadeSteps
-			if step <= 0 {
-				step = sim.Millisecond
-			}
-			for i := 0; i <= fadeSteps; i++ {
-				frac := float64(i) / fadeSteps
-				scale, fadeLoss := pathmodel.SignalFade(frac, f.Par)
-				rate := units.BitRate(float64(sc.WiFi.Rate) * scale)
-				if rate < 50*units.Kbps {
-					rate = 50 * units.Kbps
-				}
-				p := sc.WiFi.Loss + fadeLoss
-				if p > 0.95 {
-					p = 0.95
-				}
-				h.Sim.At(f.At+sim.Time(i)*step, "fault.wifi-fade", func() {
-					h.WiFiUp.Rate = rate
-					h.WiFiDown.Rate = rate
-					h.WiFiUp.Loss = netem.BernoulliLoss{P: p}
-					h.WiFiDown.Loss = netem.BernoulliLoss{P: p}
-				})
-			}
-			h.Sim.At(f.At+f.Dur+step, "fault.wifi-fade-end", func() {
-				h.WiFiUp.Rate = sc.WiFi.Rate
-				h.WiFiDown.Rate = sc.WiFi.Rate
-				h.WiFiUp.Loss = netem.BernoulliLoss{P: sc.WiFi.Loss}
-				h.WiFiDown.Loss = netem.BernoulliLoss{P: sc.WiFi.Loss}
-			})
-		}
+	if h.Monitor != nil {
+		rep.Resilience = h.Monitor.Finish()
 	}
+	return rep
 }
 
 // Shrink minimizes a violating scenario's fault script: it greedily

@@ -140,11 +140,15 @@ func hasRule(rep Report, rule string) bool {
 // TestFuzzHarnessIdentity pins what RunScenario simulates, not just
 // that it finds no violations: completion, virtual completion time,
 // delivered bytes and the simulator's event count for eight seeds
-// (2-path and 4-path, every fault kind) under three schedulers,
-// recorded before the harness moved onto internal/world. A harness
-// refactor that shifts an RNG draw or an event fails here. (The events
-// column alone was re-recorded when link departures stopped being
-// events, DESIGN.md §20; the other four columns are the originals.)
+// (2-path and 4-path, every drawn fault kind) under three schedulers.
+// A harness refactor that shifts an RNG draw or an event fails here.
+// Seed 7 draws no fault; its rows are the originals, recorded before
+// the harness moved onto internal/world (events re-recorded when link
+// departures stopped being events, DESIGN.md §20). Every other row was
+// re-recorded when the fuzzer's faults became chaos events; its comment
+// names the first difference TestRetiredFaultsOracle finds in its
+// script, and the events column also counts the resilience monitor's
+// ticks.
 func TestFuzzHarnessIdentity(t *testing.T) {
 	for _, want := range []struct {
 		seed        int64
@@ -155,30 +159,30 @@ func TestFuzzHarnessIdentity(t *testing.T) {
 		count       int
 		events      uint64
 	}{
-		{1, "minrtt", true, 481950760, 60384, 0, 5007},
-		{1, "redundant", true, 420196260, 60384, 0, 318},
-		{1, "blest", true, 481950760, 60384, 0, 5007},
-		{4, "minrtt", true, 1685161288, 189490, 0, 723},
-		{4, "redundant", true, 1646701645, 189490, 0, 1426},
-		{4, "blest", true, 1685161288, 189490, 0, 723},
+		{1, "minrtt", true, 481950760, 60384, 0, 2635},      // remove-addr
+		{1, "redundant", true, 420196260, 60384, 0, 2720},   // remove-addr
+		{1, "blest", true, 481950760, 60384, 0, 2635},       // remove-addr
+		{4, "minrtt", true, 4764470214, 189490, 0, 3914},    // overlap
+		{4, "redundant", true, 3917534414, 189490, 0, 4300}, // overlap
+		{4, "blest", true, 4764470214, 189490, 0, 3914},     // overlap
 		{7, "minrtt", true, 304247187, 70222, 0, 232},
 		{7, "redundant", true, 267044069, 70222, 0, 282},
 		{7, "blest", true, 304247187, 70222, 0, 232},
-		{17, "minrtt", true, 308467586, 68763, 0, 286},
-		{17, "redundant", true, 268991456, 68763, 0, 340},
-		{17, "blest", true, 308467586, 68763, 0, 286},
-		{19, "minrtt", false, 0, 0, 0, 5262},
-		{19, "redundant", false, 0, 0, 0, 5262},
-		{19, "blest", false, 0, 0, 0, 5262},
-		{25, "minrtt", true, 1249682626, 80453, 0, 785},
-		{25, "redundant", true, 1200978823, 80453, 0, 885},
-		{25, "blest", true, 1232926549, 80453, 0, 796},
-		{28, "minrtt", true, 398575982, 124904, 0, 359},
-		{28, "redundant", true, 412500192, 124904, 0, 485},
-		{28, "blest", true, 398575982, 124904, 0, 359},
-		{38, "minrtt", true, 518763446, 208875, 0, 692},
-		{38, "redundant", true, 569423888, 208875, 0, 1951},
-		{38, "blest", true, 518763446, 208875, 0, 692},
+		{17, "minrtt", true, 308467586, 68763, 0, 2686},     // remove-addr
+		{17, "redundant", true, 268991456, 68763, 0, 2740},  // remove-addr
+		{17, "blest", true, 308467586, 68763, 0, 2686},      // remove-addr
+		{19, "minrtt", false, 0, 0, 0, 7673},                // remove-addr
+		{19, "redundant", false, 0, 0, 0, 7673},             // remove-addr
+		{19, "blest", false, 0, 0, 0, 7673},                 // remove-addr
+		{25, "minrtt", true, 1249682626, 80453, 0, 3178},    // overlap
+		{25, "redundant", true, 1200978823, 80453, 0, 3274}, // overlap
+		{25, "blest", true, 1232926549, 80453, 0, 3535},     // overlap
+		{28, "minrtt", true, 398575982, 124904, 0, 2760},    // remove-addr
+		{28, "redundant", true, 412500192, 124904, 0, 2886}, // remove-addr
+		{28, "blest", true, 398575982, 124904, 0, 2760},     // remove-addr
+		{38, "minrtt", true, 518763446, 208875, 0, 3093},    // remove-addr
+		{38, "redundant", true, 569423888, 208875, 0, 4352}, // remove-addr
+		{38, "blest", true, 518763446, 208875, 0, 3093},     // remove-addr
 	} {
 		sc := GenScenario(want.seed)
 		sc.Scheduler = want.sched
@@ -191,5 +195,82 @@ func TestFuzzHarnessIdentity(t *testing.T) {
 				want.seed, want.sched, rep.Completed, int64(rep.CompletedAt), rep.Delivered,
 				rep.Count, h.Sim.Processed(), want)
 		}
+	}
+}
+
+// TestFuzzWindowUpdateKeepsHighWater replays the case that found the
+// shared-window update resetting the reorder buffer's high-water mark
+// below what it still held (the checker's MaxBuffered >= Buffered
+// rule): a loss burst on WiFi under round-robin.
+func TestFuzzWindowUpdateKeepsHighWater(t *testing.T) {
+	sc, err := ParseReplay("176:10:roundrobin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := RunScenario(sc, nil); !rep.Ok() || !rep.Completed {
+		t.Fatalf("completed=%v, %d violations %v", rep.Completed, rep.Count, rep.Violations)
+	}
+}
+
+// spinForever is a bug that wedges the virtual clock: a zero-delay
+// event that reschedules itself, from 1 s on.
+func spinForever(h *Harness) {
+	var spin func()
+	spin = func() { h.Sim.At(h.Sim.Now(), "spin", spin) }
+	h.Sim.At(sim.Second, "spin", spin)
+}
+
+// TestFuzzLivelockIsAViolation: a run the livelock watchdog kills
+// comes back as a livelock violation, so it shrinks and replays like
+// any other instead of hanging the fuzzer.
+func TestFuzzLivelockIsAViolation(t *testing.T) {
+	run := func(sc Scenario) Report { return RunScenario(sc, spinForever) }
+	sc := GenScenario(1)
+	rep := run(sc)
+	if rep.Ok() || !hasRule(rep, "livelock") || rep.Violations[0].Rule != "livelock" {
+		t.Fatalf("livelocked run reported %d violations %v, want livelock first", rep.Count, rep.Violations)
+	}
+	min := Shrink(sc, run)
+	if min.Mask != 0 {
+		t.Fatalf("shrink left mask %x, want 0 (fault-independent bug)", min.Mask)
+	}
+	parsed, err := ParseReplay(min.Replay())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hasRule(run(parsed), "livelock") {
+		t.Fatalf("replay %q did not reproduce the livelock", min.Replay())
+	}
+}
+
+// TestRemoveUnusedAddrBeforeJoin pins what the fuzzer's retired
+// remove-addr fault did when it withdrew an address no subflow used
+// yet, which world.Handover's withdraw skips: the cellular address
+// goes before the first subflow is up (so before its join exists), the
+// join still opens later, and the transfer completes with an intact
+// byte stream and no violation.
+func TestRemoveUnusedAddrBeforeJoin(t *testing.T) {
+	sc := GenScenario(7)
+	sc.Simultaneous, sc.Faults, sc.Mask = false, nil, 0
+	var (
+		h        *Harness
+		subflows int
+	)
+	rep := RunScenario(sc, func(hh *Harness) {
+		h = hh
+		h.Sim.At(sim.Millisecond, "remove-cell", func() {
+			h.ClientConn.RemoveLocalAddr(h.CellAddr)
+			subflows = len(h.ClientConn.Subflows())
+		})
+	})
+	if subflows != 1 {
+		t.Fatalf("%d client subflows when the cellular address went, want the first alone", subflows)
+	}
+	if n := len(h.ClientConn.Subflows()); n < 2 {
+		t.Fatalf("%d client subflows after the run, want the cellular join too", n)
+	}
+	if !rep.Completed || rep.Delivered < int64(sc.Size) || !rep.Ok() {
+		t.Fatalf("completed=%v delivered=%d of %d, %d violations %v",
+			rep.Completed, rep.Delivered, sc.Size, rep.Count, rep.Violations)
 	}
 }

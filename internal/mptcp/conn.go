@@ -846,8 +846,9 @@ func (c *Conn) maybeWindowUpdate() {
 			sf.EP.PushAck()
 		}
 	}
-	// Only push again after the next episode of pressure.
-	c.reorder.MaxBuffered = 0
+	// Only push again after the next episode of pressure: the high-water
+	// mark restarts from what is buffered now, never below it.
+	c.reorder.MaxBuffered = c.reorder.Buffered
 }
 
 // RemoveLocalAddr withdraws one of this side's addresses: the

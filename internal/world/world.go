@@ -51,18 +51,6 @@ type Access struct {
 	CellRadio        *netem.Radio
 }
 
-// SetWiFiDown takes both directions of the WiFi path down (or back up).
-func (a Access) SetWiFiDown(down bool) {
-	a.WiFiUp.SetDown(down)
-	a.WiFiDown.SetDown(down)
-}
-
-// SetCellDown takes both directions of the cellular path down (or up).
-func (a Access) SetCellDown(down bool) {
-	a.CellUp.SetDown(down)
-	a.CellDown.SetDown(down)
-}
-
 // Plan is the address plan and the remaining per-caller constants, as
 // data: each field exists because the paper's testbed and the fleet
 // need different values.
@@ -292,7 +280,7 @@ func (w *World) Handover(live Live) (withdraw, restore func(chaos.Path)) {
 			seen := map[seg.Addr]bool{}
 			for _, sf := range c.Subflows() {
 				local := sf.EP.Local
-				if seen[local] || !covers(p, w.IsCell(local)) || sf.EP.State() == tcp.StateClosed {
+				if seen[local] || !p.Covers(w.IsCell(local)) || sf.EP.State() == tcp.StateClosed {
 					continue
 				}
 				seen[local] = true
@@ -305,22 +293,17 @@ func (w *World) Handover(live Live) (withdraw, restore func(chaos.Path)) {
 			if !c.Established() {
 				return
 			}
-			if covers(p, false) && !w.hasLive(c, false) {
+			if p.Covers(false) && !w.hasLive(c, false) {
 				wifi, _ := cl.Addrs()
 				c.RejoinLocalAddr(wifi)
 			}
-			if covers(p, true) && !w.hasLive(c, true) {
+			if p.Covers(true) && !w.hasLive(c, true) {
 				_, cell := cl.Addrs()
 				c.RejoinLocalAddr(cell)
 			}
 		})
 	}
 	return withdraw, restore
-}
-
-// covers reports whether a chaos path includes the access network.
-func covers(p chaos.Path, cell bool) bool {
-	return p == chaos.Both || (p == chaos.Cell) == cell
 }
 
 // hasLive reports whether the connection still has a subflow on the

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -17,7 +18,10 @@ import (
 // shares, knows no spec — each binary binds its own. It also pins the
 // shape that layer gives a binary: os.Exit is called from func main
 // alone, so everything else is a run(args, stdout, stderr) int a test
-// can call.
+// can call. And it pins the one fault path: outside the packages that
+// own links and addresses (chaos, world, netem, mptcp), no program file
+// takes a link down or up or withdraws or rejoins an address, so a
+// fault reaches a link only through a chaos schedule.
 func TestLayering(t *testing.T) {
 	for dir, banned := range map[string][]string{
 		"internal/sweep": {"mptcplab/"},
@@ -78,5 +82,37 @@ func TestLayering(t *testing.T) {
 				return true
 			})
 		}
+	}
+
+	faultWriters := map[string]bool{
+		"SetDown": true, "SetUp": true, "SetWiFiDown": true, "SetCellDown": true,
+		"RemoveLocalAddr": true, "RejoinLocalAddr": true,
+	}
+	faultOwners := []string{"internal/chaos/", "internal/world/", "internal/netem/", "internal/mptcp/"}
+	err = filepath.WalkDir(".", func(file string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(file, ".go") || strings.HasSuffix(file, "_test.go") {
+			return err
+		}
+		for _, owner := range faultOwners {
+			if strings.HasPrefix(filepath.ToSlash(file), owner) {
+				return nil
+			}
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && faultWriters[sel.Sel.Name] {
+					t.Errorf("%s calls %s: a fault reaches a link only through a chaos schedule", file, sel.Sel.Name)
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
