@@ -103,10 +103,10 @@ fuzz-smoke:
 # suite runs every registered scheduler through the five-scenario
 # battery — zero invariant violations, byte-stream oracle intact,
 # policy properties (RTT preference, rotation, weighted split,
-# zero-stall blackout redundancy, blest HoL gate, adaptive fade
-# survival) asserted — under the race detector. The suite runs in
-# seconds; the tight timeout catches a gating policy wedging the
-# virtual clock.
+# zero-stall blackout redundancy, backup silence until WiFi dies,
+# blest HoL gate, adaptive fade survival) asserted — under the race
+# detector. The suite runs in seconds; the tight timeout catches a
+# gating policy wedging the virtual clock.
 sched-smoke:
 	$(GO) test -count=1 -run '^TestGoldenSmallFlowsExports$$' ./internal/experiment/
 	$(GO) test -race -count=1 -timeout 5m \

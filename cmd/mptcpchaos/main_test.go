@@ -56,6 +56,8 @@ func TestAcceptsRepoCommandLines(t *testing.T) {
 		"-schedule outage:path=wifi;at=2s;dur=3s -size 4MB -seed 61",
 		"-schedule outage:path=wifi;at=2s;dur=3s -size 8MB -seed 61",
 		"-schedule outage -size 8MB -seed 61",
+		"-schedule outage:path=wifi;at=2s;dur=6s -size 24MB -seed 11",
+		"-schedule outage:path=wifi;at=2s;dur=6s -size 24MB -seed 11 -scheduler backup -transport mp2",
 		"-schedule flap:path=wifi;at=2s;dur=500ms;every=2s;n=5 -transport mp2",
 		"-transport sp-wifi", "-transport sp-cell", "-transport mp4", "-transport compare",
 		"-schedule flap+fade:path=cell;depth=0.5 -wifi coffeeshop -carrier verizon -scheduler redundant -deadline 0 -selfcheck=false",
@@ -84,20 +86,29 @@ func TestListAndRun(t *testing.T) {
 	}
 }
 
-// TestOutageDemoPinned holds chaos-smoke's mptcpchaos command line to
-// the report the commit before the resilience report became plain data
-// printed: both transports' download lines, the rendered reports (a
-// recovery and a never-recovered window) and the contrast line.
+// TestOutageDemoPinned holds mptcpchaos command lines to their
+// reports, one testdata file per line: chaos-smoke's outage demo (the
+// report the commit before the resilience report became plain data
+// printed: a recovery and a never-recovered window), and the paper's
+// §6 handover — a 6 s WiFi outage in a 24 MB download, which MP-2
+// rides out, single-path TCP waits out in RTO backoff, and backup mode
+// survives but is slow to re-use the recovered WiFi path.
 func TestOutageDemoPinned(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "outage_demo.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stdout, stderr bytes.Buffer
-	if code := run(strings.Fields("-schedule outage:path=wifi;at=2s;dur=3s -size 4MB -seed 61"), &stdout, &stderr); code != 0 {
-		t.Fatalf("exit %d: %s", code, stderr.String())
-	}
-	if got := stdout.String(); got != string(want) {
-		t.Errorf("stdout differs from testdata/outage_demo.txt:\n%s", got)
+	for _, tc := range []struct{ args, file string }{
+		{"-schedule outage:path=wifi;at=2s;dur=3s -size 4MB -seed 61", "outage_demo.txt"},
+		{"-schedule outage:path=wifi;at=2s;dur=6s -size 24MB -seed 11", "handover.txt"},
+		{"-schedule outage:path=wifi;at=2s;dur=6s -size 24MB -seed 11 -scheduler backup -transport mp2", "handover_backup.txt"},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", tc.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stdout, stderr bytes.Buffer
+		if code := run(strings.Fields(tc.args), &stdout, &stderr); code != 0 {
+			t.Fatalf("%s: exit %d: %s", tc.args, code, stderr.String())
+		}
+		if got := stdout.String(); got != string(want) {
+			t.Errorf("%s: stdout differs from testdata/%s:\n%s", tc.args, tc.file, got)
+		}
 	}
 }

@@ -81,6 +81,8 @@ func TestAcceptsRepoCommandLines(t *testing.T) {
 		"-clients 40 -rates 4,8 -duration 10s -drain 20s -reps 2 -seed 42 -transport wifi=0.3,cell=0.2,mptcp=0.5 " +
 			"-chaos storm:path=wifi;at=1s;dur=6s;every=500ms -o /tmp/run.csv -res-out /tmp/res.csv",
 		"-replay clients=40,rate=4,dur=10s,drain=20s,seed=6332618229526065668,mix=small,transport=wifi=0.3+cell=0.2+mptcp=0.5,check=1,chaos=flap:path=wifi;at=2s;dur=400ms;every=2s;n=3",
+		"-replay clients=200,rate=20,dur=1m0s,drain=1m0s,seed=42,mix=small,transport=wifi=1+cell=0+mptcp=0,check=1",
+		"-replay clients=200,rate=20,dur=1m0s,drain=1m0s,seed=42,mix=small,transport=mptcp,check=1",
 		"-sessions 20 -think 500ms -mix 64KB -cc olia -scheduler roundrobin -sample -bg wd=8Mbps,wu=1Mbps,cd=2Mbps,cu=256Kbps -selfcheck=false -progress -deadline 30s",
 	} {
 		if _, err := parse(strings.Fields(args), io.Discard); err != nil {

@@ -80,3 +80,17 @@ func TestExitCodes(t *testing.T) {
 		t.Errorf("8 KB download: exit %d, stdout %q, stderr %q", code, stdout.String(), stderr.String())
 	}
 }
+
+// TestBackupSchedulerSilencesCell: -scheduler backup dials with the
+// cellular subflow flagged as a backup (the MP_JOIN B bit), so on a
+// healthy WiFi path cellular carries nothing; unflagged, the policy
+// has no reserve and cellular carries about two thirds of this run.
+func TestBackupSchedulerSilencesCell(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run(strings.Fields("-scheduler backup -size-kb 4096"), &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "cell share:    0.0%\n") {
+		t.Errorf("backup download put bytes on cellular:\n%s", stdout.String())
+	}
+}

@@ -22,6 +22,10 @@
 // Executables:
 //
 //	cmd/mptcpsim   - run one measured download (optionally with pcap capture)
-//	cmd/paperbench - regenerate all tables and figures
+//	cmd/paperbench - regenerate all tables and figures, and the scorecard
 //	cmd/tracestat  - analyze captures, tcptrace-style
+//	cmd/mptcpload  - fleet load sweeps, each row with a replay token
+//	cmd/mptcpchaos - one download under a fault schedule, with a resilience report
+//	cmd/mptcpfuzz  - seeded adversarial scenario fuzzer with the invariant checker
+//	cmd/mptcpd     - campaign daemon: HTTP/JSON submission, result cache, replay
 package mptcplab

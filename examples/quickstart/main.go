@@ -6,15 +6,19 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"mptcplab/internal/experiment"
 	"mptcplab/internal/pathmodel"
 	"mptcplab/internal/units"
 )
 
-func main() {
-	fmt.Println("mptcplab quickstart: 4MB download, home WiFi + AT&T LTE")
-	fmt.Println()
+func main() { run(os.Stdout) }
+
+func run(w io.Writer) {
+	fmt.Fprintln(w, "mptcplab quickstart: 4MB download, home WiFi + AT&T LTE")
+	fmt.Fprintln(w)
 
 	configs := []experiment.RunConfig{
 		{Transport: experiment.SPWiFi, Size: 4 * units.MB},
@@ -33,18 +37,18 @@ func main() {
 		})
 		res := tb.Run(rc)
 		if !res.Completed {
-			fmt.Printf("%-16s did not complete\n", rc.Transport)
+			fmt.Fprintf(w, "%-16s did not complete\n", rc.Transport)
 			continue
 		}
-		fmt.Printf("%-16s %6.2f s", rc.Transport, res.DownloadTime.Seconds())
+		fmt.Fprintf(w, "%-16s %6.2f s", rc.Transport, res.DownloadTime.Seconds())
 		if rc.Transport == experiment.MP2 {
-			fmt.Printf("   (%.0f%% of bytes over cellular, %d subflows)",
+			fmt.Fprintf(w, "   (%.0f%% of bytes over cellular, %d subflows)",
 				res.CellShare()*100, res.Subflows)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 
-	fmt.Println()
-	fmt.Println("MPTCP tracks the best available path and usually beats it by")
-	fmt.Println("pooling both — the paper's headline result (§4).")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "MPTCP tracks the best available path and usually beats it by")
+	fmt.Fprintln(w, "pooling both — the paper's headline result (§4).")
 }

@@ -8,6 +8,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"mptcplab/internal/experiment"
 	"mptcplab/internal/mptcp"
@@ -35,18 +37,20 @@ var profiles = []deviceProfile{
 	{Name: "YouTube", Prefetch: 12 * units.MB, Block: 512 * units.KB, Period: 5 * sim.Second, Blocks: 20},
 }
 
-func main() {
-	fmt.Println("video streaming over MPTCP (paper §6, Table 7 workloads)")
+func main() { run(os.Stdout) }
+
+func run(w io.Writer) {
+	fmt.Fprintln(w, "video streaming over MPTCP (paper §6, Table 7 workloads)")
 	for _, p := range profiles {
-		fmt.Printf("\n== %s: prefetch %v, then %d blocks of %v every %v ==\n",
+		fmt.Fprintf(w, "\n== %s: prefetch %v, then %d blocks of %v every %v ==\n",
 			p.Name, p.Prefetch, p.Blocks, p.Block, p.Period)
 		for _, mode := range []string{"SP-WiFi", "MP-2"} {
-			stream(p, mode)
+			stream(w, p, mode)
 		}
 	}
 }
 
-func stream(p deviceProfile, mode string) {
+func stream(w io.Writer, p deviceProfile, mode string) {
 	tb := experiment.NewTestbed(experiment.TestbedConfig{
 		WiFi:           pathmodel.ComcastHome(),
 		Cell:           pathmodel.ATT(),
@@ -105,12 +109,12 @@ func stream(p deviceProfile, mode string) {
 	tb.Sim.RunUntil(60 * sim.Minute)
 
 	if blockTimes.N() == 0 {
-		fmt.Printf("  %-8s did not complete\n", mode)
+		fmt.Fprintf(w, "  %-8s did not complete\n", mode)
 		return
 	}
 	budget := p.Period.Seconds()
 	stalls := blockTimes.FractionAbove(budget)
-	fmt.Printf("  %-8s prefetch %6.1fs | block fetch mean %5.2fs p95 %5.2fs max %5.2fs | blocks over period budget: %.0f%%\n",
+	fmt.Fprintf(w, "  %-8s prefetch %6.1fs | block fetch mean %5.2fs p95 %5.2fs max %5.2fs | blocks over period budget: %.0f%%\n",
 		mode, prefetchTime.Seconds(), blockTimes.Mean(),
 		blockTimes.Quantile(0.95), blockTimes.Max(), stalls*100)
 }

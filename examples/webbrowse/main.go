@@ -7,6 +7,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"mptcplab/internal/experiment"
 	"mptcplab/internal/mptcp"
@@ -26,12 +28,14 @@ var pageObjects = []int{
 	512 * units.KB, // hero image
 }
 
-func main() {
+func main() { run(os.Stdout) }
+
+func run(w io.Writer) {
 	total := 0
 	for _, o := range pageObjects {
 		total += o
 	}
-	fmt.Printf("web page load: %d objects, %v total, home WiFi + AT&T LTE\n\n",
+	fmt.Fprintf(w, "web page load: %d objects, %v total, home WiFi + AT&T LTE\n\n",
 		len(pageObjects), units.ByteCount(total))
 
 	for _, mode := range []string{"SP-WiFi", "MP-2 (delayed SYN)", "MP-2 (simultaneous SYN)"} {
@@ -44,7 +48,7 @@ func main() {
 			mean += t
 		}
 		mean /= float64(len(times))
-		fmt.Printf("%-26s page load %.3fs (mean of %d runs)\n", mode, mean, len(times))
+		fmt.Fprintf(w, "%-26s page load %.3fs (mean of %d runs)\n", mode, mean, len(times))
 	}
 }
 

@@ -2,6 +2,7 @@ package cc
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -214,6 +215,50 @@ func TestIncreaseScalesWithAckedPackets(t *testing.T) {
 		two := c.Increase(fs, 0, 2)
 		if math.Abs(two-2*one) > 1e-9 {
 			t.Errorf("%s: Increase(2) = %g, want 2*Increase(1) = %g", name, two, 2*one)
+		}
+	}
+}
+
+// roundRate is the round-level referee driver: one path with seeded
+// Bernoulli loss p per packet sends floor(cwnd) packets a round for the
+// given number of rounds. A round with any loss calls OnLoss once;
+// otherwise every packet's ACK calls Increase. It returns the mean
+// packets sent per round, that is per RTT.
+func roundRate(c Controller, p float64, rounds int, seed int64) float64 {
+	rng := rand.New(rand.NewSource(seed))
+	f := &fakeFlow{cwnd: 10, srtt: 0.1, established: true}
+	fs := flows(f)
+	sent := 0
+	for r := 0; r < rounds; r++ {
+		n := int(f.cwnd)
+		sent += n
+		lost := false
+		for k := 0; k < n; k++ {
+			lost = lost || rng.Float64() < p
+		}
+		if lost {
+			f.cwnd = c.OnLoss(fs, 0)
+			continue
+		}
+		for k := 0; k < n; k++ {
+			f.cwnd += c.Increase(fs, 0, 1)
+		}
+	}
+	return float64(sent) / float64(rounds)
+}
+
+// TestRenoMatchesMathis is the first closed-form referee: driven round
+// by round, Reno's rate settles within ±15 % of Mathis et al.'s
+// √(3/2p) packets per RTT across the loss rates the paths see.
+func TestRenoMatchesMathis(t *testing.T) {
+	for _, p := range []float64{0.001, 0.005, 0.01, 0.03} {
+		mathis := math.Sqrt(3 / (2 * p))
+		for seed := int64(1); seed <= 3; seed++ {
+			got := roundRate(Reno{}, p, 100000, seed)
+			if ratio := got / mathis; ratio < 0.85 || ratio > 1.15 {
+				t.Errorf("p=%g seed %d: %.2f packets/RTT, %.3f of Mathis's %.2f; want within ±15%%",
+					p, seed, got, ratio, mathis)
+			}
 		}
 	}
 }

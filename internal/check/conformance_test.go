@@ -213,6 +213,21 @@ func TestSchedulerConformance(t *testing.T) {
 				min.LongestStall)
 		}
 	}
+
+	// backup holds its reserve: the cellular subflow joins with the
+	// MP_JOIN B bit, so it stays silent while WiFi is healthy and
+	// carries the transfer once WiFi dies (Paasch et al.'s policy,
+	// paper §7).
+	for _, scen := range []string{"steady-state", "asymmetric-rtt"} {
+		if r := results["backup"][scen]; r.CellTxBytes != 0 {
+			t.Errorf("backup/%s: cell carried %d bytes beside wifi's %d — the backup path is not in reserve",
+				scen, r.CellTxBytes, r.WiFiTxBytes)
+		}
+	}
+	if r := results["backup"]["blackout"]; r.CellTxBytes <= r.WiFiTxBytes {
+		t.Errorf("backup/blackout: cell carried %d bytes vs wifi's %d — the backup path did not take over",
+			r.CellTxBytes, r.WiFiTxBytes)
+	}
 }
 
 // TestConformanceReplayTokens: every scheduler-tagged scenario renders

@@ -68,10 +68,6 @@ type RunConfig struct {
 	Size       units.ByteCount
 
 	SimultaneousSYN bool
-	// BackupCell dials with the cellular path flagged as a backup
-	// subflow (the MP_JOIN B bit), for use with the "backup" scheduler.
-	BackupCell bool
-
 	// InfiniteSSThresh replaces the paper's 64 KB initial threshold
 	// with the Linux default of infinity (the §3.1 ablation).
 	InfiniteSSThresh bool
@@ -285,9 +281,6 @@ func (tb *Testbed) Run(rc RunConfig) RunResult {
 		LocalAddrs:     []seg.Addr{tb.WiFiAddr, tb.CellAddr},
 		JoinAdvertised: rc.Transport == MP4,
 		Config:         cfg,
-	}
-	if rc.BackupCell {
-		opts.Backup = []bool{false, true}
 	}
 	start := tb.Sim.Now()
 	client = tb.Dial(tb.Clients[0], stack, opts, tb.RNG.Child("cli"))

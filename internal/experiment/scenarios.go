@@ -204,10 +204,9 @@ func Mobility(opts CampaignOpts) *Matrix {
 	mk := func(t Transport, sched string) func(units.ByteCount) RunConfig {
 		return func(d units.ByteCount) RunConfig {
 			return RunConfig{
-				Transport:  t,
-				Scheduler:  sched,
-				BackupCell: sched == "backup",
-				Size:       16 * units.MB,
+				Transport: t,
+				Scheduler: sched,
+				Size:      16 * units.MB,
 				Chaos: chaos.Schedule{Events: []chaos.Event{{
 					Kind: chaos.Outage, Path: chaos.WiFi, At: sim.Second, Dur: sim.Time(d) * sim.Second,
 				}}},

@@ -1,6 +1,7 @@
 package load
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -113,6 +114,47 @@ func TestReplayReproducesSweepRow(t *testing.T) {
 	}
 	if got := res.Goodput.Mean(); got != row.GoodputMean {
 		t.Errorf("replay goodput mean %v, row had %v", got, row.GoodputMean)
+	}
+}
+
+// TestFleetTableTokens replays EXPERIMENTS.md's fleet table, one token
+// a row: 200 clients on one coffee-shop AP plus an AT&T sector, the
+// small-flow mix, WiFi-only against MPTCP at 2, 8 and 20 arrivals/s,
+// with the invariant checker armed. Each token must be the canonical
+// form its run exports and reproduce the table's numbers at the
+// precision the table prints.
+func TestFleetTableTokens(t *testing.T) {
+	const (
+		wifiOnly = "transport=wifi=1+cell=0+mptcp=0"
+		mptcp    = "transport=mptcp"
+	)
+	for _, tc := range []struct {
+		rate, transport string
+		fct             string // "p50 / p99" in seconds
+		done            string // "completed/offered"
+	}{
+		{"2", wifiOnly, "0.247 / 4.807", "135/135"},
+		{"2", mptcp, "0.185 / 1.281", "135/135"},
+		{"8", wifiOnly, "1.110 / 54.033", "484/486"},
+		{"8", mptcp, "0.266 / 2.329", "486/486"},
+		{"20", wifiOnly, "2.081 / 97.077", "1007/1229"},
+		{"20", mptcp, "1.570 / 45.176", "1229/1229"},
+	} {
+		token := "clients=200,rate=" + tc.rate + ",dur=1m0s,drain=1m0s,seed=42,mix=small," + tc.transport + ",check=1"
+		cfg, err := ParseReplay(token)
+		if err != nil {
+			t.Fatalf("ParseReplay(%q): %v", token, err)
+		}
+		row := RunRow(cfg).Run
+		if row.Replay != token {
+			t.Errorf("%s: exported token %q", token, row.Replay)
+		}
+		fct := fmt.Sprintf("%.3f / %.3f", row.FCTP50, row.FCTP99)
+		done := fmt.Sprintf("%d/%d", row.Completed, row.Offered)
+		if fct != tc.fct || done != tc.done || row.Violations != 0 {
+			t.Errorf("%s: fct %s, done %s, %d violations; the table has %s, %s",
+				token, fct, done, row.Violations, tc.fct, tc.done)
+		}
 	}
 }
 

@@ -496,9 +496,6 @@ func (c *Conn) Subflows() []*Subflow { return c.subflows }
 // Reorder exposes the receive-side reorder buffer (metrics).
 func (c *Conn) Reorder() *ReorderBuffer { return c.reorder }
 
-// DataAcked reports the peer's cumulative data-level ACK.
-func (c *Conn) DataAcked() uint64 { return c.dataAck }
-
 // BytesWritten reports the total bytes the application has written.
 func (c *Conn) BytesWritten() int64 { return int64(c.sndEndData - initialDataSeq) }
 

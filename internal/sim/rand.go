@@ -56,12 +56,6 @@ func (g *RNG) Bool(p float64) bool {
 // NormFloat64 returns a standard normal sample.
 func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
 
-// Normal returns a normal sample with the given mean and standard
-// deviation.
-func (g *RNG) Normal(mean, stddev float64) float64 {
-	return mean + stddev*g.r.NormFloat64()
-}
-
 // ExpFloat64 returns an exponential sample with rate 1.
 func (g *RNG) ExpFloat64() float64 { return g.r.ExpFloat64() }
 

@@ -360,12 +360,6 @@ func (e *Endpoint) StreamOffset(seqn uint32) int64 {
 	return int64(seqn - e.streamBase())
 }
 
-// RcvStreamOffset converts a receive-space sequence to a byte offset
-// in the peer's payload stream.
-func (e *Endpoint) RcvStreamOffset(seqn uint32) int64 {
-	return int64(seqn - (e.irs + 1))
-}
-
 // --- Application interface ---
 
 // WriteOffset reports the stream offset at which the next Write will
@@ -467,16 +461,9 @@ func (e *Endpoint) SendSpace() int64 {
 	return space
 }
 
-// InSlowStart reports whether the subflow is below ssthresh (§4.1's
-// small-flow analysis hinges on this).
-func (e *Endpoint) InSlowStart() bool { return e.cwnd < e.ssthresh }
-
 // ConsecutiveTimeouts reports RTOs since the last forward ACK — the
 // backup-mode scheduler's liveness signal for detecting a dead path.
 func (e *Endpoint) ConsecutiveTimeouts() int { return e.consecRTO }
-
-// SsthreshPackets reports the current slow-start threshold.
-func (e *Endpoint) SsthreshPackets() float64 { return e.ssthresh }
 
 // --- teardown ---
 

@@ -67,8 +67,5 @@ func (e *rttEstimator) SRTT() sim.Time {
 	return e.srtt
 }
 
-// RTTVar reports the RTT variance estimate.
-func (e *rttEstimator) RTTVar() sim.Time { return e.rttvar }
-
 // HasSample reports whether at least one measurement was folded in.
 func (e *rttEstimator) HasSample() bool { return e.valid }

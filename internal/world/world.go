@@ -245,7 +245,9 @@ func (w *World) Serve(cfg mptcp.Config, rng *sim.RNG, accept func(Peer) *web.Fil
 // SYN leaves immediately. opts carries the caller's stack config (its
 // TCP half configures single-path dials) and MPTCP knobs, and in
 // LocalAddrs the client's WiFi then cellular address, usually from
-// Client.Addrs.
+// Client.Addrs. The scheduler decides the B bit: under "backup" the
+// cellular subflow joins as a backup, under every other scheduler
+// neither does.
 func (w *World) Dial(c *Client, t Transport, opts mptcp.DialOpts, rng *sim.RNG) Peer {
 	if t != MPTCP {
 		ep := tcp.NewEndpoint(c.Host, w.Net, opts.LocalAddrs[t], ServerAddr, opts.Config.TCP, rng)
@@ -253,12 +255,20 @@ func (w *World) Dial(c *Client, t Transport, opts mptcp.DialOpts, rng *sim.RNG) 
 		return Peer{EP: ep}
 	}
 	opts.Labels = pathLabels
+	if opts.Config.Scheduler == "backup" {
+		opts.Backup = backupCell
+	}
 	opts.ServerAddr = ServerAddr
 	return Peer{Conn: mptcp.Dial(w.Net, c.Host, opts, rng)}
 }
 
-// pathLabels names the subflows of every dial, in LocalAddrs order.
-var pathLabels = []string{"wifi", "cell"}
+// pathLabels names the subflows of every dial, in LocalAddrs order;
+// backupCell is the MP_JOIN B bit per address the "backup" scheduler
+// dials with: WiFi active, cellular in reserve.
+var (
+	pathLabels = []string{"wifi", "cell"}
+	backupCell = []bool{false, true}
+)
 
 // Live enumerates a run's MPTCP connections — the client, its side of
 // the connection, and the server's (nil until accepted) — for the hooks

@@ -21,7 +21,8 @@ import (
 // can call. And it pins the one fault path: outside the packages that
 // own links and addresses (chaos, world, netem, mptcp), no program file
 // takes a link down or up or withdraws or rejoins an address, so a
-// fault reaches a link only through a chaos schedule.
+// fault reaches a link only through a chaos schedule. Last, every
+// example has a test beside it, so none prints numbers nothing checks.
 func TestLayering(t *testing.T) {
 	for dir, banned := range map[string][]string{
 		"internal/sweep": {"mptcplab/"},
@@ -114,5 +115,19 @@ func TestLayering(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+
+	examples, err := filepath.Glob("examples/*/*.go")
+	if err != nil || len(examples) == 0 {
+		t.Fatalf("examples: no Go files (%v)", err)
+	}
+	for _, file := range examples {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		tests, err := filepath.Glob(filepath.Join(filepath.Dir(file), "*_test.go"))
+		if err != nil || len(tests) == 0 {
+			t.Errorf("%s has no _test.go beside it: pin its output or fold it into what it duplicates", file)
+		}
 	}
 }
