@@ -49,12 +49,13 @@ type Controller interface {
 	OnLoss(flows []Flow, i int) float64
 }
 
-// New returns the controller with the given name.
+// New returns the controller with the given name; "" is coupled, the
+// paper's (and Linux MPTCP's) default.
 func New(name string) (Controller, error) {
 	switch name {
 	case "reno":
 		return Reno{}, nil
-	case "coupled", "lia":
+	case "", "coupled", "lia":
 		return Coupled{}, nil
 	case "olia":
 		return OLIA{}, nil

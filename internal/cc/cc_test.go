@@ -42,6 +42,9 @@ func TestNew(t *testing.T) {
 	if c, err := New("lia"); err != nil || c.Name() != "coupled" {
 		t.Error("alias lia not accepted")
 	}
+	if c, err := New(""); err != nil || c.Name() != "coupled" {
+		t.Error(`New("") is not the default, coupled`)
+	}
 	if _, err := New("cubic"); err == nil {
 		t.Error("unknown controller accepted")
 	}
@@ -219,32 +222,43 @@ func TestIncreaseScalesWithAckedPackets(t *testing.T) {
 	}
 }
 
-// roundRate is the round-level referee driver: one path with seeded
-// Bernoulli loss p per packet sends floor(cwnd) packets a round for the
-// given number of rounds. A round with any loss calls OnLoss once;
-// otherwise every packet's ACK calls Increase. It returns the mean
-// packets sent per round, that is per RTT.
-func roundRate(c Controller, p float64, rounds int, seed int64) float64 {
+// roundRate is the round-level referee driver: equal-RTT paths with
+// seeded Bernoulli loss ps[i] per packet. Each round, each path in
+// order sends floor(cwnd) packets. A path's round with any loss calls
+// OnLoss once and starts a new loss interval (l2 <- l1, l1 <- 0);
+// otherwise every packet's ACK calls Increase and adds one MSS to l1.
+// It returns each path's mean packets sent per round, that is per RTT.
+func roundRate(c Controller, ps []float64, rounds int, seed int64) []float64 {
 	rng := rand.New(rand.NewSource(seed))
-	f := &fakeFlow{cwnd: 10, srtt: 0.1, established: true}
-	fs := flows(f)
-	sent := 0
+	ff := make([]*fakeFlow, len(ps))
+	for i := range ff {
+		ff[i] = &fakeFlow{cwnd: 10, srtt: 0.1, established: true}
+	}
+	fs := flows(ff...)
+	sent := make([]float64, len(ps))
 	for r := 0; r < rounds; r++ {
-		n := int(f.cwnd)
-		sent += n
-		lost := false
-		for k := 0; k < n; k++ {
-			lost = lost || rng.Float64() < p
-		}
-		if lost {
-			f.cwnd = c.OnLoss(fs, 0)
-			continue
-		}
-		for k := 0; k < n; k++ {
-			f.cwnd += c.Increase(fs, 0, 1)
+		for i, f := range ff {
+			n := int(f.cwnd)
+			sent[i] += float64(n)
+			lost := false
+			for k := 0; k < n; k++ {
+				lost = lost || rng.Float64() < ps[i]
+			}
+			if lost {
+				f.cwnd = c.OnLoss(fs, i)
+				f.l2, f.l1 = f.l1, 0
+				continue
+			}
+			for k := 0; k < n; k++ {
+				f.cwnd += c.Increase(fs, i, 1)
+				f.l1 += 1460
+			}
 		}
 	}
-	return float64(sent) / float64(rounds)
+	for i := range sent {
+		sent[i] /= float64(rounds)
+	}
+	return sent
 }
 
 // TestRenoMatchesMathis is the first closed-form referee: driven round
@@ -254,10 +268,76 @@ func TestRenoMatchesMathis(t *testing.T) {
 	for _, p := range []float64{0.001, 0.005, 0.01, 0.03} {
 		mathis := math.Sqrt(3 / (2 * p))
 		for seed := int64(1); seed <= 3; seed++ {
-			got := roundRate(Reno{}, p, 100000, seed)
+			got := roundRate(Reno{}, []float64{p}, 100000, seed)[0]
 			if ratio := got / mathis; ratio < 0.85 || ratio > 1.15 {
 				t.Errorf("p=%g seed %d: %.2f packets/RTT, %.3f of Mathis's %.2f; want within ±15%%",
 					p, seed, got, ratio, mathis)
+			}
+		}
+	}
+}
+
+// aggregateOf sums per-path rates and returns the total with path i's
+// share of it.
+func aggregateOf(rates []float64, i int) (total, share float64) {
+	for _, r := range rates {
+		total += r
+	}
+	return total, rates[i] / total
+}
+
+// TestRoundDriverRenoDoubles checks the driver itself: uncoupled Reno
+// on two identical paths is two independent Reno flows, twice the
+// single-path rate.
+func TestRoundDriverRenoDoubles(t *testing.T) {
+	for _, p := range []float64{0.01, 0.001} {
+		for seed := int64(1); seed <= 3; seed++ {
+			single := roundRate(Reno{}, []float64{p}, 100000, seed)[0]
+			total, _ := aggregateOf(roundRate(Reno{}, []float64{p, p}, 100000, seed), 1)
+			if ratio := total / single; ratio < 1.85 || ratio > 2.15 {
+				t.Errorf("p=%g seed %d: two Reno paths send %.3f× one path's rate, want 1.85–2.15×", p, seed, ratio)
+			}
+		}
+	}
+}
+
+// TestCoupledTakesTheBetterPathsRate is the round-level referee for
+// RFC 6356's goals and OLIA's: driven over two equal-RTT paths, the
+// coupled aggregate is within ±15 % of what Reno alone gets on the
+// better path, and identical paths split the traffic evenly.
+func TestCoupledTakesTheBetterPathsRate(t *testing.T) {
+	for _, ps := range [][]float64{{0.01, 0.01}, {0.001, 0.001}, {0.001, 0.01}} {
+		for seed := int64(1); seed <= 3; seed++ {
+			best := roundRate(Reno{}, []float64{math.Min(ps[0], ps[1])}, 100000, seed)[0]
+			for _, c := range []Controller{Coupled{}, OLIA{}} {
+				total, share := aggregateOf(roundRate(c, ps, 100000, seed), 1)
+				if ratio := total / best; ratio < 0.85 || ratio > 1.15 {
+					t.Errorf("%s p=%v seed %d: aggregate %.3f× the better path's Reno rate, want within ±15%%",
+						c.Name(), ps, seed, ratio)
+				}
+				if ps[0] == ps[1] && (share < 0.45 || share > 0.55) {
+					t.Errorf("%s p=%v seed %d: second path carries %.3f of the traffic, want 0.45–0.55",
+						c.Name(), ps, seed, share)
+				}
+			}
+		}
+	}
+}
+
+// TestOLIAShiftsTrafficOffTheLossierPath: with one path 2×, 3× and 10×
+// lossier, OLIA moves more of the traffic off it than coupled does
+// (Khalili et al.'s Pareto-optimality fix), nearly all of it at 10×.
+func TestOLIAShiftsTrafficOffTheLossierPath(t *testing.T) {
+	for _, ps := range [][]float64{{0.005, 0.01}, {0.001, 0.003}, {0.001, 0.01}} {
+		for seed := int64(1); seed <= 3; seed++ {
+			_, coupled := aggregateOf(roundRate(Coupled{}, ps, 100000, seed), 1)
+			_, olia := aggregateOf(roundRate(OLIA{}, ps, 100000, seed), 1)
+			if olia >= coupled {
+				t.Errorf("p=%v seed %d: OLIA leaves %.3f on the lossier path, coupled %.3f; want OLIA below",
+					ps, seed, olia, coupled)
+			}
+			if ps[1] == 10*ps[0] && olia > 0.10 {
+				t.Errorf("p=%v seed %d: OLIA leaves %.3f on the 10× lossier path, want ≤ 0.10", ps, seed, olia)
 			}
 		}
 	}

@@ -86,28 +86,6 @@ func TestParseRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestTimeRoundTrip(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want sim.Time
-	}{
-		{"500ms", 500 * sim.Millisecond},
-		{"2s", 2 * sim.Second},
-		{"1.5s", 1500 * sim.Millisecond},
-		{"250us", 250 * sim.Microsecond},
-		{"1m", sim.Minute},
-	} {
-		got, err := ParseTime(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("ParseTime(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
-		}
-		back, err := ParseTime(FormatTime(got))
-		if err != nil || back != got {
-			t.Errorf("FormatTime(%v) = %q does not round-trip", got, FormatTime(got))
-		}
-	}
-}
-
 func testLink(s *sim.Simulator, rng *sim.RNG, name string) *netem.Link {
 	l := netem.NewLink(s, rng, name)
 	l.Rate = 10 * units.Mbps

@@ -11,14 +11,9 @@ import (
 // reproducible. Stall spans and recovery times are quantized to the
 // sampling period.
 type Monitor struct {
-	// Period is the sampling tick (default 50 ms).
-	Period sim.Time
 	// StallAfter is how long a flow must go without progress before a
 	// stall span opens (default 1 s).
 	StallAfter sim.Time
-	// TimeoutAfter is the no-progress span counted as an app-level
-	// timeout (default 5 s); each crossing increments Timeouts once.
-	TimeoutAfter sim.Time
 
 	// PathRates, when set, is sampled once per tick: the instantaneous
 	// aggregate delivery rate on each access path, in bytes of
@@ -42,22 +37,27 @@ type Monitor struct {
 	pathRecov  [2][]sim.Time // per schedule window, like Tracked.recov
 }
 
+// MonitorPeriod is the monitor's sampling tick.
+const MonitorPeriod = 50 * sim.Millisecond
+
+// timeoutAfter is the no-progress span counted as an app-level timeout;
+// each crossing increments the report's timeouts once.
+const timeoutAfter = 5 * sim.Second
+
 // NewMonitor builds a monitor for one run of the schedule and starts
 // its sampling tick. The tick re-arms itself until Finish, so drive
 // the simulator with RunUntil/RunFor (Run would never drain).
 func NewMonitor(s *sim.Simulator, sc Schedule) *Monitor {
 	m := &Monitor{
-		Period:       50 * sim.Millisecond,
-		StallAfter:   sim.Second,
-		TimeoutAfter: 5 * sim.Second,
-		sim:          s,
-		spec:         sc.Spec(),
-		windows:      sc.Windows(),
+		StallAfter: sim.Second,
+		sim:        s,
+		spec:       sc.Spec(),
+		windows:    sc.Windows(),
 	}
 	for p := range m.pathRecov {
 		m.pathRecov[p] = pendingRecov(len(m.windows))
 	}
-	s.After(m.Period, "chaos-monitor", m.tick)
+	s.After(MonitorPeriod, "chaos-monitor", m.tick)
 	return m
 }
 
@@ -71,7 +71,7 @@ func pendingRecov(n int) []sim.Time {
 }
 
 // Track registers a flow. progress must return a monotone byte count
-// (e.g. web.Getter.BytesReceived); it is polled every Period until
+// (e.g. web.Getter.BytesReceived); it is polled every MonitorPeriod until
 // Done or Abort.
 func (m *Monitor) Track(progress func() int64) *Tracked {
 	tr := &Tracked{
@@ -107,7 +107,6 @@ type Tracked struct {
 	longestStall sim.Time
 	timedOut     bool
 	timeouts     int
-	retries      int
 
 	faultBytes int64
 	faultDur   sim.Time
@@ -125,9 +124,6 @@ const (
 	ttrPending sim.Time = -1 // window passed (or pending), no recovery seen yet
 	ttrNA      sim.Time = -2 // window outside the flow's lifetime
 )
-
-// Retry records an application-level retry against this flow.
-func (t *Tracked) Retry() { t.retries++ }
 
 // Done marks the flow finished. completed distinguishes a transfer
 // that delivered all its bytes from one cut off by the run ending.
@@ -174,9 +170,9 @@ func (t *Tracked) observe(now sim.Time) {
 
 	if t.m.inFault(now) {
 		t.faultBytes += delta
-		t.faultDur += t.m.Period
+		t.faultDur += MonitorPeriod
 	} else {
-		t.steadyDur += t.m.Period
+		t.steadyDur += MonitorPeriod
 	}
 
 	if delta > 0 {
@@ -197,7 +193,7 @@ func (t *Tracked) observe(now sim.Time) {
 		t.stallStart = t.lastChange
 		t.stalls++
 	}
-	if !t.timedOut && idle >= t.m.TimeoutAfter {
+	if !t.timedOut && idle >= timeoutAfter {
 		t.timedOut = true
 		t.timeouts++
 	}
@@ -229,7 +225,7 @@ func (m *Monitor) tick() {
 	if m.PathRates != nil {
 		m.observePaths(now)
 	}
-	m.sim.After(m.Period, "chaos-monitor", m.tick)
+	m.sim.After(MonitorPeriod, "chaos-monitor", m.tick)
 }
 
 // observePaths folds one per-path delivery-rate sample: into the
@@ -311,7 +307,6 @@ func (m *Monitor) Finish() *Report {
 		r.SteadyBytes += t.last - t.faultBytes
 		faultDur += t.faultDur
 		steadyDur += t.steadyDur
-		r.Retries += t.retries
 		r.Timeouts += t.timeouts
 	}
 	r.LongestStallS = longest.Seconds()

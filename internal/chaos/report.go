@@ -55,6 +55,8 @@ type Report struct {
 	CellSteadyBps float64 `json:"res_cell_steady_bps"`
 	CellTTRSec    float64 `json:"res_cell_ttr_s"`
 
+	// Retries is always 0: nothing retries at the application level.
+	// The column stays until the next golden recalibration drops it.
 	Retries  int `json:"res_retries"`
 	Timeouts int `json:"res_timeouts"`
 

@@ -22,6 +22,7 @@ import (
 	"strings"
 
 	"mptcplab/internal/sim"
+	"mptcplab/internal/units"
 )
 
 // Path selects which access network a fault hits.
@@ -320,9 +321,9 @@ func (e *Event) set(key, val string) error {
 }
 
 func setTime(dst *sim.Time, key, val string) error {
-	t, err := ParseTime(val)
+	t, err := units.ParseTime(val)
 	if err != nil {
-		return fmt.Errorf("chaos: bad %s=%q: %v", key, val, err)
+		return fmt.Errorf("chaos: bad %s: %v", key, err)
 	}
 	*dst = t
 	return nil
@@ -396,31 +397,8 @@ func (sc Schedule) Spec() string {
 	return strings.Join(clauses, "+")
 }
 
-// ParseTime reads a duration like "500ms", "2s", "1.5s", "250us".
-func ParseTime(s string) (sim.Time, error) {
-	var unit sim.Time
-	var num string
-	switch {
-	case strings.HasSuffix(s, "ms"):
-		unit, num = sim.Millisecond, strings.TrimSuffix(s, "ms")
-	case strings.HasSuffix(s, "us"):
-		unit, num = sim.Microsecond, strings.TrimSuffix(s, "us")
-	case strings.HasSuffix(s, "m"):
-		unit, num = sim.Minute, strings.TrimSuffix(s, "m")
-	case strings.HasSuffix(s, "s"):
-		unit, num = sim.Second, strings.TrimSuffix(s, "s")
-	default:
-		return 0, fmt.Errorf("missing unit (ms|us|s|m)")
-	}
-	f, err := strconv.ParseFloat(num, 64)
-	if err != nil || f < 0 {
-		return 0, fmt.Errorf("bad number %q", num)
-	}
-	return sim.Time(f * float64(unit)), nil
-}
-
 // FormatTime renders a sim duration in the largest exact unit, the
-// inverse of ParseTime.
+// inverse of units.ParseTime.
 func FormatTime(t sim.Time) string {
 	switch {
 	case t%sim.Second == 0:

@@ -1,6 +1,6 @@
 // Package check is mptcplab's opt-in correctness layer: an online
 // protocol-invariant checker that observes every segment through the
-// hosts' raw taps and asserts TCP and MPTCP invariants as the
+// hosts' taps and asserts TCP and MPTCP invariants as the
 // simulation runs — sequence-space monotonicity per subflow, SACK
 // legality, DSS mapping consistency, advertised-window respect,
 // congestion-state sanity (via periodic probes into the stacks'
@@ -21,7 +21,6 @@ import (
 	"mptcplab/internal/seg"
 	"mptcplab/internal/sim"
 	"mptcplab/internal/tcp"
-	"mptcplab/internal/trace"
 	"mptcplab/internal/world"
 )
 
@@ -85,7 +84,7 @@ type watcher struct {
 }
 
 // Checker accumulates invariant violations for a single simulation.
-// Attach it to hosts with trace.AttachObserver, register stack probes
+// Feed it segments from host taps (Arm does), register stack probes
 // with WatchEndpoint/WatchConn, and arm periodic probing with
 // ArmProbes. It is not safe for concurrent use; like everything else
 // it is confined to one simulator goroutine.
@@ -111,9 +110,13 @@ func New(s *sim.Simulator) *Checker {
 // registered stacks probed every interval of simulated time.
 func Arm(w *world.World, every sim.Time) *Checker {
 	c := New(w.Sim)
-	trace.AttachObserver(w.Server, c)
+	hosts := []*netem.Host{w.Server}
 	for _, cl := range w.Clients {
-		trace.AttachObserver(cl.Host, c)
+		hosts = append(hosts, cl.Host)
+	}
+	for _, h := range hosts {
+		name := h.Name
+		h.AddTap(func(dir netem.Direction, at sim.Time, s *seg.Segment) { c.OnSegment(name, dir, at, s) })
 	}
 	for _, l := range w.Links() {
 		c.ArmLink(l)
@@ -168,8 +171,8 @@ func (c *Checker) peekFlow(src, dst seg.Addr) *flowState {
 	return c.flows[flowKey{src, dst}]
 }
 
-// OnSegment observes one live segment at a host interface. It
-// implements trace.SegmentObserver; host is the observing host's name.
+// OnSegment observes one live segment at a host interface; host is the
+// observing host's name.
 // Egress observations carry the sender's authoritative ordering and
 // drive the monotonicity checks; ingress observations harvest window
 // advertisements (the sender can only act on ACKs that arrived) and

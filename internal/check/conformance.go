@@ -128,7 +128,7 @@ func RunConformance(sched string, cs ConformanceScenario) ConformanceResult {
 	rep := RunScenario(sc, func(hh *Harness) {
 		h = hh
 		if hh.Monitor != nil {
-			hh.Monitor.StallAfter = hh.Monitor.Period
+			hh.Monitor.StallAfter = chaos.MonitorPeriod
 		}
 	})
 	res := ConformanceResult{Scheduler: sched, Scenario: cs.Name, Report: rep}

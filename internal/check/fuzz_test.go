@@ -65,14 +65,14 @@ func TestRunScenarioDeterministic(t *testing.T) {
 }
 
 // corruptDSS is the deliberately injected bug used to prove the
-// checker catches real wire-level corruption: a raw tap installed
+// checker catches real wire-level corruption: a tap installed
 // after the checker's (so the checker first observes the clean
 // mapping at server egress) that shifts the DSS data sequence of
 // every payload segment past the first few, silently remapping
 // subflow bytes onto the wrong data-stream position.
 func corruptDSS(h *Harness) {
 	n := 0
-	h.Server.AddRawTap(func(dir netem.Direction, at sim.Time, s *seg.Segment) {
+	h.Server.AddTap(func(dir netem.Direction, at sim.Time, s *seg.Segment) {
 		if dir != netem.Egress || s.PayloadLen == 0 {
 			return
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"mptcplab/internal/pathmodel"
 	"mptcplab/internal/stats"
@@ -74,36 +73,9 @@ type Matrix struct {
 
 	// Campaign execution metadata, filled by runMatrix and excluded
 	// from the CSV/JSON exports (which must stay a pure function of
-	// the seed): host wall-clock duration of the campaign, the summed
-	// busy time of all runs, and the worker count used. BusyTime /
-	// WallTime approximates the parallel speedup.
-	WallTime time.Duration
-	BusyTime time.Duration
-	Workers  int
-
-	// TotalEvents sums the simulator events processed across all runs,
-	// the numerator of paperbench's events/sec line. Like the timing
-	// fields it is execution metadata, excluded from exports.
-	TotalEvents uint64
-
-	// TotalViolations sums protocol-invariant violations across all
-	// runs of a SelfCheck campaign (zero otherwise — and zero is the
-	// only acceptable value). FirstViolation describes the earliest
-	// one seen. Execution metadata, excluded from exports.
-	TotalViolations int
-	FirstViolation  string
-
-	// FailedRuns counts runs the harness contained — a panic inside the
-	// run or a watchdog kill — each of which lands in its cell as a
-	// failure instead of tearing down the campaign. FirstFailure is the
-	// earliest reason, one line. Execution metadata, excluded from
-	// exports.
-	FailedRuns   int
-	FirstFailure string
-
-	// Cancelled reports the campaign stopped early via
-	// CampaignOpts.Context; cells hold only the runs that finished.
-	Cancelled bool
+	// the seed). Cancelled means CampaignOpts.Context stopped the
+	// campaign early; cells then hold only the runs that finished.
+	sweep.Stats
 }
 
 // MatrixRow is one configuration's cells across the sizes.
@@ -311,15 +283,10 @@ func runMatrix(id, title string, rows []RowSpec, sizes []units.ByteCount, opts C
 		func(_ int, err error) RunResult { return failedResult(err) },
 		func(k int, res RunResult) {
 			j := jobs[k]
-			m.TotalEvents += res.Events
-			m.absorbViolations(res)
+			m.Tally(res.Events, res.Violations, res.FirstViolation, res.FailReason)
 			m.Rows[j.row].Cells[j.col].absorb(res)
 		})
-
-	m.Workers = st.Workers
-	m.Cancelled = st.Cancelled
-	m.BusyTime = st.BusyTime
-	m.WallTime = st.WallTime
+	m.Workers, m.WallTime, m.BusyTime, m.Cancelled = st.Workers, st.WallTime, st.BusyTime, st.Cancelled
 	return m
 }
 
@@ -330,22 +297,6 @@ func failedResult(err error) RunResult {
 	var res RunResult
 	res.FailReason, _, _ = strings.Cut(err.Error(), "\n")
 	return res
-}
-
-// absorbViolations accumulates a run's self-check findings and harness
-// failures into the campaign metadata (absorbed in deterministic job
-// order, like cells).
-func (m *Matrix) absorbViolations(res RunResult) {
-	m.TotalViolations += res.Violations
-	if m.FirstViolation == "" {
-		m.FirstViolation = res.FirstViolation
-	}
-	if res.FailReason != "" {
-		m.FailedRuns++
-		if m.FirstFailure == "" {
-			m.FirstFailure = res.FailReason
-		}
-	}
 }
 
 // testMatrixHook, when non-nil, runs after each job's testbed is built

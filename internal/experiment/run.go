@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 	"time"
@@ -181,7 +182,7 @@ func (r *RunResult) CellLossRate() float64 {
 // Validate rejects what Testbed.Run would panic on (an unknown controller),
 // silently replace (an unknown scheduler) or time out on (no bytes).
 func (rc RunConfig) Validate() error {
-	if _, err := cc.New(defaultStr(rc.Controller, "coupled")); err != nil {
+	if _, err := cc.New(rc.Controller); err != nil {
 		return err
 	}
 	if err := mptcp.ValidateScheduler(rc.Scheduler); err != nil {
@@ -194,7 +195,7 @@ func (rc RunConfig) Validate() error {
 }
 
 func (rc RunConfig) stackConfig() mptcp.Config {
-	ctrl, err := cc.New(defaultStr(rc.Controller, "coupled"))
+	ctrl, err := cc.New(rc.Controller)
 	if err != nil {
 		panic(err) // a caller skipped Validate
 	}
@@ -208,16 +209,9 @@ func (rc RunConfig) stackConfig() mptcp.Config {
 	}
 	cfg := mptcp.ConfigOver(t)
 	cfg.Controller = ctrl
-	cfg.Scheduler = defaultStr(rc.Scheduler, "minrtt")
+	cfg.Scheduler = rc.Scheduler
 	cfg.SimultaneousSYN = rc.SimultaneousSYN
 	return cfg
-}
-
-func defaultStr(s, d string) string {
-	if s == "" {
-		return d
-	}
-	return s
 }
 
 // Run performs one download on the testbed and collects its metrics.
@@ -386,7 +380,7 @@ func (tb *Testbed) accountSender(ep *tcp.Endpoint, res *RunResult) {
 // Describe renders the run configuration like the paper's legends.
 func (rc RunConfig) Describe() string {
 	name := rc.Transport.String()
-	ctrl := defaultStr(rc.Controller, "coupled")
+	ctrl := cmp.Or(rc.Controller, "coupled")
 	if rc.Transport == MP2 || rc.Transport == MP4 {
 		name = fmt.Sprintf("%s (%s)", name, ctrl)
 	}

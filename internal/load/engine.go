@@ -245,19 +245,13 @@ var testRunHook func(*fleet)
 // steers MPTCP coupling only — single-path TCP flows run the config's
 // TCP half, always New Reno, like the background wgets in the paper.
 func (f *fleet) buildStackConfig() {
-	name := f.cfg.Controller
-	if name == "" {
-		name = "coupled"
-	}
-	ctrl, err := cc.New(name)
+	ctrl, err := cc.New(f.cfg.Controller)
 	if err != nil {
 		panic(err)
 	}
 	f.mpCfg = mptcp.DefaultConfig()
 	f.mpCfg.Controller = ctrl
-	if f.cfg.Scheduler != "" {
-		f.mpCfg.Scheduler = f.cfg.Scheduler
-	}
+	f.mpCfg.Scheduler = f.cfg.Scheduler
 }
 
 // accept routes a server-side accept back to the flow that dialed it

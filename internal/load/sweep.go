@@ -5,13 +5,11 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"mptcplab/internal/cc"
 	"mptcplab/internal/chaos"
 	"mptcplab/internal/mptcp"
 	"mptcplab/internal/pathmodel"
-	"mptcplab/internal/sim"
 	"mptcplab/internal/sweep"
 	"mptcplab/internal/units"
 	"mptcplab/internal/world"
@@ -104,21 +102,11 @@ type Sweep struct {
 	rows []*Row
 
 	// Execution metadata (excluded from exports, which must stay a
-	// pure function of the seed). TotalEvents and FirstViolation cover
-	// executed runs only.
-	WallTime        time.Duration
-	BusyTime        time.Duration
-	Workers         int
-	TotalEvents     uint64
-	TotalViolations int
-	FirstViolation  string
-
-	// Cancelled reports the sweep was stopped early via
-	// SweepOpts.Context; unexecuted runs stay nil.
-	Cancelled bool
-	// FailedRuns counts runs that panicked or were killed by the
-	// watchdog — each still has a row (failed=true).
-	FailedRuns int
+	// pure function of the seed). Cancelled means SweepOpts.Context
+	// stopped the sweep early; unexecuted runs stay nil. TotalEvents
+	// and FirstViolation cover executed runs only; a failed run still
+	// has a row (failed=true).
+	sweep.Stats
 }
 
 // sweepSalt is the load sweep's historical shuffle salt; like the
@@ -293,22 +281,14 @@ func RunSweep(opts SweepOpts) *Sweep {
 				row.Resilience.Rep = j.Rep
 			}
 			sw.rows[k] = &row
-			sw.TotalViolations += row.Run.Violations
-			if row.Run.Failed {
-				sw.FailedRuns++
-			}
+			var events uint64
+			var firstViolation string
 			if res := sw.Points[j.Point].Runs[j.Rep]; res != nil {
-				sw.TotalEvents += res.Events
-				if sw.FirstViolation == "" {
-					sw.FirstViolation = res.FirstViolation
-				}
+				events, firstViolation = res.Events, res.FirstViolation
 			}
+			sw.Tally(events, row.Run.Violations, firstViolation, row.Run.FailReason)
 		})
-
-	sw.Workers = st.Workers
-	sw.Cancelled = st.Cancelled
-	sw.BusyTime = st.BusyTime
-	sw.WallTime = st.WallTime
+	sw.Workers, sw.WallTime, sw.BusyTime, sw.Cancelled = st.Workers, st.WallTime, st.BusyTime, st.Cancelled
 	return sw
 }
 
@@ -410,15 +390,15 @@ func (c *Config) Set(k, v string) error {
 	case "sessions":
 		_, err = fmt.Sscanf(v, "%d", &c.Sessions)
 	case "think":
-		c.ThinkMean, err = parseSimTime(v)
+		c.ThinkMean, err = units.ParseTime(v)
 	case "flows":
 		_, err = fmt.Sscanf(v, "%d", &c.Flows)
 	case "rate":
 		_, err = fmt.Sscanf(v, "%g", &c.Rate)
 	case "dur":
-		c.Duration, err = parseSimTime(v)
+		c.Duration, err = units.ParseTime(v)
 	case "drain":
-		c.Drain, err = parseSimTime(v)
+		c.Drain, err = units.ParseTime(v)
 	case "seed":
 		_, err = fmt.Sscanf(v, "%d", &c.Seed)
 	case "mix":
@@ -481,17 +461,10 @@ func (c Config) Validate() error {
 	if c.Drain < 0 {
 		return fmt.Errorf("load: drain=%v is negative", c.Drain)
 	}
-	if c.Controller != "" {
-		if _, err := cc.New(c.Controller); err != nil {
-			return err
-		}
+	if _, err := cc.New(c.Controller); err != nil {
+		return err
 	}
 	return mptcp.ValidateScheduler(c.Scheduler)
-}
-
-func parseSimTime(s string) (sim.Time, error) {
-	d, err := time.ParseDuration(s)
-	return sim.Time(d), err
 }
 
 // sortedRates lists a sweep's distinct rates in ascending order, for

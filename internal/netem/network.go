@@ -32,7 +32,9 @@ const (
 )
 
 // Tap observes packets at a host's interfaces, like tcpdump. The
-// segment passed in is a private clone; taps may retain it.
+// segment passed in is the live one the network owns: a tap must not
+// mutate it or retain it past the call (it is recycled afterwards), so
+// a tap that keeps segments clones them itself.
 type Tap func(dir Direction, at sim.Time, s *seg.Segment)
 
 type connKey struct {
@@ -51,7 +53,6 @@ type Host struct {
 	// port across both its interfaces.
 	listeners map[uint16]Listener
 	taps      []Tap
-	rawTaps   []Tap
 
 	// Unmatched counts segments that matched neither a connection nor
 	// a listener (e.g. late retransmissions after close).
@@ -85,26 +86,13 @@ func (h *Host) Listen(port uint16, l Listener) {
 	h.listeners[port] = l
 }
 
-// AddTap attaches a capture tap to all of the host's traffic.
+// AddTap attaches a tap to all of the host's traffic. Taps run in the
+// order they were added and cost nothing per packet beyond the call.
 func (h *Host) AddTap(t Tap) { h.taps = append(h.taps, t) }
 
-// AddRawTap attaches a zero-copy tap: unlike AddTap, the callback gets
-// the live segment, not a clone, so it costs nothing per packet beyond
-// the call. Raw taps must not mutate the segment or retain it past the
-// callback — it is owned by the network and recycled afterwards. The
-// invariant checker uses raw taps to observe every segment online.
-func (h *Host) AddRawTap(t Tap) { h.rawTaps = append(h.rawTaps, t) }
-
 func (h *Host) tap(dir Direction, s *seg.Segment) {
-	for _, t := range h.rawTaps {
-		t(dir, h.net.sim.Now(), s)
-	}
-	if len(h.taps) == 0 {
-		return
-	}
-	c := s.Clone()
 	for _, t := range h.taps {
-		t(dir, h.net.sim.Now(), c)
+		t(dir, h.net.sim.Now(), s)
 	}
 }
 

@@ -72,16 +72,45 @@ func (o Opts) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Stats is the execution metadata of one engine run — wall-clock
-// facts, deliberately separated from results so exports stay a pure
-// function of the seed. BusyTime / WallTime approximates the parallel
-// speedup.
+// Stats is the execution metadata of one campaign — wall-clock facts
+// and run tallies, deliberately separated from results so exports stay
+// a pure function of the seed. BusyTime / WallTime approximates the
+// parallel speedup.
 type Stats struct {
 	Workers  int
 	WallTime time.Duration
 	BusyTime time.Duration
 	// Cancelled reports the sweep stopped early via Opts.Context.
 	Cancelled bool
+
+	// The tallies below are the caller's: Run leaves them zero, and the
+	// caller's absorb calls Tally once per executed run, so they follow
+	// the deterministic absorb order. TotalEvents sums simulator
+	// events; TotalViolations sums protocol-invariant violations (zero
+	// is the only acceptable value) and FirstViolation is the earliest
+	// one; FailedRuns counts runs the harness contained (a panic or a
+	// watchdog kill) and FirstFailure is the earliest reason, one line.
+	TotalEvents     uint64
+	TotalViolations int
+	FirstViolation  string
+	FailedRuns      int
+	FirstFailure    string
+}
+
+// Tally folds one absorbed run into the totals; a non-empty failReason
+// marks the run failed.
+func (s *Stats) Tally(events uint64, violations int, firstViolation, failReason string) {
+	s.TotalEvents += events
+	s.TotalViolations += violations
+	if s.FirstViolation == "" {
+		s.FirstViolation = firstViolation
+	}
+	if failReason != "" {
+		s.FailedRuns++
+		if s.FirstFailure == "" {
+			s.FirstFailure = failReason
+		}
+	}
 }
 
 // Contain runs fn, converting a panic into an error carrying the

@@ -74,36 +74,35 @@ const (
 
 // Config carries the tunables the paper fixes in §3.1.
 type Config struct {
-	MSS           int             // maximum segment size, bytes
-	InitialCwnd   float64         // initial window, packets (Linux default 10)
-	SSThresh      units.ByteCount // initial slow-start threshold; 0 = infinity
-	RcvBuf        units.ByteCount // receive buffer (8 MB in the paper)
-	Controller    cc.Controller   // congestion-avoidance algorithm
-	InitialRTO    sim.Time        // RFC 6298 initial RTO (1 s)
-	MinRTO        sim.Time        // Linux floors RTO at 200 ms
-	MaxRTO        sim.Time
-	DelAckTimeout sim.Time // delayed-ACK flush timer
-	DelAckCount   int      // ACK every n-th full segment
-	WindowScale   uint8    // advertised window shift
-	TimeWait      sim.Time // 2MSL linger; short by default to free sims
+	MSS         int             // maximum segment size, bytes
+	InitialCwnd float64         // initial window, packets (Linux default 10)
+	SSThresh    units.ByteCount // initial slow-start threshold; 0 = infinity
+	RcvBuf      units.ByteCount // receive buffer (8 MB in the paper)
+	Controller  cc.Controller   // congestion-avoidance algorithm
+	MinRTO      sim.Time        // Linux floors RTO at 200 ms
+	DelAckCount int             // ACK every n-th full segment
 }
+
+// The stack's fixed timers and window shift: no run sets them apart.
+const (
+	initialRTO    = sim.Second            // RFC 6298 initial RTO
+	maxRTO        = 60 * sim.Second       // RTO backoff ceiling
+	delAckTimeout = 40 * sim.Millisecond  // delayed-ACK flush timer
+	windowScale   = 8                     // advertised window shift
+	timeWait      = 500 * sim.Millisecond // 2MSL linger; short to free sims
+)
 
 // DefaultConfig mirrors the paper's testbed settings: MSS 1460, IW 10,
 // ssthresh 64 KB, 8 MB receive buffer, SACK on, New Reno.
 func DefaultConfig() Config {
 	return Config{
-		MSS:           1460,
-		InitialCwnd:   10,
-		SSThresh:      64 * units.KB,
-		RcvBuf:        8 * units.MB,
-		Controller:    cc.Reno{},
-		InitialRTO:    sim.Second,
-		MinRTO:        200 * sim.Millisecond,
-		MaxRTO:        60 * sim.Second,
-		DelAckTimeout: 40 * sim.Millisecond,
-		DelAckCount:   2,
-		WindowScale:   8,
-		TimeWait:      500 * sim.Millisecond,
+		MSS:         1460,
+		InitialCwnd: 10,
+		SSThresh:    64 * units.KB,
+		RcvBuf:      8 * units.MB,
+		Controller:  cc.Reno{},
+		MinRTO:      200 * sim.Millisecond,
+		DelAckCount: 2,
 	}
 }
 
@@ -243,7 +242,7 @@ func NewEndpoint(host *netem.Host, network *netem.Network, local, remote seg.Add
 		sim:    network.Sim(),
 		cfg:    cfg,
 		state:  StateClosed,
-		est:    newRTTEstimator(cfg.InitialRTO, cfg.MinRTO, cfg.MaxRTO),
+		est:    newRTTEstimator(cfg.MinRTO),
 		isnRNG: rng,
 	}
 	if e.cfg.Controller == nil {
@@ -292,7 +291,7 @@ func (e *Endpoint) Cwnd() float64 { return e.cwnd }
 // sample, so coupled formulas have something finite to work with).
 func (e *Endpoint) SRTT() float64 {
 	if !e.est.HasSample() {
-		return e.cfg.InitialRTO.Seconds()
+		return initialRTO.Seconds()
 	}
 	return e.est.SRTT().Seconds()
 }
@@ -470,7 +469,7 @@ func (e *Endpoint) ConsecutiveTimeouts() int { return e.consecRTO }
 func (e *Endpoint) enterTimeWait() {
 	e.state = StateTimeWait
 	e.rtxTimer.Stop()
-	e.twTimer.Reset(e.cfg.TimeWait)
+	e.twTimer.Reset(timeWait)
 }
 
 func (e *Endpoint) reapTimeWait() {

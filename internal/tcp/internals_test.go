@@ -9,7 +9,7 @@ import (
 )
 
 func TestRTTEstimatorRFC6298(t *testing.T) {
-	e := newRTTEstimator(sim.Second, 200*sim.Millisecond, 60*sim.Second)
+	e := newRTTEstimator(200 * sim.Millisecond)
 	if e.RTO() != sim.Second {
 		t.Errorf("initial RTO = %v", e.RTO())
 	}
@@ -45,7 +45,7 @@ func TestRTTEstimatorRFC6298(t *testing.T) {
 }
 
 func TestRTTEstimatorRejectsNonPositive(t *testing.T) {
-	e := newRTTEstimator(sim.Second, 200*sim.Millisecond, 60*sim.Second)
+	e := newRTTEstimator(200 * sim.Millisecond)
 	e.Sample(0)
 	if e.SRTT() <= 0 {
 		t.Error("zero sample produced non-positive SRTT")

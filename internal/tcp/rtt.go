@@ -10,12 +10,11 @@ type rttEstimator struct {
 	rttvar sim.Time
 	rto    sim.Time
 	minRTO sim.Time
-	maxRTO sim.Time
 	valid  bool // a sample has been taken
 }
 
-func newRTTEstimator(initialRTO, minRTO, maxRTO sim.Time) *rttEstimator {
-	return &rttEstimator{rto: initialRTO, minRTO: minRTO, maxRTO: maxRTO}
+func newRTTEstimator(minRTO sim.Time) *rttEstimator {
+	return &rttEstimator{rto: initialRTO, minRTO: minRTO}
 }
 
 // Sample folds one RTT measurement into the estimator.
@@ -51,8 +50,8 @@ func (e *rttEstimator) clamp() {
 	if e.rto < e.minRTO {
 		e.rto = e.minRTO
 	}
-	if e.rto > e.maxRTO {
-		e.rto = e.maxRTO
+	if e.rto > maxRTO {
+		e.rto = maxRTO
 	}
 }
 

@@ -53,7 +53,7 @@ func (e *Endpoint) advertisedWindow() int64 {
 func (e *Endpoint) wireWindow(isSYN bool) uint32 {
 	w := e.advertisedWindow()
 	if !isSYN {
-		w >>= e.cfg.WindowScale
+		w >>= windowScale
 	}
 	if w > 0xFFFF {
 		w = 0xFFFF
@@ -72,7 +72,7 @@ func (e *Endpoint) sendSYN(isAck bool) {
 	}
 	s := e.newSegment(flags, e.iss, 0)
 	s.AddMSS(seg.MSSOption{MSS: uint16(e.cfg.MSS)})
-	s.AddWindowScale(seg.WindowScaleOption{Shift: e.cfg.WindowScale})
+	s.AddWindowScale(seg.WindowScaleOption{Shift: windowScale})
 	s.AddSACKPermitted()
 	if e.BuildOptions != nil {
 		e.BuildOptions(s, kind)
@@ -284,7 +284,7 @@ func (e *Endpoint) onRTO() {
 		s := e.newSegment(flags, e.iss, 0)
 		s.Retransmit = true
 		s.AddMSS(seg.MSSOption{MSS: uint16(e.cfg.MSS)})
-		s.AddWindowScale(seg.WindowScaleOption{Shift: e.cfg.WindowScale})
+		s.AddWindowScale(seg.WindowScaleOption{Shift: windowScale})
 		s.AddSACKPermitted()
 		if e.BuildOptions != nil {
 			e.BuildOptions(s, kind)
@@ -358,7 +358,7 @@ func (e *Endpoint) scheduleAck(immediate bool) {
 		return
 	}
 	if !e.delAckTimer.Armed() {
-		e.delAckTimer.Reset(e.cfg.DelAckTimeout)
+		e.delAckTimer.Reset(delAckTimeout)
 	}
 }
 

@@ -57,28 +57,13 @@ func (f *FlowStats) Duration() float64 {
 // at one vantage point (the paper captures at both ends and analyzes
 // each; do the same here with two Analyzers).
 //
-// MPTCP data-level reordering is reconstructed from DSS options under
-// the assumption that the capture contains a single MPTCP connection,
-// which matches the paper's one-download-per-measurement method.
+// MPTCP data-level reordering is reconstructed from DSS options per
+// connection and per data direction; see Connections.
 type Analyzer struct {
 	flows map[Flow]*FlowStats
 
-	// Data-level reassembly for OFO delay (receiver vantage point),
-	// pooling all DSS mappings — exact when the capture holds one
-	// connection, as the paper's per-measurement captures do.
-	dataRcvNxt uint64
-	dataSeen   bool
-	ofoBlocks  []ofoBlock
-	ofoSamples []float64
-
-	// mptcp groups subflows into connections by token for captures
-	// holding several MPTCP connections; see Connections.
+	// mptcp groups subflows into connections by token; see Connections.
 	mptcp *mptcpTracker
-}
-
-type ofoBlock struct {
-	start, end uint64
-	ts         int64
 }
 
 // NewAnalyzer returns an empty analyzer.
@@ -106,11 +91,8 @@ func (a *Analyzer) Add(p *Packet) {
 		a.addAck(f.Reverse(), p)
 	}
 	cs := a.mptcp.observe(p)
-	if d := s.DSS; s.Has(seg.OptDSS) && d.HasMap && s.PayloadLen > 0 {
-		a.addDSS(p.TS, d.DataSeq, d.DataSeq+uint64(s.PayloadLen))
-		if cs != nil {
-			cs.addDSS(f.Src, p.TS, d.DataSeq, d.DataSeq+uint64(s.PayloadLen))
-		}
+	if d := s.DSS; cs != nil && s.Has(seg.OptDSS) && d.HasMap && s.PayloadLen > 0 {
+		cs.addDSS(f.Src, p.TS, d.DataSeq, d.DataSeq+uint64(s.PayloadLen))
 	}
 }
 
@@ -172,50 +154,6 @@ func (a *Analyzer) addAck(dataFlow Flow, p *Packet) {
 	fs.outstanding = keep
 }
 
-// addDSS reconstructs connection-level reordering from the DSS
-// mapping stream: out-of-order delay is the residence time of data in
-// the (virtual) receive buffer before its data sequence is in order.
-func (a *Analyzer) addDSS(ts int64, start, end uint64) {
-	if !a.dataSeen {
-		a.dataSeen = true
-		a.dataRcvNxt = start
-	}
-	if end <= a.dataRcvNxt {
-		return // duplicate at data level
-	}
-	if start < a.dataRcvNxt {
-		start = a.dataRcvNxt
-	}
-	if start == a.dataRcvNxt {
-		a.ofoSamples = append(a.ofoSamples, 0)
-		a.dataRcvNxt = end
-		a.drainOFO(ts)
-		return
-	}
-	for _, b := range a.ofoBlocks {
-		if b.start <= start && end <= b.end {
-			return
-		}
-	}
-	a.ofoBlocks = append(a.ofoBlocks, ofoBlock{start: start, end: end, ts: ts})
-	sort.Slice(a.ofoBlocks, func(i, j int) bool { return a.ofoBlocks[i].start < a.ofoBlocks[j].start })
-}
-
-func (a *Analyzer) drainOFO(now int64) {
-	i := 0
-	for ; i < len(a.ofoBlocks); i++ {
-		b := a.ofoBlocks[i]
-		if b.start > a.dataRcvNxt {
-			break
-		}
-		if b.end > a.dataRcvNxt {
-			a.dataRcvNxt = b.end
-		}
-		a.ofoSamples = append(a.ofoSamples, float64(now-b.ts)/1e6)
-	}
-	a.ofoBlocks = a.ofoBlocks[i:]
-}
-
 // Flows lists per-flow stats, largest data volume first.
 func (a *Analyzer) Flows() []*FlowStats {
 	out := make([]*FlowStats, 0, len(a.flows))
@@ -233,10 +171,6 @@ func (a *Analyzer) Flows() []*FlowStats {
 
 // FlowByEndpoints looks up a flow's stats, or nil.
 func (a *Analyzer) FlowByEndpoints(f Flow) *FlowStats { return a.flows[f] }
-
-// OFOms returns the reconstructed out-of-order delay samples
-// (milliseconds, one per data packet).
-func (a *Analyzer) OFOms() []float64 { return a.ofoSamples }
 
 // AddAll consumes an entire packet source.
 func (a *Analyzer) AddAll(ps *PacketSource) error {

@@ -38,6 +38,11 @@ type dataStream struct {
 	ofoSamples []float64
 }
 
+type ofoBlock struct {
+	start, end uint64
+	ts         int64
+}
+
 func newMPTCPTracker() *mptcpTracker {
 	return &mptcpTracker{
 		byToken: make(map[uint32]connID),
@@ -59,7 +64,9 @@ func tokenOfKey(key uint64) uint32 {
 
 // observe digests one packet's MPTCP signaling and returns the
 // connection the packet's flow belongs to (creating it as needed), or
-// nil for non-MPTCP flows.
+// nil for non-MPTCP flows. A capture that starts mid-connection still
+// analyses: an unknown-token MP_JOIN or an unknown flow carrying a DSS
+// mapping becomes its own connection.
 func (t *mptcpTracker) observe(p *Packet) *connState {
 	f := p.Flow()
 
@@ -76,14 +83,16 @@ func (t *mptcpTracker) observe(p *Packet) *connState {
 			t.adopt(id, canonical(f))
 			return t.conns[id]
 		}
-		// Unknown token (e.g. capture started mid-connection): treat
-		// the join as its own connection so analysis still proceeds.
+		// Unknown token: the join is its own connection.
 		id := t.newConn(canonical(f))
 		t.byToken[o.Token] = id
 		return t.conns[id]
 	}
 	if id, ok := t.byFlow[canonical(f)]; ok {
 		return t.conns[id]
+	}
+	if p.Seg.Has(seg.OptDSS) && p.Seg.DSS.HasMap {
+		return t.conns[t.newConn(canonical(f))]
 	}
 	return nil
 }

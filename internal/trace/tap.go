@@ -25,9 +25,8 @@ func PcapTap(w *pcap.Writer) netem.Tap {
 }
 
 // MemoryCapture collects packets in memory — the fast path for
-// in-process trace analysis without an encode/decode round trip. It
-// keeps the segments it is handed, so it belongs on a cloning tap
-// (Host.AddTap), never a raw one.
+// in-process trace analysis without an encode/decode round trip. A host
+// tap hands over the live segment, so the capture keeps a clone.
 type MemoryCapture struct {
 	Packets []*Packet
 }
@@ -36,7 +35,7 @@ type MemoryCapture struct {
 func (m *MemoryCapture) Tap() netem.Tap {
 	return func(dir netem.Direction, at sim.Time, s *seg.Segment) {
 		_ = dir
-		m.Packets = append(m.Packets, &Packet{TS: int64(at), Seg: s})
+		m.Packets = append(m.Packets, &Packet{TS: int64(at), Seg: s.Clone()})
 	}
 }
 

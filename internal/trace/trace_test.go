@@ -6,8 +6,11 @@ import (
 	"strings"
 	"testing"
 
+	"mptcplab/internal/netem"
 	"mptcplab/internal/pcap"
 	"mptcplab/internal/seg"
+	"mptcplab/internal/sim"
+	"mptcplab/internal/units"
 )
 
 func dataPkt(ts int64, src, dst seg.Addr, seqn uint32, n int) *Packet {
@@ -91,15 +94,17 @@ func TestAnalyzerOFOReconstruction(t *testing.T) {
 		a.Add(p)
 	}
 	// Data seq 1..1001 arrives at t=0 (in order), 2001..3001 at t=10ms
-	// (hole at 1001), hole filled at t=50ms.
+	// (hole at 1001), hole filled at t=50ms. The capture holds no
+	// handshake, so the flow's first DSS mapping makes it a connection.
 	add(0*ms, 1)
 	add(10*ms, 2001)
 	add(50*ms, 1001)
 
-	ofo := a.OFOms()
-	if len(ofo) != 3 {
-		t.Fatalf("OFO samples = %v", ofo)
+	conns := a.Connections()
+	if len(conns) != 1 || len(conns[0].OFOms) != 3 {
+		t.Fatalf("connections = %+v, want one with three OFO samples", conns)
 	}
+	ofo := conns[0].OFOms
 	// First in order, the hole-filler in order at its arrival, the
 	// early block waited 40ms.
 	var waited []float64
@@ -129,6 +134,33 @@ func TestMemoryCaptureAndSummary(t *testing.T) {
 	a.WriteSummary(&sb)
 	if !strings.Contains(sb.String(), "data pkts: 1") {
 		t.Errorf("summary = %q", sb.String())
+	}
+}
+
+// TestMemoryCaptureKeepsClones: a host tap hands over the live segment,
+// which the network recycles after delivery, so the capture must keep
+// its own copy — the pool's next segment is the same memory.
+func TestMemoryCaptureKeepsClones(t *testing.T) {
+	s := sim.New()
+	n := netem.NewNetwork(s)
+	a, b := n.NewHost("a"), n.NewHost("b")
+	l := netem.NewLink(s, sim.NewRNG(1), "ab")
+	l.Rate = units.Gbps
+	n.AddRoute(srv.IP, cli.IP, b, l)
+	mc := &MemoryCapture{}
+	a.AddTap(mc.Tap())
+	for _, seq := range []uint32{42, 99} {
+		sg := a.NewSegment()
+		sg.Src, sg.Dst, sg.Seq = srv, cli, seq
+		a.Send(sg)
+		s.Run()
+	}
+	if n.Pool().News != 1 {
+		t.Fatalf("pool allocated %d segments, want the first one reused", n.Pool().News)
+	}
+	if len(mc.Packets) != 2 || mc.Packets[0].Seg.Seq != 42 || mc.Packets[1].Seg.Seq != 99 {
+		t.Errorf("capture holds %d packets, first seq %d: a recycled segment overwrote it",
+			len(mc.Packets), mc.Packets[0].Seg.Seq)
 	}
 }
 

@@ -1,5 +1,5 @@
-// Package units holds the small shared vocabulary of byte counts and
-// link rates used across mptcplab.
+// Package units holds the small shared vocabulary of byte counts, link
+// rates and simulated durations used across mptcplab.
 package units
 
 import (
@@ -7,6 +7,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"time"
 
 	"mptcplab/internal/sim"
 )
@@ -106,6 +107,23 @@ func ParseBitRate(s string) (BitRate, error) {
 		return 0, fmt.Errorf("units: bad bit rate %q: %v", s, err)
 	}
 	return BitRate(v), nil
+}
+
+// ParseTime parses a simulated duration in Go's duration syntax —
+// "250us", "500ms", "1.5s", "1m0s" — which covers both sim.Time.String
+// and the chaos specs' shorter forms. A bare number (even "0") and a
+// negative duration are errors.
+func ParseTime(s string) (sim.Time, error) {
+	d, err := time.ParseDuration(s)
+	switch {
+	case err != nil:
+		return 0, fmt.Errorf("units: bad duration %q", s)
+	case strings.TrimRight(s, "0123456789.") != s:
+		return 0, fmt.Errorf("units: duration %q has no unit", s)
+	case d < 0:
+		return 0, fmt.Errorf("units: duration %q is negative", s)
+	}
+	return sim.Time(d), nil
 }
 
 // parseScaled parses num (integer or decimal) times mult, exactly for

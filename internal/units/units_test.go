@@ -198,3 +198,36 @@ func TestBitRateStringParseRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestTimeRoundTrip: ParseTime reads the chaos specs' forms and what
+// sim.Time.String prints (the load replay token's), and rejects a bare
+// number, a negative duration and exponent notation.
+func TestTimeRoundTrip(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want sim.Time
+	}{
+		{"500ms", 500 * sim.Millisecond},
+		{"2s", 2 * sim.Second},
+		{"1.5s", 1500 * sim.Millisecond},
+		{"2.01s", 2010 * sim.Millisecond},
+		{"250us", 250 * sim.Microsecond},
+		{"1m", sim.Minute},
+		{"1m0s", sim.Minute},
+		{"0s", 0},
+	} {
+		got, err := ParseTime(tc.in)
+		if err != nil || got != tc.want {
+			t.Errorf("ParseTime(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+		back, err := ParseTime(got.String())
+		if err != nil || back != got {
+			t.Errorf("%v.String() = %q does not round-trip", got, got.String())
+		}
+	}
+	for _, bad := range []string{"", "5", "0", "1.", "-1s", "1e3ms", "s", "2 s"} {
+		if got, err := ParseTime(bad); err == nil {
+			t.Errorf("ParseTime(%q) = %v, want an error", bad, got)
+		}
+	}
+}

@@ -28,8 +28,6 @@ type Stream interface {
 	Close()
 	// SetOnData installs the delivery callback (replacing any).
 	SetOnData(fn func(n int64))
-	// SetOnEstablished installs the connection-up callback.
-	SetOnEstablished(fn func())
 }
 
 // TCPStream adapts a tcp.Endpoint.
@@ -46,9 +44,6 @@ func (s TCPStream) SetOnData(fn func(int64)) {
 	s.EP.OnDeliver = func(n int) { fn(int64(n)) }
 }
 
-// SetOnEstablished implements Stream.
-func (s TCPStream) SetOnEstablished(fn func()) { s.EP.OnEstablished = fn }
-
 // MPTCPStream adapts an mptcp.Conn.
 type MPTCPStream struct{ Conn *mptcp.Conn }
 
@@ -60,9 +55,6 @@ func (s MPTCPStream) Close() { s.Conn.Close() }
 
 // SetOnData implements Stream.
 func (s MPTCPStream) SetOnData(fn func(int64)) { s.Conn.OnData = fn }
-
-// SetOnEstablished implements Stream.
-func (s MPTCPStream) SetOnEstablished(fn func()) { s.Conn.OnEstablished = fn }
 
 // FileServer answers GETs with fixed-size bodies.
 type FileServer struct {

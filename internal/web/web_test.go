@@ -22,9 +22,8 @@ func (s *loopStream) Write(n int) {
 		s.peer.onData(int64(n))
 	}
 }
-func (s *loopStream) Close()                     { s.closed = true }
-func (s *loopStream) SetOnData(fn func(int64))   { s.onData = fn }
-func (s *loopStream) SetOnEstablished(fn func()) {}
+func (s *loopStream) Close()                   { s.closed = true }
+func (s *loopStream) SetOnData(fn func(int64)) { s.onData = fn }
 
 func TestGetterSingleFetch(t *testing.T) {
 	cliSide, srvSide := loopPair()
@@ -149,7 +148,6 @@ type funcStream struct {
 	setOnData func(func(int64))
 }
 
-func (s *funcStream) Write(n int)                { s.write(n) }
-func (s *funcStream) Close()                     {}
-func (s *funcStream) SetOnData(fn func(int64))   { s.setOnData(fn) }
-func (s *funcStream) SetOnEstablished(fn func()) {}
+func (s *funcStream) Write(n int)              { s.write(n) }
+func (s *funcStream) Close()                   {}
+func (s *funcStream) SetOnData(fn func(int64)) { s.setOnData(fn) }

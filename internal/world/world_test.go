@@ -59,7 +59,7 @@ func drive(w *World, clients int, plan Plan, seed int64) []step {
 	w.Build(rng, testAccess(w.Sim, rng), clients, plan)
 
 	segs := 0
-	w.Server.AddRawTap(func(netem.Direction, sim.Time, *seg.Segment) { segs++ })
+	w.Server.AddTap(func(netem.Direction, sim.Time, *seg.Segment) { segs++ })
 	cfg := mptcp.DefaultConfig()
 	fs := &web.FileServer{SizeFor: func(int) int { return objectSize }}
 	w.Serve(cfg, rng.Child("srv"), func(Peer) *web.FileServer { return fs })

@@ -21,7 +21,11 @@ import (
 // can call. And it pins the one fault path: outside the packages that
 // own links and addresses (chaos, world, netem, mptcp), no program file
 // takes a link down or up or withdraws or rejoins an address, so a
-// fault reaches a link only through a chaos schedule. Last, every
+// fault reaches a link only through a chaos schedule, and one duration
+// grammar: outside internal/units no program file calls
+// time.ParseDuration (flag.Duration for wall-clock flags is fine). The
+// invariant checker (check) and the trace referee (trace) stay
+// independent, so neither can vouch for the other. Last, every
 // example has a test beside it, so none prints numbers nothing checks.
 func TestLayering(t *testing.T) {
 	for dir, banned := range map[string][]string{
@@ -34,6 +38,7 @@ func TestLayering(t *testing.T) {
 			"mptcplab/internal/experiment", "mptcplab/internal/load", "mptcplab/internal/check",
 			"mptcplab/internal/world", "mptcplab/internal/sweep", "mptcplab/internal/chaos",
 		},
+		"internal/check": {"mptcplab/internal/trace"},
 	} {
 		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
 		if err != nil || len(files) == 0 {
@@ -94,20 +99,30 @@ func TestLayering(t *testing.T) {
 		if err != nil || d.IsDir() || !strings.HasSuffix(file, ".go") || strings.HasSuffix(file, "_test.go") {
 			return err
 		}
+		slash := filepath.ToSlash(file)
+		faultOwner := false
 		for _, owner := range faultOwners {
-			if strings.HasPrefix(filepath.ToSlash(file), owner) {
-				return nil
-			}
+			faultOwner = faultOwner || strings.HasPrefix(slash, owner)
 		}
 		f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
 		if err != nil {
 			return err
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && faultWriters[sel.Sel.Name] {
-					t.Errorf("%s calls %s: a fault reaches a link only through a chaos schedule", file, sel.Sel.Name)
-				}
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if !faultOwner && faultWriters[sel.Sel.Name] {
+				t.Errorf("%s calls %s: a fault reaches a link only through a chaos schedule", file, sel.Sel.Name)
+			}
+			if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "time" && sel.Sel.Name == "ParseDuration" &&
+				!strings.HasPrefix(slash, "internal/units/") {
+				t.Errorf("%s calls time.ParseDuration: a simulated duration parses through units.ParseTime", file)
 			}
 			return true
 		})
