@@ -79,8 +79,8 @@ scorecard:
 # fuzz-smoke gives each native fuzz target a short budget beyond its
 # checked-in corpus, then sweeps the adversarial scenario fuzzer over
 # 200 seeded scenarios under each registered packet scheduler with the
-# full invariant checker armed. Any violation prints a one-line replay
-# token (mptcpfuzz -replay seed:mask[:sched]).
+# full invariant checker armed. Any violation prints the one command
+# line that reruns its shrunk case (mptcpsim -replay seed:mask[:sched]).
 FUZZTIME ?= 20s
 FUZZ_SCHEDS := minrtt roundrobin weighted redundant blest adaptive
 fuzz-smoke:
@@ -130,9 +130,10 @@ loadsmoke:
 # chaos-smoke proves the resilience layer's determinism contract: the
 # same chaos sweep, serial and with a worker pool, must produce
 # byte-identical run exports AND byte-identical resilience reports,
-# with the invariant checker armed on every run. Then both binaries
-# render a report through the one renderer: mptcpchaos's §6 contrast,
-# and mptcpload replaying the first resilience row's token.
+# with the invariant checker armed on every run. Then mptcpsim renders
+# a report through the one renderer twice: the §6 contrast (MP-2 vs
+# SP-WiFi through one WiFi outage, unsampled), and the replay of the
+# first resilience row's token.
 CHAOSFLAGS := -clients 40 -rates 4,8 -duration 10s -drain 20s -reps 2 -seed 42 \
 	-transport 'wifi=0.3,cell=0.2,mptcp=0.5' \
 	-chaos 'flap:path=wifi;at=2s;dur=400ms;every=2s;n=3'
@@ -145,8 +146,8 @@ chaos-smoke:
 	cmp chaosres_w1.csv chaosres_w4.csv
 	cmp chaos_w1.json chaos_w4.json
 	cmp chaosres_w1.json chaosres_w4.json
-	$(GO) run ./cmd/mptcpchaos -schedule 'outage:path=wifi;at=2s;dur=3s' -size 4MB -seed 61
-	$(GO) run ./cmd/mptcpload -replay "$$(sed -n '2s/.*,"\([^"]*\)"$$/\1/p' chaosres_w1.csv)" > chaos_replay.txt
+	$(GO) run ./cmd/mptcpsim -chaos 'outage:path=wifi;at=2s;dur=3s' -size 4MB -seed 61 -sample=false -transport mp2,sp-wifi
+	$(GO) run ./cmd/mptcpsim -replay "$$(sed -n '2s/.*,"\([^"]*\)"$$/\1/p' chaosres_w1.csv)" > chaos_replay.txt
 	cat chaos_replay.txt
 	grep -q '^  verdict:' chaos_replay.txt
 	@echo "chaos-smoke: chaos sweep + resilience exports byte-identical across worker counts; replay renders its report"

@@ -6,9 +6,9 @@
 // is — and runs each with the protocol invariant checker and the
 // livelock watchdog armed. On a violation it shrinks the fault script
 // to a minimal reproducer and prints a one-line replay token;
-// `mptcpfuzz -replay seed:mask[:sched]` re-runs exactly that case,
-// under exactly that scheduler plugin. -v prints each active fault as
-// its chaos spec clause.
+// `mptcpsim -replay seed:mask[:sched]` re-runs exactly that case,
+// under exactly that scheduler plugin. -v prints every scenario, each
+// active fault as its chaos spec clause.
 package main
 
 import (
@@ -17,7 +17,6 @@ import (
 	"io"
 	"os"
 
-	"mptcplab/internal/chaos"
 	"mptcplab/internal/check"
 	"mptcplab/internal/cli"
 )
@@ -27,12 +26,11 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 var run = cli.Main("mptcpfuzz", parse, fuzz)
 
 // spec is one invocation: a sweep of n generated scenarios from seed
-// under sched, or the one scenario a replay token names.
+// under sched.
 type spec struct {
 	n       int
 	seed    int64
 	sched   string
-	replay  *check.Scenario
 	verbose bool
 }
 
@@ -43,8 +41,6 @@ func parse(args []string, stdout io.Writer) (spec, error) {
 	fs.IntVar(&s.n, "n", 100, "number of scenarios to run")
 	fs.Int64Var(&s.seed, "seed", 1, "base seed; case i runs GenScenario(seed+i)")
 	cli.Scheduler(fs, "sched", &s.sched)
-	cli.Var(fs, "replay", "replay one scenario from a seed:mask[:sched] token", &s.replay,
-		func(v string) (*check.Scenario, error) { sc, err := check.ParseReplay(v); return &sc, err })
 	fs.BoolVar(&s.verbose, "v", false, "log every scenario, not just failures")
 	if err := cli.Parse(fs, args, stdout); err != nil {
 		return s, err
@@ -58,15 +54,6 @@ func parse(args []string, stdout io.Writer) (spec, error) {
 // fuzz runs the spec's scenarios; any violation is an error, after its
 // shrunk reproducer and replay token are on stdout.
 func fuzz(s spec, w, _ io.Writer) error {
-	if s.replay != nil {
-		rep := check.RunScenario(*s.replay, nil)
-		describe(w, rep, true)
-		if !rep.Ok() {
-			return fmt.Errorf("%d violation(s)", rep.Count)
-		}
-		return nil
-	}
-
 	failures := 0
 	for i := 0; i < s.n; i++ {
 		sc := check.GenScenario(s.seed + int64(i))
@@ -74,7 +61,7 @@ func fuzz(s spec, w, _ io.Writer) error {
 		rep := check.RunScenario(sc, nil)
 		if rep.Ok() {
 			if s.verbose {
-				describe(w, rep, false)
+				rep.WriteText(w)
 			}
 			continue
 		}
@@ -84,41 +71,12 @@ func fuzz(s spec, w, _ io.Writer) error {
 			return check.RunScenario(s, nil)
 		})
 		minRep := check.RunScenario(min, nil)
-		describe(w, minRep, true)
-		fmt.Fprintf(w, "  replay: mptcpfuzz -replay %s\n", min.Replay())
+		minRep.WriteText(w)
+		fmt.Fprintf(w, "  replay: mptcpsim -replay %s\n", min.Replay())
 	}
 	if failures > 0 {
 		return fmt.Errorf("%d/%d scenarios violated invariants", failures, s.n)
 	}
 	fmt.Fprintf(w, "ok: %d scenarios, 0 violations\n", s.n)
 	return nil
-}
-
-func describe(w io.Writer, rep check.Report, detail bool) {
-	sc := rep.Scenario
-	status := "ok"
-	if !rep.Ok() {
-		status = fmt.Sprintf("%d violation(s)", rep.Count)
-	}
-	done := "stalled"
-	if rep.Completed {
-		done = "completed"
-	}
-	fmt.Fprintf(w, "  seed=%d mask=%x size=%dKB paths=%d faults=%d: %s, %s, %d bytes delivered\n",
-		sc.Seed, sc.Mask, sc.Size>>10, pathCount(sc), len(sc.ActiveFaults()), status, done, rep.Delivered)
-	if detail {
-		for _, f := range sc.ActiveFaults() {
-			fmt.Fprintf(w, "    fault %s\n", chaos.Schedule{Events: []chaos.Event{f}}.Spec())
-		}
-		for _, viol := range rep.Violations {
-			fmt.Fprintf(w, "    %v\n", viol)
-		}
-	}
-}
-
-func pathCount(sc check.Scenario) int {
-	if sc.FourPaths {
-		return 4
-	}
-	return 2
 }

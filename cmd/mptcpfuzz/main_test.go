@@ -5,6 +5,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"mptcplab/internal/check"
 )
 
 // TestRejectsUnknownScheduler is mptcpfuzz's rejection table, the
@@ -17,9 +19,7 @@ func TestRejectsUnknownScheduler(t *testing.T) {
 		"-sched weighted:1;zero": `"zero"`,
 		"-n -1":                  "-1",
 		"-n many":                `"many"`,
-		"-replay zz":             `"zz"`,
-		"-replay 5:zz":           `"zz"`,
-		"-replay 5:3:warp":       `"warp"`,
+		"-replay 396:1":          "-replay",
 		"-nope":                  "-nope",
 		"-n 5 396:1":             `"396:1"`,
 	} {
@@ -36,10 +36,9 @@ func TestRejectsUnknownScheduler(t *testing.T) {
 
 // TestAcceptsRepoCommandLines: every mptcpfuzz command line the repo
 // itself issues (the Makefile's fuzz-smoke under each of FUZZ_SCHEDS,
-// EXPERIMENTS.md, the verify skill, ci.yml's reproduce hint) parses and
-// validates.
+// EXPERIMENTS.md, the verify skill) parses and validates.
 func TestAcceptsRepoCommandLines(t *testing.T) {
-	lines := []string{"", "-n 500 -seed 1", "-replay 396:1 -v", "-replay 5:3:weighted:3;1", "-n 0"}
+	lines := []string{"", "-n 500 -seed 1", "-n 3 -seed 1 -sched blest -v", "-n 0"}
 	for _, s := range strings.Fields("minrtt roundrobin weighted redundant blest adaptive") {
 		lines = append(lines, "-n 200 -seed 1 -sched "+s)
 	}
@@ -50,15 +49,31 @@ func TestAcceptsRepoCommandLines(t *testing.T) {
 	}
 }
 
-// TestSweepAndReplay: a short sweep and a replayed token both run clean
-// and exit 0.
+// TestSweepAndReplay: a short sweep runs clean and exits 0, and with
+// -v each case it prints is what its replay token prints when rerun as
+// mptcpsim -replay reruns it: check's one token parser, runner and
+// renderer.
 func TestSweepAndReplay(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run(strings.Fields("-n 3 -seed 1 -sched blest"), &stdout, &stderr); code != 0 || stdout.String() != "ok: 3 scenarios, 0 violations\n" {
 		t.Errorf("sweep: exit %d, stdout %q, stderr %q", code, stdout.String(), stderr.String())
 	}
 	stdout.Reset()
-	if code := run(strings.Fields("-replay 396:1"), &stdout, &stderr); code != 0 || !strings.Contains(stdout.String(), "seed=396 mask=1") {
-		t.Errorf("replay: exit %d, stdout %q, stderr %q", code, stdout.String(), stderr.String())
+	if code := run(strings.Fields("-n 3 -seed 1 -sched blest -v"), &stdout, &stderr); code != 0 {
+		t.Fatalf("sweep -v: exit %d, stderr %q", code, stderr.String())
+	}
+	var want strings.Builder
+	for i := int64(0); i < 3; i++ {
+		sc := check.GenScenario(1 + i)
+		sc.Scheduler = "blest"
+		replayed, err := check.ParseReplay(sc.Replay())
+		if err != nil {
+			t.Fatal(err)
+		}
+		check.RunScenario(replayed, nil).WriteText(&want)
+	}
+	want.WriteString("ok: 3 scenarios, 0 violations\n")
+	if stdout.String() != want.String() {
+		t.Errorf("sweep -v printed\n%s\nits replays print\n%s", stdout.String(), want.String())
 	}
 }

@@ -21,11 +21,12 @@
 //
 // Executables:
 //
-//	cmd/mptcpsim   - run one measured download (optionally with pcap capture)
+//	cmd/mptcpsim   - run one measured download (optionally with pcap capture, or
+//	                 under a fault schedule with a resilience report), or rerun
+//	                 the one run a fleet row's or fuzz case's replay token names
 //	cmd/paperbench - regenerate all tables and figures, and the scorecard
 //	cmd/tracestat  - analyze captures, tcptrace-style
 //	cmd/mptcpload  - fleet load sweeps, each row with a replay token
-//	cmd/mptcpchaos - one download under a fault schedule, with a resilience report
 //	cmd/mptcpfuzz  - seeded adversarial scenario fuzzer with the invariant checker
 //	cmd/mptcpd     - campaign daemon: HTTP/JSON submission, result cache, replay
 package mptcplab

@@ -2,6 +2,7 @@ package check
 
 import (
 	"fmt"
+	"io"
 	"strconv"
 	"strings"
 
@@ -207,6 +208,32 @@ type Report struct {
 
 // Ok reports a violation-free run.
 func (r Report) Ok() bool { return r.Count == 0 }
+
+// WriteText renders the case for a human: one line naming the scenario
+// and its outcome, then each active fault as its chaos spec clause and
+// each violation the checker recorded.
+func (r Report) WriteText(w io.Writer) {
+	sc := r.Scenario
+	status, done, paths := "ok", "stalled", 2
+	if !r.Ok() {
+		status = fmt.Sprintf("%d violation(s)", r.Count)
+	}
+	if r.Completed {
+		done = "completed"
+	}
+	if sc.FourPaths {
+		paths = 4
+	}
+	faults := sc.ActiveFaults()
+	fmt.Fprintf(w, "  seed=%d mask=%x size=%dKB paths=%d faults=%d: %s, %s, %d bytes delivered\n",
+		sc.Seed, sc.Mask, sc.Size>>10, paths, len(faults), status, done, r.Delivered)
+	for _, f := range faults {
+		fmt.Fprintf(w, "    fault %s\n", chaos.Schedule{Events: []chaos.Event{f}}.Spec())
+	}
+	for _, v := range r.Violations {
+		fmt.Fprintf(w, "    %v\n", v)
+	}
+}
 
 // scenarioDeadline bounds one fuzz case in virtual time; every fault
 // ends well before it, so a healthy stack always finishes or stalls

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"strings"
 	"testing"
 
 	"mptcplab/internal/netem"
@@ -36,6 +37,24 @@ func TestParseReplayRoundTrip(t *testing.T) {
 	}
 	if _, err := ParseReplay("12:zz"); err == nil {
 		t.Fatal("ParseReplay accepted a bad mask")
+	}
+}
+
+// TestReportWriteText: a case prints one line naming the scenario and
+// its outcome, then each active fault as its chaos spec clause, then
+// each violation.
+func TestReportWriteText(t *testing.T) {
+	sc := GenScenario(396)
+	sc.Mask = 1
+	rep := Report{Scenario: sc, Completed: true, Delivered: 183748, Count: 1,
+		Violations: []Violation{{At: 5 * sim.Millisecond, Rule: "seq-gap", Detail: "hole"}}}
+	var b strings.Builder
+	rep.WriteText(&b)
+	want := "  seed=396 mask=1 size=179KB paths=2 faults=1: 1 violation(s), completed, 183748 bytes delivered\n" +
+		"    fault outage:path=wifi;at=17274us;dur=1887934us\n" +
+		"    5ms [seq-gap] hole\n"
+	if b.String() != want {
+		t.Errorf("WriteText printed\n%s\nwant\n%s", b.String(), want)
 	}
 }
 

@@ -68,6 +68,22 @@ func Var[T any](fs *flag.FlagSet, name, usage string, dst *T, parse func(string)
 	})
 }
 
+// List is Var's comma-list form: parse turns each element into a T,
+// and the list replaces *dst.
+func List[T any](dst *[]T, parse func(string) (T, error)) func(string) error {
+	return func(v string) error {
+		*dst = nil
+		for _, part := range strings.Split(v, ",") {
+			x, err := parse(strings.TrimSpace(part))
+			if err != nil {
+				return err
+			}
+			*dst = append(*dst, x)
+		}
+		return nil
+	}
+}
+
 // Scheduler defines the packet-scheduler flag (-scheduler, or -sched),
 // checked as parsed; its help lists the registry, not a copy of it.
 func Scheduler(fs *flag.FlagSet, name string, dst *string) {

@@ -7,6 +7,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -105,5 +109,52 @@ func TestSchedulerFlag(t *testing.T) {
 		if _, err := parse([]string{"-sched", bad}, io.Discard); err == nil || !strings.Contains(err.Error(), bad) {
 			t.Errorf("-sched %s: error %v does not name it", bad, err)
 		}
+	}
+}
+
+// TestRepoCommandLines reads a fixture repo: single quotes, \
+// continuations, the Makefile's variables, comments, redirections and
+// inline backticks; placeholder and $(command) lines are skipped, and a
+// binary cmd/ does not hold is an error.
+func TestRepoCommandLines(t *testing.T) {
+	root := t.TempDir()
+	write := func(name, text string) {
+		t.Helper()
+		if err := os.MkdirAll(filepath.Dir(filepath.Join(root, name)), 0o777); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(root, name), []byte(text), 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("cmd/tool/main.go", "package main\n")
+	write("cmd/other/main.go", "package main\n")
+	write("README.md", "go run ./cmd/tool -a 'x y;z' -b \\\n    -c 1  # comment\n"+
+		"go run ./cmd/other -x\nsee `go run ./cmd/tool -d` for more, or `<that>`\n")
+	write("EXPERIMENTS.md", "go run ./cmd/tool -replay '<token>'\n$ go run ./cmd/tool -e > out.txt\n")
+	write("DESIGN.md", "no command here: ./cmd/tool -f\n")
+	write("Makefile", "FLAGS := -g 'p q' \\\n\t-h\n\t$(GO) run ./cmd/tool $(FLAGS) -i | cat\n"+
+		"\t$(GO) run ./cmd/tool -j \"$$(sed 1q x)\"\n")
+	got, err := RepoCommandLines(root, "tool")
+	want := [][]string{{"-a", "x y;z", "-b", "-c", "1"}, {"-d"}, {"-e"}, {"-g", "p q", "-h", "-i"}}
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("got %q, %v; want %q", got, err, want)
+	}
+	write("DESIGN.md", "go run ./cmd/gone -f\n")
+	if _, err := RepoCommandLines(root, "tool"); err == nil || !strings.Contains(err.Error(), "./cmd/gone") {
+		t.Errorf("a retired binary: %v", err)
+	}
+}
+
+// TestList: a comma list replaces the slice, each element trimmed; a
+// bad element is the flag's error.
+func TestList(t *testing.T) {
+	xs := []int{9}
+	set := List(&xs, strconv.Atoi)
+	if err := set("1, 2,3"); err != nil || !reflect.DeepEqual(xs, []int{1, 2, 3}) {
+		t.Errorf("bound %v, %v", xs, err)
+	}
+	if err := set("1,x"); err == nil || !strings.Contains(err.Error(), `"x"`) {
+		t.Errorf("1,x: %v", err)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"mptcplab/internal/netem"
 	"mptcplab/internal/pathmodel"
 	"mptcplab/internal/pcap"
-	"mptcplab/internal/stats"
 	"mptcplab/internal/trace"
 	"mptcplab/internal/units"
 	"mptcplab/internal/world"
@@ -68,23 +67,20 @@ func TestTraceCrossValidatesStackMetrics(t *testing.T) {
 		t.Errorf("trace cell retrans %d, stack %d", traceCellRetrans, res.CellRetransPkts)
 	}
 
-	// RTT sample sets must agree closely (the stack samples cumulative
-	// ACK coverage; the trace analyzer does the same arithmetic).
-	cmpRTT := func(name string, traceRTT []float64, stackRTT []float64) {
-		if len(traceRTT) == 0 || len(stackRTT) == 0 {
-			t.Errorf("%s: empty RTT sample sets (trace %d, stack %d)", name, len(traceRTT), len(stackRTT))
-			return
-		}
-		ts := stats.New()
-		ts.AddAll(traceRTT)
-		ss := stats.New()
-		ss.AddAll(stackRTT)
-		if d := ts.Mean() - ss.Mean(); d > 2 || d < -2 {
-			t.Errorf("%s: trace mean RTT %.2fms vs stack %.2fms", name, ts.Mean(), ss.Mean())
+	// The trace's per-path RTT samples must be the stack's exactly: the
+	// same multiset (the stack samples cumulative ACK coverage; the
+	// trace analyzer does the same arithmetic from the capture).
+	sameMultiset := func(name string, traceMs, stackMs []float64) {
+		traceMs = append([]float64(nil), traceMs...)
+		stackMs = append([]float64(nil), stackMs...)
+		sort.Float64s(traceMs)
+		sort.Float64s(stackMs)
+		if len(stackMs) == 0 || !reflect.DeepEqual(traceMs, stackMs) {
+			t.Errorf("%s samples: trace has %d, stack %d; the multisets differ", name, len(traceMs), len(stackMs))
 		}
 	}
-	cmpRTT("wifi", traceWiFiRTT, res.WiFiRTTms)
-	cmpRTT("cell", traceCellRTT, res.CellRTTms)
+	sameMultiset("wifi RTT", traceWiFiRTT, res.WiFiRTTms)
+	sameMultiset("cell RTT", traceCellRTT, res.CellRTTms)
 
 	// OFO reconstruction from the client-side trace must reproduce the
 	// reorder buffer's measurements exactly: the same multiset of
@@ -93,13 +89,7 @@ func TestTraceCrossValidatesStackMetrics(t *testing.T) {
 	if len(conns) != 1 {
 		t.Fatalf("client trace holds %d MPTCP connections, want 1", len(conns))
 	}
-	traceOFO := append([]float64(nil), conns[0].OFOms...)
-	stackOFO := append([]float64(nil), res.OFOms...)
-	sort.Float64s(traceOFO)
-	sort.Float64s(stackOFO)
-	if len(stackOFO) == 0 || !reflect.DeepEqual(traceOFO, stackOFO) {
-		t.Errorf("OFO samples: trace has %d, stack %d; the multisets differ", len(traceOFO), len(stackOFO))
-	}
+	sameMultiset("OFO", conns[0].OFOms, res.OFOms)
 }
 
 // TestMemoryAndPcapCapturesAgree taps one 4-path download both ways at

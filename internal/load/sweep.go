@@ -3,6 +3,7 @@ package load
 import (
 	"context"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 
@@ -311,7 +312,7 @@ func failedRun(cfg Config, err error) *Result {
 // compact "k=v,..." token; ParseReplay inverts it. Exported rows carry
 // one per run so any sweep cell can be re-executed standalone:
 //
-//	mptcpload -replay 'clients=200,flows=1000,dur=1m0s,seed=42,...'
+//	mptcpsim -replay 'clients=200,flows=1000,dur=1m0s,seed=42,...'
 func (c Config) ReplayToken() string {
 	c = c.withDefaults()
 	var b strings.Builder
@@ -364,6 +365,35 @@ func ParseReplay(tok string) (Config, error) {
 		return c, err
 	}
 	return c, c.Validate()
+}
+
+// WriteSummary renders one run for a human: the replay token, the
+// flow-completion quantiles its export row carries, per-link load and
+// drops, and the resilience report under its schedule line.
+func WriteSummary(w io.Writer, cfg Config, res *Result) {
+	fmt.Fprintf(w, "replay:     %s\n", cfg.ReplayToken())
+	fmt.Fprintf(w, "flows:      %d offered, %d started, %d completed, %d incomplete\n",
+		res.Offered, res.Started, res.Completed, res.Incomplete)
+	fmt.Fprintf(w, "fct:        p50 %.3fs  p90 %.3fs  p99 %.3fs  mean %.3fs  max %.3fs\n",
+		res.FCT.Quantile(0.50), res.FCT.Quantile(0.90), res.FCT.Quantile(0.99), res.FCT.Mean(), res.FCT.Max())
+	fmt.Fprintf(w, "goodput:    mean %.2fMbps/flow, Jain %.3f over %d flows\n",
+		res.Goodput.Mean()/float64(units.Mbps), res.Goodput.Jain(), res.Goodput.N())
+	fmt.Fprintf(w, "cell share: %.1f%% of sender bytes\n", res.CellShare()*100)
+	for _, l := range res.Links {
+		fmt.Fprintf(w, "link %-9s %5.1f%% utilized, %d sent, %d queue drops, %d medium drops\n",
+			l.Name+":", l.Utilization*100, l.Sent, l.QueueDrop, l.MediumDrop)
+	}
+	fmt.Fprintf(w, "sim:        %s events, %d violations\n", units.Commas(res.Events), res.Violations)
+	if res.Violations > 0 {
+		fmt.Fprintf(w, "FIRST VIOLATION: %s\n", res.FirstViolation)
+	}
+	if r := res.Resilience; r != nil {
+		fmt.Fprintf(w, "chaos:      %s\n", r.Schedule)
+		r.WriteText(w)
+	}
+	if res.Failed {
+		fmt.Fprintf(w, "RUN FAILED: %s\n", res.FailReason)
+	}
 }
 
 // setAll walks a "k=v,k=v" list through Set, prefix before each key.

@@ -62,6 +62,20 @@ func ParseByteCount(s string) (ByteCount, error) {
 	return ByteCount(v), nil
 }
 
+// Commas renders a count with thousands separators: 1234567 is
+// "1,234,567".
+func Commas(n uint64) string {
+	s := strconv.FormatUint(n, 10)
+	var b strings.Builder
+	for i, r := range s {
+		if i > 0 && (len(s)-i)%3 == 0 {
+			b.WriteByte(',')
+		}
+		b.WriteRune(r)
+	}
+	return b.String()
+}
+
 // BitRate is a link speed in bits per second.
 type BitRate int64
 

@@ -231,3 +231,11 @@ func TestTimeRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+func TestCommas(t *testing.T) {
+	for n, want := range map[uint64]string{0: "0", 999: "999", 1000: "1,000", 14994: "14,994", 1234567: "1,234,567"} {
+		if got := Commas(n); got != want {
+			t.Errorf("Commas(%d) = %q, want %q", n, got, want)
+		}
+	}
+}
