@@ -19,10 +19,7 @@ import (
 // exactly one stderr line that starts with the binary's name and names
 // the bad value, nothing on stdout, nothing simulated.
 func TestRejectsUnknownScheduler(t *testing.T) {
-	for _, tc := range []struct {
-		args []string
-		want string
-	}{
+	rejects(t, []rejection{
 		{[]string{"-scheduler", "bogus"}, `"bogus"`},
 		{[]string{"-scheduler", "weighted:3;oops"}, `"oops"`},
 		{[]string{"-cc", "foo"}, `"foo"`},
@@ -35,8 +32,6 @@ func TestRejectsUnknownScheduler(t *testing.T) {
 		{[]string{"-transport", "mp2,"}, `""`},
 		{[]string{"-wifi", "nope"}, `"nope"`},
 		{[]string{"-carrier", "tmobile"}, `"tmobile"`},
-		{[]string{"-chaos", "earthquake"}, `"earthquake"`},
-		{[]string{"-chaos", "outage:dur=5"}, `"5"`},
 		{[]string{"-sample=maybe"}, "maybe"},
 		{[]string{"-pcap", "x", "-transport", "mp2,sp-wifi"}, "-pcap"},
 		{[]string{"-replay", "zz"}, `"zz"`},
@@ -52,7 +47,40 @@ func TestRejectsUnknownScheduler(t *testing.T) {
 		{[]string{"-selfcheck=false"}, "-selfcheck"},
 		{[]string{"size", "64KB"}, `"size"`},
 		{[]string{"-transport", "mp2", "-cc", "olia", "out"}, `"out"`},
-	} {
+	})
+}
+
+// TestRejectsBadChaosRun is the rejection table of the faulted run
+// (-chaos), which was mptcpchaos's before it folded into mptcpsim: a
+// bad value beside a good schedule dies in parse all the same, and so
+// do the schedule typos and the flags the fold dropped.
+func TestRejectsBadChaosRun(t *testing.T) {
+	rejects(t, []rejection{
+		{[]string{"-chaos", "outage", "-scheduler", "bogus"}, `"bogus"`},
+		{[]string{"-chaos", "outage", "-transport", "bogus"}, `"bogus"`},
+		{[]string{"-chaos", "earthquake"}, `"earthquake"`},
+		{[]string{"-chaos", "outage:dur=5"}, `"5"`},
+		{[]string{"-chaos", "outage", "-size", "12XB"}, `"12XB"`},
+		{[]string{"-chaos", "outage", "-size", "0"}, "0B"},
+		{[]string{"-chaos", "outage", "-wifi", "nope"}, `"nope"`},
+		{[]string{"-chaos", "outage", "-carrier", "nope"}, `"nope"`},
+		{[]string{"-chaos", "outage", "-deadline", "soon"}, "-deadline"},
+		{[]string{"-chaos", "outage", "-list"}, "-list"},
+		{[]string{"-chaos", "outage", "8MB"}, `"8MB"`},
+	})
+}
+
+type rejection struct {
+	args []string
+	want string
+}
+
+// rejects runs each command line and wants it to die in parse: exit 2,
+// exactly one stderr line that starts with the binary's name and names
+// the bad value, nothing on stdout.
+func rejects(t *testing.T, rows []rejection) {
+	t.Helper()
+	for _, tc := range rows {
 		var stdout, stderr bytes.Buffer
 		code := run(tc.args, &stdout, &stderr)
 		line, rest, _ := strings.Cut(stderr.String(), "\n")
@@ -77,7 +105,7 @@ func TestAcceptsRepoCommandLines(t *testing.T) {
 	}
 	for _, args := range strings.Split("|-transport wifi|-transport cell,mptcp|-transport MP-4,SP-WiFi|"+
 		"-cc reno -scheduler weighted:3;1 -wifi coffeeshop -carrier sprint -cold-radio -simultaneous-syn -sample=false|"+
-		"-chaos flap+fade:path=cell;depth=0.5 -size 1MB|-chaos none|-replay 5:3:weighted:3;1", "|") {
+		"-replay 5:3:weighted:3;1", "|") {
 		lines = append(lines, strings.Fields(args))
 	}
 	for _, args := range lines {
@@ -92,12 +120,52 @@ func TestAcceptsRepoCommandLines(t *testing.T) {
 	}
 }
 
-// TestExitCodes: -h is exit 0 with the usage, each preset and its spec
-// on stdout; a download that fails is exit 1 with one line on stderr.
-func TestExitCodes(t *testing.T) {
+// TestAcceptsChaosCommandLines: each faulted-run command line that
+// mptcpchaos took, in mptcpsim's spellings, parses and validates, and a
+// comma list of transports binds in the order given, the old compare
+// mode.
+func TestAcceptsChaosCommandLines(t *testing.T) {
+	for _, args := range []string{
+		"-chaos outage:path=wifi;at=2s;dur=3s -size 4MB -seed 61 -sample=false -transport mp2,sp-wifi",
+		"-chaos outage -size 8MB -seed 61",
+		"-chaos outage:path=wifi;at=2s;dur=6s -size 24MB -seed 11 -sample=false -scheduler backup",
+		"-chaos flap:path=wifi;at=2s;dur=500ms;every=2s;n=5 -transport mp2",
+		"-chaos flap+fade:path=cell;depth=0.5 -wifi coffeeshop -carrier verizon -scheduler redundant -size 1MB",
+		"-chaos none", "-chaos outage -transport sp-cell,mp4",
+	} {
+		if _, err := parse(strings.Fields(args), io.Discard); err != nil {
+			t.Errorf("%s: %v", args, err)
+		}
+	}
+	s, err := parse(strings.Fields("-chaos outage -transport mp2,sp-wifi -sample=false"), io.Discard)
+	if err != nil || len(s.transports) != 2 || s.transports[0] != experiment.MP2 || s.transports[1] != experiment.SPWiFi ||
+		len(s.rc.Chaos.Events) == 0 || s.tb.SampleProfiles {
+		t.Errorf("compare bound %+v, %v; want MP-2 then SP-WiFi under the outage, unsampled", s, err)
+	}
+}
+
+// TestChaosPresetsAndRun: -h lists each fault preset with its spec,
+// the list mptcpchaos -list printed; a small faulted download on each
+// of three transports runs to its report and exits 0, with no contrast
+// line, since that needs exactly two reports.
+func TestChaosPresetsAndRun(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-h"}, &stdout, &stderr); code != 0 || stderr.Len() != 0 ||
-		!strings.Contains(stdout.String(), "-size") || !strings.Contains(stdout.String(), "outage   outage:path=wifi;at=5s;dur=3s") {
+		!strings.Contains(stdout.String(), "outage   outage:path=wifi;at=5s;dur=3s") {
+		t.Errorf("-h: exit %d, stdout %q, stderr %q", code, stdout.String(), stderr.String())
+	}
+	stdout.Reset()
+	code := run(strings.Fields("-chaos outage:path=wifi;at=100ms;dur=300ms -size 256KB -transport mptcp,sp-wifi,mp4"), &stdout, &stderr)
+	if got := stdout.String(); code != 0 || strings.Count(got, "  verdict:    ") != 3 || strings.Contains(got, "contrast:") {
+		t.Errorf("three faulted downloads: exit %d, stdout %q, stderr %q; want three reports and no contrast", code, got, stderr.String())
+	}
+}
+
+// TestExitCodes: -h is exit 0 with the usage on stdout; a download
+// that fails is exit 1 with one line on stderr.
+func TestExitCodes(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-h"}, &stdout, &stderr); code != 0 || stderr.Len() != 0 || !strings.Contains(stdout.String(), "-size") {
 		t.Errorf("-h: exit %d, stdout %q, stderr %q", code, stdout.String(), stderr.String())
 	}
 	stdout.Reset()
@@ -109,11 +177,6 @@ func TestExitCodes(t *testing.T) {
 	stderr.Reset()
 	if code := run([]string{"-size", "8KB", "-transport", "sp-wifi"}, &stdout, &stderr); code != 0 || !strings.Contains(stdout.String(), "download time:") {
 		t.Errorf("8 KB download: exit %d, stdout %q, stderr %q", code, stdout.String(), stderr.String())
-	}
-	stdout.Reset()
-	code = run(strings.Fields("-chaos outage:path=wifi;at=100ms;dur=300ms -size 256KB -transport mptcp,sp-wifi,mp4"), &stdout, &stderr)
-	if got := stdout.String(); code != 0 || strings.Count(got, "  verdict:    ") != 3 || strings.Contains(got, "contrast:") {
-		t.Errorf("three faulted downloads: exit %d, stdout %q, stderr %q; want three reports and no contrast", code, got, stderr.String())
 	}
 }
 
