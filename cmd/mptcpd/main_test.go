@@ -15,7 +15,6 @@ import (
 
 	"mptcplab/internal/experiment"
 	"mptcplab/internal/load"
-	"mptcplab/internal/sweep/client"
 	"mptcplab/internal/units"
 )
 
@@ -35,9 +34,9 @@ func newTestServer(t *testing.T, cfg ...serverConfig) *httptest.Server {
 	return ts
 }
 
-func submit(t *testing.T, ts *httptest.Server, spec string) statusView {
+func submit(t *testing.T, base, spec string) statusView {
 	t.Helper()
-	resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(spec))
+	resp, err := http.Post(base+"/v1/campaigns", "application/json", strings.NewReader(spec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,9 +52,9 @@ func submit(t *testing.T, ts *httptest.Server, spec string) statusView {
 	return st
 }
 
-func getStatus(t *testing.T, ts *httptest.Server, id string) statusView {
+func getStatus(t *testing.T, base, id string) statusView {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/v1/campaigns/" + id)
+	resp, err := http.Get(base + "/v1/campaigns/" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +66,11 @@ func getStatus(t *testing.T, ts *httptest.Server, id string) statusView {
 	return st
 }
 
-func waitTerminal(t *testing.T, ts *httptest.Server, id string) statusView {
+func waitTerminal(t *testing.T, base, id string) statusView {
 	t.Helper()
 	deadline := time.Now().Add(120 * time.Second)
 	for time.Now().Before(deadline) {
-		st := getStatus(t, ts, id)
+		st := getStatus(t, base, id)
 		switch st.State {
 		case stateDone, stateCancelled, stateFailed:
 			return st
@@ -82,9 +81,9 @@ func waitTerminal(t *testing.T, ts *httptest.Server, id string) statusView {
 	return statusView{}
 }
 
-func getBytes(t *testing.T, ts *httptest.Server, path string) []byte {
+func getBytes(t *testing.T, base, path string) []byte {
 	t.Helper()
-	resp, err := http.Get(ts.URL + path)
+	resp, err := http.Get(base + path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,16 +104,16 @@ func TestServeExperimentCampaign(t *testing.T) {
 	ts := newTestServer(t)
 	spec := `{"experiment":"fig8","reps":1,"seed":42,"workers":2}`
 
-	first := submit(t, ts, spec)
-	st := waitTerminal(t, ts, first.ID)
+	first := submit(t, ts.URL, spec)
+	st := waitTerminal(t, ts.URL, first.ID)
 	if st.State != stateDone {
 		t.Fatalf("first submission ended %q (error %q)", st.State, st.Error)
 	}
 	if st.CacheHits != 0 || st.CacheMisses == 0 {
 		t.Fatalf("cold run should be all misses: hits=%d misses=%d", st.CacheHits, st.CacheMisses)
 	}
-	csv1 := getBytes(t, ts, "/v1/campaigns/"+first.ID+"/export.csv")
-	json1 := getBytes(t, ts, "/v1/campaigns/"+first.ID+"/export.json")
+	csv1 := getBytes(t, ts.URL, "/v1/campaigns/"+first.ID+"/export.csv")
+	json1 := getBytes(t, ts.URL, "/v1/campaigns/"+first.ID+"/export.json")
 
 	// Direct run: same campaign, same opts the daemon uses.
 	m := experiment.SimultaneousSYN(experiment.CampaignOpts{
@@ -142,8 +141,8 @@ func TestServeExperimentCampaign(t *testing.T) {
 	}
 
 	// Repeat submission: answered entirely from cache, same bytes.
-	second := submit(t, ts, spec)
-	st2 := waitTerminal(t, ts, second.ID)
+	second := submit(t, ts.URL, spec)
+	st2 := waitTerminal(t, ts.URL, second.ID)
 	if st2.State != stateDone {
 		t.Fatalf("second submission ended %q (error %q)", st2.State, st2.Error)
 	}
@@ -151,14 +150,14 @@ func TestServeExperimentCampaign(t *testing.T) {
 		t.Fatalf("repeat submission not a 100%% cache hit: hits=%d misses=%d (cold run had %d runs)",
 			st2.CacheHits, st2.CacheMisses, st.CacheMisses)
 	}
-	csv2 := getBytes(t, ts, "/v1/campaigns/"+second.ID+"/export.csv")
+	csv2 := getBytes(t, ts.URL, "/v1/campaigns/"+second.ID+"/export.csv")
 	if !bytes.Equal(csv1, csv2) {
 		t.Fatal("cache-served export.csv differs from the cold run's")
 	}
 
 	// NDJSON rows: one valid record per run, all marked cached on the
 	// repeat submission.
-	rows := bytes.Split(bytes.TrimSpace(getBytes(t, ts, "/v1/campaigns/"+second.ID+"/rows")), []byte("\n"))
+	rows := bytes.Split(bytes.TrimSpace(getBytes(t, ts.URL, "/v1/campaigns/"+second.ID+"/rows")), []byte("\n"))
 	if len(rows) != int(st.CacheMisses) {
 		t.Fatalf("rows stream has %d records, want %d", len(rows), st.CacheMisses)
 	}
@@ -179,8 +178,8 @@ func TestServeExperimentCampaign(t *testing.T) {
 func TestServeMobilityCampaign(t *testing.T) {
 	ts := newTestServer(t)
 	spec := `{"experiment":"mobility","reps":1,"seed":42,"workers":2}`
-	first := waitTerminal(t, ts, submit(t, ts, spec).ID)
-	second := waitTerminal(t, ts, submit(t, ts, spec).ID)
+	first := waitTerminal(t, ts.URL, submit(t, ts.URL, spec).ID)
+	second := waitTerminal(t, ts.URL, submit(t, ts.URL, spec).ID)
 	if first.State != stateDone || second.State != stateDone {
 		t.Fatalf("submissions ended %q, %q (errors %q, %q)", first.State, second.State, first.Error, second.Error)
 	}
@@ -189,7 +188,7 @@ func TestServeMobilityCampaign(t *testing.T) {
 			second.CacheHits, second.CacheMisses, first.CacheMisses)
 	}
 	for _, name := range []string{"export.csv", "export.json"} {
-		if !bytes.Equal(getBytes(t, ts, "/v1/campaigns/"+first.ID+"/"+name), getBytes(t, ts, "/v1/campaigns/"+second.ID+"/"+name)) {
+		if !bytes.Equal(getBytes(t, ts.URL, "/v1/campaigns/"+first.ID+"/"+name), getBytes(t, ts.URL, "/v1/campaigns/"+second.ID+"/"+name)) {
 			t.Errorf("cache-served %s differs from the cold run's", name)
 		}
 	}
@@ -202,13 +201,13 @@ func TestServeLoadCampaign(t *testing.T) {
 	const base = "clients=8,flows=12,dur=5s"
 	spec := fmt.Sprintf(`{"kind":"load","base":"%s","rates":[3,6],"reps":1,"seed":7,"workers":2}`, base)
 
-	first := submit(t, ts, spec)
-	st := waitTerminal(t, ts, first.ID)
+	first := submit(t, ts.URL, spec)
+	st := waitTerminal(t, ts.URL, first.ID)
 	if st.State != stateDone {
 		t.Fatalf("load campaign ended %q (error %q)", st.State, st.Error)
 	}
-	csv1 := getBytes(t, ts, "/v1/campaigns/"+first.ID+"/export.csv")
-	json1 := getBytes(t, ts, "/v1/campaigns/"+first.ID+"/export.json")
+	csv1 := getBytes(t, ts.URL, "/v1/campaigns/"+first.ID+"/export.csv")
+	json1 := getBytes(t, ts.URL, "/v1/campaigns/"+first.ID+"/export.json")
 
 	// Direct run through the CLI runner's path.
 	baseCfg, err := load.ParseReplay(base)
@@ -231,13 +230,13 @@ func TestServeLoadCampaign(t *testing.T) {
 	}
 
 	// Repeat submission: all hits, identical artifacts.
-	second := submit(t, ts, spec)
-	st2 := waitTerminal(t, ts, second.ID)
+	second := submit(t, ts.URL, spec)
+	st2 := waitTerminal(t, ts.URL, second.ID)
 	if st2.State != stateDone || st2.CacheMisses != 0 || st2.CacheHits != st.CacheMisses {
 		t.Fatalf("repeat load submission: state=%q hits=%d misses=%d (cold had %d runs)",
 			st2.State, st2.CacheHits, st2.CacheMisses, st.CacheMisses)
 	}
-	if !bytes.Equal(csv1, getBytes(t, ts, "/v1/campaigns/"+second.ID+"/export.csv")) {
+	if !bytes.Equal(csv1, getBytes(t, ts.URL, "/v1/campaigns/"+second.ID+"/export.csv")) {
 		t.Fatal("cache-served load export.csv differs from the cold run's")
 	}
 
@@ -248,7 +247,7 @@ func TestServeLoadCampaign(t *testing.T) {
 		t.Fatalf("decoding export.json (%d rows): %v", len(exported), err)
 	}
 	want := exported[0]
-	body := getBytes(t, ts, "/v1/replay?token="+url.QueryEscape(want.Replay))
+	body := getBytes(t, ts.URL, "/v1/replay?token="+url.QueryEscape(want.Replay))
 	var view struct {
 		Cached bool           `json:"cached"`
 		Run    load.RunExport `json:"run"`
@@ -273,12 +272,12 @@ func TestServeLoadCampaign(t *testing.T) {
 func TestServeCancelDrains(t *testing.T) {
 	ts := newTestServer(t)
 	spec := `{"kind":"load","base":"clients=12,flows=30,dur=10s","reps":40,"seed":9,"workers":1}`
-	c := submit(t, ts, spec)
+	c := submit(t, ts.URL, spec)
 
 	// Wait until at least one run has completed, then cancel.
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		st := getStatus(t, ts, c.ID)
+		st := getStatus(t, ts.URL, c.ID)
 		if st.Done >= 1 {
 			break
 		}
@@ -294,14 +293,14 @@ func TestServeCancelDrains(t *testing.T) {
 	if _, err := http.DefaultClient.Do(req); err != nil {
 		t.Fatal(err)
 	}
-	st := waitTerminal(t, ts, c.ID)
+	st := waitTerminal(t, ts.URL, c.ID)
 	if st.State != stateCancelled {
 		t.Fatalf("cancelled campaign ended %q", st.State)
 	}
 	if st.Done >= st.Total {
 		t.Fatalf("cancel did not stop the campaign early: %d/%d runs", st.Done, st.Total)
 	}
-	csv := getBytes(t, ts, "/v1/campaigns/"+c.ID+"/export.csv")
+	csv := getBytes(t, ts.URL, "/v1/campaigns/"+c.ID+"/export.csv")
 	lines := bytes.Split(bytes.TrimSpace(csv), []byte("\n"))
 	if got := len(lines) - 1; got != st.Done {
 		t.Fatalf("partial export has %d rows, want the %d completed runs", got, st.Done)
@@ -309,9 +308,9 @@ func TestServeCancelDrains(t *testing.T) {
 }
 
 // TestServeQueueFullRetryAfter: with the queue at capacity the daemon
-// answers 503 with a Retry-After header, and a client following the
-// header lands the submission once the queue drains. The run loop is
-// left unstarted so "full" is deterministic, then started manually.
+// answers 503 with a Retry-After header and journals nothing, and the
+// same submission lands once the queue drains. The run loop is left
+// unstarted so "full" is deterministic, then started manually.
 func TestServeQueueFullRetryAfter(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -320,7 +319,7 @@ func TestServeQueueFullRetryAfter(t *testing.T) {
 	defer ts.Close()
 
 	spec := `{"experiment":"fig8","reps":1,"seed":1,"workers":1}`
-	submit(t, ts, spec) // fills the 1-deep queue
+	first := submit(t, ts.URL, spec) // fills the 1-deep queue
 	resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(spec))
 	if err != nil {
 		t.Fatal(err)
@@ -334,23 +333,15 @@ func TestServeQueueFullRetryAfter(t *testing.T) {
 		t.Fatal("queue-full 503 carries no Retry-After header")
 	}
 	// A rejected submission leaves no state behind.
-	if st := getStatus(t, ts, "c2"); st.ID != "" {
+	if st := getStatus(t, ts.URL, "c2"); st.ID != "" {
 		t.Fatalf("rejected submission left campaign state %+v", st)
 	}
 
-	// The retrying client helper rides the 503 out: start the run
-	// loop (the queue drains) and the same submit goes through.
+	// Start the run loop: once the queue drains, the same submit goes
+	// through.
 	go s.runLoop()
-	cl := client.New(ts.URL, client.Options{
-		BaseDelay: 20 * time.Millisecond, MaxDelay: 100 * time.Millisecond, MaxAttempts: 50,
-	})
-	st, err := cl.Submit(context.Background(), json.RawMessage(spec))
-	if err != nil {
-		t.Fatalf("retrying submit never landed: %v", err)
-	}
-	if _, err := cl.WaitTerminal(context.Background(), st.ID, 25*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	waitTerminal(t, ts.URL, first.ID)
+	waitTerminal(t, ts.URL, submit(t, ts.URL, spec).ID)
 }
 
 // TestServeRowsFollowerBounded: a /rows follower of a campaign that
@@ -358,9 +349,9 @@ func TestServeQueueFullRetryAfter(t *testing.T) {
 // holding its handler goroutine forever.
 func TestServeRowsFollowerBounded(t *testing.T) {
 	ts := newTestServer(t, serverConfig{noRunLoop: true, followMax: 150 * time.Millisecond})
-	c := submit(t, ts, `{"experiment":"fig8","reps":1,"seed":1}`)
+	c := submit(t, ts.URL, `{"experiment":"fig8","reps":1,"seed":1}`)
 	start := time.Now()
-	body := getBytes(t, ts, "/v1/campaigns/"+c.ID+"/rows")
+	body := getBytes(t, ts.URL, "/v1/campaigns/"+c.ID+"/rows")
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("follower of a never-finishing campaign held on for %v", elapsed)
 	}
@@ -470,7 +461,7 @@ func TestServeRejectsBadSpecs(t *testing.T) {
 			t.Fatalf("spec %s: error %q does not name %s", spec, e.Error, tc.names)
 		}
 	}
-	if st := getStatus(t, ts, "c1"); st.ID != "" {
+	if st := getStatus(t, ts.URL, "c1"); st.ID != "" {
 		t.Fatalf("a rejected spec left campaign state %+v", st)
 	}
 }
@@ -521,7 +512,7 @@ func TestServeReplayThenSweepRestampsRep(t *testing.T) {
 		Cached bool           `json:"cached"`
 		Run    load.RunExport `json:"run"`
 	}
-	body := getBytes(t, ts, "/v1/replay?token="+url.QueryEscape(rep1.Replay))
+	body := getBytes(t, ts.URL, "/v1/replay?token="+url.QueryEscape(rep1.Replay))
 	if err := json.Unmarshal(body, &view); err != nil {
 		t.Fatal(err)
 	}
@@ -529,13 +520,13 @@ func TestServeReplayThenSweepRestampsRep(t *testing.T) {
 		t.Fatalf("cold standalone replay: cached=%v rep=%d, want a computed rep-0 row", view.Cached, view.Run.Rep)
 	}
 
-	c := submit(t, ts, fmt.Sprintf(`{"kind":"load","base":"%s","reps":2,"seed":11}`, base))
-	st := waitTerminal(t, ts, c.ID)
+	c := submit(t, ts.URL, fmt.Sprintf(`{"kind":"load","base":"%s","reps":2,"seed":11}`, base))
+	st := waitTerminal(t, ts.URL, c.ID)
 	if st.State != stateDone || st.CacheHits != 1 || st.CacheMisses != 1 {
 		t.Fatalf("sweep after replay: state=%q hits=%d misses=%d, want done with the replayed row a hit",
 			st.State, st.CacheHits, st.CacheMisses)
 	}
-	if got := getBytes(t, ts, "/v1/campaigns/"+c.ID+"/export.csv"); !bytes.Equal(got, wantCSV.Bytes()) {
+	if got := getBytes(t, ts.URL, "/v1/campaigns/"+c.ID+"/export.csv"); !bytes.Equal(got, wantCSV.Bytes()) {
 		t.Fatalf("export.csv after a replay-seeded hit differs from RunSweep's:\n%s\nwant:\n%s", got, wantCSV.Bytes())
 	}
 }
@@ -556,7 +547,7 @@ func TestServeStatusCountsFailedRows(t *testing.T) {
 	t.Cleanup(func() { cancel(); ts.Close() })
 
 	const base = "clients=200,rate=60,dur=60s,drain=10s,mix=web"
-	doomed := submit(t, ts, fmt.Sprintf(`{"kind":"load","base":"%s","rates":[30,60],"reps":1,"seed":7,"workers":1}`, base))
+	doomed := submit(t, ts.URL, fmt.Sprintf(`{"kind":"load","base":"%s","rates":[30,60],"reps":1,"seed":7,"workers":1}`, base))
 	c := <-srv.queue
 	c.run = func(c *campaignState) error {
 		so := load.SweepOpts{Rates: c.spec.Rates, Reps: c.spec.Reps, Seed: c.spec.Seed, Workers: c.spec.Workers}
@@ -568,23 +559,23 @@ func TestServeStatusCountsFailedRows(t *testing.T) {
 		return srv.runLoad(c, so)
 	}
 	srv.runCampaign(c)
-	st := getStatus(t, ts, doomed.ID)
+	st := getStatus(t, ts.URL, doomed.ID)
 	if st.State != stateDone || st.Rows != 2 || st.FailedRows != 2 {
 		t.Fatalf("all-failed campaign: state=%q rows=%d failed_rows=%d error=%q, want done/2/2", st.State, st.Rows, st.FailedRows, st.Error)
 	}
-	rows := getBytes(t, ts, "/v1/campaigns/"+doomed.ID+"/rows")
+	rows := getBytes(t, ts.URL, "/v1/campaigns/"+doomed.ID+"/rows")
 	for _, row := range bytes.Split(bytes.TrimSpace(rows), []byte("\n")) {
 		if !bytes.Contains(row, []byte("wall-clock deadline exceeded")) {
 			t.Fatalf("a row counted as failed does not name the watchdog: %s", row)
 		}
 	}
 
-	healthy := submit(t, ts, `{"kind":"load","base":"clients=8,flows=12,dur=5s","rates":[3],"reps":1,"seed":7,"workers":1}`)
+	healthy := submit(t, ts.URL, `{"kind":"load","base":"clients=8,flows=12,dur=5s","rates":[3],"reps":1,"seed":7,"workers":1}`)
 	srv.runCampaign(<-srv.queue)
-	if st := getStatus(t, ts, healthy.ID); st.State != stateDone || st.Rows != 1 {
+	if st := getStatus(t, ts.URL, healthy.ID); st.State != stateDone || st.Rows != 1 {
 		t.Fatalf("healthy campaign: state=%q rows=%d error=%q", st.State, st.Rows, st.Error)
 	}
-	if body := getBytes(t, ts, "/v1/campaigns/"+healthy.ID); bytes.Contains(body, []byte("failed_rows")) {
+	if body := getBytes(t, ts.URL, "/v1/campaigns/"+healthy.ID); bytes.Contains(body, []byte("failed_rows")) {
 		t.Fatalf("healthy campaign's status grew a key: %s", body)
 	}
 }

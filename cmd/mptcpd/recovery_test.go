@@ -22,10 +22,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"mptcplab/internal/sweep"
-	"mptcplab/internal/sweep/client"
 )
 
 // crashSpec is the campaign the crash suite interrupts: 12 serial
@@ -106,11 +104,16 @@ func startHelperDaemon(t *testing.T, dir string, crashAfter int) (*exec.Cmd, str
 // durability design working, not a failure: the spec was journaled
 // before acceptance, so recovery still owns it. A failed submit is
 // tolerated exactly when the journal proves the submission landed.
-func submitCrashing(ctx context.Context, t *testing.T, cl *client.Client, dir string) {
+func submitCrashing(t *testing.T, base, dir string) {
 	t.Helper()
-	st, err := cl.Submit(ctx, json.RawMessage(crashSpec))
-	if err == nil && st.ID != "c1" {
-		t.Fatalf("first submission got id %q", st.ID)
+	resp, err := http.Post(base+"/v1/campaigns", "application/json", strings.NewReader(crashSpec))
+	if err == nil {
+		var st statusView
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err == nil && st.ID != "c1" {
+			t.Fatalf("first submission got id %q (status %d)", st.ID, resp.StatusCode)
+		}
 	}
 	if err != nil {
 		if _, serr := os.Stat(filepath.Join(dir, "journal", "c1.campaign.json")); serr != nil {
@@ -124,13 +127,13 @@ func submitCrashing(ctx context.Context, t *testing.T, cl *client.Client, dir st
 func referenceExports(t *testing.T) (csv, jsonb []byte) {
 	t.Helper()
 	ts := newTestServer(t)
-	st := submit(t, ts, crashSpec)
-	fin := waitTerminal(t, ts, st.ID)
+	st := submit(t, ts.URL, crashSpec)
+	fin := waitTerminal(t, ts.URL, st.ID)
 	if fin.State != stateDone {
 		t.Fatalf("reference campaign ended %q (%s)", fin.State, fin.Error)
 	}
-	return getBytes(t, ts, "/v1/campaigns/"+st.ID+"/export.csv"),
-		getBytes(t, ts, "/v1/campaigns/"+st.ID+"/export.json")
+	return getBytes(t, ts.URL, "/v1/campaigns/"+st.ID+"/export.csv"),
+		getBytes(t, ts.URL, "/v1/campaigns/"+st.ID+"/export.json")
 }
 
 // TestServeCrashRecovery is the acceptance case the tentpole names: a
@@ -140,13 +143,10 @@ func referenceExports(t *testing.T) (csv, jsonb []byte) {
 // byte-identical to an uninterrupted run.
 func TestServeCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
 
 	// Daemon one: armed to SIGKILL itself after crashAt rows.
 	cmd, base := startHelperDaemon(t, dir, crashAt)
-	cl := client.New(base, client.Options{BaseDelay: 50 * time.Millisecond, MaxAttempts: 8})
-	submitCrashing(ctx, t, cl, dir)
+	submitCrashing(t, base, dir)
 	// The injected sync point fires mid-campaign; the process dies by
 	// its own SIGKILL — no drain, no terminal journal marker.
 	if err := cmd.Wait(); err == nil {
@@ -159,12 +159,8 @@ func TestServeCrashRecovery(t *testing.T) {
 	// Daemon two: same store and journal, no crash armed. It must
 	// resume c1 on its own — no resubmission.
 	_, base2 := startHelperDaemon(t, dir, 0)
-	cl2 := client.New(base2, client.Options{BaseDelay: 50 * time.Millisecond, MaxAttempts: 8})
-	fin, err := cl2.WaitTerminal(ctx, "c1", 50*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fin.State != "done" || !fin.Resumed {
+	fin := waitTerminal(t, base2, "c1")
+	if fin.State != stateDone || !fin.Resumed {
 		t.Fatalf("resumed campaign: state=%q resumed=%v (%s)", fin.State, fin.Resumed, fin.Error)
 	}
 	if fin.Done != crashSpecRun {
@@ -181,14 +177,8 @@ func TestServeCrashRecovery(t *testing.T) {
 			fin.CacheMisses, crashSpecRun-crashAt)
 	}
 
-	gotCSV, err := cl2.Artifact(ctx, "c1", "export.csv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotJSON, err := cl2.Artifact(ctx, "c1", "export.json")
-	if err != nil {
-		t.Fatal(err)
-	}
+	gotCSV := getBytes(t, base2, "/v1/campaigns/c1/export.csv")
+	gotJSON := getBytes(t, base2, "/v1/campaigns/c1/export.json")
 	wantCSV, wantJSON := referenceExports(t)
 	if !bytes.Equal(gotCSV, wantCSV) {
 		t.Fatal("resumed export.csv differs from an uninterrupted run's")
@@ -199,19 +189,18 @@ func TestServeCrashRecovery(t *testing.T) {
 
 	// And the restarted daemon's health shows a clean (not degraded)
 	// store that actually loaded the pre-crash records.
-	h, err := cl2.Healthz(ctx)
-	if err != nil {
+	var health struct {
+		Status string            `json:"status"`
+		Store  sweep.StoreHealth `json:"store"`
+	}
+	if err := json.Unmarshal(getBytes(t, base2, "/healthz"), &health); err != nil {
 		t.Fatal(err)
 	}
-	if h.Status != "ok" {
-		t.Fatalf("healthz after recovery: %+v", h)
+	if health.Status != "ok" {
+		t.Fatalf("healthz after recovery: %+v", health)
 	}
-	var sh sweep.StoreHealth
-	if err := json.Unmarshal(h.Store, &sh); err != nil {
-		t.Fatal(err)
-	}
-	if sh.LoadedRecords < crashAt {
-		t.Fatalf("store loaded %d records after the crash, want ≥ %d", sh.LoadedRecords, crashAt)
+	if health.Store.LoadedRecords < crashAt {
+		t.Fatalf("store loaded %d records after the crash, want ≥ %d", health.Store.LoadedRecords, crashAt)
 	}
 }
 
@@ -220,12 +209,9 @@ func TestServeCrashRecovery(t *testing.T) {
 // the third daemon still converges to the identical artifacts.
 func TestServeCrashRecoverySecondKill(t *testing.T) {
 	dir := t.TempDir()
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
 
 	cmd, base := startHelperDaemon(t, dir, 3)
-	cl := client.New(base, client.Options{BaseDelay: 50 * time.Millisecond, MaxAttempts: 8})
-	submitCrashing(ctx, t, cl, dir)
+	submitCrashing(t, base, dir)
 	cmd.Wait() // first kill, 3 rows in
 
 	// Second daemon: resumes, then dies again. Resume counts rows
@@ -235,18 +221,11 @@ func TestServeCrashRecoverySecondKill(t *testing.T) {
 	cmd2.Wait() // second kill — no client interaction needed; resume is autonomous
 
 	_, base3 := startHelperDaemon(t, dir, 0)
-	cl3 := client.New(base3, client.Options{BaseDelay: 50 * time.Millisecond, MaxAttempts: 8})
-	fin, err := cl3.WaitTerminal(ctx, "c1", 50*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fin.State != "done" || fin.CacheHits < 8 {
+	fin := waitTerminal(t, base3, "c1")
+	if fin.State != stateDone || fin.CacheHits < 8 {
 		t.Fatalf("after two kills: state=%q hits=%d, want done with ≥8 store hits", fin.State, fin.CacheHits)
 	}
-	gotCSV, err := cl3.Artifact(ctx, "c1", "export.csv")
-	if err != nil {
-		t.Fatal(err)
-	}
+	gotCSV := getBytes(t, base3, "/v1/campaigns/c1/export.csv")
 	wantCSV, _ := referenceExports(t)
 	if !bytes.Equal(gotCSV, wantCSV) {
 		t.Fatal("twice-interrupted export.csv differs from an uninterrupted run's")
@@ -268,12 +247,12 @@ func TestServeStoreCorruptionRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := newTestServer(t, cfg)
-	st := submit(t, ts, crashSpec)
-	fin := waitTerminal(t, ts, st.ID)
+	st := submit(t, ts.URL, crashSpec)
+	fin := waitTerminal(t, ts.URL, st.ID)
 	if fin.State != stateDone {
 		t.Fatalf("cold campaign ended %q", fin.State)
 	}
-	wantCSV := getBytes(t, ts, "/v1/campaigns/"+st.ID+"/export.csv")
+	wantCSV := getBytes(t, ts.URL, "/v1/campaigns/"+st.ID+"/export.csv")
 	cfg.store.Close()
 
 	// Truncate the tail of the last segment: one row lost mid-record.
@@ -299,8 +278,8 @@ func TestServeStoreCorruptionRecovery(t *testing.T) {
 		t.Fatalf("after truncation Health = %+v, want exactly 1 corrupt / %d loaded", h, crashSpecRun-1)
 	}
 	ts2 := newTestServer(t, cfg2)
-	st2 := submit(t, ts2, crashSpec)
-	fin2 := waitTerminal(t, ts2, st2.ID)
+	st2 := submit(t, ts2.URL, crashSpec)
+	fin2 := waitTerminal(t, ts2.URL, st2.ID)
 	if fin2.State != stateDone {
 		t.Fatalf("resubmission over corrupted store ended %q", fin2.State)
 	}
@@ -308,7 +287,7 @@ func TestServeStoreCorruptionRecovery(t *testing.T) {
 		t.Fatalf("hits=%d misses=%d, want %d surviving rows served + exactly the 1 lost row recomputed",
 			fin2.CacheHits, fin2.CacheMisses, crashSpecRun-1)
 	}
-	if got := getBytes(t, ts2, "/v1/campaigns/"+st2.ID+"/export.csv"); !bytes.Equal(got, wantCSV) {
+	if got := getBytes(t, ts2.URL, "/v1/campaigns/"+st2.ID+"/export.csv"); !bytes.Equal(got, wantCSV) {
 		t.Fatal("export over a corrupted store differs from the intact run's")
 	}
 }
@@ -351,22 +330,22 @@ func TestServeJournalGarbageTolerated(t *testing.T) {
 		t.Fatalf("resume list = %+v, want exactly the genuine c7", cfg.resume)
 	}
 	ts := newTestServer(t, cfg)
-	fin := waitTerminal(t, ts, "c7")
+	fin := waitTerminal(t, ts.URL, "c7")
 	if fin.State != stateDone || !fin.Resumed {
 		t.Fatalf("genuine campaign among garbage: state=%q resumed=%v", fin.State, fin.Resumed)
 	}
 	// New ids never collide with journaled ones.
-	st := submit(t, ts, `{"experiment":"fig8","reps":1,"seed":1,"workers":1}`)
+	st := submit(t, ts.URL, `{"experiment":"fig8","reps":1,"seed":1,"workers":1}`)
 	if n, _ := campaignID(st.ID); n <= 9 {
 		t.Fatalf("fresh submission reused journaled id space: %q", st.ID)
 	}
 	// Let it finish: its terminal journal mark must not race TempDir's
 	// cleanup of the journal directory.
-	waitTerminal(t, ts, st.ID)
+	waitTerminal(t, ts.URL, st.ID)
 	var health struct {
 		Journal journalHealth `json:"journal"`
 	}
-	if err := json.Unmarshal(getBytes(t, ts, "/healthz"), &health); err != nil {
+	if err := json.Unmarshal(getBytes(t, ts.URL, "/healthz"), &health); err != nil {
 		t.Fatal(err)
 	}
 	// junk.bin, README.txt, subdir, the .tmp, cX.done, and the three
@@ -396,8 +375,8 @@ func TestServeStoreDegradedMode(t *testing.T) {
 	failing.Store(true)
 	ts := newTestServer(t, serverConfig{store: st})
 
-	c := submit(t, ts, `{"experiment":"fig8","reps":1,"seed":42,"workers":2}`)
-	fin := waitTerminal(t, ts, c.ID)
+	c := submit(t, ts.URL, `{"experiment":"fig8","reps":1,"seed":42,"workers":2}`)
+	fin := waitTerminal(t, ts.URL, c.ID)
 	if fin.State != stateDone {
 		t.Fatalf("campaign over a failing disk ended %q (%s)", fin.State, fin.Error)
 	}
@@ -405,7 +384,7 @@ func TestServeStoreDegradedMode(t *testing.T) {
 		Status string            `json:"status"`
 		Store  sweep.StoreHealth `json:"store"`
 	}
-	if err := json.Unmarshal(getBytes(t, ts, "/healthz"), &health); err != nil {
+	if err := json.Unmarshal(getBytes(t, ts.URL, "/healthz"), &health); err != nil {
 		t.Fatal(err)
 	}
 	if health.Status != "degraded" || !health.Store.Degraded {
@@ -415,8 +394,8 @@ func TestServeStoreDegradedMode(t *testing.T) {
 		t.Fatalf("degraded reason %q lost the cause", health.Store.DegradedReason)
 	}
 	// Memory-only degraded mode still answers the repeat from cache.
-	c2 := submit(t, ts, `{"experiment":"fig8","reps":1,"seed":42,"workers":2}`)
-	fin2 := waitTerminal(t, ts, c2.ID)
+	c2 := submit(t, ts.URL, `{"experiment":"fig8","reps":1,"seed":42,"workers":2}`)
+	fin2 := waitTerminal(t, ts.URL, c2.ID)
 	if fin2.State != stateDone || fin2.CacheMisses != 0 {
 		t.Fatalf("degraded repeat: state=%q misses=%d, want all hits", fin2.State, fin2.CacheMisses)
 	}

@@ -145,9 +145,6 @@ type artifact struct {
 }
 
 // export renders the campaign's artifacts and publishes them together.
-// Order matters: a Matrix's first export sums its samples unsorted and
-// later ones sorted, so means differ in the last bits — CSV before
-// JSON is the order paperbench's bytes come from.
 func (c *campaignState) export(arts ...artifact) error {
 	exp := make(map[string][]byte, len(arts))
 	for _, a := range arts {
@@ -528,8 +525,8 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.order = s.order[:len(s.order)-1]
 		s.mu.Unlock()
 		// Nothing was journaled, so a rejected submission leaves no
-		// state to resurrect. Retry-After tells a well-behaved client
-		// (internal/sweep/client) when to re-ask.
+		// state to resurrect. Retry-After tells the client when to
+		// re-ask.
 		w.Header().Set("Retry-After", "5")
 		httpError(w, http.StatusServiceUnavailable, "campaign queue full")
 		return

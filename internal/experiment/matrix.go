@@ -155,8 +155,8 @@ type CampaignOpts struct {
 
 // CampaignJob is the canonical descriptor of one run of a campaign —
 // everything that determines the run's result, and nothing that
-// doesn't (worker counts and deadlines are execution policy). The
-// service layer hashes it (minus Seed, which keys separately) for the
+// doesn't (worker counts are execution policy). The service layer
+// hashes it (minus Seed, which keys separately) for the
 // content-addressed result cache.
 type CampaignJob struct {
 	Experiment string          `json:"experiment"`

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"strings"
-	"time"
 
 	"mptcplab/internal/cc"
 	"mptcplab/internal/chaos"
@@ -81,12 +80,6 @@ type RunConfig struct {
 	// time and the same seed reproduces it exactly.
 	Chaos chaos.Schedule
 
-	// Deadline caps the run's host wall-clock time (0 = none). It is an
-	// execution policy, not part of the modeled experiment: a tripped
-	// deadline marks the run failed, and the knob never appears in
-	// exports or replay identity.
-	Deadline time.Duration
-
 	// Timeout caps the simulated duration (default 30 virtual
 	// minutes).
 	Timeout sim.Time
@@ -139,10 +132,10 @@ type RunResult struct {
 	Violations     int
 	FirstViolation string
 
-	// FailReason is set when the harness killed the run (watchdog
-	// deadline or livelock detection): one line, no stack. A failed run
-	// also reports Completed=false. Execution metadata, excluded from
-	// campaign exports.
+	// FailReason is set when the harness killed the run (livelock
+	// detection) or a campaign contained its panic: one line, no stack.
+	// A failed run also reports Completed=false. Execution metadata,
+	// excluded from campaign exports.
 	FailReason string
 
 	// Resilience is the chaos monitor's report for runs with a Chaos
@@ -250,7 +243,7 @@ func (tb *Testbed) Run(rc RunConfig) RunResult {
 			yield(tb.Clients[0], client.Conn, serverConn)
 		}
 	}
-	mon := tb.ArmChaos(rc.Chaos, rc.Deadline, live)
+	mon := tb.ArmChaos(rc.Chaos, 0, live)
 	var ck *check.Checker
 	if rc.SelfCheck {
 		ck = check.Arm(tb.World, 50*sim.Millisecond)

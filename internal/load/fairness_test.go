@@ -86,7 +86,6 @@ func couplingShareCtrl(t *testing.T, ctrl cc.Controller) float64 {
 	mpCfg := mptcp.DefaultConfig()
 	mpCfg.TCP = tcpCfg
 	mpCfg.Controller = ctrl
-	mpCfg.RcvBuf = tcpCfg.RcvBuf
 
 	// Large enough that neither transfer finishes inside the
 	// measurement window: the share must reflect ongoing contention,

@@ -10,7 +10,6 @@ import (
 	"mptcplab/internal/seg"
 	"mptcplab/internal/sim"
 	"mptcplab/internal/tcp"
-	"mptcplab/internal/units"
 )
 
 // initialDataSeq is where the connection-level sequence space starts.
@@ -21,6 +20,8 @@ const initialDataSeq uint64 = 1
 
 // Config selects the MPTCP behaviours the paper varies.
 type Config struct {
+	// TCP configures every subflow. Its RcvBuf also sizes the shared
+	// connection-level receive buffer (8 MB in the paper).
 	TCP        tcp.Config
 	Controller cc.Controller // shared across subflows (coupled/olia/reno)
 	// Scheduler names the packet-scheduling plugin: "minrtt" (default),
@@ -36,10 +37,6 @@ type Config struct {
 	// join SYNs identify the connection by the client's token
 	// (pre-authorized servers, as the paper assumes).
 	SimultaneousSYN bool
-
-	// RcvBuf is the shared connection-level receive buffer (8 MB in
-	// the paper). Defaults to TCP.RcvBuf when zero.
-	RcvBuf units.ByteCount
 }
 
 // DefaultConfig mirrors the paper's measurement configuration:
@@ -48,13 +45,13 @@ type Config struct {
 func DefaultConfig() Config { return ConfigOver(tcp.DefaultConfig()) }
 
 // ConfigOver is DefaultConfig with the subflows running a caller-tuned
-// TCP config, whose receive buffer also sizes the shared one.
+// TCP config, whose receive buffer (TCP.RcvBuf) also sizes the shared
+// connection-level one.
 func ConfigOver(t tcp.Config) Config {
 	return Config{
 		TCP:        t,
 		Controller: cc.Coupled{},
 		Scheduler:  "minrtt",
-		RcvBuf:     t.RcvBuf,
 	}
 }
 
@@ -280,9 +277,6 @@ func Dial(network *netem.Network, host *netem.Host, opts DialOpts, rng *sim.RNG)
 	if cfg.Controller == nil {
 		cfg = DefaultConfig()
 	}
-	if cfg.RcvBuf == 0 {
-		cfg.RcvBuf = cfg.TCP.RcvBuf
-	}
 	c := &Conn{
 		cfg:            cfg,
 		sched:          NewScheduler(cfg.Scheduler),
@@ -357,21 +351,28 @@ func (c *Conn) LocalToken() uint32 { return token(c.localKey) }
 
 // addSubflow creates and wires a subflow endpoint (not yet connected).
 func (c *Conn) addSubflow(local, remote seg.Addr, label string) *Subflow {
-	tcpCfg := c.cfg.TCP
-	tcpCfg.Controller = c.cfg.Controller
 	sf := &Subflow{
-		ID:        len(c.subflows),
 		AddrID:    uint8(len(c.subflows)),
 		Label:     label,
-		conn:      c,
 		joinNonce: uint32(c.rng.Int63()),
 	}
+	return c.attach(sf, tcp.NewEndpoint(c.host, c.net, local, remote, c.cfg.TCP, c.rng.Child("sf")))
+}
+
+// attach wires ep into the connection as its next subflow sf, for an
+// active open (addSubflow) and a passive one (Server) alike: the
+// endpoint runs the connection's (possibly coupled) controller over
+// the connection's flow set, and its hooks route through the
+// connection.
+func (c *Conn) attach(sf *Subflow, ep *tcp.Endpoint) *Subflow {
+	sf.ID = len(c.subflows)
+	sf.conn = c
+	sf.EP = ep
 	sf.dlv.Init(DefaultRateWindow)
 	sf.placed.Init(DefaultRateWindow)
-	ep := tcp.NewEndpoint(c.host, c.net, local, remote, tcpCfg, c.rng.Child("sf"))
-	sf.EP = ep
 	c.subflows = append(c.subflows, sf)
 	c.flows = append(c.flows, ep)
+	ep.SetController(c.cfg.Controller)
 	// The flows slice may have been reallocated: refresh every subflow.
 	for i, s := range c.subflows {
 		s.EP.SetCoupled(c.flows, i)
@@ -734,7 +735,7 @@ func (c *Conn) joinToken() uint32 {
 // sharedWindow is the connection-level receive window advertised by
 // every subflow: one shared buffer, minus out-of-order residue (§3.1).
 func (c *Conn) sharedWindow() int64 {
-	w := int64(c.cfg.RcvBuf) - c.reorder.BufferedBytes()
+	w := int64(c.cfg.TCP.RcvBuf) - c.reorder.BufferedBytes()
 	if w < 0 {
 		w = 0
 	}
@@ -832,10 +833,10 @@ func (c *Conn) maybeCloseSubflows() {
 // otherwise a stalled fast subflow would wait for its own RTO.
 func (c *Conn) maybeWindowUpdate() {
 	free := c.sharedWindow()
-	if free < int64(c.cfg.RcvBuf)/2 {
+	if free < int64(c.cfg.TCP.RcvBuf)/2 {
 		return
 	}
-	if c.reorder.MaxBuffered < int64(c.cfg.RcvBuf)/2 {
+	if c.reorder.MaxBuffered < int64(c.cfg.TCP.RcvBuf)/2 {
 		return // never came close to filling; no one is stalled
 	}
 	for _, sf := range c.subflows {

@@ -243,7 +243,6 @@ func TestSmallSharedBufferStillCompletes(t *testing.T) {
 	cell.prop = 120 * sim.Millisecond
 	tn := buildTwoPath(t, defaultWifi(), cell, false)
 	cfg := DefaultConfig()
-	cfg.RcvBuf = 48 * units.KB
 	cfg.TCP.RcvBuf = 48 * units.KB
 	cli, _, done := tn.download(t, 2*units.MB, cfg, false)
 	if done <= 0 {

@@ -54,8 +54,8 @@ func (c *Conn) CheckInvariants() error {
 	if err := c.reorder.CheckInvariants(); err != nil {
 		return fmt.Errorf("mptcp %s: %w", c.Name, err)
 	}
-	if occ := c.reorder.BufferedBytes(); occ > int64(c.cfg.RcvBuf) {
-		return fmt.Errorf("mptcp %s: reorder buffer holds %d bytes, advertised buffer is %v", c.Name, occ, c.cfg.RcvBuf)
+	if occ := c.reorder.BufferedBytes(); occ > int64(c.cfg.TCP.RcvBuf) {
+		return fmt.Errorf("mptcp %s: reorder buffer holds %d bytes, advertised buffer is %v", c.Name, occ, c.cfg.TCP.RcvBuf)
 	}
 	if c.peerFinSeq > 0 && c.reorder.RcvNxt() > c.peerFinSeq {
 		return fmt.Errorf("mptcp %s: delivered past peer DATA_FIN (%d > %d)", c.Name, c.reorder.RcvNxt(), c.peerFinSeq)

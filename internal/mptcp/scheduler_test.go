@@ -186,7 +186,7 @@ func TestSingleCopySchedulersNeverDuplicate(t *testing.T) {
 func TestSharedWindowReflectsConfig(t *testing.T) {
 	tn := buildTwoPath(t, defaultWifi(), defaultCell(), false)
 	cfg := DefaultConfig()
-	cfg.RcvBuf = 1 * units.MB
+	cfg.TCP.RcvBuf = 1 * units.MB
 	srv := NewServer(tn.server, tn.net, tn.srvAddr.Port, cfg, tn.rng.Child("srv"))
 	srv.OnConn = func(c *Conn) {}
 	conn := Dial(tn.net, tn.client, DialOpts{

@@ -41,9 +41,6 @@ func NewServer(host *netem.Host, network *netem.Network, port uint16, cfg Config
 	if cfg.Controller == nil {
 		cfg = DefaultConfig()
 	}
-	if cfg.RcvBuf == 0 {
-		cfg.RcvBuf = cfg.TCP.RcvBuf
-	}
 	s := &Server{
 		cfg:          cfg,
 		net:          network,
@@ -94,7 +91,7 @@ func (s *Server) acceptCapable(ep *tcp.Endpoint, o seg.MPCapableOption) bool {
 	s.conns[token(c.peerKey)] = c
 	s.AcceptedConns++
 
-	s.wireSubflow(c, ep, "first")
+	c.attach(&Subflow{Label: "first"}, ep)
 	if s.OnConn != nil {
 		s.OnConn(c)
 	}
@@ -130,39 +127,7 @@ func (s *Server) acceptJoin(ep *tcp.Endpoint, o seg.MPJoinOption, syn *seg.Segme
 		return false
 	}
 	s.AcceptedJoins++
-	sf := s.wireSubflow(c, ep, "join")
 	// Honor the client's B bit: hold this subflow in reserve.
-	sf.Backup = o.Backup
+	c.attach(&Subflow{Label: "join", Backup: o.Backup}, ep)
 	return true
-}
-
-// wireSubflow adopts a listener-created endpoint as a connection
-// subflow. It mirrors Conn.addSubflow but for passive opens.
-func (s *Server) wireSubflow(c *Conn, ep *tcp.Endpoint, label string) *Subflow {
-	sf := &Subflow{
-		ID:    len(c.subflows),
-		Label: label,
-		conn:  c,
-		EP:    ep,
-	}
-	sf.dlv.Init(DefaultRateWindow)
-	sf.placed.Init(DefaultRateWindow)
-	c.subflows = append(c.subflows, sf)
-	c.flows = append(c.flows, ep)
-	// The listener created ep with the plain-TCP config; as a subflow
-	// it must run the connection's (possibly coupled) controller, just
-	// like an actively opened subflow.
-	ep.SetController(c.cfg.Controller)
-	for i, other := range c.subflows {
-		other.EP.SetCoupled(c.flows, i)
-	}
-	ep.BuildOptions = func(sg *seg.Segment, kind tcp.SegKind) { c.buildOptions(sf, sg, kind) }
-	ep.SegmentLimit = func(off int64, n int) int { return c.segmentLimit(sf, off, n) }
-	ep.WindowOverride = c.sharedWindow
-	ep.OnSegmentArrival = func(sg *seg.Segment) { c.onSegment(sf, sg) }
-	ep.OnEstablished = func() { c.onSubflowEstablished(sf) }
-	ep.OnSendReady = func() { c.pump() }
-	ep.OnAcked = func(n int64) { c.noteDelivered(sf, n); c.pump() }
-	ep.OnTimeout = func(consecutive int) { c.onSubflowTimeout(sf, consecutive) }
-	return sf
 }

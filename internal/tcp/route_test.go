@@ -51,10 +51,11 @@ func TestRouteAddedAfterNewEndpoint(t *testing.T) {
 func TestNoRouteCountedPerSendAndReleased(t *testing.T) {
 	tn := newTestNet(t, 100*units.Mbps, 10*sim.Millisecond, 0, 1*units.MB)
 	client := NewEndpoint(tn.client, tn.net, lateAddr, tn.sAddr, DefaultConfig(), tn.rng.Child("client"))
-	egress := 0
-	tn.client.AddTap(func(netem.Direction, sim.Time, *seg.Segment) { egress++ })
+	var syns []seg.Segment
+	tn.client.AddTap(func(_ netem.Direction, _ sim.Time, s *seg.Segment) { syns = append(syns, *s) })
 	client.Connect()
 	tn.sim.RunUntil(10 * sim.Second) // the SYN and its 1 s, 3 s, 7 s retransmissions
+	egress := len(syns)
 	pool := tn.net.Pool()
 	if egress < 4 || tn.net.NoRoute != uint64(egress) || pool.Gets != uint64(egress) {
 		t.Errorf("%d segments left the endpoint, %d counted NoRoute, %d taken from the pool", egress, tn.net.NoRoute, pool.Gets)
@@ -62,6 +63,58 @@ func TestNoRouteCountedPerSendAndReleased(t *testing.T) {
 	if pool.News != 1 {
 		t.Errorf("unrouted segments not released: %d of %d were fresh allocations", pool.News, pool.Gets)
 	}
+	checkHandshakeRetransmits(t, seg.SYN, syns)
+}
+
+// TestSYNACKRetransmitted: a SYN-ACK lost on the way to the client is
+// sent again, with the first one's options, and the handshake
+// completes.
+func TestSYNACKRetransmitted(t *testing.T) {
+	tn := newTestNet(t, 100*units.Mbps, 10*sim.Millisecond, 0, 1*units.MB)
+	tn.down.Loss = &dropFirst{n: 1}
+	var synacks []seg.Segment
+	tn.server.AddTap(func(dir netem.Direction, _ sim.Time, s *seg.Segment) {
+		if dir == netem.Egress && s.Flags.Has(seg.SYN) {
+			synacks = append(synacks, *s)
+		}
+	})
+	client, _, _ := tn.runDownload(t, 8*units.KB, DefaultConfig())
+	if client.Stats.Timeouts == 0 {
+		t.Fatal("the client never timed out: the first SYN-ACK was not lost")
+	}
+	checkHandshakeRetransmits(t, seg.SYN|seg.ACK, synacks)
+}
+
+// checkHandshakeRetransmits holds a handshake segment and its
+// retransmissions to the same flags, sequence number and options, with
+// Retransmit set on the retransmissions alone.
+func checkHandshakeRetransmits(t *testing.T, flags seg.Flags, sent []seg.Segment) {
+	t.Helper()
+	if len(sent) < 2 {
+		t.Fatalf("%d handshake segments sent, want the first and a retransmission", len(sent))
+	}
+	first := sent[0]
+	for i, s := range sent {
+		if !s.Has(seg.OptMSS) || !s.Has(seg.OptWindowScale) || !s.Has(seg.OptSACKPermitted) {
+			t.Errorf("segment %d lacks a handshake option: MSS %v, window scale %v, SACK-permitted %v",
+				i, s.Has(seg.OptMSS), s.Has(seg.OptWindowScale), s.Has(seg.OptSACKPermitted))
+		}
+		if s.Flags != flags || s.Seq != first.Seq || s.MSS != first.MSS || s.WScale != first.WScale {
+			t.Errorf("segment %d: flags %v seq %d %+v %+v; the first: flags %v seq %d %+v %+v",
+				i, s.Flags, s.Seq, s.MSS, s.WScale, first.Flags, first.Seq, first.MSS, first.WScale)
+		}
+		if s.Retransmit != (i > 0) {
+			t.Errorf("segment %d: Retransmit = %v", i, s.Retransmit)
+		}
+	}
+}
+
+// dropFirst loses the first n packets of a link.
+type dropFirst struct{ n int }
+
+func (d *dropFirst) Drop(*sim.RNG) bool {
+	d.n--
+	return d.n >= 0
 }
 
 func TestAddRouteRedirectsResolvedEndpoint(t *testing.T) {

@@ -64,23 +64,31 @@ func (e *Endpoint) wireWindow(isSYN bool) uint32 {
 // sendSYN emits the initial SYN or SYN-ACK and arms the handshake
 // retransmission timer.
 func (e *Endpoint) sendSYN(isAck bool) {
-	flags := seg.SYN
-	kind := KindSYN
+	s := e.synSegment(isAck, false)
+	e.track(e.iss, e.iss+1)
+	e.sndNxt = e.iss + 1
+	e.transmit(s)
+	e.armRTX()
+}
+
+// synSegment builds the SYN, or the SYN-ACK when isAck, with the
+// handshake options; retransmit marks it as a retransmission before
+// the upper layer adds its own.
+func (e *Endpoint) synSegment(isAck, retransmit bool) *seg.Segment {
+	flags, kind := seg.SYN, KindSYN
 	if isAck {
 		flags |= seg.ACK
 		kind = KindSYNACK
 	}
 	s := e.newSegment(flags, e.iss, 0)
+	s.Retransmit = retransmit
 	s.AddMSS(seg.MSSOption{MSS: uint16(e.cfg.MSS)})
 	s.AddWindowScale(seg.WindowScaleOption{Shift: windowScale})
 	s.AddSACKPermitted()
 	if e.BuildOptions != nil {
 		e.BuildOptions(s, kind)
 	}
-	e.track(e.iss, e.iss+1)
-	e.sndNxt = e.iss + 1
-	e.transmit(s)
-	e.armRTX()
+	return s
 }
 
 // track records a transmission range for RTT sampling, loss marking,
@@ -275,21 +283,7 @@ func (e *Endpoint) onRTO() {
 			recs[0].rtx++
 			recs[0].sentAt = e.sim.Now()
 		}
-		flags := seg.SYN
-		kind := KindSYN
-		if e.state == StateSynRcvd {
-			flags |= seg.ACK
-			kind = KindSYNACK
-		}
-		s := e.newSegment(flags, e.iss, 0)
-		s.Retransmit = true
-		s.AddMSS(seg.MSSOption{MSS: uint16(e.cfg.MSS)})
-		s.AddWindowScale(seg.WindowScaleOption{Shift: windowScale})
-		s.AddSACKPermitted()
-		if e.BuildOptions != nil {
-			e.BuildOptions(s, kind)
-		}
-		e.transmit(s)
+		e.transmit(e.synSegment(e.state == StateSynRcvd, true))
 		e.rtxTimer.Reset(e.est.RTO())
 		return
 	}

@@ -25,8 +25,10 @@ import (
 // grammar: outside internal/units no program file calls
 // time.ParseDuration (flag.Duration for wall-clock flags is fine). The
 // invariant checker (check) and the trace referee (trace) stay
-// independent, so neither can vouch for the other. Last, every
-// example has a test beside it, so none prints numbers nothing checks.
+// independent, so neither can vouch for the other. Every internal
+// package is imported by a program file outside bench/, so none is
+// kept alive by its own tests alone. Last, every example has a test
+// beside it, so none prints numbers nothing checks.
 func TestLayering(t *testing.T) {
 	for dir, banned := range map[string][]string{
 		"internal/sweep": {"mptcplab/"},
@@ -95,6 +97,7 @@ func TestLayering(t *testing.T) {
 		"RemoveLocalAddr": true, "RejoinLocalAddr": true,
 	}
 	faultOwners := []string{"internal/chaos/", "internal/world/", "internal/netem/", "internal/mptcp/"}
+	internal, imported := map[string]bool{}, map[string]bool{} // package dirs
 	err = filepath.WalkDir(".", func(file string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(file, ".go") || strings.HasSuffix(file, "_test.go") {
 			return err
@@ -107,6 +110,15 @@ func TestLayering(t *testing.T) {
 		f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
 		if err != nil {
 			return err
+		}
+		if strings.HasPrefix(slash, "internal/") {
+			internal[filepath.ToSlash(filepath.Dir(file))] = true
+		}
+		for _, imp := range f.Imports {
+			path, _ := strconv.Unquote(imp.Path.Value)
+			if dir, ok := strings.CutPrefix(path, "mptcplab/"); ok && !strings.HasPrefix(slash, "bench/") {
+				imported[dir] = true
+			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -130,6 +142,11 @@ func TestLayering(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for dir := range internal {
+		if !imported[dir] {
+			t.Errorf("%s is imported by no program file outside bench/: only its tests use it", dir)
+		}
 	}
 
 	examples, err := filepath.Glob("examples/*/*.go")
