@@ -194,19 +194,24 @@ func TestBackupSchedulerSilencesCell(t *testing.T) {
 	}
 }
 
-// TestOutageDemoPinned holds the README's and the §6 handover's command
-// lines to their stdout, one testdata file per line, each unsampled.
-// The first is the paper's core measurement, a 4 MB download over WiFi,
-// over LTE and over both, each on a fresh testbed at seed 42. The rest
-// run under a fault schedule: chaos-smoke's outage demo (a recovery and
-// a never-recovered window), and a 6 s WiFi outage in a 24 MB download,
+// TestQuickstartPinned holds the README's paper-in-one-screen command
+// line to its stdout, unsampled: the paper's core measurement, a 4 MB
+// download over WiFi, over LTE and over both, each on a fresh testbed
+// at seed 42.
+func TestQuickstartPinned(t *testing.T) {
+	pinned(t, "-transport sp-wifi,sp-cell,mp2 -size 4MB -seed 42 -sample=false", "quickstart.txt")
+}
+
+// TestOutageDemoPinned holds the §6 handover's command lines to their
+// stdout, one testdata file per line, each unsampled and each under a
+// fault schedule: chaos-smoke's outage demo (a recovery and a
+// never-recovered window), and a 6 s WiFi outage in a 24 MB download,
 // which MP-2 rides out, single-path TCP waits out in RTO backoff, and
 // backup mode survives but is slow to re-use the recovered WiFi path.
 // Their schedule, report and contrast lines and download times are
 // those mptcpchaos printed for the same runs before it folded into
 // mptcpsim.
 func TestOutageDemoPinned(t *testing.T) {
-	pinned(t, "-transport sp-wifi,sp-cell,mp2 -size 4MB -seed 42 -sample=false", "quickstart.txt")
 	pinned(t, "-chaos outage:path=wifi;at=2s;dur=3s -size 4MB -seed 61 -sample=false -transport mp2,sp-wifi", "outage_demo.txt")
 	pinned(t, "-chaos outage:path=wifi;at=2s;dur=6s -size 24MB -seed 11 -sample=false -transport mp2,sp-wifi", "handover.txt")
 	pinned(t, "-chaos outage:path=wifi;at=2s;dur=6s -size 24MB -seed 11 -sample=false -scheduler backup", "handover_backup.txt")
