@@ -115,8 +115,11 @@ sched-smoke:
 # loadsmoke proves the fleet engine's determinism contract end to end:
 # the same sweep, run serially and with a worker pool, must produce
 # byte-identical CSV and JSON exports, with the invariant checker armed
-# on every run (mptcpload exits non-zero on any violation).
+# on every run (mptcpload exits non-zero on any violation). The second
+# pair runs a 5,000-client fleet, whose clients are built at their
+# first dial, long after the checker armed.
 LOADFLAGS := -clients 60 -rates 3,10 -duration 15s -drain 15s -reps 2 -seed 42 -transport 'wifi=0.3,cell=0.2,mptcp=0.5'
+LOADFLAGS5K := -clients 5000 -rates 3 -duration 15s -drain 15s -reps 2 -seed 42 -transport 'wifi=0.3,cell=0.2,mptcp=0.5'
 loadsmoke:
 	$(GO) run ./cmd/mptcpload $(LOADFLAGS) -workers 1 -o loadsmoke_w1.csv
 	$(GO) run ./cmd/mptcpload $(LOADFLAGS) -workers 8 -o loadsmoke_w8.csv
@@ -124,8 +127,11 @@ loadsmoke:
 	$(GO) run ./cmd/mptcpload $(LOADFLAGS) -workers 8 -format json -o loadsmoke_w8.json
 	cmp loadsmoke_w1.csv loadsmoke_w8.csv
 	cmp loadsmoke_w1.json loadsmoke_w8.json
+	$(GO) run ./cmd/mptcpload $(LOADFLAGS5K) -workers 1 -o loadsmoke_w1_5k.csv
+	$(GO) run ./cmd/mptcpload $(LOADFLAGS5K) -workers 8 -o loadsmoke_w8_5k.csv
+	cmp loadsmoke_w1_5k.csv loadsmoke_w8_5k.csv
 	@echo "loadsmoke: exports byte-identical across worker counts, zero violations"
-	@rm -f loadsmoke_w1.csv loadsmoke_w8.csv loadsmoke_w1.json loadsmoke_w8.json
+	@rm -f loadsmoke_w1.csv loadsmoke_w8.csv loadsmoke_w1.json loadsmoke_w8.json loadsmoke_w1_5k.csv loadsmoke_w8_5k.csv
 
 # chaos-smoke proves the resilience layer's determinism contract: the
 # same chaos sweep, serial and with a worker pool, must produce

@@ -73,7 +73,7 @@ func stream(w io.Writer, p deviceProfile, mode string) {
 		stack = world.TCPWiFi
 	}
 	tb.Serve(cfg, tb.RNG.Child("srv"), func(world.Peer) *web.FileServer { return fs })
-	st := tb.Dial(tb.Clients[0], stack, mptcp.DialOpts{
+	st := tb.Dial(tb.World.Client(0), stack, mptcp.DialOpts{
 		LocalAddrs: []seg.Addr{tb.WiFiAddr, tb.CellAddr},
 		Config:     cfg,
 	}, tb.RNG.Child("cli")).Stream()

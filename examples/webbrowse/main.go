@@ -73,7 +73,7 @@ func loadPage(mode string, seed int64) sim.Time {
 		stack = world.TCPWiFi
 	}
 	tb.Serve(cfg, tb.RNG.Child("srv"), func(world.Peer) *web.FileServer { return fs })
-	st := tb.Dial(tb.Clients[0], stack, mptcp.DialOpts{
+	st := tb.Dial(tb.World.Client(0), stack, mptcp.DialOpts{
 		LocalAddrs: []seg.Addr{tb.WiFiAddr, tb.CellAddr},
 		Config:     cfg,
 	}, tb.RNG.Child("cli")).Stream()

@@ -105,19 +105,16 @@ func New(s *sim.Simulator) *Checker {
 	return &Checker{MaxViolations: 64, sim: s, flows: make(map[flowKey]*flowState)}
 }
 
-// Arm returns a checker armed on a whole world: every host observed,
+// Arm returns a checker armed on a whole world: every host observed —
+// the server, each client already built and each one built later —,
 // every link's pool-ownership panic converted to a violation, and the
 // registered stacks probed every interval of simulated time.
 func Arm(w *world.World, every sim.Time) *Checker {
 	c := New(w.Sim)
-	hosts := []*netem.Host{w.Server}
-	for _, cl := range w.Clients {
-		hosts = append(hosts, cl.Host)
-	}
-	for _, h := range hosts {
+	w.OnHost(func(h *netem.Host) {
 		name := h.Name
 		h.AddTap(func(dir netem.Direction, at sim.Time, s *seg.Segment) { c.OnSegment(name, dir, at, s) })
-	}
+	})
 	for _, l := range w.Links() {
 		c.ArmLink(l)
 	}

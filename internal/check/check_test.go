@@ -4,9 +4,13 @@ import (
 	"strings"
 	"testing"
 
+	"mptcplab/internal/mptcp"
 	"mptcplab/internal/netem"
 	"mptcplab/internal/seg"
 	"mptcplab/internal/sim"
+	"mptcplab/internal/units"
+	"mptcplab/internal/web"
+	"mptcplab/internal/world"
 )
 
 var (
@@ -249,5 +253,45 @@ func TestCheckerArmLink(t *testing.T) {
 	}
 	if v := c.Violations()[0]; v.Rule != "pool-ownership" || !strings.Contains(v.Detail, "lnk") {
 		t.Fatalf("unexpected violation %v", v)
+	}
+}
+
+// TestArmReachesLaterClients: a world builds a client at its first
+// use, so a checker armed before then must still tap it. Only the
+// client's own egress tap sees its SYN leave — the server's taps learn
+// the flow from its ingress, without the SYN's sequence state — so a
+// flow that saw its SYN proves the late client is observed.
+func TestArmReachesLaterClients(t *testing.T) {
+	w := world.New()
+	rng := sim.NewRNG(1)
+	link := func(name string) *netem.Link {
+		l := netem.NewLink(w.Sim, rng, name)
+		l.Rate, l.PropDelay, l.QueueLimit = 20*units.Mbps, 10*sim.Millisecond, 256*units.KB
+		return l
+	}
+	a := world.Access{WiFiUp: link("wifi-up"), WiFiDown: link("wifi-down"), CellUp: link("cell-up"), CellDown: link("cell-down")}
+	w.Build(rng, a, 8, world.Plan{
+		ClientIPs: func(i int) (wifi, cell [4]byte) { return [4]byte{10, 0, byte(i), 2}, [4]byte{100, 64, byte(i), 2} },
+		Ports:     func(k int) (wifi, cell uint16) { return uint16(40000 + 2*k), uint16(40001 + 2*k) },
+		LANQueue:  16 * units.MB,
+	})
+	ck := Arm(w, 25*sim.Millisecond)
+
+	cfg := mptcp.DefaultConfig()
+	fs := &web.FileServer{SizeFor: func(int) int { return 64 << 10 }}
+	w.Serve(cfg, rng.Child("srv"), func(p world.Peer) *web.FileServer { ck.Watch("server", p); return fs })
+	cl := w.Client(5)
+	wifi, cell := cl.Addrs()
+	p := w.Dial(cl, world.MPTCP, mptcp.DialOpts{LocalAddrs: []seg.Addr{wifi, cell}, Config: cfg}, rng.Child("cli"))
+	ck.Watch("client", p)
+	if f := ck.peekFlow(wifi, world.ServerAddr); f == nil || !f.sawSYN {
+		t.Fatalf("the checker did not see client 5's SYN leave: %+v", f)
+	}
+	g := web.NewGetter(p.Stream())
+	done := false
+	g.Get(64<<10, func() { done = true; g.Close() })
+	w.Sim.RunUntil(10 * sim.Second)
+	if !done || !ck.Ok() {
+		t.Fatalf("done=%v, violations %v", done, ck.Violations())
 	}
 }

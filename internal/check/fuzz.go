@@ -266,7 +266,8 @@ func RunScenario(sc Scenario, bug func(*Harness)) Report {
 
 	ck := Arm(w, 25*sim.Millisecond)
 	h := &Harness{World: w}
-	h.WiFiAddr, h.CellAddr = w.Clients[0].Addrs()
+	cl := w.Client(0)
+	h.WiFiAddr, h.CellAddr = cl.Addrs()
 
 	t := tcp.DefaultConfig()
 	t.RcvBuf = sc.RcvBuf
@@ -283,7 +284,7 @@ func RunScenario(sc Scenario, bug func(*Harness)) Report {
 		return fs
 	})
 
-	conn := w.Dial(w.Clients[0], world.MPTCP, mptcp.DialOpts{
+	conn := w.Dial(cl, world.MPTCP, mptcp.DialOpts{
 		LocalAddrs:     []seg.Addr{h.WiFiAddr, h.CellAddr},
 		JoinAdvertised: sc.FourPaths,
 		Config:         cfg,
@@ -308,7 +309,7 @@ func RunScenario(sc Scenario, bug func(*Harness)) Report {
 
 	h.Monitor = w.ArmChaos(chaos.Schedule{Events: sc.ActiveFaults()}, 0,
 		func(yield func(cl *world.Client, client, server *mptcp.Conn)) {
-			yield(w.Clients[0], conn, h.ServerConn)
+			yield(cl, conn, h.ServerConn)
 		})
 	if h.Monitor != nil {
 		tracked = h.Monitor.Track(func() int64 { return conn.Reorder().Delivered })

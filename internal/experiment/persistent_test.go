@@ -32,7 +32,7 @@ func TestPersistentConnectionManyGets(t *testing.T) {
 		return block
 	}}
 	tb.Serve(cfg, tb.RNG.Child("srv"), func(world.Peer) *web.FileServer { return fs })
-	ep := tb.Dial(tb.Clients[0], world.TCPWiFi, mptcp.DialOpts{
+	ep := tb.Dial(tb.World.Client(0), world.TCPWiFi, mptcp.DialOpts{
 		LocalAddrs: []seg.Addr{tb.WiFiAddr, tb.CellAddr},
 		Config:     cfg,
 	}, tb.RNG.Child("cli")).EP

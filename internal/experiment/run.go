@@ -232,6 +232,7 @@ func (tb *Testbed) Run(rc RunConfig) RunResult {
 		stack, res.Subflows = world.TCPCell, 1
 	}
 
+	cl := tb.World.Client(0)
 	var (
 		client     world.Peer
 		serverConn *mptcp.Conn     // the accepted MPTCP connection (the last, if re-accepted)
@@ -240,7 +241,7 @@ func (tb *Testbed) Run(rc RunConfig) RunResult {
 	)
 	if stack == world.MPTCP {
 		live = func(yield func(cl *world.Client, client, server *mptcp.Conn)) {
-			yield(tb.Clients[0], client.Conn, serverConn)
+			yield(cl, client.Conn, serverConn)
 		}
 	}
 	mon := tb.ArmChaos(rc.Chaos, 0, live)
@@ -270,7 +271,7 @@ func (tb *Testbed) Run(rc RunConfig) RunResult {
 		Config:         cfg,
 	}
 	start := tb.Sim.Now()
-	client = tb.Dial(tb.Clients[0], stack, opts, tb.RNG.Child("cli"))
+	client = tb.Dial(cl, stack, opts, tb.RNG.Child("cli"))
 	if ck != nil {
 		ck.Watch("client", client)
 	}

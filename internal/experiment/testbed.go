@@ -87,8 +87,9 @@ func (tb *Testbed) build(cfg TestbedConfig) {
 	a.CellUp, a.CellDown, a.CellRadio = cell.Links(tb.Sim, rng.Child("cell"))
 	tb.Build(rng, a, 1, world.Paper(cfg.ServerSecondIface))
 
-	tb.Client = tb.Clients[0].Host
-	tb.WiFiAddr, tb.CellAddr = tb.Clients[0].Addrs()
+	cl := tb.World.Client(0)
+	tb.Client = cl.Host
+	tb.WiFiAddr, tb.CellAddr = cl.Addrs()
 
 	if cfg.WarmRadio && tb.CellRadio != nil {
 		tb.CellRadio.Warm()

@@ -214,11 +214,7 @@ func runFleetIn(a *world.World, cfg Config) (*Result, *fleet) {
 	if cfg.Sessions > 0 {
 		f.startSessions()
 	} else {
-		for _, at := range arrivalTimes(f.arrivals, cfg.Rate, cfg.Flows, cfg.Duration) {
-			at := at
-			s.At(at, "fleet.arrival", func() { f.startFlow(-1) })
-			f.res.Offered++
-		}
+		f.startArrivals(arrivalTimes(f.arrivals, cfg.Rate, cfg.Flows, cfg.Duration))
 	}
 	if testRunHook != nil {
 		testRunHook(f)
@@ -272,6 +268,31 @@ func (f *fleet) accept(p world.Peer) *web.FileServer {
 	return &web.FileServer{SizeFor: func(int) int { return int(fl.size) }}
 }
 
+// startArrivals reserves every open-loop arrival's slot now, in time
+// order — the (at, seq) an eager Sim.At per arrival would have drawn —
+// and keeps only the next one pending: each arrival schedules its
+// successor as it fires, so the heap holds one arrival instead of the
+// whole run's and every flow still starts at its eager position.
+func (f *fleet) startArrivals(times []sim.Time) {
+	s := f.topo.Sim
+	slots := make([]sim.Slot, len(times))
+	for i, at := range times {
+		slots[i] = s.ReserveSlot(at)
+	}
+	f.res.Offered += len(slots)
+	next := 0
+	var arrive func()
+	arrive = func() {
+		if next++; next < len(slots) {
+			s.ScheduleSlot(slots[next], "fleet.arrival", arrive)
+		}
+		f.startFlow(-1)
+	}
+	if len(slots) > 0 {
+		s.ScheduleSlot(slots[0], "fleet.arrival", arrive)
+	}
+}
+
 // startSessions launches the closed-loop sessions, staggered uniformly
 // over one mean think time so they don't all arrive in lockstep.
 func (f *fleet) startSessions() {
@@ -297,7 +318,7 @@ func (f *fleet) sessionNext(i int) {
 func (f *fleet) startFlow(session int) {
 	id := f.nextID
 	f.nextID++
-	client := f.topo.Clients[f.arrivals.Intn(len(f.topo.Clients))]
+	client := f.topo.Client(f.arrivals.Intn(f.topo.NumClients()))
 	fl := &flow{
 		id:        id,
 		transport: f.cfg.Transports.pick(f.arrivals),

@@ -209,3 +209,20 @@ func TestFleetSetupAllocsOffHotPath(t *testing.T) {
 			b/a, a, b)
 	}
 }
+
+// TestOpenLoopKeepsOneArrivalPending: an open-loop run reserves every
+// arrival's slot at wiring time but queues only the next one, so a
+// rate-40 run's ~1,200 arrivals do not sit in the event heap for the
+// whole run — and every one of them still fires.
+func TestOpenLoopKeepsOneArrivalPending(t *testing.T) {
+	pending := -1
+	testRunHook = func(f *fleet) { pending = f.topo.Sim.Pending() }
+	t.Cleanup(func() { testRunHook = nil })
+	res := RunIn(world.New(), Config{Clients: 100, Rate: 40, Duration: 30 * sim.Second, Seed: 3})
+	if pending < 0 || pending > 4 {
+		t.Errorf("%d events pending after wiring, want at most 4", pending)
+	}
+	if res.Offered < 1000 || res.Started != res.Offered {
+		t.Errorf("offered %d, started %d: the arrival chain broke", res.Offered, res.Started)
+	}
+}

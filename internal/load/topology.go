@@ -40,9 +40,11 @@ var fleetPlan = world.Plan{
 
 // NewTopology builds the fleet network onto an empty (fresh or freshly
 // Reset) network: the WiFi profile becomes the shared AP, the cellular
-// profile the shared sector, and world.Build runs every client's two
-// paths to the server through them. It takes the network rather than a
-// world because bench/, which is frozen, calls it that way.
+// profile the shared sector, and world.Build lays the server side down
+// behind them; each client's two paths to the server are built at its
+// first dial (world.Client), so the cost does not grow with clients. It
+// takes the network rather than a world because bench/, which is
+// frozen, calls it that way.
 func NewTopology(n *netem.Network, rng *sim.RNG, wifi, cell pathmodel.Profile, clients int) *world.World {
 	w := &world.World{Sim: n.Sim(), Net: n}
 	var a world.Access

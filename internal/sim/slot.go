@@ -13,6 +13,12 @@ package sim
 // next reads the state. The heap stays O(links + timers), and because
 // the stored (at, seq) is exactly what the eager schedule would have
 // used, what every handler observes is byte-identical.
+//
+// The fleet engine's open-loop arrivals are the second user: their
+// times are drawn and sorted before the run starts, so every arrival's
+// slot is reserved at wiring time and only the next one is scheduled,
+// each as its predecessor fires — one pending event for a whole run's
+// arrivals.
 
 // Slot is a reserved position in the schedule: an absolute deadline
 // plus the tie-break sequence drawn at reservation time. The zero Slot

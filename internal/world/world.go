@@ -8,6 +8,13 @@
 // table, sweep and fuzz case runs through the same topology, the same
 // listen/dial wiring and the same handover semantics.
 //
+// Build lays down only what every run shares — the access links, the
+// server and its LAN pairs — and records the fleet's size; a client's
+// host, addresses and routes are built the first time Client asks for
+// it. A run pays for the clients that dial, not for the fleet they were
+// drawn from, and because building draws no randomness and schedules
+// nothing, when a client is built never shows in what the run does.
+//
 // A World is also the reusable arena sweep workers keep across jobs:
 // Reset restarts the simulator's clock and tie-break counter and drops
 // every host and route while the event, timer and segment pools stay
@@ -109,12 +116,20 @@ type World struct {
 	Net *netem.Network
 
 	Access
-	Server  *netem.Host
-	Clients []*Client
+	Server *netem.Host
 
+	plan    Plan
+	ifaces  []iface
+	clients []*Client // nil until Client builds one
+	onHost  []func(*netem.Host)
 	links   []*netem.Link
 	cellIPs map[[4]byte]bool
-	second  bool
+}
+
+// iface is one server interface and the LAN pair behind it.
+type iface struct {
+	ip      [4]byte
+	in, out *netem.Link
 }
 
 // New returns an empty world with cold pools.
@@ -135,19 +150,22 @@ func (w *World) Reset() {
 // pair. Sharing is the point — netem links serialize all routes that
 // traverse them, so the fleet's contention and the single client's
 // self-congestion (why 4-path MPTCP gains little at 512 MB, Figure 11)
-// are the same queueing mechanics.
+// are the same queueing mechanics. Build itself makes the shared part;
+// Client makes each client's host and routes at its first use, so its
+// cost does not grow with clients.
 //
 // rng is the parent stream the LAN links derive from: two NewLink draws
 // per server interface, in then out, after whatever the caller drew for
 // the access links. RNG.Child consumes parent state, so that count and
 // position are part of every caller's golden contract; the LAN links
-// themselves never draw (no loss, jitter, ARQ or chaos).
+// themselves never draw (no loss, jitter, ARQ or chaos), and no client
+// draws at all.
 func (w *World) Build(rng *sim.RNG, a Access, clients int, p Plan) {
 	if clients < 1 || clients > MaxClients {
 		panic(fmt.Sprintf("world: %d clients outside [1,%d]", clients, MaxClients))
 	}
 	w.Access = a
-	w.second = p.DualHomed
+	w.plan = p
 	w.Server = w.Net.NewHost("server")
 	w.links = append(w.links[:0], a.WiFiUp, a.WiFiDown, a.CellUp, a.CellDown)
 	lan := func(name string) *netem.Link {
@@ -158,33 +176,65 @@ func (w *World) Build(rng *sim.RNG, a Access, clients int, p Plan) {
 		w.links = append(w.links, l)
 		return l
 	}
-	type iface struct {
-		ip      [4]byte
-		in, out *netem.Link
-	}
-	ifaces := []iface{{ServerAddr.IP, lan("srv-in"), lan("srv-out")}}
+	w.ifaces = append(w.ifaces[:0], iface{ServerAddr.IP, lan("srv-in"), lan("srv-out")})
 	if p.DualHomed {
-		ifaces = append(ifaces, iface{ServerAddr2.IP, lan("srv2-in"), lan("srv2-out")})
+		w.ifaces = append(w.ifaces, iface{ServerAddr2.IP, lan("srv2-in"), lan("srv2-out")})
 	}
 
-	clear(w.Clients) // as Network.Reset: no pointers left behind the new length
-	w.Clients = w.Clients[:0]
+	// As Network.Reset: no pointers left behind the new length.
+	clear(w.clients)
+	if cap(w.clients) >= clients {
+		w.clients = w.clients[:clients]
+	} else {
+		w.clients = make([]*Client, clients)
+	}
+	clear(w.onHost)
+	w.onHost = w.onHost[:0]
 	if w.cellIPs == nil {
 		w.cellIPs = make(map[[4]byte]bool)
 	}
 	clear(w.cellIPs)
-	for i := 0; i < clients; i++ {
-		c := &Client{Host: w.Net.NewHost(fmt.Sprintf("client-%d", i)), ports: p.Ports}
-		c.WiFiIP, c.CellIP = p.ClientIPs(i)
-		w.Clients = append(w.Clients, c)
-		w.cellIPs[c.CellIP] = true
-		for _, s := range ifaces {
-			w.Net.AddDuplexRoute(c.WiFiIP, s.ip, c.Host, w.Server,
-				[]*netem.Link{a.WiFiUp, s.in}, []*netem.Link{s.out, a.WiFiDown})
-			w.Net.AddDuplexRoute(c.CellIP, s.ip, c.Host, w.Server,
-				[]*netem.Link{a.CellUp, s.in}, []*netem.Link{s.out, a.CellDown})
+}
+
+// NumClients is the fleet size Build was given.
+func (w *World) NumClients() int { return len(w.clients) }
+
+// Client returns client i, building it on the first call: its host,
+// its two addresses from the plan and a duplex route from each to every
+// server interface. Later calls return the same *Client. Every OnHost
+// function runs on the new host before Client returns.
+func (w *World) Client(i int) *Client {
+	if c := w.clients[i]; c != nil {
+		return c
+	}
+	c := &Client{Host: w.Net.NewHost(fmt.Sprintf("client-%d", i)), ports: w.plan.Ports}
+	c.WiFiIP, c.CellIP = w.plan.ClientIPs(i)
+	w.clients[i] = c
+	w.cellIPs[c.CellIP] = true
+	for _, s := range w.ifaces {
+		w.Net.AddDuplexRoute(c.WiFiIP, s.ip, c.Host, w.Server,
+			[]*netem.Link{w.WiFiUp, s.in}, []*netem.Link{s.out, w.WiFiDown})
+		w.Net.AddDuplexRoute(c.CellIP, s.ip, c.Host, w.Server,
+			[]*netem.Link{w.CellUp, s.in}, []*netem.Link{s.out, w.CellDown})
+	}
+	for _, fn := range w.onHost {
+		fn(c.Host)
+	}
+	return c
+}
+
+// OnHost runs fn on the server and on every client host: now on those
+// built so far, in client order, and on each later one as Client builds
+// it — how an observer such as the invariant checker reaches clients it
+// could not see when it armed. The next Build forgets fn.
+func (w *World) OnHost(fn func(*netem.Host)) {
+	fn(w.Server)
+	for _, c := range w.clients {
+		if c != nil {
+			fn(c.Host)
 		}
 	}
+	w.onHost = append(w.onHost, fn)
 }
 
 // Links lists every link of the world: the four access links, then the
@@ -227,7 +277,7 @@ func (p Peer) Stream() web.Stream {
 // and returns the file server to attach; nil refuses the client.
 func (w *World) Serve(cfg mptcp.Config, rng *sim.RNG, accept func(Peer) *web.FileServer) {
 	srv := mptcp.NewServer(w.Server, w.Net, ServerAddr.Port, cfg, rng)
-	if w.second {
+	if w.plan.DualHomed {
 		srv.AdvertiseAddrs = []seg.Addr{ServerAddr2}
 	}
 	serve := func(p Peer) bool {

@@ -63,7 +63,8 @@ func drive(w *World, clients int, plan Plan, seed int64) []step {
 	cfg := mptcp.DefaultConfig()
 	fs := &web.FileServer{SizeFor: func(int) int { return objectSize }}
 	w.Serve(cfg, rng.Child("srv"), func(Peer) *web.FileServer { return fs })
-	for i, c := range w.Clients {
+	for i := 0; i < w.NumClients(); i++ {
+		c := w.Client(i)
 		wifi, cell := c.Addrs()
 		p := w.Dial(c, Transport((i+2)%3), mptcp.DialOpts{
 			LocalAddrs:     []seg.Addr{wifi, cell},
@@ -116,7 +117,8 @@ func TestIsCellFollowsPlan(t *testing.T) {
 		w := New()
 		rng := sim.NewRNG(1)
 		w.Build(rng, testAccess(w.Sim, rng), tc.clients, tc.plan)
-		for i, c := range w.Clients {
+		for i := 0; i < w.NumClients(); i++ {
+			c := w.Client(i)
 			wifiIP, cellIP := tc.plan.ClientIPs(i)
 			wifi, cell := c.Addrs()
 			if wifi.IP != wifiIP || cell.IP != cellIP {
@@ -145,7 +147,7 @@ func TestPaperPlanPorts(t *testing.T) {
 	w := New()
 	rng := sim.NewRNG(1)
 	w.Build(rng, testAccess(w.Sim, rng), 1, Paper(false))
-	c := w.Clients[0]
+	c := w.Client(0)
 	var got []uint16
 	for i := 0; i < 3; i++ {
 		wifi, cell := c.Addrs()
@@ -153,6 +155,83 @@ func TestPaperPlanPorts(t *testing.T) {
 	}
 	if want := []uint16{40000, 40001, 41001, 41001, 41002, 41002}; !reflect.DeepEqual(got, want) {
 		t.Errorf("ports %v, want %v", got, want)
+	}
+}
+
+// TestBuildCostFlatInFleetSize: Build lays down the shared part only,
+// so a 5,000-client world costs what a 10-client one does until its
+// clients are used.
+func TestBuildCostFlatInFleetSize(t *testing.T) {
+	allocs := func(clients int) float64 {
+		w := New()
+		rng := sim.NewRNG(1)
+		a := testAccess(w.Sim, rng)
+		return testing.AllocsPerRun(20, func() {
+			w.Reset()
+			w.Build(rng, a, clients, testPlan(true))
+		})
+	}
+	if small, large := allocs(10), allocs(5000); large != small {
+		t.Errorf("Build allocates %.0f objects at 5000 clients, %.0f at 10", large, small)
+	}
+}
+
+// TestClientBuiltOnFirstUse: a client has no routes until Client asks
+// for it, the same *Client on every later call, and Reset then Build
+// forgets every client of the run before.
+func TestClientBuiltOnFirstUse(t *testing.T) {
+	w := New()
+	rng := sim.NewRNG(1)
+	a := testAccess(w.Sim, rng)
+	plan := testPlan(false)
+	w.Build(rng, a, 5, plan)
+	wifiIP, _ := plan.ClientIPs(3)
+	if w.NumClients() != 5 {
+		t.Fatalf("NumClients %d, want 5", w.NumClients())
+	}
+	if w.Server.Route(ServerAddr.IP, wifiIP) != nil {
+		t.Fatal("client 3 has a route before its first use")
+	}
+	c := w.Client(3)
+	if w.Server.Route(ServerAddr.IP, wifiIP) == nil || c.Host.Route(wifiIP, ServerAddr.IP) == nil {
+		t.Fatal("client 3 has no route after its first use")
+	}
+	if again := w.Client(3); again != c {
+		t.Error("a second Client(3) built a second client")
+	}
+	w.Reset()
+	w.Build(rng, a, 5, plan)
+	if w.Server.Route(ServerAddr.IP, wifiIP) != nil {
+		t.Error("Reset and Build kept the previous run's routes for client 3")
+	}
+	if w.Client(3) == c {
+		t.Error("Reset and Build kept the previous run's client 3")
+	}
+}
+
+// TestOnHostReachesLaterClients: OnHost runs on the server and the
+// clients built so far at once, and on each later client as it is
+// built — and the next Build forgets it.
+func TestOnHostReachesLaterClients(t *testing.T) {
+	w := New()
+	rng := sim.NewRNG(1)
+	a := testAccess(w.Sim, rng)
+	w.Build(rng, a, 4, testPlan(false))
+	w.Client(2)
+	var seen []string
+	w.OnHost(func(h *netem.Host) { seen = append(seen, h.Name) })
+	w.Client(0)
+	w.Client(2)
+	w.Client(1)
+	if want := []string{"server", "client-2", "client-0", "client-1"}; !reflect.DeepEqual(seen, want) {
+		t.Errorf("OnHost ran on %v, want %v", seen, want)
+	}
+	w.Reset()
+	w.Build(rng, a, 4, testPlan(false))
+	seen = nil
+	w.Client(0)
+	if seen != nil {
+		t.Errorf("OnHost of the previous run ran on %v", seen)
 	}
 }
 
@@ -185,7 +264,7 @@ func TestArmChaosHandover(t *testing.T) {
 		w := New()
 		rng := sim.NewRNG(3)
 		w.Build(rng, testAccess(w.Sim, rng), 1, Paper(false))
-		c := w.Clients[0]
+		c := w.Client(0)
 
 		var client, server Peer
 		var live Live
@@ -241,7 +320,7 @@ func TestResetReleasesPreviousRun(t *testing.T) {
 	collected := make(chan struct{})
 	func() {
 		drive(w, 64, testPlan(false), 1)
-		last := w.Clients[len(w.Clients)-1]
+		last := w.Client(w.NumClients() - 1)
 		runtime.SetFinalizer(last.Host, func(*netem.Host) { close(collected) })
 	}()
 	w.Reset()
