@@ -117,9 +117,13 @@ sched-smoke:
 # byte-identical CSV and JSON exports, with the invariant checker armed
 # on every run (mptcpload exits non-zero on any violation). The second
 # pair runs a 5,000-client fleet, whose clients are built at their
-# first dial, long after the checker armed.
+# first dial, long after the checker armed. The third mixes run shapes
+# (hundreds of flows, then tens, on a serial worker's one world), so the
+# connection objects each Reset recycles are sometimes more and
+# sometimes fewer than the next run needs.
 LOADFLAGS := -clients 60 -rates 3,10 -duration 15s -drain 15s -reps 2 -seed 42 -transport 'wifi=0.3,cell=0.2,mptcp=0.5'
 LOADFLAGS5K := -clients 5000 -rates 3 -duration 15s -drain 15s -reps 2 -seed 42 -transport 'wifi=0.3,cell=0.2,mptcp=0.5'
+LOADFLAGSMIX := -fleets 200,20 -rates 20,2 -duration 15s -drain 15s -reps 2 -seed 42 -transport 'wifi=0.3,cell=0.2,mptcp=0.5'
 loadsmoke:
 	$(GO) run ./cmd/mptcpload $(LOADFLAGS) -workers 1 -o loadsmoke_w1.csv
 	$(GO) run ./cmd/mptcpload $(LOADFLAGS) -workers 8 -o loadsmoke_w8.csv
@@ -130,8 +134,11 @@ loadsmoke:
 	$(GO) run ./cmd/mptcpload $(LOADFLAGS5K) -workers 1 -o loadsmoke_w1_5k.csv
 	$(GO) run ./cmd/mptcpload $(LOADFLAGS5K) -workers 8 -o loadsmoke_w8_5k.csv
 	cmp loadsmoke_w1_5k.csv loadsmoke_w8_5k.csv
+	$(GO) run ./cmd/mptcpload $(LOADFLAGSMIX) -workers 1 -o loadsmoke_w1_mix.csv
+	$(GO) run ./cmd/mptcpload $(LOADFLAGSMIX) -workers 8 -o loadsmoke_w8_mix.csv
+	cmp loadsmoke_w1_mix.csv loadsmoke_w8_mix.csv
 	@echo "loadsmoke: exports byte-identical across worker counts, zero violations"
-	@rm -f loadsmoke_w1.csv loadsmoke_w8.csv loadsmoke_w1.json loadsmoke_w8.json loadsmoke_w1_5k.csv loadsmoke_w8_5k.csv
+	@rm -f loadsmoke_w1.csv loadsmoke_w8.csv loadsmoke_w1.json loadsmoke_w8.json loadsmoke_w1_5k.csv loadsmoke_w8_5k.csv loadsmoke_w1_mix.csv loadsmoke_w8_mix.csv
 
 # chaos-smoke proves the resilience layer's determinism contract: the
 # same chaos sweep, serial and with a worker pool, must produce

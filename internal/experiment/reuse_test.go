@@ -15,7 +15,10 @@ import (
 // Reset testbed must be byte-identical to the same run on a fresh one,
 // even when the testbed previously executed a different config (other
 // profiles, 4-path topology, chaos schedule) whose state must not leak
-// through the warm pools.
+// through the warm pools. The dirtying runs are an MP-4 and then a
+// single-path download, so the recycled connection objects come in
+// other shapes than the measured run needs: more subflows and
+// endpoints than an MP-2 run takes, and buffers grown by other flows.
 func TestTestbedResetDeterminism(t *testing.T) {
 	cfgA := TestbedConfig{
 		WiFi: pathmodel.ComcastHome(), Cell: pathmodel.ATT(),
@@ -39,9 +42,11 @@ func TestTestbedResetDeterminism(t *testing.T) {
 	for i, rc := range runs {
 		fresh := NewTestbed(cfgA).Run(rc)
 
-		// Dirty a testbed with an unrelated run, then Reset to cfgA.
+		// Dirty a testbed with unrelated runs, then Reset to cfgA.
 		reusedTB := NewTestbed(cfgB)
 		reusedTB.Run(RunConfig{Transport: MP4, Size: 128 * units.KB})
+		reusedTB.Reset(cfgB)
+		reusedTB.Run(RunConfig{Transport: SPCell, Size: 512 * units.KB})
 		reusedTB.Reset(cfgA)
 		reused := reusedTB.Run(rc)
 
@@ -55,6 +60,26 @@ func TestTestbedResetDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(fresh, again) {
 			t.Errorf("run %d: second reuse diverged from fresh", i)
 		}
+	}
+}
+
+// TestWarmRunRecycles: a run on a warm testbed takes its connection
+// objects from the ones the run before it made, so with its Reset it
+// allocates well under what the same run on a fresh testbed does. A
+// warm world without recycling still saves its links and pools, about
+// a quarter of the fresh count; recycling saves about half.
+func TestWarmRunRecycles(t *testing.T) {
+	rc := RunConfig{Transport: MP2, Size: 64 * units.KB}
+	fresh := testing.AllocsPerRun(10, func() { NewTestbed(reuseBenchCfg(1)).Run(rc) })
+	tb := NewTestbed(reuseBenchCfg(0))
+	tb.Run(rc)
+	warm := testing.AllocsPerRun(10, func() {
+		tb.Reset(reuseBenchCfg(1))
+		tb.Run(rc)
+	})
+	t.Logf("allocations per run: fresh testbed %.0f, warm %.0f", fresh, warm)
+	if warm > 0.6*fresh {
+		t.Errorf("a warm run allocates %.0f objects, a fresh one %.0f: recycling saves too little", warm, fresh)
 	}
 }
 

@@ -52,3 +52,10 @@ func (q *Queue[T]) rewind() {
 		q.buf, q.head = q.buf[:0], 0
 	}
 }
+
+// Reset empties the queue and keeps its storage, so a recycled owner
+// starts from the capacity its earlier uses grew.
+func (q *Queue[T]) Reset() {
+	clear(q.buf)
+	q.buf, q.head = q.buf[:0], 0
+}

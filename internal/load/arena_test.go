@@ -92,9 +92,11 @@ func TestFleetBytesPerFlow(t *testing.T) {
 		t.Fatalf("only %d flows started", res.Started)
 	}
 	perFlow := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(res.Started)
-	t.Logf("%d flows, %.0f bytes allocated per flow", res.Started, perFlow)
-	// 16,814 since child streams seed lazily (40,108 before), plus 25 %.
-	const ceiling = 21000
+	t.Logf("%d flows, %.0f bytes and %.1f mallocs allocated per flow", res.Started, perFlow,
+		float64(m1.Mallocs-m0.Mallocs)/float64(res.Started))
+	// 9,172 since Reset recycles connection objects (16,295 before,
+	// 40,108 before child streams seeded lazily), plus 25 %.
+	const ceiling = 11465
 	if perFlow > ceiling {
 		t.Errorf("%.0f bytes allocated per flow, ceiling %d", perFlow, ceiling)
 	}

@@ -190,11 +190,11 @@ func runFleetIn(a *world.World, cfg Config) (*Result, *fleet) {
 		wifi = wifi.Sample(rng.Child("wifi-sample"))
 		cell = cell.Sample(rng.Child("cell-sample"))
 	}
-	topo := NewTopology(a.Net, rng.Child("topo"), wifi, cell, cfg.Clients)
+	buildTopology(a, rng.Child("topo"), wifi, cell, cfg.Clients)
 
 	f := &fleet{
 		cfg:          cfg,
-		topo:         topo,
+		topo:         a,
 		res:          newResult(cfg),
 		arrivals:     rng.Child("arrivals"),
 		flowRNG:      rng.Child("flows"),
@@ -204,12 +204,12 @@ func runFleetIn(a *world.World, cfg Config) (*Result, *fleet) {
 	f.buildStackConfig()
 
 	if cfg.SelfCheck {
-		f.ck = check.Arm(topo, selfCheckEvery)
+		f.ck = check.Arm(a, selfCheckEvery)
 	}
-	f.mon = topo.ArmChaos(cfg.Chaos, cfg.Deadline, f.live)
+	f.mon = a.ArmChaos(cfg.Chaos, cfg.Deadline, f.live)
 
-	topo.Serve(f.mpCfg, f.flowRNG.Child("server"), f.accept)
-	startBackground(topo, cfg.Background, rng.Child("background"), cfg.Duration)
+	a.Serve(f.mpCfg, f.flowRNG.Child("server"), f.accept)
+	startBackground(a, cfg.Background, rng.Child("background"), cfg.Duration)
 
 	if cfg.Sessions > 0 {
 		f.startSessions()
@@ -221,7 +221,7 @@ func runFleetIn(a *world.World, cfg Config) (*Result, *fleet) {
 	}
 
 	s.RunUntil(cfg.Duration + cfg.Drain)
-	f.res.FailReason = topo.FailReason()
+	f.res.FailReason = a.FailReason()
 	f.res.Failed = f.res.FailReason != ""
 	f.finish()
 	if f.mon != nil {

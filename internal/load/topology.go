@@ -38,15 +38,24 @@ var fleetPlan = world.Plan{
 	LANQueue: 64 * units.MB,
 }
 
-// NewTopology builds the fleet network onto an empty (fresh or freshly
-// Reset) network: the WiFi profile becomes the shared AP, the cellular
-// profile the shared sector, and world.Build lays the server side down
-// behind them; each client's two paths to the server are built at its
-// first dial (world.Client), so the cost does not grow with clients. It
-// takes the network rather than a world because bench/, which is
-// frozen, calls it that way.
+// NewTopology builds the fleet topology on a new World over n, an
+// empty (fresh or freshly Reset) network. It is for bench/, which is
+// frozen and calls it that way; the engine builds on its arena world
+// itself (buildTopology), so the world's client slice and address map
+// are reused across runs.
 func NewTopology(n *netem.Network, rng *sim.RNG, wifi, cell pathmodel.Profile, clients int) *world.World {
 	w := &world.World{Sim: n.Sim(), Net: n}
+	buildTopology(w, rng, wifi, cell, clients)
+	return w
+}
+
+// buildTopology builds the fleet network onto an empty (fresh or
+// freshly Reset) world: the WiFi profile becomes the shared AP, the
+// cellular profile the shared sector, and world.Build lays the server
+// side down behind them; each client's two paths to the server are
+// built at its first dial (world.Client), so the cost does not grow
+// with clients.
+func buildTopology(w *world.World, rng *sim.RNG, wifi, cell pathmodel.Profile, clients int) {
 	var a world.Access
 	a.WiFiUp, a.WiFiDown, _ = wifi.Links(w.Sim, rng.Child("ap"))
 	a.CellUp, a.CellDown, a.CellRadio = cell.Links(w.Sim, rng.Child("cell"))
@@ -55,7 +64,6 @@ func NewTopology(n *netem.Network, rng *sim.RNG, wifi, cell pathmodel.Profile, c
 	a.WiFiUp.Name, a.WiFiDown.Name = "ap-up", "ap-down"
 	a.CellUp.Name, a.CellDown.Name = "cell-up", "cell-down"
 	w.Build(rng, a, clients, fleetPlan)
-	return w
 }
 
 // Background configures constant-average-rate cross-traffic injected

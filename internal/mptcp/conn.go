@@ -102,7 +102,61 @@ type Subflow struct {
 	ackedBytes int64
 	dlv        RateEstimator
 	placed     RateEstimator
+
+	hooks subflowHooks
 }
+
+// subflowHooks are the endpoint callbacks attach installs. They are
+// made once per Subflow object and reach the connection through
+// sf.conn, so a recycled subflow installs the ones it already has.
+type subflowHooks struct {
+	buildOptions  func(*seg.Segment, tcp.SegKind)
+	segmentLimit  func(off int64, n int) int
+	window        func() int64
+	onSegment     func(*seg.Segment)
+	onEstablished func()
+	onSendReady   func()
+	onAcked       func(int64)
+	onTimeout     func(int)
+}
+
+// bindHooks makes sf's endpoint callbacks.
+func (sf *Subflow) bindHooks() {
+	sf.hooks = subflowHooks{
+		buildOptions:  func(s *seg.Segment, kind tcp.SegKind) { sf.conn.buildOptions(sf, s, kind) },
+		segmentLimit:  func(off int64, n int) int { return sf.conn.segmentLimit(sf, off, n) },
+		window:        func() int64 { return sf.conn.sharedWindow() },
+		onSegment:     func(s *seg.Segment) { sf.conn.onSegment(sf, s) },
+		onEstablished: func() { sf.conn.onSubflowEstablished(sf) },
+		onSendReady:   func() { sf.conn.pump() },
+		onAcked:       func(n int64) { sf.conn.noteDelivered(sf, n); sf.conn.pump() },
+		onTimeout:     func(consecutive int) { sf.conn.onSubflowTimeout(sf, consecutive) },
+	}
+}
+
+// Subflows are recycled across a network's Reset, a server's apart
+// from a client's, as tcp keeps accepted endpoints apart from dialed
+// ones: a server's grow mapping queues, a client's do not.
+var (
+	clientSubflows = netem.NewKind((*Subflow).scrub)
+	serverSubflows = netem.NewKind((*Subflow).scrub)
+)
+
+// spare is sf reduced to the storage it owns — its mapping queue and
+// signaling queues, emptied, and its hooks — with every other field
+// zero.
+func (sf *Subflow) spare() Subflow {
+	sf.mappings.Reset()
+	return Subflow{
+		mappings:      sf.mappings,
+		pendingAdd:    sf.pendingAdd[:0],
+		pendingRemove: sf.pendingRemove[:0],
+		hooks:         sf.hooks,
+	}
+}
+
+// scrub readies a finished run's subflow for the free list.
+func (sf *Subflow) scrub() { *sf = sf.spare() }
 
 // AckedBytes reports the payload bytes the peer has cumulatively
 // ACKed on this subflow — the per-path delivered-volume telemetry
@@ -277,24 +331,12 @@ func Dial(network *netem.Network, host *netem.Host, opts DialOpts, rng *sim.RNG)
 	if cfg.Controller == nil {
 		cfg = DefaultConfig()
 	}
-	c := &Conn{
-		cfg:            cfg,
-		sched:          NewScheduler(cfg.Scheduler),
-		net:            network,
-		host:           host,
-		sim:            network.Sim(),
-		rng:            rng.Child("mptcp"),
-		localKey:       uint64(rng.Int63()) | 1,
-		localAddrs:     opts.LocalAddrs,
-		labels:         opts.Labels,
-		knownRemotes:   []seg.Addr{opts.ServerAddr},
-		joinAdvertised: opts.JoinAdvertised,
-		sndNxtData:     initialDataSeq,
-		sndEndData:     initialDataSeq,
-	}
-	c.initReorder()
-	c.StartedAt = c.sim.Now()
-
+	c := newConn(clientConns, network, cfg, rng, "mptcp")
+	c.host = host
+	c.localAddrs = opts.LocalAddrs
+	c.labels = opts.Labels
+	c.knownRemotes = append(c.knownRemotes, opts.ServerAddr)
+	c.joinAdvertised = opts.JoinAdvertised
 	c.backupFlags = opts.Backup
 	first := c.addSubflow(opts.LocalAddrs[0], opts.ServerAddr, c.label(0))
 	first.Backup = c.backupFlag(0)
@@ -320,19 +362,70 @@ func (c *Conn) backupFlag(i int) bool {
 	return i < len(c.backupFlags) && c.backupFlags[i]
 }
 
-func (c *Conn) initReorder() {
-	c.reorder = NewReorderBuffer(initialDataSeq)
-	c.reorder.OnDeliver = func(n int64) {
-		if c.OnData != nil {
-			c.OnData(n)
-		}
-		c.checkRemoteClose()
-		c.maybeWindowUpdate()
+// Conns are recycled across a network's Reset, a server's apart from a
+// client's: a client's reorder buffer grows, a server's does not.
+var (
+	clientConns = netem.NewKind((*Conn).scrub)
+	serverConns = netem.NewKind((*Conn).scrub)
+)
+
+// newConn is the one initializer of a Conn, for Dial and the server's
+// accept alike, new or recycled: it starts from spare and assigns the
+// fields both sides share. The connection's stream is rng's child named
+// child, drawn before its key.
+func newConn(k *netem.Kind[Conn], network *netem.Network, cfg Config, rng *sim.RNG, child string) *Conn {
+	c := k.Get(network)
+	*c = c.spare()
+	c.cfg = cfg
+	c.sched = NewScheduler(cfg.Scheduler)
+	c.net = network
+	c.sim = network.Sim()
+	c.rng = rng.Child(child)
+	c.localKey = uint64(rng.Int63()) | 1
+	c.sndNxtData, c.sndEndData = initialDataSeq, initialDataSeq
+	if c.reorder == nil {
+		c.reorder = NewReorderBuffer(initialDataSeq)
+		c.reorder.OnDeliver = c.deliverData
+		c.reorder.OnSample = c.sampleOFO
 	}
-	c.reorder.OnSample = func(d sim.Time, subflow int) {
-		if c.OnOFOSample != nil {
-			c.OnOFOSample(d, subflow)
-		}
+	c.StartedAt = c.sim.Now()
+	return c
+}
+
+// spare is c reduced to the storage it owns — its reorder buffer,
+// emptied, with its callbacks bound to c, and the capacity of its
+// subflow, flow-set and known-address lists — with every other field
+// zero. Placements are not kept: they are handed to results.
+func (c *Conn) spare() Conn {
+	clear(c.subflows)
+	clear(c.flows)
+	if c.reorder != nil {
+		c.reorder.reset(initialDataSeq)
+	}
+	return Conn{
+		subflows:     c.subflows[:0],
+		flows:        c.flows[:0],
+		knownRemotes: c.knownRemotes[:0],
+		reorder:      c.reorder,
+	}
+}
+
+// scrub readies a finished run's connection for the free list.
+func (c *Conn) scrub() { *c = c.spare() }
+
+// deliverData is the reorder buffer's in-order delivery callback.
+func (c *Conn) deliverData(n int64) {
+	if c.OnData != nil {
+		c.OnData(n)
+	}
+	c.checkRemoteClose()
+	c.maybeWindowUpdate()
+}
+
+// sampleOFO is the reorder buffer's out-of-order delay callback.
+func (c *Conn) sampleOFO(d sim.Time, subflow int) {
+	if c.OnOFOSample != nil {
+		c.OnOFOSample(d, subflow)
 	}
 }
 
@@ -351,21 +444,28 @@ func (c *Conn) LocalToken() uint32 { return token(c.localKey) }
 
 // addSubflow creates and wires a subflow endpoint (not yet connected).
 func (c *Conn) addSubflow(local, remote seg.Addr, label string) *Subflow {
-	sf := &Subflow{
-		AddrID:    uint8(len(c.subflows)),
-		Label:     label,
-		joinNonce: uint32(c.rng.Int63()),
-	}
-	return c.attach(sf, tcp.NewEndpoint(c.host, c.net, local, remote, c.cfg.TCP, c.rng.Child("sf")))
+	addrID := uint8(len(c.subflows))
+	nonce := uint32(c.rng.Int63())
+	return c.attach(tcp.NewEndpoint(c.host, c.net, local, remote, c.cfg.TCP, c.rng.Child("sf")), label, addrID, nonce)
 }
 
-// attach wires ep into the connection as its next subflow sf, for an
-// active open (addSubflow) and a passive one (Server) alike: the
-// endpoint runs the connection's (possibly coupled) controller over
-// the connection's flow set, and its hooks route through the
-// connection.
-func (c *Conn) attach(sf *Subflow, ep *tcp.Endpoint) *Subflow {
+// attach wires ep into the connection as its next subflow, for an
+// active open (addSubflow) and a passive one (Server) alike: it is the
+// one initializer of a Subflow, new or recycled, which starts from
+// spare. The endpoint runs the connection's (possibly coupled)
+// controller over the connection's flow set, and its hooks route
+// through the connection.
+func (c *Conn) attach(ep *tcp.Endpoint, label string, addrID uint8, nonce uint32) *Subflow {
+	k := clientSubflows
+	if c.isServer {
+		k = serverSubflows
+	}
+	sf := k.Get(c.net)
+	*sf = sf.spare()
 	sf.ID = len(c.subflows)
+	sf.AddrID = addrID
+	sf.Label = label
+	sf.joinNonce = nonce
 	sf.conn = c
 	sf.EP = ep
 	sf.dlv.Init(DefaultRateWindow)
@@ -378,14 +478,18 @@ func (c *Conn) attach(sf *Subflow, ep *tcp.Endpoint) *Subflow {
 		s.EP.SetCoupled(c.flows, i)
 	}
 
-	ep.BuildOptions = func(s *seg.Segment, kind tcp.SegKind) { c.buildOptions(sf, s, kind) }
-	ep.SegmentLimit = func(off int64, n int) int { return c.segmentLimit(sf, off, n) }
-	ep.WindowOverride = c.sharedWindow
-	ep.OnSegmentArrival = func(s *seg.Segment) { c.onSegment(sf, s) }
-	ep.OnEstablished = func() { c.onSubflowEstablished(sf) }
-	ep.OnSendReady = func() { c.pump() }
-	ep.OnAcked = func(n int64) { c.noteDelivered(sf, n); c.pump() }
-	ep.OnTimeout = func(consecutive int) { c.onSubflowTimeout(sf, consecutive) }
+	if sf.hooks.onAcked == nil {
+		sf.bindHooks()
+	}
+	h := &sf.hooks
+	ep.BuildOptions = h.buildOptions
+	ep.SegmentLimit = h.segmentLimit
+	ep.WindowOverride = h.window
+	ep.OnSegmentArrival = h.onSegment
+	ep.OnEstablished = h.onEstablished
+	ep.OnSendReady = h.onSendReady
+	ep.OnAcked = h.onAcked
+	ep.OnTimeout = h.onTimeout
 	return sf
 }
 

@@ -63,7 +63,30 @@ type ReorderBuffer struct {
 // NewReorderBuffer returns an empty buffer expecting data sequence
 // numbers to start at initialSeq.
 func NewReorderBuffer(initialSeq uint64) *ReorderBuffer {
-	return &ReorderBuffer{rcvNxt: initialSeq, initial: initialSeq, perSubflowOFO: make(map[int]int64)}
+	b := &ReorderBuffer{}
+	b.reset(initialSeq)
+	return b
+}
+
+// reset empties the buffer for a connection starting at initialSeq. It
+// keeps the buffer's storage — the capacity of its block lists and its
+// per-subflow map — and its callbacks, which belong to the connection
+// that owns the buffer; every other field starts at zero.
+func (b *ReorderBuffer) reset(initialSeq uint64) {
+	ofo := b.perSubflowOFO
+	if ofo == nil {
+		ofo = make(map[int]int64)
+	}
+	clear(ofo)
+	*b = ReorderBuffer{
+		rcvNxt:        initialSeq,
+		initial:       initialSeq,
+		blocks:        b.blocks[:0],
+		scratch:       b.scratch[:0],
+		OnDeliver:     b.OnDeliver,
+		OnSample:      b.OnSample,
+		perSubflowOFO: ofo,
+	}
 }
 
 // RcvNxt reports the next expected data sequence number.

@@ -71,27 +71,15 @@ func (s *Server) accept(ep *tcp.Endpoint, syn *seg.Segment) bool {
 
 // acceptCapable creates the server side of a new MPTCP connection.
 func (s *Server) acceptCapable(ep *tcp.Endpoint, o seg.MPCapableOption) bool {
-	c := &Conn{
-		cfg:        s.cfg,
-		sched:      NewScheduler(s.cfg.Scheduler),
-		net:        s.net,
-		host:       nil, // subflows carry their own host binding
-		sim:        s.net.Sim(),
-		rng:        s.rng.Child("conn"),
-		isServer:   true,
-		localKey:   uint64(s.rng.Int63()) | 1,
-		peerKey:    o.Key,
-		server:     s,
-		sndNxtData: initialDataSeq,
-		sndEndData: initialDataSeq,
-	}
-	c.initReorder()
-	c.StartedAt = c.sim.Now()
+	c := newConn(serverConns, s.net, s.cfg, s.rng, "conn") // no host: subflows carry their own binding
+	c.isServer = true
+	c.peerKey = o.Key
+	c.server = s
 	s.conns[c.LocalToken()] = c
 	s.conns[token(c.peerKey)] = c
 	s.AcceptedConns++
 
-	c.attach(&Subflow{Label: "first"}, ep)
+	c.attach(ep, "first", 0, 0)
 	if s.OnConn != nil {
 		s.OnConn(c)
 	}
@@ -128,6 +116,6 @@ func (s *Server) acceptJoin(ep *tcp.Endpoint, o seg.MPJoinOption, syn *seg.Segme
 	}
 	s.AcceptedJoins++
 	// Honor the client's B bit: hold this subflow in reserve.
-	c.attach(&Subflow{Label: "join", Backup: o.Backup}, ep)
+	c.attach(ep, "join", 0, 0).Backup = o.Backup
 	return true
 }

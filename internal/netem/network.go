@@ -172,6 +172,10 @@ type Network struct {
 	// works on clones.
 	pool seg.Pool
 
+	// kinds holds a free list per recycled Kind, indexed by Kind.id;
+	// an entry is nil until the kind's first Get.
+	kinds []recycler
+
 	// NoRoute counts segments dropped for lack of a route: a config
 	// error in tests, surfaced rather than panicking mid-simulation.
 	NoRoute uint64
@@ -179,7 +183,7 @@ type Network struct {
 
 // NewNetwork returns an empty network on the simulator.
 func NewNetwork(s *sim.Simulator) *Network {
-	return &Network{sim: s, routes: make(map[routeKey]*Route)}
+	return &Network{sim: s, routes: make(map[routeKey]*Route), kinds: make([]recycler, kinds)}
 }
 
 // Sim exposes the simulator driving this network.
@@ -187,16 +191,24 @@ func (n *Network) Sim() *sim.Simulator { return n.sim }
 
 // Reset drops every host and route while keeping the segment pool's
 // free list warm, so a reused network rebuilds its topology without
-// reallocating per-packet state. Segments still in flight on the old
-// topology are abandoned to the garbage collector (they were never
-// released, so the pool's double-release guard is not at risk); the
-// pool's Gets/News counters keep accumulating across runs like the
-// simulator's pools do. Callers pair this with Simulator.Reset.
+// reallocating per-packet state, and scrubs every connection object the
+// finished run made onto its Kind's free list. Segments still in
+// flight on the old topology are abandoned to the garbage collector
+// (they were never released, so the pool's double-release guard is not
+// at risk); the pool's Gets/News counters keep accumulating across runs
+// like the simulator's pools do. Callers pair this with
+// Simulator.Reset, which goes first: by the time a scrub stops an
+// object's timers, none of them is pending any more.
 func (n *Network) Reset() {
 	clear(n.hosts) // or the arena pins the last run's hosts and all they bind
 	n.hosts = n.hosts[:0]
 	clear(n.routes)
 	n.NoRoute = 0
+	for _, l := range n.kinds {
+		if l != nil {
+			l.recycle()
+		}
+	}
 }
 
 // NewSegment returns an empty segment from the network's pool. The

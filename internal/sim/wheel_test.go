@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -172,6 +173,53 @@ func TestSimulatorReset(t *testing.T) {
 	// because the timer was armed first.
 	if first[0] != "early" || first[1] != "timer" || first[2] != "event" {
 		t.Fatalf("unexpected order %v", first)
+	}
+}
+
+// TestTimerSurvivesReset: a Timer made before Reset — the way a
+// recycled TCP endpoint keeps its three — comes back disarmed whether
+// it was pending in the wheel or in the heap, Stop on it touches
+// nothing the reset simulator now owns, and once re-armed it fires
+// exactly once without disturbing a timer armed in the new run.
+func TestTimerSurvivesReset(t *testing.T) {
+	s := New()
+	fired := map[string]int{}
+	var order []string
+	timer := func(name string) *Timer {
+		return NewTimer(s, name, func() { fired[name]++; order = append(order, name) })
+	}
+	wheel, heap := timer("wheel"), timer("heap")
+	wheel.Reset(100 * Millisecond) // parks in the wheel
+	heap.Reset(6 * 60 * Minute)    // beyond the wheel: a heap event
+	if wheel.w == nil || heap.w != nil {
+		t.Fatal("the timers did not land one in the wheel and one in the heap")
+	}
+	s.Reset()
+	for _, tm := range []*Timer{wheel, heap} {
+		if tm.Armed() || tm.Deadline() != MaxTime {
+			t.Fatalf("%s: Armed=%v Deadline=%v after Reset", tm.name, tm.Armed(), tm.Deadline())
+		}
+		tm.Stop()
+	}
+	if s.Pending() != 0 {
+		t.Fatalf("Stop on a reset timer changed Pending to %d", s.Pending())
+	}
+
+	fresh := timer("fresh")
+	fresh.Reset(50 * Millisecond)
+	wheel.Reset(50 * Millisecond) // same instant, armed later: fires after fresh
+	heap.Reset(20 * Millisecond)
+	if !wheel.Armed() || !heap.Armed() || s.Pending() != 3 {
+		t.Fatalf("re-armed: wheel %v heap %v pending %d", wheel.Armed(), heap.Armed(), s.Pending())
+	}
+	s.RunUntil(Second)
+	if want := []string{"heap", "fresh", "wheel"}; fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("fired %v, want %v", order, want)
+	}
+	for name, n := range fired {
+		if n != 1 {
+			t.Fatalf("%s fired %d times", name, n)
+		}
 	}
 }
 

@@ -12,9 +12,11 @@
 // couples congestion windows by handing every subflow the same
 // cc.Controller and flow set.
 //
-// Following the paper's server configuration (§3.1), endpoints are
-// created fresh for every connection and never cache ssthresh or RTT
-// metrics from previous connections to the same destination.
+// Following the paper's server configuration (§3.1), every connection
+// starts from a clean endpoint and never caches ssthresh or RTT metrics
+// from previous connections to the same destination. (A reused network
+// recycles endpoint objects across runs, but only their storage: see
+// NewEndpoint.)
 package tcp
 
 import (
@@ -168,9 +170,10 @@ type Endpoint struct {
 	SegmentLimit func(off int64, n int) int
 
 	// Coupling: the flow set visible to the congestion controller.
-	// Defaults to just this endpoint.
-	ccFlows []cc.Flow
-	ccSelf  int
+	// Defaults to just this endpoint, whose selfFlow backs it.
+	ccFlows  []cc.Flow
+	ccSelf   int
+	selfFlow [1]cc.Flow
 
 	// Send state.
 	iss       uint32
@@ -200,7 +203,7 @@ type Endpoint struct {
 	// dealt with: each is marked lost, retransmitted or SACKed.
 	sackScanned int
 
-	est      *rttEstimator
+	est      rttEstimator
 	rtxTimer *sim.Timer
 
 	// OLIA loss-interval bookkeeping.
@@ -232,29 +235,76 @@ type Endpoint struct {
 	consecRTO   int // timeouts since the last forward ACK
 }
 
+// Endpoints are recycled across a network's Reset, the ones a
+// Listener accepts apart from the others: in every workload here the
+// accepting side sends and the dialing side receives, so keeping them
+// apart hands each new endpoint buffers grown for its own role.
+var (
+	dialed   = netem.NewKind((*Endpoint).scrub)
+	accepted = netem.NewKind((*Endpoint).scrub)
+)
+
 // NewEndpoint creates a closed endpoint bound to (local, remote) on
-// host. It registers itself for segment demultiplexing.
+// host. It registers itself for segment demultiplexing. On a network
+// that has been Reset the endpoint may be one an earlier run made;
+// init leaves nothing of that run in it.
 func NewEndpoint(host *netem.Host, network *netem.Network, local, remote seg.Addr, cfg Config, rng *sim.RNG) *Endpoint {
-	e := &Endpoint{
-		Local:  local,
-		Remote: remote,
-		host:   host,
-		sim:    network.Sim(),
-		cfg:    cfg,
-		state:  StateClosed,
-		est:    newRTTEstimator(cfg.MinRTO),
-		isnRNG: rng,
-	}
-	if e.cfg.Controller == nil {
-		e.cfg.Controller = cc.Reno{}
-	}
-	e.ccFlows = []cc.Flow{e}
-	e.ccSelf = 0
-	e.rtxTimer = sim.NewTimer(e.sim, "tcp.rtx", e.onRTO)
-	e.delAckTimer = sim.NewTimer(e.sim, "tcp.delack", e.flushDelAck)
-	e.twTimer = sim.NewTimer(e.sim, "tcp.timewait", e.reapTimeWait)
+	return newEndpoint(dialed, host, network, local, remote, cfg, rng)
+}
+
+// newEndpoint is NewEndpoint taking from kind k's free list.
+func newEndpoint(k *netem.Kind[Endpoint], host *netem.Host, network *netem.Network, local, remote seg.Addr, cfg Config, rng *sim.RNG) *Endpoint {
+	e := k.Get(network)
+	e.init(host, network.Sim(), local, remote, cfg, rng)
 	host.Bind(local, remote, e)
 	return e
+}
+
+// init is the one initializer of an Endpoint, new or recycled: it
+// starts from spare, so every field but the kept storage begins at
+// zero, and assigns the rest.
+func (e *Endpoint) init(host *netem.Host, s *sim.Simulator, local, remote seg.Addr, cfg Config, rng *sim.RNG) {
+	*e = e.spare()
+	if cfg.Controller == nil {
+		cfg.Controller = cc.Reno{}
+	}
+	e.Local, e.Remote = local, remote
+	e.host, e.sim, e.cfg = host, s, cfg
+	e.state = StateClosed
+	e.est = newRTTEstimator(cfg.MinRTO)
+	e.isnRNG = rng
+	e.selfFlow[0] = e
+	e.ccFlows = e.selfFlow[:]
+	if e.rtxTimer == nil {
+		e.rtxTimer = sim.NewTimer(s, "tcp.rtx", e.onRTO)
+		e.delAckTimer = sim.NewTimer(s, "tcp.delack", e.flushDelAck)
+		e.twTimer = sim.NewTimer(s, "tcp.timewait", e.reapTimeWait)
+	}
+}
+
+// spare is e reduced to the storage it owns — its three timers, bound
+// to it on its network's simulator, and the capacity of its in-flight,
+// SACK and receive-range buffers — with every other field zero.
+func (e *Endpoint) spare() Endpoint {
+	e.inflight.Reset()
+	return Endpoint{
+		inflight:    e.inflight,
+		board:       sackScoreboard{ranges: e.board.ranges[:0]},
+		ooo:         rcvRanges{ranges: e.ooo.ranges[:0]},
+		rtxTimer:    e.rtxTimer,
+		delAckTimer: e.delAckTimer,
+		twTimer:     e.twTimer,
+	}
+}
+
+// scrub readies a finished run's endpoint for the free list: its
+// timers disarmed (after Simulator.Reset, Stop only forgets a stale
+// handle) and no pointer left into the run.
+func (e *Endpoint) scrub() {
+	e.rtxTimer.Stop()
+	e.delAckTimer.Stop()
+	e.twTimer.Stop()
+	*e = e.spare()
 }
 
 // SetCoupled installs the shared flow set used by MPTCP's coupled

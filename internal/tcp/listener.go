@@ -39,7 +39,7 @@ func (l *Listener) Incoming(s *seg.Segment) {
 		// (e.g. retransmission after teardown); ignore it.
 		return
 	}
-	ep := NewEndpoint(l.host, l.net, s.Dst, s.Src, l.cfg, l.rng.Child("accept"))
+	ep := newEndpoint(accepted, l.host, l.net, s.Dst, s.Src, l.cfg, l.rng.Child("accept"))
 	if l.OnAccept != nil && !l.OnAccept(ep, s) {
 		l.Refused++
 		ep.teardown()

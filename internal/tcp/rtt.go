@@ -13,8 +13,8 @@ type rttEstimator struct {
 	valid  bool // a sample has been taken
 }
 
-func newRTTEstimator(minRTO sim.Time) *rttEstimator {
-	return &rttEstimator{rto: initialRTO, minRTO: minRTO}
+func newRTTEstimator(minRTO sim.Time) rttEstimator {
+	return rttEstimator{rto: initialRTO, minRTO: minRTO}
 }
 
 // Sample folds one RTT measurement into the estimator.

@@ -18,8 +18,10 @@
 // A World is also the reusable arena sweep workers keep across jobs:
 // Reset restarts the simulator's clock and tie-break counter and drops
 // every host and route while the event, timer and segment pools stay
-// warm, so a run on a Reset world is event-for-event identical to the
-// same run on a fresh one.
+// warm and the finished run's connection objects — TCP endpoints, MPTCP
+// connections and subflows — go to the network's free lists, so a run
+// on a Reset world is event-for-event identical to the same run on a
+// fresh one.
 package world
 
 import (
@@ -138,7 +140,8 @@ func New() *World {
 	return &World{Sim: s, Net: netem.NewNetwork(s)}
 }
 
-// Reset empties the world for its next Build, keeping the pools warm.
+// Reset empties the world for its next Build, keeping the pools warm
+// and recycling the finished run's connection objects.
 func (w *World) Reset() {
 	w.Sim.Reset()
 	w.Net.Reset()

@@ -314,14 +314,23 @@ func TestArmChaosHandover(t *testing.T) {
 // TestResetReleasesPreviousRun: a sweep worker's arena runs a
 // 5,000-client point and then small ones, so a Reset world must not pin
 // the larger run's hosts — with their conns maps and every endpoint
-// still bound — in the slack of the slices it truncates.
+// still bound — in the slack of the slices it truncates, nor through
+// the connection objects its network recycles. What must go is the
+// previous run's server host: every MPTCP and single-path connection
+// drive dialed reached it, so any recycled endpoint, subflow or
+// connection that kept a host, a route or a callback would pin it.
 func TestResetReleasesPreviousRun(t *testing.T) {
 	w := New()
 	collected := make(chan struct{})
+	drive(w, 64, testPlan(false), 1)
+	// A finalizer on the host itself would never run: the host sits in
+	// cycles (its listener points back at it), and a finalizer in a
+	// cycle does not. A sentinel only the host reaches, through a tap,
+	// goes with it.
 	func() {
-		drive(w, 64, testPlan(false), 1)
-		last := w.Client(w.NumClients() - 1)
-		runtime.SetFinalizer(last.Host, func(*netem.Host) { close(collected) })
+		sentinel := new([32]byte)
+		runtime.SetFinalizer(sentinel, func(*[32]byte) { close(collected) })
+		w.Server.AddTap(func(netem.Direction, sim.Time, *seg.Segment) { sentinel[0]++ })
 	}()
 	w.Reset()
 	drive(w, 1, testPlan(false), 2)
@@ -329,11 +338,12 @@ func TestResetReleasesPreviousRun(t *testing.T) {
 		runtime.GC()
 		select {
 		case <-collected:
+			runtime.KeepAlive(w) // the arena itself stays reachable, or nothing is tested
 			return
 		case <-time.After(10 * time.Millisecond):
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("a client host of the previous, larger run is still reachable from the Reset world")
+			t.Fatal("the server host of the previous, larger run is still reachable from the Reset world")
 		}
 	}
 }
