@@ -172,7 +172,9 @@ chaos-smoke:
 # campaign twice each, and assert (1) every artifact is byte-identical
 # to running paperbench / mptcpload's writers directly, (2) the second
 # submission of each is answered 100% from the content-addressed
-# cache, and (3) cancellation mid-campaign still exports the completed
+# cache, its exports included (one stored artifact set per campaign,
+# re-rendered byte-identically when that record is damaged), and (3)
+# cancellation mid-campaign still exports the completed
 # prefix. The durability suite rides in the same pattern: SIGKILL the
 # daemon mid-campaign at an injected sync point, restart over the same
 # store+journal, and require the resumed campaign to replay its
@@ -182,7 +184,7 @@ chaos-smoke:
 # TestServe* suite.
 serve-smoke:
 	$(GO) test -count=1 -timeout 5m -run '^TestServe' -v ./cmd/mptcpd/
-	@echo "serve-smoke: daemon artifacts byte-identical to direct runners; repeat submissions 100% cache hits; kill/restart resumes byte-identically"
+	@echo "serve-smoke: daemon artifacts byte-identical to direct runners; repeat submissions 100% cache hits, their exports from the store; kill/restart resumes byte-identically"
 
 # cover enforces the statement-coverage floor (baseline 72.7% when the
 # gate landed; the floor leaves a little slack for counter drift) over

@@ -2,9 +2,10 @@
 // service: submit a campaign spec over HTTP/JSON, poll its progress,
 // stream its per-run rows, and download CSV/JSON artifacts that are
 // byte-identical to running paperbench or mptcpload directly. Repeat
-// submissions are answered from a content-addressed result cache —
-// runs are pure functions of (canonical config, seed), so caching is
-// sound by construction.
+// submissions are answered from a content-addressed result store,
+// exports included — runs are pure functions of (canonical config,
+// seed) and a campaign's artifacts a pure function of its spec and
+// rows, so caching both is sound by construction.
 //
 //	mptcpd -addr :8080 -store /var/lib/mptcpd
 //	curl -s localhost:8080/v1/campaigns -d '{"experiment":"fig8","reps":2,"seed":42}'

@@ -466,9 +466,11 @@ func TestServeRejectsBadSpecs(t *testing.T) {
 	}
 }
 
-// TestServeKeysPinned pins the two content addresses to literals
+// TestServeKeysPinned pins the row content addresses to literals
 // computed at the commit before the cache protocol moved into
-// sweep.Memo: a store written by any earlier daemon keeps answering.
+// sweep.Memo, and the export key to the one the first daemon that
+// stored exports computed: a store written by any earlier daemon keeps
+// answering.
 func TestServeKeysPinned(t *testing.T) {
 	got := experimentKey(experiment.CampaignJob{
 		Experiment: "fig8", Row: "MP-2 (delayed SYN)", Size: 512 * units.KB, Rep: 1,
@@ -483,6 +485,14 @@ func TestServeKeysPinned(t *testing.T) {
 	}
 	if got, want := loadKey(cfg), "21a0830369f3d0fcf874481de426cf4f4ad5e55455ac3af3897793bc107b3495:77"; got != want {
 		t.Errorf("loadKey = %s, want %s", got, want)
+	}
+	c := &campaignState{ctx: context.Background(), spec: campaignSpec{Kind: kindExperiment, Experiment: "fig8", Reps: 1, Seed: 42, Workers: 3}}
+	for _, rowKey := range []string{loadKey(cfg), got} {
+		c.record(rowKey, false, false, struct{}{})
+	}
+	c.progress(2, 2)
+	if got, want := c.exportKey(), "74b07c8a4d5ad5eb7f734648a7f29c083a08f6e9fc7a8f8da2b4b01d16223ba7:42"; got != want {
+		t.Errorf("exportKey = %s, want %s", got, want)
 	}
 }
 

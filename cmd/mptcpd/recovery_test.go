@@ -11,6 +11,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -255,17 +256,15 @@ func TestServeStoreCorruptionRecovery(t *testing.T) {
 	wantCSV := getBytes(t, ts.URL, "/v1/campaigns/"+st.ID+"/export.csv")
 	cfg.store.Close()
 
-	// Truncate the tail of the last segment: one row lost mid-record.
+	// Truncate the last segment inside its last row's record: one row
+	// lost mid-record. The campaign's export record follows that row at
+	// the very end of the segment, so it goes too.
 	segs, err := filepath.Glob(filepath.Join(dir, "results", "seg-*.log"))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no segments written: %v, %v", segs, err)
 	}
 	last := segs[len(segs)-1]
-	fi, err := os.Stat(last)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(last, fi.Size()-20); err != nil {
+	if err := os.Truncate(last, int64(exportRecordStart(t, last)-20)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -399,6 +398,32 @@ func TestServeStoreDegradedMode(t *testing.T) {
 	if fin2.State != stateDone || fin2.CacheMisses != 0 {
 		t.Fatalf("degraded repeat: state=%q misses=%d, want all hits", fin2.State, fin2.CacheMisses)
 	}
+}
+
+// exportRecordStart walks a segment's record framing and returns the
+// offset of its last record, which must be the cold run's export: a
+// decodable artifact set after exactly crashSpecRun row records.
+func exportRecordStart(t *testing.T, seg string) int {
+	t.Helper()
+	b, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const header = 12 // [keyLen u32][valLen u32][crc u32], sweep.Store's framing
+	var starts []int
+	for off := 0; off+header <= len(b); {
+		starts = append(starts, off)
+		off += header + int(binary.LittleEndian.Uint32(b[off:])) + int(binary.LittleEndian.Uint32(b[off+4:]))
+	}
+	if len(starts) != crashSpecRun+1 {
+		t.Fatalf("segment holds %d records, want %d rows and the export", len(starts), crashSpecRun+1)
+	}
+	start := starts[crashSpecRun]
+	var set artifactSet
+	if err := set.UnmarshalBinary(b[start+header+int(binary.LittleEndian.Uint32(b[start:])):]); err != nil {
+		t.Fatalf("the segment's last record is not the export: %v", err)
+	}
+	return start
 }
 
 func mustSpec(t *testing.T, raw string) campaignSpec {

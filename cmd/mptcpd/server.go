@@ -3,12 +3,14 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -93,6 +95,7 @@ type campaignState struct {
 	hits, misses int64
 	failedRows   int               // rows whose run the watchdog killed or a panic ended
 	rows         []json.RawMessage // completion-order progress feed
+	keys         []string          // every recorded row's store key, in completion order
 	errMsg       string
 	exports      map[string][]byte // export.csv, export.json, resilience.*
 }
@@ -117,10 +120,12 @@ func (c *campaignState) progress(done, total int) {
 }
 
 // record counts one run against the campaign's cache and failure
-// accounting and appends its row to the progress feed.
-func (c *campaignState) record(hit, failed bool, row any) {
+// accounting, notes its store key and appends its row to the progress
+// feed.
+func (c *campaignState) record(key string, hit, failed bool, row any) {
 	b, err := json.Marshal(row)
 	c.mu.Lock()
+	c.keys = append(c.keys, key)
 	if hit {
 		c.hits++
 	} else {
@@ -144,20 +149,134 @@ type artifact struct {
 	write func(io.Writer) error
 }
 
-// export renders the campaign's artifacts and publishes them together.
-func (c *campaignState) export(arts ...artifact) error {
-	exp := make(map[string][]byte, len(arts))
-	for _, a := range arts {
-		var b bytes.Buffer
-		if err := a.write(&b); err != nil {
-			return err
+// export publishes the campaign's artifacts together: from the result
+// store when an identical campaign rendered them before, otherwise
+// rendered by their writers and stored, one record for the whole set,
+// for the next one.
+func (c *campaignState) export(st *sweep.Store, arts ...artifact) error {
+	var err error
+	set, _ := sweep.Memo(st, c.exportKey(), func(artifactSet) bool { return err == nil }, func() artifactSet {
+		set := make(artifactSet, len(arts))
+		for _, a := range arts {
+			var b bytes.Buffer
+			if err = a.write(&b); err != nil {
+				return nil
+			}
+			set[a.name] = b.Bytes()
 		}
-		exp[a.name] = b.Bytes()
+		return set
+	})
+	if err != nil {
+		return err
 	}
 	c.mu.Lock()
-	c.exports = exp
+	c.exports = set
 	c.mu.Unlock()
 	return nil
+}
+
+// exportKey is the content address of the campaign's rendered
+// artifacts: the spec without Workers (execution policy) and the
+// sorted set of its rows' keys. Every row is a pure function of its
+// key and every export a pure function of the spec and its rows, so
+// two campaigns with the same export key render the same bytes. It is
+// "" — don't cache — unless the campaign ran to the end with every row
+// recorded, keyed and healthy: a cancelled campaign exports a partial
+// matrix, and a failed row (or one the runner failed outside record)
+// carries a wall-clock fact, not a function of any key.
+func (c *campaignState) exportKey() string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.ctx.Err() != nil || c.failedRows > 0 || len(c.keys) == 0 || len(c.keys) != c.total {
+		return ""
+	}
+	keys := slices.Clone(c.keys)
+	slices.Sort(keys)
+	if keys[0] == "" { // a row the store could not address
+		return ""
+	}
+	spec := c.spec
+	spec.Workers = 0
+	key, _ := sweep.Key(struct {
+		Kind string       `json:"kind"`
+		Spec campaignSpec `json:"spec"`
+		Rows []string     `json:"rows"`
+	}{Kind: "export", Spec: spec, Rows: slices.Compact(keys)}, spec.Seed)
+	return key
+}
+
+// artifactSet is a campaign's rendered artifacts as the result store
+// keeps them. Its encoding opens with a version byte, never '{' (which
+// sweep.Memo reads as a JSON row), followed by the artifact count and
+// each (name, body) pair in name order, every length a uvarint. It has
+// no JSON form, so a stored value opening with '{' never decodes as one.
+type artifactSet map[string][]byte
+
+const artifactSetV1 = 0x01
+
+var errArtifactSet = errors.New("mptcpd: malformed artifact set")
+
+func (a *artifactSet) MarshalBinary() ([]byte, error) {
+	names := make([]string, 0, len(*a))
+	for name := range *a {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	b := binary.AppendUvarint([]byte{artifactSetV1}, uint64(len(names)))
+	for _, name := range names {
+		b = binary.AppendUvarint(b, uint64(len(name)))
+		b = append(b, name...)
+		b = binary.AppendUvarint(b, uint64(len((*a)[name])))
+		b = append(b, (*a)[name]...)
+	}
+	return b, nil
+}
+
+// UnmarshalBinary decodes a set from one copy of b (the store's bytes
+// must not be retained); anything but one exact, complete encoding is
+// an error, so a damaged record is a miss.
+func (a *artifactSet) UnmarshalBinary(b []byte) error {
+	if len(b) == 0 || b[0] != artifactSetV1 {
+		return errArtifactSet
+	}
+	b = bytes.Clone(b[1:])
+	next := func() ([]byte, bool) {
+		n, k := binary.Uvarint(b)
+		if k <= 0 || n > uint64(len(b)-k) {
+			return nil, false
+		}
+		field := b[k : k+int(n) : k+int(n)]
+		b = b[k+int(n):]
+		return field, true
+	}
+	count, k := binary.Uvarint(b)
+	if k <= 0 || count > uint64(len(b)) {
+		return errArtifactSet
+	}
+	b = b[k:]
+	set := make(artifactSet, count)
+	prev := ""
+	for i := uint64(0); i < count; i++ {
+		name, ok := next()
+		if !ok || (i > 0 && string(name) <= prev) {
+			return errArtifactSet
+		}
+		body, ok := next()
+		if !ok {
+			return errArtifactSet
+		}
+		prev = string(name)
+		set[prev] = body
+	}
+	if len(b) != 0 {
+		return errArtifactSet
+	}
+	*a = set
+	return nil
+}
+
+func (a *artifactSet) UnmarshalJSON([]byte) error {
+	return errors.New("mptcpd: an artifact set has no JSON form")
 }
 
 func (c *campaignState) terminal() bool {
@@ -403,12 +522,15 @@ func keepRow(r load.Row) bool                { return !r.Run.Failed }
 
 // runExperiment and runLoad run the same way: the runner offers
 // Intercept(job, run); the closure memoizes run through the result
-// store, counts the hit or miss and feeds the row to the rows stream.
+// store, counts the hit or miss, notes the row's key and feeds the row
+// to the rows stream. Their exports are memoized in the same store
+// under the campaign's export key.
 func (s *server) runExperiment(c *campaignState, camp experiment.Campaign, co experiment.CampaignOpts) error {
 	co.Context, co.Progress = c.ctx, c.progress
 	co.Intercept = func(job experiment.CampaignJob, run func() experiment.RunResult) experiment.RunResult {
-		res, hit := sweep.Memo(s.cfg.store, experimentKey(job), keepResult, run)
-		c.record(hit, res.FailReason != "", experimentRow{
+		key := experimentKey(job)
+		res, hit := sweep.Memo(s.cfg.store, key, keepResult, run)
+		c.record(key, hit, res.FailReason != "", experimentRow{
 			CampaignJob: job, Completed: res.Completed,
 			DownloadS: res.DownloadTime.Seconds(), CellShare: res.CellShare(),
 			Subflows: res.Subflows, Fail: res.FailReason, Cached: hit,
@@ -416,7 +538,7 @@ func (s *server) runExperiment(c *campaignState, camp experiment.Campaign, co ex
 		return res
 	}
 	m := camp.Make(co)
-	return c.export(
+	return c.export(s.cfg.store,
 		artifact{"export.csv", func(w io.Writer) error { return experiment.WriteCSV(w, m) }},
 		artifact{"export.json", func(w io.Writer) error { return experiment.WriteReportJSON(w, m) }},
 	)
@@ -425,8 +547,9 @@ func (s *server) runExperiment(c *campaignState, camp experiment.Campaign, co ex
 func (s *server) runLoad(c *campaignState, so load.SweepOpts) error {
 	so.Context, so.Progress = c.ctx, c.progress
 	so.Intercept = func(job load.SweepJob, run func() load.Row) load.Row {
-		row, hit := sweep.Memo(s.cfg.store, loadKey(job.Config), keepRow, run)
-		c.record(hit, row.Run.Failed, row)
+		key := loadKey(job.Config)
+		row, hit := sweep.Memo(s.cfg.store, key, keepRow, run)
+		c.record(key, hit, row.Run.Failed, row)
 		return row
 	}
 	sw := load.RunSweep(so)
@@ -439,7 +562,7 @@ func (s *server) runLoad(c *campaignState, so load.SweepOpts) error {
 			artifact{"resilience.csv", func(w io.Writer) error { return sw.WriteResilienceCSV(w, so.Base) }},
 			artifact{"resilience.json", func(w io.Writer) error { return sw.WriteResilienceJSON(w, so.Base) }})
 	}
-	return c.export(arts...)
+	return c.export(s.cfg.store, arts...)
 }
 
 // validateSpec is the one place the daemon branches on spec.Kind: it
@@ -547,7 +670,9 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // (segments, corrupt-record count, degraded mode), journal health
 // (skipped garbage, write failures), and queue pressure. "degraded"
 // means the daemon still serves but something durable is running
-// memory-only.
+// memory-only. cache_entries and cache_hits/misses count the store's
+// export records and lookups as well as its rows; a campaign's status
+// counts its rows only.
 func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	entries, hits, misses := s.cfg.store.Stats()
 	view := struct {

@@ -12,10 +12,12 @@ import (
 )
 
 // Store is the thread-safe content-addressed result store: serialized
-// rows keyed by Key(desc, seed). It never evicts — campaign rows are
-// small and bounded by the grids a daemon actually serves — and it
-// counts hits and misses so a service can prove a repeat submission
-// was answered entirely from the store. Opened over a directory
+// rows keyed by Key(desc, seed), and the daemon's rendered artifact
+// sets, one per distinct campaign, keyed the same way. It never evicts
+// — both are bounded by the grids a daemon actually serves — and it
+// counts hits and misses (of every lookup, rows and artifact sets
+// alike) so a service can prove a repeat submission was answered
+// entirely from the store. Opened over a directory
 // (OpenStore) it persists every row as a segmented, checksummed
 // append-only log so results survive a process kill; with no directory
 // (NewCache) it is the same map in memory only: no files, never

@@ -170,6 +170,10 @@ func (w *World) Build(rng *sim.RNG, a Access, clients int, p Plan) {
 	w.Access = a
 	w.plan = p
 	w.Server = w.Net.NewHost("server")
+	// A shorter build must not leave the previous run's links (rings,
+	// deliver closures) behind the new length.
+	clear(w.links)
+	clear(w.ifaces)
 	w.links = append(w.links[:0], a.WiFiUp, a.WiFiDown, a.CellUp, a.CellDown)
 	lan := func(name string) *netem.Link {
 		l := netem.NewLink(w.Sim, rng, name)

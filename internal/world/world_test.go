@@ -348,6 +348,32 @@ func TestResetReleasesPreviousRun(t *testing.T) {
 	}
 }
 
+// TestBuildClearsSlack: a dual-homed build followed by a single-homed
+// one on the same Reset world leaves nothing of the first in the slack
+// of the slices the second truncated — its srv2 LAN links would pin the
+// previous run's rings and deliver closures.
+func TestBuildClearsSlack(t *testing.T) {
+	w := New()
+	rng := sim.NewRNG(1)
+	w.Build(rng, testAccess(w.Sim, rng), 1, testPlan(true))
+	w.Reset()
+	rng = sim.NewRNG(2)
+	w.Build(rng, testAccess(w.Sim, rng), 1, testPlan(false))
+	if len(w.links) != 6 || len(w.ifaces) != 1 {
+		t.Fatalf("single-homed build: %d links, %d interfaces, want 6 and 1", len(w.links), len(w.ifaces))
+	}
+	for i, l := range w.links[len(w.links):cap(w.links)] {
+		if l != nil {
+			t.Errorf("links slack %d still holds %s", i, l.Name)
+		}
+	}
+	for i, f := range w.ifaces[len(w.ifaces):cap(w.ifaces)] {
+		if f != (iface{}) {
+			t.Errorf("interfaces slack %d still holds %v", i, f.ip)
+		}
+	}
+}
+
 // TestFailReasonFirstLine: a livelocked run is killed by the watchdog
 // ArmChaos always arms, and FailReason is its one-line verdict.
 func TestFailReasonFirstLine(t *testing.T) {
