@@ -53,7 +53,7 @@ ledger:
 # export_sha256 means the commit simulates something else; a new
 # sim.events under the same export_sha256 means it reaches the same
 # bytes through a different number of events (as when link departures
-# stopped being events, DESIGN.md §20). A change that intends either
+# stopped being events, DESIGN.md §7.1). A change that intends either
 # edits the file in the same commit (the diff below prints the new
 # lines) and says why.
 LEDGER_PAIRS = awk '/^== / { for (i = 2; i <= NF; i++) if ($$i ~ /^(export_sha256|sim\.events)=/) $$2 = $$2 " " $$i; print $$2 }'

@@ -8,7 +8,7 @@ package main
 // every already-computed row into a cache hit, so a resumed campaign
 // exports byte-identically to an uninterrupted one and recomputes
 // only the missing suffix (the resume-equals-replay argument,
-// DESIGN.md §14).
+// DESIGN.md §13.1).
 //
 // Layout: <dir>/<id>.campaign.json holds {id, name, spec};
 // <dir>/<id>.done holds {"state": ...}. Files the journal cannot

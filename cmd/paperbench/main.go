@@ -160,7 +160,8 @@ func bench(s spec, stdout, stderr io.Writer) error {
 	// and allocs/run and MB/run are the heap-allocation cost of one
 	// download in objects and bytes (the pooled hot path keeps the first
 	// O(window), not O(packets); a per-packet series costs the second
-	// one write and one copy, DESIGN.md §23). In text mode
+	// one write, one copy and its share of the pooled sample, DESIGN.md
+	// §7.5). In text mode
 	// it lands in the report; otherwise on stderr so csv/json stay
 	// machine-readable.
 	speedline := func(m *experiment.Matrix, allocs, bytes uint64) {

@@ -163,7 +163,7 @@ func hasRule(rep Report, rule string) bool {
 // A harness refactor that shifts an RNG draw or an event fails here.
 // Seed 7 draws no fault; its rows are the originals, recorded before
 // the harness moved onto internal/world (events re-recorded when link
-// departures stopped being events, DESIGN.md §20). Every other row was
+// departures stopped being events, DESIGN.md §7.1). Every other row was
 // re-recorded when the fuzzer's faults became chaos events; its comment
 // names the first difference TestRetiredFaultsOracle finds in its
 // script, and the events column also counts the resilience monitor's

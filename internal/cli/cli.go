@@ -1,5 +1,5 @@
 // Package cli is what every cmd/*/main.go shares of the flag → spec
-// layer (DESIGN.md §19). A binary binds its flags straight into the
+// layer (DESIGN.md §17). A binary binds its flags straight into the
 // spec its runner takes and validates it in a parse function that runs
 // nothing; Main turns what parse refuses into the one rejection every
 // binary gives, before a byte is written or an event scheduled.

@@ -15,7 +15,7 @@ const resultVersion = 1
 
 // series lists the per-packet sample slices in stored order. They are
 // over 99 % of a result's bytes, so they travel as raw words; the rest
-// stays JSON (DESIGN.md §21).
+// stays JSON (DESIGN.md §7.5).
 func (r *RunResult) series() [3]*[]float64 {
 	return [3]*[]float64{&r.WiFiRTTms, &r.CellRTTms, &r.OFOms}
 }

@@ -172,8 +172,8 @@ func (r *RunResult) CellLossRate() float64 {
 	return float64(r.CellRetransPkts) / float64(r.CellDataPkts)
 }
 
-// Validate rejects what Testbed.Run would panic on (an unknown controller),
-// silently replace (an unknown scheduler) or time out on (no bytes).
+// Validate rejects what Testbed.Run would panic on (an unknown controller
+// or scheduler) or time out on (no bytes).
 func (rc RunConfig) Validate() error {
 	if _, err := cc.New(rc.Controller); err != nil {
 		return err

@@ -32,9 +32,9 @@ func TestParseTransport(t *testing.T) {
 	}
 }
 
-// TestValidate: a RunConfig that would panic in stackConfig, run under
-// a fallback scheduler or download nothing is refused with a one-line
-// error naming the bad value, as is a negative repetition count.
+// TestValidate: a RunConfig that would panic in stackConfig or in the
+// MPTCP dial, or download nothing, is refused with a one-line error
+// naming the bad value, as is a negative repetition count.
 func TestValidate(t *testing.T) {
 	ok := RunConfig{Transport: MP2, Size: 64 * units.KB}
 	if err := ok.Validate(); err != nil {

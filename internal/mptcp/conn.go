@@ -376,8 +376,12 @@ var (
 func newConn(k *netem.Kind[Conn], network *netem.Network, cfg Config, rng *sim.RNG, child string) *Conn {
 	c := k.Get(network)
 	*c = c.spare()
+	sched, err := ParseScheduler(cfg.Scheduler)
+	if err != nil {
+		panic(err) // a caller skipped validation
+	}
 	c.cfg = cfg
-	c.sched = NewScheduler(cfg.Scheduler)
+	c.sched = sched
 	c.net = network
 	c.sim = network.Sim()
 	c.rng = rng.Child(child)

@@ -106,23 +106,11 @@ func ParseScheduler(spec string) (Scheduler, error) {
 }
 
 // ValidateScheduler rejects unknown scheduler specs with a one-line
-// error; CLIs call it at flag-parse time so a typo fails fast instead
-// of silently running the default policy.
+// error; CLIs and configs call it at parse time, so a typo fails with a
+// message instead of panicking in Dial or the server's accept.
 func ValidateScheduler(spec string) error {
 	_, err := ParseScheduler(spec)
 	return err
-}
-
-// NewScheduler returns the named scheduler, falling back to the
-// default (minrtt) for unknown names — the lenient construction path
-// used inside Dial and the server accept path, where a config has
-// already passed validation or deliberately carries the default.
-func NewScheduler(spec string) Scheduler {
-	s, err := ParseScheduler(spec)
-	if err != nil {
-		return &MinRTT{}
-	}
-	return s
 }
 
 // singleCopy supplies the default duplicate-transmission and

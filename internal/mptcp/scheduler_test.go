@@ -35,7 +35,7 @@ func mkSubflows(t *testing.T) (fast, slow *Subflow, tn *twoPathNet) {
 
 func TestLowestRTTPrefersFastPath(t *testing.T) {
 	fast, slow, _ := mkSubflows(t)
-	s := NewScheduler("lowest-rtt")
+	s := mustScheduler(t, "lowest-rtt")
 	if got := s.Pick([]*Subflow{slow, fast}); got != 1 {
 		t.Errorf("picked index %d (rtt %v), want the fast path (rtt %v)",
 			got, slow.EP.SRTTTime(), fast.EP.SRTTTime())
@@ -49,7 +49,7 @@ func TestSchedulerSkipsUnusableSubflows(t *testing.T) {
 	if fast.usable() {
 		t.Fatal("fast path still has space; test premise broken")
 	}
-	s := NewScheduler("lowest-rtt")
+	s := mustScheduler(t, "lowest-rtt")
 	if got := s.Pick([]*Subflow{fast, slow}); got != 1 {
 		t.Errorf("picked %d, want the slow-but-usable path", got)
 	}
@@ -62,7 +62,7 @@ func TestSchedulerSkipsUnusableSubflows(t *testing.T) {
 func TestBackupModeHoldsBackupInReserve(t *testing.T) {
 	fast, slow, _ := mkSubflows(t)
 	slow.Backup = true
-	s := NewScheduler("backup")
+	s := mustScheduler(t, "backup")
 	if got := s.Pick([]*Subflow{fast, slow}); got != 0 {
 		t.Errorf("picked %d, want the regular path", got)
 	}
@@ -74,27 +74,54 @@ func TestBackupModeHoldsBackupInReserve(t *testing.T) {
 	}
 }
 
-func TestNewSchedulerNames(t *testing.T) {
+// mustScheduler is ParseScheduler for a spec the test knows is valid.
+func mustScheduler(t *testing.T, spec string) Scheduler {
+	t.Helper()
+	s, err := ParseScheduler(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func TestParseSchedulerNames(t *testing.T) {
 	for _, name := range SchedulerNames() {
-		s := NewScheduler(name)
-		if s == nil {
-			t.Fatalf("NewScheduler(%q) = nil", name)
-		}
-		if s.Name() != name {
-			t.Errorf("NewScheduler(%q).Name() = %q", name, s.Name())
+		if s := mustScheduler(t, name); s.Name() != name {
+			t.Errorf("ParseScheduler(%q).Name() = %q", name, s.Name())
 		}
 	}
 	// Legacy aliases resolve to their canonical plugins.
 	for alias, canon := range map[string]string{
 		"": "minrtt", "lowest-rtt": "minrtt", "round-robin": "roundrobin",
 	} {
-		if got := NewScheduler(alias).Name(); got != canon {
-			t.Errorf("NewScheduler(%q).Name() = %q, want %q", alias, got, canon)
+		if got := mustScheduler(t, alias).Name(); got != canon {
+			t.Errorf("ParseScheduler(%q).Name() = %q, want %q", alias, got, canon)
 		}
 	}
-	if NewScheduler("bogus").Name() != "minrtt" {
-		t.Error("unknown scheduler should fall back to minrtt")
-	}
+}
+
+// A connection whose config names no scheduler the package knows is a
+// caller that skipped validation: the dial panics rather than quietly
+// running minrtt.
+func TestDialPanicsOnUnknownScheduler(t *testing.T) {
+	tn := buildTwoPath(t, defaultWifi(), defaultCell(), false)
+	cfg := DefaultConfig()
+	cfg.Scheduler = "bogus"
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("Dial with scheduler \"bogus\" did not panic")
+		}
+		if err, ok := r.(error); !ok || !strings.Contains(err.Error(), `"bogus"`) {
+			t.Errorf("panic %v does not name the scheduler", r)
+		}
+	}()
+	Dial(tn.net, tn.client, DialOpts{
+		LocalAddrs: []seg.Addr{tn.wifiAddr, tn.cellAddr},
+		Labels:     []string{"wifi", "cell"},
+		ServerAddr: tn.srvAddr,
+		Config:     cfg,
+	}, tn.rng.Child("cli"))
 }
 
 func TestParseSchedulerValidation(t *testing.T) {
@@ -172,7 +199,7 @@ func TestSingleCopySchedulersNeverDuplicate(t *testing.T) {
 	fast, slow, _ := mkSubflows(t)
 	sfs := []*Subflow{fast, slow}
 	for _, name := range []string{"minrtt", "roundrobin", "weighted", "backup"} {
-		s := NewScheduler(name)
+		s := mustScheduler(t, name)
 		if i := s.Pick(sfs); i >= 0 {
 			if dups := s.Duplicates(sfs, i); len(dups) != 0 {
 				t.Errorf("%s.Duplicates = %v, want none", name, dups)

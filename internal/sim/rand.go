@@ -106,8 +106,9 @@ func pow(x, y float64) float64 { return math.Pow(x, y) }
 // Splitmix64 is the 64-bit finalizer of the SplitMix generator
 // (Steele, Lea & Flood 2014): a bijection on uint64 with full
 // avalanche, so distinct inputs always produce distinct outputs. The
-// campaign and fleet runners both derive collision-free per-job seeds
-// with it.
+// runners derive per-job seeds through sweep.Seed, which keeps its own
+// copy so the engine imports nothing of the domain; this one is the
+// reference TestSeedMatchesLegacyPackings holds that copy to.
 func Splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

@@ -9,14 +9,11 @@ import (
 	"sort"
 )
 
-// Sample is a growing collection of float64 observations: xs, then the
-// adopted runs in order. Every reader but N flattens the adopted runs
-// behind xs first, so storage order is insertion order (DESIGN.md §23).
+// Sample is a growing collection of float64 observations, stored in
+// insertion order until the first order statistic sorts them in place.
 type Sample struct {
-	xs       []float64
-	adopted  [][]float64 // NaN-free runs AddAll holds by reference; never written
-	nAdopted int
-	sorted   bool
+	xs     []float64
+	sorted bool
 }
 
 // New returns an empty sample.
@@ -25,9 +22,7 @@ func New() *Sample { return &Sample{} }
 // Of builds a sample from values.
 func Of(xs ...float64) *Sample {
 	s := New()
-	for _, x := range xs {
-		s.Add(x)
-	}
+	s.AddAll(xs)
 	return s
 }
 
@@ -38,18 +33,13 @@ func (s *Sample) Add(x float64) {
 	if math.IsNaN(x) {
 		return
 	}
-	s.flatten()
 	s.xs = append(s.xs, x)
 	s.sorted = false
 }
 
-// AddAll appends many observations, dropping NaNs like Add. It adopts
-// each NaN-free run of xs by reference instead of copying it: the
-// sample keeps the slice and never writes it, and the caller must not
-// write its elements afterwards (appending to it is harmless). The
-// first statistic copies every adopted run behind the observations
-// already held, once, so a per-packet series costs one scan here and
-// one copy there.
+// AddAll appends many observations, dropping NaNs like Add: one append
+// per NaN-free run, so a per-packet series costs one scan and one copy.
+// The sample keeps no reference to xs.
 func (s *Sample) AddAll(xs []float64) {
 	for len(xs) > 0 {
 		n := 0
@@ -57,39 +47,18 @@ func (s *Sample) AddAll(xs []float64) {
 			n++
 		}
 		if n > 0 {
-			s.adopted = append(s.adopted, xs[:n:n])
-			s.nAdopted += n
+			s.xs = append(s.xs, xs[:n]...)
 			s.sorted = false
 		}
 		xs = xs[min(n+1, len(xs)):]
 	}
 }
 
-// flatten copies the adopted runs behind xs in adoption order — what
-// appending each at its AddAll would have stored — growing xs at most
-// once, to exactly the size needed, and lets the runs go.
-func (s *Sample) flatten() {
-	if len(s.adopted) == 0 {
-		return
-	}
-	if need := len(s.xs) + s.nAdopted; need > cap(s.xs) {
-		xs := make([]float64, len(s.xs), need)
-		copy(xs, s.xs)
-		s.xs = xs
-	}
-	for _, run := range s.adopted {
-		s.xs = append(s.xs, run...)
-	}
-	s.adopted, s.nAdopted = nil, 0
-}
-
 // N reports the number of observations.
-func (s *Sample) N() int { return len(s.xs) + s.nAdopted }
+func (s *Sample) N() int { return len(s.xs) }
 
-// Values returns a copy of the observations in sorted order. The copy
-// is defensive: earlier versions returned the internal slice, and a
-// caller mutating it would silently corrupt every later quantile.
-// Callers that only need order statistics should prefer Quantile.
+// Values returns a sorted copy of the observations; a caller may write
+// it. Callers that only need order statistics should prefer Quantile.
 func (s *Sample) Values() []float64 {
 	s.sort()
 	out := make([]float64, len(s.xs))
@@ -98,7 +67,6 @@ func (s *Sample) Values() []float64 {
 }
 
 func (s *Sample) sort() {
-	s.flatten()
 	if !s.sorted {
 		sortFloats(s.xs)
 		s.sorted = true
@@ -113,7 +81,7 @@ const (
 )
 
 // sortFloats sorts NaN-free xs ascending and leaves exactly the slice
-// sort.Float64s would (DESIGN.md §21): an LSD radix sort on a key
+// sort.Float64s would (DESIGN.md §7): an LSD radix sort on a key
 // whose unsigned order is the floats' own. Floats that compare equal
 // have equal bits — except -0 and +0, which land in that order instead
 // of an unspecified one.
@@ -161,7 +129,6 @@ func floatKey(x float64) uint64 {
 
 // Mean reports the sample mean (0 for an empty sample).
 func (s *Sample) Mean() float64 {
-	s.flatten()
 	if len(s.xs) == 0 {
 		return 0
 	}
@@ -200,22 +167,10 @@ func (s *Sample) Stderr() float64 {
 }
 
 // Min reports the smallest observation.
-func (s *Sample) Min() float64 {
-	if s.N() == 0 {
-		return 0
-	}
-	s.sort()
-	return s.xs[0]
-}
+func (s *Sample) Min() float64 { return s.Quantile(0) }
 
 // Max reports the largest observation.
-func (s *Sample) Max() float64 {
-	if s.N() == 0 {
-		return 0
-	}
-	s.sort()
-	return s.xs[len(s.xs)-1]
-}
+func (s *Sample) Max() float64 { return s.Quantile(1) }
 
 // Quantile reports the q-quantile (0 <= q <= 1) by linear
 // interpolation between order statistics.
