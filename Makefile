@@ -88,6 +88,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReorderInsert$$' -fuzztime $(FUZZTIME) ./internal/mptcp/
 	$(GO) test -run '^$$' -fuzz '^FuzzTimerWheel$$' -fuzztime $(FUZZTIME) ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzLazySource$$' -fuzztime $(FUZZTIME) ./internal/sim/
+	$(GO) test -run '^$$' -fuzz '^FuzzSlotLookAhead$$' -fuzztime $(FUZZTIME) ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzLinkOccupancy$$' -fuzztime $(FUZZTIME) ./internal/netem/
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreOpen$$' -fuzztime $(FUZZTIME) ./internal/sweep/
 	$(GO) test -run '^$$' -fuzz '^FuzzSenderBookkeeping$$' -fuzztime $(FUZZTIME) ./internal/tcp/

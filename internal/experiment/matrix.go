@@ -24,6 +24,11 @@ type Cell struct {
 	OFO      *stats.Sample // pooled out-of-order delays, ms
 
 	Failures int
+
+	// series holds each absorbed run's per-packet series — WiFi RTTs,
+	// cellular RTTs, OFO delays — in absorb order until pool copies
+	// them into the pooled samples, each grown once to its exact size.
+	series [][3][]float64
 }
 
 func newCell(rc RunConfig) *Cell {
@@ -48,9 +53,24 @@ func (c *Cell) absorb(res RunResult) {
 	c.Share.Add(res.CellShare())
 	c.WiFiLoss.Add(res.WiFiLossRate() * 100)
 	c.CellLoss.Add(res.CellLossRate() * 100)
-	c.WiFiRTT.AddAll(res.WiFiRTTms)
-	c.CellRTT.AddAll(res.CellRTTms)
-	c.OFO.AddAll(res.OFOms)
+	c.series = append(c.series, [3][]float64{res.WiFiRTTms, res.CellRTTms, res.OFOms})
+}
+
+// pool moves the absorbed runs' per-packet series into the cell's
+// pooled samples in absorb order, sizing each sample once instead of
+// regrowing it by doubling run after run.
+func (c *Cell) pool() {
+	for i, s := range []*stats.Sample{c.WiFiRTT, c.CellRTT, c.OFO} {
+		n := 0
+		for _, run := range c.series {
+			n += len(run[i])
+		}
+		s.Grow(n)
+		for _, run := range c.series {
+			s.AddAll(run[i])
+		}
+	}
+	c.series = nil
 }
 
 // RowSpec describes one figure row: a labeled configuration over a
@@ -188,6 +208,11 @@ func (o CampaignOpts) reps() int {
 // golden fixtures' execution order).
 const matrixSalt = 0x5eed
 
+// idleTestbeds keeps finished campaigns' testbeds, scrubbed, for the
+// next campaign's workers: at most GOMAXPROCS of them, each holding
+// only warm pools and collector buffers.
+var idleTestbeds = sweep.NewIdle((*Testbed).scrub)
+
 // matrixJob identifies one run: indices into the row, size, and
 // repetition axes.
 type matrixJob struct {
@@ -221,12 +246,13 @@ func runMatrix(id, title string, rows []RowSpec, sizes []units.ByteCount, opts C
 	}
 
 	// runJob executes one job on the worker's private testbed. Each
-	// worker owns one *Testbed across its whole job stream: the first
-	// job builds it, later jobs Reset it in place (same simulator and
-	// pools, rebuilt topology). Runs are byte-identical either way, so
-	// exports stay invariant across worker counts and across the
-	// fresh-vs-reused boundary. The engine discards the testbed after
-	// a contained panic — its mid-run state is arbitrary.
+	// worker owns one *Testbed across its whole job stream, taken from
+	// idleTestbeds when an earlier campaign left one: the first job
+	// builds it if not, later jobs Reset it in place (same simulator
+	// and pools, rebuilt topology). Runs are byte-identical either
+	// way, so exports stay invariant across worker counts and across
+	// the fresh-vs-reused boundary. The engine discards the testbed
+	// after a contained panic — its mid-run state is arbitrary.
 	runJob := func(worker **Testbed, k int) RunResult {
 		j := jobs[k]
 		row := rows[j.row]
@@ -273,7 +299,7 @@ func runMatrix(id, title string, rows []RowSpec, sizes []units.ByteCount, opts C
 		})
 	}
 
-	st := sweep.Run(sweep.Opts{
+	st := sweep.RunFrom(idleTestbeds, sweep.Opts{
 		Seed:     opts.Seed,
 		Salt:     matrixSalt,
 		Workers:  opts.Workers,
@@ -286,6 +312,11 @@ func runMatrix(id, title string, rows []RowSpec, sizes []units.ByteCount, opts C
 			m.Tally(res.Events, res.Violations, res.FirstViolation, res.FailReason)
 			m.Rows[j.row].Cells[j.col].absorb(res)
 		})
+	for _, r := range m.Rows {
+		for _, c := range r.Cells {
+			c.pool()
+		}
+	}
 	m.Workers, m.WallTime, m.BusyTime, m.Cancelled = st.Workers, st.WallTime, st.BusyTime, st.Cancelled
 	return m
 }

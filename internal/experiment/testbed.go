@@ -68,6 +68,14 @@ func (tb *Testbed) Reset(cfg TestbedConfig) {
 	tb.build(cfg)
 }
 
+// scrub empties the testbed for an idle list: its world Reset, and
+// nothing of the last run — hosts, RNG, configuration — left
+// reachable. The next use is a Reset.
+func (tb *Testbed) scrub() {
+	tb.World.Reset()
+	tb.Client, tb.RNG, tb.cfg = nil, nil, TestbedConfig{}
+}
+
 // build materializes the topology onto the testbed's world, which must
 // be fresh or freshly Reset. The root RNG's draw order — [wifi-sample,
 // cell-sample,] wifi, cell, then Build's LAN links — is pinned by the

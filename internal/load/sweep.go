@@ -110,6 +110,11 @@ type Sweep struct {
 	sweep.Stats
 }
 
+// idleWorlds keeps finished sweeps' worlds, Reset, for the next
+// sweep's workers: at most GOMAXPROCS of them, each holding only warm
+// pools.
+var idleWorlds = sweep.NewIdle((*world.World).Reset)
+
 // sweepSalt is the load sweep's historical shuffle salt; like the
 // experiment runner's it must never change, since it determines the
 // execution order equal seeds replay.
@@ -237,17 +242,17 @@ func RunSweep(opts SweepOpts) *Sweep {
 		p.Runs[j.Rep] = failedRun(j.Config, err)
 		return newRow(*p, j.Rep, j.Config, p.Runs[j.Rep])
 	}
-	st := sweep.Run(sweep.Opts{
+	st := sweep.RunFrom(idleWorlds, sweep.Opts{
 		Seed:     opts.Seed,
 		Salt:     sweepSalt,
 		Workers:  opts.Workers,
 		Progress: opts.Progress,
 		Context:  opts.Context,
 	}, len(jobs),
-		// The worker's world is reused across its job stream (warm
-		// pools, byte-identical results); after a contained panic it is
-		// discarded — it was left mid-run — and the next job builds a
-		// fresh one.
+		// The worker's world is reused across its job stream and, through
+		// idleWorlds, across sweeps (warm pools, byte-identical results);
+		// after a contained panic it is discarded — it was left mid-run —
+		// and the next job builds a fresh one.
 		func(worker **world.World, k int) Row {
 			j := jobs[k]
 			p := &sw.Points[j.Point]

@@ -159,8 +159,12 @@ func NewLink(s *sim.Simulator, rng *sim.RNG, name string) *Link {
 	}
 	l.onArrive = func() {
 		for {
-			l.arrive(l.arriveQ.pop())
-			if l.arriveQ.len() == 0 {
+			a := l.arriveQ.pop()
+			last := l.arriveQ.len() == 0
+			l.arrive(a)
+			// A Send that arrive caused onto this emptied ring has
+			// already scheduled its new head.
+			if last {
 				return
 			}
 			h := l.arriveQ.at(0)

@@ -418,3 +418,32 @@ func TestResolvedRoute(t *testing.T) {
 		t.Errorf("NoRoute = %d, %d fresh segments; want 3 and 1", n.NoRoute, p.News)
 	}
 }
+
+// TestLinkRefilledByItsOwnDelivery: a delivery that sends straight back
+// onto the link it arrived on — a shared medium carrying both
+// directions, a sender answering every segment — refills the arrival
+// ring that delivery just emptied, and the Send schedules the new head.
+// The draining handler must then stop rather than also retire that head
+// inline (it is due later, which ConsumeSlot allows inside Run), or the
+// packet is delivered twice and its heap event pops an empty ring.
+func TestLinkRefilledByItsOwnDelivery(t *testing.T) {
+	s := sim.New()
+	l := NewLink(s, sim.NewRNG(1), "medium")
+	l.Rate = 1 * units.Mbps
+	l.PropDelay = sim.Millisecond
+	var got []uint32
+	var deliver func(*seg.Segment)
+	deliver = func(p *seg.Segment) {
+		got = append(got, p.Seq)
+		if p.Seq < 5 {
+			next := mkSeg(100)
+			next.Seq = p.Seq + 1
+			l.Send(next, deliver)
+		}
+	}
+	l.Send(mkSeg(100), deliver)
+	s.Run()
+	if fmt.Sprint(got) != "[0 1 2 3 4 5]" || s.Processed() != 6 {
+		t.Fatalf("delivered %v in %d events, want [0 1 2 3 4 5] in 6", got, s.Processed())
+	}
+}

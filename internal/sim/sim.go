@@ -121,6 +121,9 @@ type Simulator struct {
 	ran     uint64
 	running bool
 	stopped bool
+	// until is the active Run/RunUntil loop's deadline: ConsumeSlot
+	// retires nothing beyond it.
+	until Time
 
 	// Watchdog state: watchFn is invoked every watchEvery processed
 	// events inside Run/RunUntil; a non-nil return aborts the loop and
@@ -312,6 +315,7 @@ func (s *Simulator) Run() {
 	defer func() { s.running = false }()
 	s.stopped = false
 	s.abortErr = nil
+	s.until = MaxTime
 	for !s.stopped && s.Step() {
 		if s.watchFn != nil && s.watchdogTripped() {
 			return
@@ -328,6 +332,7 @@ func (s *Simulator) RunUntil(deadline Time) {
 	defer func() { s.running = false }()
 	s.stopped = false
 	s.abortErr = nil
+	s.until = deadline
 	for !s.stopped {
 		e := s.peek()
 		if e == nil || e.at > deadline {

@@ -75,33 +75,64 @@ func (s *Simulator) ScheduleSlot(sl Slot, name string, fn func()) Event {
 
 // ConsumeSlot retires a reserved slot inline, skipping the heap
 // round-trip, and reports whether it did. It succeeds only when the
-// slot would have been the very next event executed anyway: its
-// deadline is exactly now and no pending event orders before it.
+// slot would have been the very next event executed anyway, so the
+// execution order is the heap's own by construction:
+//
+//   - the slot is due now, or — inside Run/RunUntil, not Step — later
+//     but no later than the loop's deadline; the clock then advances
+//     to it, as the run loop would have;
+//   - the loop is not stopped and the watchdog is not due (a consumed
+//     slot counts toward the watchdog's countdown as a popped event
+//     does, so a source that keeps re-reserving still hands the loop
+//     back in time for the check);
+//   - nothing orders before it: not the heap's live head, and not a
+//     wheel timer — when the heap's head orders after the slot, the
+//     wheel is flushed up to the slot, exactly as peek would flush it
+//     before popping the slot as the head, and the head looked at
+//     again. A same-instant slot needs the flush too: a timer armed on
+//     an empty wheel anchors the flush cursor at its own tick, so a
+//     timer due now can sit in the wheel with a sequence below a slot
+//     that was reserved after it.
+//
 // Callers use it from inside the event handler that fired their
-// previous FIFO head, draining a same-instant burst in one call; on
+// previous FIFO head, draining a chain of due entries in one call; on
 // false they must ScheduleSlot instead. A consumed slot counts toward
 // Processed, so event accounting matches the eager schedule exactly.
-//
-// The wheel needs no scan here: every timer due at or before now was
-// flushed to the heap before the currently executing event was popped,
-// and any timer armed since draws a later sequence than a slot
-// reserved in the past, so it cannot order before one.
 func (s *Simulator) ConsumeSlot(sl Slot) bool {
-	if sl.at != s.now || s.stopped {
+	if s.stopped || sl.at != s.now && (!s.running || sl.at < s.now || sl.at > s.until) {
 		return false
 	}
+	if !s.headAfter(sl) {
+		return false
+	}
+	if s.wheel.count > 0 && sl.at >= s.wheel.flushPos {
+		s.flushWheel(sl.at)
+		if !s.headAfter(sl) {
+			return false
+		}
+	}
+	if s.running && s.watchFn != nil {
+		if s.watchLeft <= 1 {
+			return false
+		}
+		s.watchLeft--
+	}
+	s.now = sl.at
+	s.pos = sl
+	s.ran++
+	return true
+}
+
+// headAfter discards dead records from the head of the queue and
+// reports whether no live record orders before sl.
+func (s *Simulator) headAfter(sl Slot) bool {
 	for len(s.queue) > 0 {
 		h := s.queue[0]
 		if !h.dead {
-			if h.at < sl.at || (h.at == sl.at && h.seq < sl.seq) {
-				return false
-			}
-			break
+			return !(h.at < sl.at || (h.at == sl.at && h.seq < sl.seq))
 		}
 		s.pop()
 		s.recycle(h)
 	}
-	s.pos = sl
-	s.ran++
 	return true
 }

@@ -99,3 +99,45 @@ func TestWatchdogRemovedByNilFn(t *testing.T) {
 		t.Fatalf("removed watchdog still ran %d times", calls)
 	}
 }
+
+// TestWatchdogSeesConsumedSlots: a slot source that re-reserves at the
+// current instant forever — the livelock shape of a FIFO that refills
+// itself as it drains — never hands control back to the run loop
+// unless ConsumeSlot charges the watchdog's countdown and declines once
+// the check is due. With the charge, the watchdog trips at the same
+// event count it would have on the eager schedule.
+func TestWatchdogSeesConsumedSlots(t *testing.T) {
+	s := New()
+	const every, limit = 64, 1 << 16
+	consumed := 0
+	var spin func()
+	spin = func() {
+		for consumed < limit { // the cap only keeps a regression from hanging the test
+			sl := s.ReserveSlot(s.Now())
+			if !s.ConsumeSlot(sl) {
+				s.ScheduleSlot(sl, "spin", spin)
+				return
+			}
+			consumed++
+		}
+	}
+	s.At(Millisecond, "spin", spin)
+	stuck := errors.New("livelock")
+	checks := 0
+	s.SetWatchdog(every, func() error {
+		if checks++; checks == 4 {
+			return stuck
+		}
+		return nil
+	})
+	s.Run()
+	if consumed >= limit {
+		t.Fatalf("the source consumed %d slots without the watchdog ever running", consumed)
+	}
+	if !errors.Is(s.AbortErr(), stuck) {
+		t.Fatalf("AbortErr = %v, want %v", s.AbortErr(), stuck)
+	}
+	if s.Processed() != 4*every {
+		t.Fatalf("watchdog tripped after %d events, want %d as on the eager schedule", s.Processed(), 4*every)
+	}
+}

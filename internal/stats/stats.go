@@ -6,6 +6,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -53,6 +54,10 @@ func (s *Sample) AddAll(xs []float64) {
 		xs = xs[min(n+1, len(xs)):]
 	}
 }
+
+// Grow makes room for n more observations, so that AddAll calls
+// adding up to n of them allocate nothing.
+func (s *Sample) Grow(n int) { s.xs = slices.Grow(s.xs, n) }
 
 // N reports the number of observations.
 func (s *Sample) N() int { return len(s.xs) }

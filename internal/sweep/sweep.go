@@ -7,7 +7,8 @@
 //     through the Splitmix64 bijection),
 //   - optional deterministic job-order shuffling (§3.2-style
 //     randomized execution order, derived only from the seed),
-//   - worker-pool fan-out with worker-local reusable state,
+//   - worker-pool fan-out with worker-local reusable state, kept
+//     between sweeps in a bounded idle list (Idle),
 //   - panic containment (a run that panics becomes a failed row, not
 //     a dead campaign; the worker's state is discarded),
 //   - absorb-in-order: results fold into the caller's aggregates in
@@ -128,13 +129,80 @@ func Contain(fn func()) (err error) {
 	return nil
 }
 
-// Run executes n jobs and folds their results in deterministic order.
+// Idle keeps worker states between sweeps, so that the next sweep's
+// workers start from warm pools instead of building anew: RunFrom's
+// workers take from it before building and hand their state back to it
+// when they exit. It holds at most GOMAXPROCS states (a state handed
+// back to a full list is dropped) and is safe for concurrent sweeps.
+//
+// A state is scrubbed as it is handed back, so that what the list
+// keeps reaches pools and nothing of its last run; a zero state — a
+// worker that never built one, or whose state a contained panic
+// discarded — is never kept.
+type Idle[W comparable] struct {
+	scrub func(W)
+	mu    sync.Mutex
+	ws    []W
+}
+
+// NewIdle returns an empty list whose states scrub empties on release.
+func NewIdle[W comparable](scrub func(W)) *Idle[W] {
+	return &Idle[W]{scrub: scrub}
+}
+
+// take returns a kept state, or the zero W when none is kept (or l is
+// nil).
+func (l *Idle[W]) take() (w W) {
+	if l == nil {
+		return w
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.ws); n > 0 {
+		w = l.ws[n-1]
+		l.ws[n-1] = *new(W)
+		l.ws = l.ws[:n-1]
+	}
+	return w
+}
+
+// release scrubs w and keeps it while the list is below its bound.
+func (l *Idle[W]) release(w W) {
+	if l == nil || w == *new(W) {
+		return
+	}
+	l.scrub(w)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.ws) < runtime.GOMAXPROCS(0) {
+		l.ws = append(l.ws, w)
+	}
+}
+
+// Len reports how many states the list keeps.
+func (l *Idle[W]) Len() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.ws)
+}
+
+// Run executes n jobs and folds their results in deterministic order:
+// RunFrom with no idle list, for callers whose worker state is not
+// worth keeping between sweeps.
+func Run[W comparable, R any](opts Opts, n int, run func(ws *W, job int) R, failed func(job int, err error) R, absorb func(job int, res R)) Stats {
+	return RunFrom(nil, opts, n, run, failed, absorb)
+}
+
+// RunFrom executes n jobs and folds their results in deterministic
+// order.
 //
 // W is the worker-local state a runner reuses across its job stream
-// (a testbed, an arena): each worker goroutine owns one *W slot,
-// initially zero; run builds it on first use and resets it in place
-// after. After a contained panic the engine zeroes the slot — its
-// mid-run state is arbitrary — and the next job starts fresh.
+// (a testbed, an arena): each worker goroutine owns one *W slot, taken
+// from idle (zero when it keeps none, or idle is nil); run builds it
+// on first use and resets it in place after. After a contained panic
+// the engine zeroes the slot — its mid-run state is arbitrary — and
+// the next job starts fresh. When the worker exits, its state goes
+// back to idle.
 //
 // run executes job (an index into the caller's job list) and returns
 // its row. A panic inside run is contained: failed(job, err) supplies
@@ -147,8 +215,10 @@ func Contain(fn func()) (err error) {
 // the fixed (shuffled) job order, for exactly the jobs that executed:
 // a prefix of that order, the whole of it unless the sweep was
 // cancelled — identical for any worker count, which is the engine's
-// export-determinism contract.
-func Run[W, R any](opts Opts, n int, run func(ws *W, job int) R, failed func(job int, err error) R, absorb func(job int, res R)) Stats {
+// export-determinism contract. A state taken from idle leaves no
+// trace in any row: runs on a reused state are byte-identical to runs
+// on a fresh one, which is each runner's reuse contract.
+func RunFrom[W comparable, R any](idle *Idle[W], opts Opts, n int, run func(ws *W, job int) R, failed func(job int, err error) R, absorb func(job int, res R)) Stats {
 	st := Stats{Workers: opts.workers()}
 
 	// Shuffle an index permutation rather than the caller's job list:
@@ -183,7 +253,8 @@ func Run[W, R any](opts Opts, n int, run func(ws *W, job int) R, failed func(job
 	if st.Workers <= 1 {
 		// Serial path: absorb each row as it lands, one worker state
 		// reused across the whole campaign.
-		var ws W
+		ws := idle.take()
+		defer func() { idle.release(ws) }()
 		for k := 0; k < n; k++ {
 			if opts.cancelled() {
 				break
@@ -207,7 +278,8 @@ func Run[W, R any](opts Opts, n int, run func(ws *W, job int) R, failed func(job
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				var ws W
+				ws := idle.take()
+				defer func() { idle.release(ws) }()
 				for {
 					if opts.cancelled() {
 						return

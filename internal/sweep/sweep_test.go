@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -270,5 +272,102 @@ func TestContainConvertsPanic(t *testing.T) {
 	}
 	if err := Contain(func() {}); err != nil {
 		t.Fatalf("Contain of clean fn = %v", err)
+	}
+}
+
+// toyState is a worker state with an identity, for the idle-list tests.
+type toyState struct {
+	id, runs int
+	scrubbed bool
+}
+
+// runIdleToy runs n jobs from idle, building a numbered state on first
+// use; a job in panics panics after using its worker's state. It
+// returns the state each job ran on, by job.
+func runIdleToy(idle *Idle[*toyState], workers, n int, built *atomic.Int64, panics map[int]bool) []*toyState {
+	on := make([]*toyState, n)
+	RunFrom(idle, Opts{Workers: workers}, n,
+		func(ws **toyState, job int) int {
+			if *ws == nil {
+				*ws = &toyState{id: int(built.Add(1))}
+			}
+			(*ws).runs++
+			(*ws).scrubbed = false
+			on[job] = *ws
+			if panics[job] {
+				panic("injected fault")
+			}
+			return job
+		},
+		func(job int, err error) int { return -1 },
+		func(int, int) {})
+	return on
+}
+
+// TestIdleCarriesStateAcrossSweeps: the next sweep's worker starts from
+// the state the last sweep's worker handed back, scrubbed, instead of
+// building one.
+func TestIdleCarriesStateAcrossSweeps(t *testing.T) {
+	idle := NewIdle(func(s *toyState) { s.scrubbed = true })
+	var built atomic.Int64
+	a := runIdleToy(idle, 1, 3, &built, nil)
+	if idle.Len() != 1 || !a[0].scrubbed {
+		t.Fatalf("after a serial sweep the list keeps %d states (scrubbed %v), want 1 scrubbed", idle.Len(), a[0].scrubbed)
+	}
+	b := runIdleToy(idle, 1, 3, &built, nil)
+	if built.Load() != 1 || b[0] != a[0] || b[0].runs != 6 {
+		t.Fatalf("the second sweep built %d states in all and ran on state %d (%d runs), want the first sweep's", built.Load(), b[0].id, b[0].runs)
+	}
+}
+
+// TestIdleNeverKeepsZeroedState: a state the engine zeroed after a
+// contained panic never reaches the list; the one its worker built
+// next does.
+func TestIdleNeverKeepsZeroedState(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		idle := NewIdle(func(s *toyState) { s.scrubbed = true })
+		var built atomic.Int64
+		on := runIdleToy(idle, workers, 1, &built, map[int]bool{0: true})
+		if idle.Len() != 0 {
+			t.Fatalf("workers=%d: the list kept %d states after the only job panicked", workers, idle.Len())
+		}
+		if on[0].scrubbed {
+			t.Fatalf("workers=%d: a discarded state was scrubbed for keeping", workers)
+		}
+		sabotaged := on[0]
+		on = runIdleToy(idle, 1, 4, &built, map[int]bool{1: true})
+		if on[0] == sabotaged || on[2] == on[1] || idle.Len() != 1 {
+			t.Fatalf("workers=%d: jobs ran on states %d %d %d %d; the list keeps %d", workers, on[0].id, on[1].id, on[2].id, on[3].id, idle.Len())
+		}
+		kept := runIdleToy(idle, 1, 1, &built, nil)[0]
+		if kept != on[3] || kept == on[1] {
+			t.Fatalf("workers=%d: the next sweep ran on state %d, want %d, built after the panic", workers, kept.id, on[3].id)
+		}
+	}
+}
+
+// TestIdleBounded: concurrent sweeps with more workers than GOMAXPROCS
+// share one list safely (run it under -race), and it never keeps more
+// than GOMAXPROCS states.
+func TestIdleBounded(t *testing.T) {
+	idle := NewIdle(func(s *toyState) { s.scrubbed = true })
+	var built atomic.Int64
+	workers := 3 * runtime.GOMAXPROCS(0)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				runIdleToy(idle, workers, 2*workers, &built, nil)
+				if n := idle.Len(); n > runtime.GOMAXPROCS(0) {
+					t.Errorf("the list keeps %d states, bound %d", n, runtime.GOMAXPROCS(0))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := idle.Len(); n == 0 || n > runtime.GOMAXPROCS(0) {
+		t.Fatalf("the list keeps %d states after the sweeps, want 1..%d", n, runtime.GOMAXPROCS(0))
 	}
 }

@@ -141,10 +141,24 @@ func New() *World {
 }
 
 // Reset empties the world for its next Build, keeping the pools warm
-// and recycling the finished run's connection objects.
+// and recycling the finished run's connection objects. A Reset world
+// reaches nothing of the finished run — no host, link, route or hook,
+// not even in the slack of the slices it truncates — so it may wait
+// idle between sweeps without pinning one.
 func (w *World) Reset() {
 	w.Sim.Reset()
 	w.Net.Reset()
+	w.Access = Access{}
+	w.Server = nil
+	clear(w.links)
+	w.links = w.links[:0]
+	clear(w.ifaces)
+	w.ifaces = w.ifaces[:0]
+	clear(w.clients)
+	w.clients = w.clients[:0]
+	clear(w.onHost)
+	w.onHost = w.onHost[:0]
+	clear(w.cellIPs)
 }
 
 // Build materializes the topology onto an empty (fresh or Reset)
@@ -170,10 +184,6 @@ func (w *World) Build(rng *sim.RNG, a Access, clients int, p Plan) {
 	w.Access = a
 	w.plan = p
 	w.Server = w.Net.NewHost("server")
-	// A shorter build must not leave the previous run's links (rings,
-	// deliver closures) behind the new length.
-	clear(w.links)
-	clear(w.ifaces)
 	w.links = append(w.links[:0], a.WiFiUp, a.WiFiDown, a.CellUp, a.CellDown)
 	lan := func(name string) *netem.Link {
 		l := netem.NewLink(w.Sim, rng, name)
@@ -188,19 +198,14 @@ func (w *World) Build(rng *sim.RNG, a Access, clients int, p Plan) {
 		w.ifaces = append(w.ifaces, iface{ServerAddr2.IP, lan("srv2-in"), lan("srv2-out")})
 	}
 
-	// As Network.Reset: no pointers left behind the new length.
-	clear(w.clients)
 	if cap(w.clients) >= clients {
-		w.clients = w.clients[:clients]
+		w.clients = w.clients[:clients] // Reset left them nil
 	} else {
 		w.clients = make([]*Client, clients)
 	}
-	clear(w.onHost)
-	w.onHost = w.onHost[:0]
 	if w.cellIPs == nil {
 		w.cellIPs = make(map[[4]byte]bool)
 	}
-	clear(w.cellIPs)
 }
 
 // NumClients is the fleet size Build was given.
