@@ -77,10 +77,12 @@ scorecard:
 	$(GO) run ./cmd/paperbench -experiment all -reps 8 -format scorecard -o SCORECARD.csv
 
 # fuzz-smoke gives each native fuzz target a short budget beyond its
-# checked-in corpus, then sweeps the adversarial scenario fuzzer over
-# 200 seeded scenarios under each registered packet scheduler with the
-# full invariant checker armed. Any violation prints the one command
-# line that reruns its shrunk case (mptcpsim -replay seed:mask[:sched]).
+# checked-in corpus (root TestFuzzSmokeListsEveryTarget fails when a
+# Fuzz function of the module is missing from this list), then sweeps
+# the adversarial scenario fuzzer over 200 seeded scenarios under each
+# registered packet scheduler with the full invariant checker armed.
+# Any violation prints the one command line that reruns its shrunk
+# case (mptcpsim -replay seed:mask[:sched]).
 FUZZTIME ?= 20s
 FUZZ_SCHEDS := minrtt roundrobin weighted redundant blest adaptive
 fuzz-smoke:
@@ -89,8 +91,10 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTimerWheel$$' -fuzztime $(FUZZTIME) ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzLazySource$$' -fuzztime $(FUZZTIME) ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzSlotLookAhead$$' -fuzztime $(FUZZTIME) ./internal/sim/
+	$(GO) test -run '^$$' -fuzz '^FuzzScheduler$$' -fuzztime $(FUZZTIME) ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzLinkOccupancy$$' -fuzztime $(FUZZTIME) ./internal/netem/
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreOpen$$' -fuzztime $(FUZZTIME) ./internal/sweep/
+	$(GO) test -run '^$$' -fuzz '^FuzzJournalOpen$$' -fuzztime $(FUZZTIME) ./cmd/mptcpd/
 	$(GO) test -run '^$$' -fuzz '^FuzzSenderBookkeeping$$' -fuzztime $(FUZZTIME) ./internal/tcp/
 	$(GO) test -run '^$$' -fuzz '^FuzzResultBinary$$' -fuzztime $(FUZZTIME) ./internal/experiment/
 	$(GO) test -run '^$$' -fuzz '^FuzzSortFloats$$' -fuzztime $(FUZZTIME) ./internal/stats/
@@ -180,9 +184,9 @@ chaos-smoke:
 # daemon mid-campaign at an injected sync point, restart over the same
 # store+journal, and require the resumed campaign to replay its
 # completed prefix as store hits with exports byte-identical to an
-# uninterrupted run — plus corrupted-segment, garbage-journal, and
-# degraded-disk recovery. The assertions live in cmd/mptcpd's
-# TestServe* suite.
+# uninterrupted run — plus corrupted-segment, garbage-journal (the
+# journal is a second store log), failed-fsync and degraded-disk
+# recovery. The assertions live in cmd/mptcpd's TestServe* suite.
 serve-smoke:
 	$(GO) test -count=1 -timeout 5m -run '^TestServe' -v ./cmd/mptcpd/
 	@echo "serve-smoke: daemon artifacts byte-identical to direct runners; repeat submissions 100% cache hits, their exports from the store; kill/restart resumes byte-identically"

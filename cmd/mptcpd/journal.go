@@ -10,25 +10,29 @@ package main
 // only the missing suffix (the resume-equals-replay argument,
 // DESIGN.md §13.1).
 //
-// Layout: <dir>/<id>.campaign.json holds {id, name, spec};
-// <dir>/<id>.done holds {"state": ...}. Files the journal cannot
-// parse — garbage, partial writes from a crash mid-journal, foreign
-// droppings — are skipped with a counted warning, never a failed
-// startup: losing one submission's durability must not take the
-// service down with it. So is a spec naming a field this daemon does
-// not have (an older daemon's "periods"): resuming it without that
-// field would run a different campaign under the journaled id.
+// The journal is a second sweep.Store, at <dir>/journal: an accepted
+// spec is a record keyed by its campaign id ("c7", value {id, name,
+// spec} as JSON), fsynced before the 201; a terminal state is a record
+// keyed "<id>.done". Torn and corrupt records follow the Store's
+// contract (skipped, counted in its health). A record the journal
+// cannot use — a key that is not a campaign id, a spec that does not
+// decode or whose id contradicts its key — is skipped with a counted
+// warning, never a failed startup: losing one submission's durability
+// must not take the service down with it. So is a spec naming a field
+// this daemon does not have (an older daemon's "periods"): resuming it
+// without that field would run a different campaign under the
+// journaled id.
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+
+	"mptcplab/internal/sweep"
 )
 
 type journalEntry struct {
@@ -38,140 +42,76 @@ type journalEntry struct {
 }
 
 type journal struct {
-	dir string
-
-	mu       sync.Mutex
-	skipped  int    // undecodable journal files ignored at open
-	writeErr string // first write failure: journaling is degraded
+	st      *sweep.Store
+	skipped int        // records that failed decoding at open
+	mu      sync.Mutex // no Put, which may rotate the segment, between a record's Put and Sync
 }
 
 // journalHealth is the /healthz surface of the journal.
 type journalHealth struct {
-	Dir      string `json:"dir"`
-	Skipped  int    `json:"skipped_files"`
-	Degraded bool   `json:"degraded"`
-	WriteErr string `json:"write_error,omitempty"`
+	sweep.StoreHealth
+	Skipped int `json:"skipped_entries"`
 }
 
-// campaignID parses "c<n>" ids; ok is false for anything else.
+// campaignID parses "c<n>" ids as the daemon writes them; ok is false
+// for anything else.
 func campaignID(id string) (n int, ok bool) {
 	rest, found := strings.CutPrefix(id, "c")
-	if !found {
-		return 0, false
-	}
 	n, err := strconv.Atoi(rest)
-	return n, err == nil && n > 0
+	return n, found && err == nil && n > 0 && strconv.Itoa(n) == rest
 }
 
-// openJournal opens (creating if needed) the journal at dir and
+// openJournal reads the journal st holds in one pass over its keys and
 // returns the incomplete entries in submission (id) order plus the
-// highest id ever journaled, so the daemon's id sequence never reuses
-// a journaled id. Unreadable entries are counted, not fatal; only an
-// unusable directory fails the open.
-func openJournal(dir string) (j *journal, incomplete []journalEntry, maxID int, err error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, 0, fmt.Errorf("open journal: %w", err)
-	}
-	files, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("open journal: %w", err)
-	}
-	j = &journal{dir: dir}
+// highest id any key names, so the daemon's id sequence never reuses a
+// journaled id.
+func openJournal(st *sweep.Store) (j *journal, incomplete []journalEntry, maxID int) {
+	j = &journal{st: st}
 	finished := map[string]bool{}
-	var entries []journalEntry
-	for _, f := range files {
-		if f.IsDir() {
+	st.Range(func(key string, val []byte) {
+		id, done := strings.CutSuffix(key, ".done")
+		n, ok := campaignID(id)
+		if !ok {
 			j.skipped++
-			continue
+			return
 		}
-		name := f.Name()
-		switch {
-		case strings.HasSuffix(name, ".done"):
-			if id := strings.TrimSuffix(name, ".done"); isCampaignFile(id) {
-				finished[id] = true
-			} else {
-				j.skipped++
-			}
-		case strings.HasSuffix(name, ".campaign.json"):
-			b, err := os.ReadFile(filepath.Join(dir, name))
-			var e journalEntry
-			if err != nil || json.Unmarshal(b, &e) != nil || !isCampaignFile(e.ID) ||
-				e.ID != strings.TrimSuffix(name, ".campaign.json") {
-				j.skipped++
-				continue
-			}
-			if n, _ := campaignID(e.ID); n > maxID {
-				maxID = n
-			}
-			strict := json.NewDecoder(bytes.NewReader(b))
-			strict.DisallowUnknownFields()
-			if strict.Decode(&journalEntry{}) != nil {
-				j.skipped++
-				continue
-			}
-			entries = append(entries, e)
-		default:
+		maxID = max(maxID, n)
+		if done {
+			finished[id] = true
+			return
+		}
+		var e journalEntry
+		dec := json.NewDecoder(bytes.NewReader(val))
+		dec.DisallowUnknownFields()
+		if dec.Decode(&e) != nil || e.ID != key {
 			j.skipped++
+			return
 		}
-	}
-	for _, e := range entries {
-		if !finished[e.ID] {
-			incomplete = append(incomplete, e)
-		}
-	}
-	sort.Slice(incomplete, func(a, b int) bool {
-		na, _ := campaignID(incomplete[a].ID)
-		nb, _ := campaignID(incomplete[b].ID)
-		return na < nb
+		incomplete = append(incomplete, e)
 	})
-	return j, incomplete, maxID, nil
-}
-
-func isCampaignFile(id string) bool {
-	_, ok := campaignID(id)
-	return ok
+	incomplete = slices.DeleteFunc(incomplete, func(e journalEntry) bool { return finished[e.ID] })
+	slices.SortFunc(incomplete, func(a, b journalEntry) int {
+		na, _ := campaignID(a.ID)
+		nb, _ := campaignID(b.ID)
+		return cmp.Compare(na, nb)
+	})
+	return j, incomplete, maxID
 }
 
 // record journals one accepted submission, fsynced so acceptance
-// survives a kill the moment the client sees 201. A write failure
-// degrades journaling (surfaced via /healthz) instead of refusing the
-// campaign: this process can still run it; only crash recovery is
-// forfeit for this one entry.
+// survives a kill the moment the client sees 201. A write or sync
+// failure degrades the journal's store (surfaced via /healthz) instead
+// of refusing the campaign: this process can still run it; only crash
+// recovery is forfeit.
 func (j *journal) record(e journalEntry) {
 	if j == nil {
 		return
 	}
-	err := func() error {
-		b, err := json.MarshalIndent(e, "", "  ")
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(j.dir, e.ID+".campaign.json")
-		tmp := path + ".tmp"
-		f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-		if err != nil {
-			return err
-		}
-		if _, err := f.Write(b); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		return os.Rename(tmp, path)
-	}()
-	if err != nil {
-		j.mu.Lock()
-		if j.writeErr == "" {
-			j.writeErr = err.Error()
-		}
-		j.mu.Unlock()
-	}
+	b, _ := json.Marshal(e) // a spec decoded from JSON always encodes
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.st.Put(e.ID, b)
+	j.st.Sync()
 }
 
 // finish marks one campaign terminal. A crash between reaching the
@@ -182,26 +122,14 @@ func (j *journal) finish(id, state string) {
 	if j == nil {
 		return
 	}
-	body := fmt.Sprintf("{\"state\":%q}\n", state)
-	if err := os.WriteFile(filepath.Join(j.dir, id+".done"), []byte(body), 0o644); err != nil {
-		j.mu.Lock()
-		if j.writeErr == "" {
-			j.writeErr = err.Error()
-		}
-		j.mu.Unlock()
-	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.st.Put(id+".done", []byte(state))
 }
 
 func (j *journal) health() *journalHealth {
 	if j == nil {
 		return nil
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return &journalHealth{
-		Dir:      j.dir,
-		Skipped:  j.skipped,
-		Degraded: j.writeErr != "",
-		WriteErr: j.writeErr,
-	}
+	return &journalHealth{StoreHealth: j.st.Health(), Skipped: j.skipped}
 }

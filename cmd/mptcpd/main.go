@@ -15,14 +15,15 @@
 //	curl -s 'localhost:8080/v1/replay?token=clients=20,rate=3,...'
 //	curl -s localhost:8080/healthz
 //
-// With -store, results persist in a segmented checksummed log and
-// submissions are journaled before acceptance: kill -9 the daemon
-// mid-campaign and the restarted daemon resumes the interrupted
-// campaign, replaying completed rows from the store (cache hits) and
-// recomputing only the missing suffix — exports are byte-identical to
-// an uninterrupted run. Corrupt store records are skipped with a
-// counted warning; disk write failures degrade to memory-only, both
-// surfaced on /healthz.
+// With -store, results persist in a segmented checksummed log, and
+// submissions are journaled, fsynced, before acceptance in a second
+// log of the same format: kill -9 the daemon mid-campaign and the
+// restarted daemon resumes the interrupted campaign, replaying
+// completed rows from the store (cache hits) and recomputing only the
+// missing suffix — exports are byte-identical to an uninterrupted run.
+// Corrupt records in either log and undecodable journal entries are
+// skipped with a counted warning; disk write failures degrade to
+// memory-only, all surfaced on /healthz.
 //
 // SIGINT/SIGTERM drains in-flight workers: the running campaign stops
 // claiming new runs, its completed rows are exported with the
@@ -48,7 +49,7 @@ import (
 )
 
 // openDurable wires cfg's -store directory into it: the disk-backed
-// result store under <dir>/results, the campaign journal under
+// result store under <dir>/results, the campaign journal's store under
 // <dir>/journal, and the journal's incomplete entries queued for
 // resume. Shared by main and the crash-recovery test helper.
 func openDurable(cfg serverConfig) (serverConfig, error) {
@@ -56,15 +57,13 @@ func openDurable(cfg serverConfig) (serverConfig, error) {
 	if err != nil {
 		return cfg, err
 	}
-	j, incomplete, maxID, err := openJournal(filepath.Join(cfg.storeDir, "journal"))
+	js, err := sweep.OpenStore(filepath.Join(cfg.storeDir, "journal"), sweep.StoreOpts{})
 	if err != nil {
 		st.Close()
 		return cfg, err
 	}
 	cfg.store = st
-	cfg.journal = j
-	cfg.resume = incomplete
-	cfg.startID = maxID
+	cfg.journal, cfg.resume, cfg.startID = openJournal(js)
 	return cfg, nil
 }
 

@@ -158,8 +158,8 @@ func TestServeExportRecordDamaged(t *testing.T) {
 	}
 }
 
-// TestServeArtifactSetCodec: a set round-trips, its encoding never opens
-// with '{', and no strict prefix of it decodes.
+// TestServeArtifactSetCodec: a set round-trips, its encoding opens with
+// its version byte, and no strict prefix of it decodes.
 func TestServeArtifactSetCodec(t *testing.T) {
 	set := artifactSet{
 		"export.csv":      []byte("a,b\n1,2\n"),
@@ -171,8 +171,8 @@ func TestServeArtifactSetCodec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b[0] == '{' {
-		t.Fatal("encoding opens with '{': sweep.Memo would read it as JSON")
+	if b[0] != artifactSetV1 {
+		t.Fatalf("encoding opens with %#x, not its version byte", b[0])
 	}
 	var got artifactSet
 	if err := got.UnmarshalBinary(b); err != nil || len(got) != len(set) {

@@ -2,7 +2,7 @@ package main
 
 // The service fault-injection suite: kill -9 the daemon mid-campaign
 // at injected sync points, corrupt and truncate store segments on
-// disk, fill the journal directory with garbage — and assert the
+// disk, fill the journal with garbage — and assert the
 // restarted daemon recovers: resumes the interrupted campaign,
 // replays the completed prefix from the store as cache hits, and
 // exports byte-for-byte what an uninterrupted daemon exports.
@@ -13,6 +13,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -117,10 +118,21 @@ func submitCrashing(t *testing.T, base, dir string) {
 		}
 	}
 	if err != nil {
-		if _, serr := os.Stat(filepath.Join(dir, "journal", "c1.campaign.json")); serr != nil {
-			t.Fatalf("submit failed (%v) with nothing journaled (%v)", err, serr)
+		if _, ok := journalRecord(t, dir, "c1"); !ok {
+			t.Fatalf("submit failed (%v) with nothing journaled", err)
 		}
 	}
+}
+
+// journalRecord reads one record of the journal under the state
+// directory dir, as the next daemon would open it.
+func journalRecord(t *testing.T, dir, key string) ([]byte, bool) {
+	t.Helper()
+	js, err := sweep.OpenStore(filepath.Join(dir, "journal"), sweep.StoreOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return js.Get(key)
 }
 
 // referenceExports runs crashSpec uninterrupted on a fresh in-memory
@@ -153,8 +165,8 @@ func TestServeCrashRecovery(t *testing.T) {
 	if err := cmd.Wait(); err == nil {
 		t.Fatal("daemon exited cleanly; the sync point never fired")
 	}
-	if _, err := os.Stat(filepath.Join(dir, "journal", "c1.done")); !os.IsNotExist(err) {
-		t.Fatalf("killed daemon left a terminal marker (err=%v) — the campaign would not resume", err)
+	if state, ok := journalRecord(t, dir, "c1.done"); ok {
+		t.Fatalf("killed daemon left a terminal marker (%q) — the campaign would not resume", state)
 	}
 
 	// Daemon two: same store and journal, no crash armed. It must
@@ -291,35 +303,54 @@ func TestServeStoreCorruptionRecovery(t *testing.T) {
 	}
 }
 
-// TestServeJournalGarbageTolerated: fill the journal directory with
-// garbage — binary junk, a half-written spec, a directory, an entry
-// whose id contradicts its filename — alongside one genuine
-// incomplete campaign. Recovery resumes the real one, skips the rest
-// with a counted warning on /healthz, and never crashes.
+// TestServeJournalGarbageTolerated: fill the journal's store with
+// garbage alongside one genuine incomplete campaign: a truncated tail,
+// a CRC-flipped record, a spec that does not decode, an unknown-field
+// spec, an entry whose id contradicts its key, keys that are not
+// campaign ids, and a file of the retired one-file-per-campaign layout.
+// Recovery resumes the real one, counts every damaged record on
+// /healthz, never crashes, and never reuses a journaled id.
 func TestServeJournalGarbageTolerated(t *testing.T) {
 	dir := t.TempDir()
 	jdir := filepath.Join(dir, "journal")
-	if err := os.MkdirAll(jdir, 0o755); err != nil {
+	js, err := sweep.OpenStore(jdir, sweep.StoreOpts{})
+	if err != nil {
 		t.Fatal(err)
 	}
 	// The genuine interrupted submission a crashed daemon left.
 	entry, _ := json.Marshal(journalEntry{ID: "c7", Spec: mustSpec(t, crashSpec)})
-	writeJournalFile(t, jdir, "c7.campaign.json", string(entry))
-	// And the garbage.
-	writeJournalFile(t, jdir, "c3.campaign.json", `{"id":"c3","spec":{truncated-by-a-cra`)
-	writeJournalFile(t, jdir, "c4.campaign.json", `{"id":"c999","spec":{}}`) // id ≠ filename
+	js.Put("c7", entry)
+	// And the garbage: records that pass the CRC but not the journal.
+	js.Put("c3", []byte(`{"id":"c3","spec":{truncated-by-a-cra`))
+	js.Put("c4", []byte(`{"id":"c999","spec":{}}`)) // id ≠ key
 	// An older daemon's spec naming a field this one no longer has: not
 	// resumed as some other campaign, but its id stays taken.
-	writeJournalFile(t, jdir, "c9.campaign.json", `{"id":"c9","name":"fig8","spec":{"kind":"experiment","seed":1,"experiment":"fig8","periods":true}}`)
-	writeJournalFile(t, jdir, "cX.done", "") // unparseable id
-	writeJournalFile(t, jdir, "README.txt", "not yours")
-	writeJournalFile(t, jdir, "c5.campaign.json.tmp", "crash mid-record()")
-	if err := os.WriteFile(filepath.Join(jdir, "junk.bin"), []byte{0xde, 0xad, 0xbe, 0xef}, 0o644); err != nil {
+	js.Put("c9", []byte(`{"id":"c9","name":"fig8","spec":{"kind":"experiment","seed":1,"experiment":"fig8","periods":true}}`))
+	js.Put("cX.done", []byte(stateDone)) // unparseable id
+	js.Put("c05", entry)                 // not an id the daemon writes
+	js.Put("README", []byte("not yours"))
+	// A genuine spec whose record rots on disk: flipping its last byte
+	// fails exactly its CRC.
+	c8, _ := json.Marshal(journalEntry{ID: "c8", Spec: mustSpec(t, crashSpec)})
+	js.Put("c8", c8)
+	js.Close()
+	segs, err := filepath.Glob(filepath.Join(jdir, "seg-*.log"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("journal segments: %v, %v", segs, err)
+	}
+	b, err := os.ReadFile(segs[0])
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Mkdir(filepath.Join(jdir, "subdir"), 0o755); err != nil {
+	b[len(b)-1] ^= 0x01
+	// Then the torn tail a kill mid-append leaves: a header and part of
+	// its record.
+	b = append(b, b[:20]...)
+	if err := os.WriteFile(segs[0], b, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// The retired layout's file is not a segment: never read.
+	writeJournalFile(t, jdir, "c12.campaign.json", string(entry))
 
 	cfg, err := openDurable(serverConfig{storeDir: dir})
 	if err != nil {
@@ -342,15 +373,67 @@ func TestServeJournalGarbageTolerated(t *testing.T) {
 	// cleanup of the journal directory.
 	waitTerminal(t, ts.URL, st.ID)
 	var health struct {
+		Status  string        `json:"status"`
 		Journal journalHealth `json:"journal"`
 	}
 	if err := json.Unmarshal(getBytes(t, ts.URL, "/healthz"), &health); err != nil {
 		t.Fatal(err)
 	}
-	// junk.bin, README.txt, subdir, the .tmp, cX.done, and the three
-	// bad campaign files: 8 skipped warnings, no crash.
-	if health.Journal.Skipped != 8 {
-		t.Fatalf("journal skipped %d files, want 8 counted warnings", health.Journal.Skipped)
+	// The flipped c8 and the torn tail are the store's corrupt records;
+	// c3, c4, c9, cX.done, c05 and README are the journal's skips.
+	if health.Status != "ok" || health.Journal.CorruptRecords != 2 || health.Journal.Skipped != 6 {
+		t.Fatalf("healthz = %+v, want ok with 2 corrupt records and 6 skipped entries", health)
+	}
+	names, err := filepath.Glob(filepath.Join(jdir, "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		if base := filepath.Base(name); base != "c12.campaign.json" && !strings.HasPrefix(base, "seg-") {
+			t.Errorf("the journal wrote %s, not a segment", base)
+		}
+	}
+}
+
+// TestServeJournalSyncFault: a journal whose fsync fails degrades, as a
+// failing write does; the campaign still runs and exports, and
+// /healthz says degraded with the cause.
+func TestServeJournalSyncFault(t *testing.T) {
+	js, err := sweep.OpenStore(filepath.Join(t.TempDir(), "journal"), sweep.StoreOpts{
+		WriteFault: func(op string) error {
+			if op == "sync" {
+				return errors.New("injected sync fault: input/output error")
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer js.Close()
+	var cfg serverConfig
+	cfg.journal, cfg.resume, cfg.startID = openJournal(js)
+	ts := newTestServer(t, cfg)
+	const spec = `{"experiment":"fig8","reps":1,"seed":42,"workers":2}`
+	c := submit(t, ts.URL, spec)
+	if fin := waitTerminal(t, ts.URL, c.ID); fin.State != stateDone {
+		t.Fatalf("campaign over a failing journal ended %q (%s)", fin.State, fin.Error)
+	}
+	var health struct {
+		Status  string        `json:"status"`
+		Journal journalHealth `json:"journal"`
+	}
+	if err := json.Unmarshal(getBytes(t, ts.URL, "/healthz"), &health); err != nil {
+		t.Fatal(err)
+	}
+	if health.Status != "degraded" || !health.Journal.Degraded ||
+		!strings.Contains(health.Journal.DegradedReason, "sync fault") {
+		t.Fatalf("sync failure not surfaced: %+v", health)
+	}
+	ref := newTestServer(t)
+	want := getBytes(t, ref.URL, "/v1/campaigns/"+waitTerminal(t, ref.URL, submit(t, ref.URL, spec).ID).ID+"/export.csv")
+	if got := getBytes(t, ts.URL, "/v1/campaigns/"+c.ID+"/export.csv"); !bytes.Equal(got, want) {
+		t.Fatal("export.csv over a failing journal differs from an in-memory daemon's")
 	}
 }
 
@@ -426,7 +509,7 @@ func exportRecordStart(t *testing.T, seg string) int {
 	return start
 }
 
-func mustSpec(t *testing.T, raw string) campaignSpec {
+func mustSpec(t testing.TB, raw string) campaignSpec {
 	t.Helper()
 	var spec campaignSpec
 	if err := json.Unmarshal([]byte(raw), &spec); err != nil {

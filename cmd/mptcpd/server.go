@@ -206,10 +206,9 @@ func (c *campaignState) exportKey() string {
 }
 
 // artifactSet is a campaign's rendered artifacts as the result store
-// keeps them. Its encoding opens with a version byte, never '{' (which
-// sweep.Memo reads as a JSON row), followed by the artifact count and
-// each (name, body) pair in name order, every length a uvarint. It has
-// no JSON form, so a stored value opening with '{' never decodes as one.
+// keeps them: a version byte, the artifact count and each (name, body)
+// pair in name order, every length a uvarint. sweep.Memo reads it only
+// through this form.
 type artifactSet map[string][]byte
 
 const artifactSetV1 = 0x01
@@ -273,10 +272,6 @@ func (a *artifactSet) UnmarshalBinary(b []byte) error {
 	}
 	*a = set
 	return nil
-}
-
-func (a *artifactSet) UnmarshalJSON([]byte) error {
-	return errors.New("mptcpd: an artifact set has no JSON form")
 }
 
 func (c *campaignState) terminal() bool {
@@ -667,12 +662,12 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHealthz reports the durability surface: result-store health
-// (segments, corrupt-record count, degraded mode), journal health
-// (skipped garbage, write failures), and queue pressure. "degraded"
-// means the daemon still serves but something durable is running
-// memory-only. cache_entries and cache_hits/misses count the store's
-// export records and lookups as well as its rows; a campaign's status
-// counts its rows only.
+// (segments, corrupt-record count, degraded mode), the journal's
+// store health plus its count of records that failed decoding, and
+// queue pressure. "degraded" means the daemon still serves but
+// something durable is running memory-only. cache_entries and
+// cache_hits/misses count the store's export records and lookups as
+// well as its rows; a campaign's status counts its rows only.
 func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	entries, hits, misses := s.cfg.store.Stats()
 	view := struct {

@@ -8,9 +8,9 @@ import (
 	"math"
 )
 
-// resultVersion opens every binary RunResult. It must never be '{':
-// that byte is how sweep.Memo tells a value an earlier daemon stored as
-// JSON from this form.
+// resultVersion opens every binary RunResult. A value opening with
+// anything else (the JSON daemons before this form stored opens with
+// '{') does not decode, so sweep.Memo treats it as a miss.
 const resultVersion = 1
 
 // series lists the per-packet sample slices in stored order. They are

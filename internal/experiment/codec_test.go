@@ -108,13 +108,15 @@ func TestResultBinaryRoundTrip(t *testing.T) {
 	check("resilience", chaotic)
 }
 
-// parentJSON is a value exactly as the parent commit's daemon stored
-// it (json.Marshal of an 8 KB MP-2 run; RTT samples added by hand).
+// parentJSON is an experiment row as daemons before the binary form
+// stored it (json.Marshal of an 8 KB MP-2 run; RTT samples added by
+// hand).
 const parentJSON = `{"Completed":true,"DownloadTime":52861274,"WiFiBytesSent":8432,"CellBytesSent":0,"WiFiDataPkts":6,"CellDataPkts":0,"WiFiRetransPkts":0,"CellRetransPkts":0,"WiFiRTTms":[21.337,19.5],"CellRTTms":null,"OFOms":[0,0,0,0,0,0],"WiFiBytesAcked":0,"CellBytesAcked":0,"Subflows":1,"Penalties":0,"Events":20,"Violations":0,"FirstViolation":"","FailReason":"","Resilience":null}`
 
 // TestMemoResultForms drives RunResult through sweep.Memo: a miss is
-// stored in the binary form, a stored parent-format value is a hit,
-// and anything else is a miss that gets overwritten.
+// stored in the binary form, and anything else, the JSON a daemon from
+// before the binary form stored included, is a miss that gets
+// overwritten.
 func TestMemoResultForms(t *testing.T) {
 	st := sweep.NewCache()
 	fresh := RunResult{Completed: true, DownloadTime: 7, WiFiRTTms: []float64{1.5, 2.5}}
@@ -135,13 +137,14 @@ func TestMemoResultForms(t *testing.T) {
 	}
 
 	st.Put("legacy", []byte(parentJSON))
-	got, hit := memo("legacy")
-	if !hit || runs != 1 {
-		t.Fatalf("a parent-format value: hit=%v after %d runs", hit, runs)
+	if _, hit := memo("legacy"); hit || runs != 2 {
+		t.Fatalf("a JSON value: hit=%v after %d runs; want a miss that runs once", hit, runs)
 	}
-	if got.DownloadTime != 52861274 || !reflect.DeepEqual(got.WiFiRTTms, []float64{21.337, 19.5}) ||
-		got.CellRTTms != nil || len(got.OFOms) != 6 || got.Events != 20 {
-		t.Fatalf("a parent-format value decoded as %+v", got)
+	if got, hit := memo("legacy"); !hit || runs != 2 || !reflect.DeepEqual(got, fresh) {
+		t.Fatalf("a JSON value was not overwritten: hit=%v after %d runs, result %+v", hit, runs, got)
+	}
+	if b, _ := st.Get("legacy"); len(b) == 0 || b[0] != resultVersion {
+		t.Fatalf("a JSON value was rewritten as % x…, not the binary form", b[:min(len(b), 8)])
 	}
 
 	good, _ := fresh.MarshalBinary()

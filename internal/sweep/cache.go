@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding"
 	"encoding/json"
@@ -55,15 +54,15 @@ func Key(desc any, seed int64) (string, error) {
 // once decoded on a hit, read through GetRef (no copy).
 //
 // A row travels through its own encoding.BinaryMarshaler and
-// BinaryUnmarshaler when *R has both, and through JSON otherwise. A
-// stored value that opens with '{' is always read as JSON: that is
-// what every row was before any type had a binary form, so a store an
-// earlier daemon wrote keeps answering.
+// BinaryUnmarshaler when *R has both, and through JSON otherwise: one
+// stored form per row type.
 //
-// A value that does not decode is a miss and is overwritten. A row
-// keep rejects (a failed run: a wall-clock fact, not a function of the
-// key) is returned but never stored. An empty key — the caller's Key
-// call failed — means "don't cache": run always executes.
+// A value that does not decode is a miss and is overwritten (so is
+// the JSON an earlier daemon stored for a type that has since gained a
+// binary form). A row keep rejects (a failed run: a wall-clock fact,
+// not a function of the key) is returned but never stored. An empty
+// key — the caller's Key call failed — means "don't cache": run always
+// executes.
 func Memo[R any](st *Store, key string, keep func(R) bool, run func() R) (res R, hit bool) {
 	if key == "" {
 		return run(), false
@@ -94,7 +93,7 @@ func encodeRow(row any) ([]byte, error) {
 }
 
 func decodeRow(b []byte, row any) error {
-	if r, ok := row.(binaryRow); ok && !bytes.HasPrefix(b, []byte("{")) {
+	if r, ok := row.(binaryRow); ok {
 		return r.UnmarshalBinary(b)
 	}
 	return json.Unmarshal(b, row)

@@ -21,7 +21,8 @@ import (
 // (OpenStore) it persists every row as a segmented, checksummed
 // append-only log so results survive a process kill; with no directory
 // (NewCache) it is the same map in memory only: no files, never
-// degraded, Health().Dir == "".
+// degraded, Health().Dir == "". The daemon keeps its campaign journal
+// in a second disk-backed Store, keyed by campaign id.
 //
 // Durability model. Every Put appends one framed record to the active
 // segment with an unbuffered os.File write — the bytes reach the
@@ -29,7 +30,9 @@ import (
 // layer is built for) loses nothing already Put; only an OS crash can
 // lose the tail, and losing cached rows is always safe because every
 // row is recomputable from its key's (config, seed). No fsync on the
-// hot path.
+// hot path: a caller whose record must also survive an OS crash calls
+// Sync after its Put (the daemon's campaign journal, once per accepted
+// submission).
 //
 // Degradation model, in order of severity:
 //
@@ -77,9 +80,9 @@ type StoreOpts struct {
 	// MaxSegmentBytes rotates the active segment once it exceeds this
 	// many bytes (0 = 4 MiB).
 	MaxSegmentBytes int64
-	// WriteFault, when non-nil, intercepts every segment create and
-	// append; a returned error is handled exactly like the disk
-	// failing. Fault injection for tests only.
+	// WriteFault, when non-nil, intercepts every segment create,
+	// append and sync; a returned error is handled exactly like the
+	// disk failing. Fault injection for tests only.
 	WriteFault func(op string) error
 }
 
@@ -229,7 +232,43 @@ func (s *Store) Put(key string, val []byte) {
 	if s.dir == "" || s.degraded {
 		return
 	}
-	if err := s.append(encodeRecord(key, val)); err != nil {
+	s.degrade(s.append(encodeRecord(key, val)))
+}
+
+// Sync flushes the active segment to stable storage, so the records
+// Put to it survive an OS crash as well as a process kill. A failure
+// degrades the store like a write error. A memory-only or degraded
+// store, or one not yet written to, has nothing to flush.
+func (s *Store) Sync() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.seg == nil || s.degraded {
+		return
+	}
+	var err error
+	if s.fault != nil {
+		err = s.fault("sync")
+	}
+	if err == nil {
+		err = s.seg.Sync()
+	}
+	s.degrade(err)
+}
+
+// Range calls fn for every entry, in no particular order, under the
+// store's lock: fn must not call the store, nor retain val.
+func (s *Store) Range(fn func(key string, val []byte)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for k, v := range s.entries {
+		fn(k, v)
+	}
+}
+
+// degrade flips the store to memory-only on a disk error (nil: no
+// change), with that error as the reason. Caller holds s.mu.
+func (s *Store) degrade(err error) {
+	if err != nil {
 		s.degraded = true
 		s.degradedReason = err.Error()
 	}

@@ -278,6 +278,74 @@ func TestStoreDegradedMode(t *testing.T) {
 	}
 }
 
+// TestStoreSync: Sync flushes only what there is to flush — nothing on
+// a memory-only store or before the first Put — and a failed sync
+// degrades the store as a failed write does, keeping what reached the
+// segment before it.
+func TestStoreSync(t *testing.T) {
+	var ops []string
+	var fail bool
+	fault := func(op string) error {
+		ops = append(ops, op)
+		if fail && op == "sync" {
+			return fmt.Errorf("injected %s fault: input/output error", op)
+		}
+		return nil
+	}
+	mem := NewCache()
+	mem.Put("k", []byte("row"))
+	mem.Sync()
+	if h := mem.Health(); h.Degraded {
+		t.Fatalf("memory-only Sync degraded: %+v", h)
+	}
+
+	dir := t.TempDir()
+	s := openTestStore(t, dir, StoreOpts{WriteFault: fault})
+	s.Sync()
+	s.Put("synced:1", []byte("on disk"))
+	s.Sync()
+	if want := []string{"create", "append", "sync"}; fmt.Sprint(ops) != fmt.Sprint(want) {
+		t.Fatalf("disk operations %q, want %q", ops, want)
+	}
+	fail = true
+	s.Put("unsynced:2", []byte("written"))
+	s.Sync()
+	if h := s.Health(); !h.Degraded || !bytes.Contains([]byte(h.DegradedReason), []byte("sync fault")) {
+		t.Fatalf("sync fault did not degrade: %+v", h)
+	}
+	s.Put("volatile:3", []byte("memory only"))
+	s.Close()
+	r := openTestStore(t, dir, StoreOpts{})
+	for k, want := range map[string]bool{"synced:1": true, "unsynced:2": true, "volatile:3": false} {
+		if _, ok := r.Get(k); ok != want {
+			t.Errorf("reopened Get(%q) found=%v, want %v", k, ok, want)
+		}
+	}
+}
+
+// TestStoreRange visits every entry once, the last value Put for each
+// key, loaded ones included.
+func TestStoreRange(t *testing.T) {
+	dir := t.TempDir()
+	s := openTestStore(t, dir, StoreOpts{})
+	s.Put("a", []byte("1"))
+	s.Put("b", []byte("2"))
+	s.Put("a", []byte("3"))
+	s.Close()
+	r := openTestStore(t, dir, StoreOpts{})
+	r.Put("c", nil)
+	got := map[string]string{}
+	r.Range(func(k string, v []byte) {
+		if _, dup := got[k]; dup {
+			t.Errorf("Range visited %q twice", k)
+		}
+		got[k] = string(v)
+	})
+	if want := map[string]string{"a": "3", "b": "2", "c": ""}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Range saw %v, want %v", got, want)
+	}
+}
+
 // TestStoreDuplicatePutNotRelogged: re-Putting identical bytes (a
 // resumed campaign absorbing a hit path that Puts anyway) must not
 // grow the log.
